@@ -9,10 +9,19 @@ spectrum in [m, M], the problem reduces to scalar polynomial positivity:
     H = [[A(Q), B(Q)], [B(Q), C(Q)]]  is PD
     iff  A(lam) > 0 and (AC - B^2)(lam) > 0 for every lam in [m, M].
 
-The module builds P and the A/B/C polynomials per scheme, certifies
-positivity on a dense grid backed by a derivative bound (so the grid
-minimum genuinely implies positivity between nodes), and cross-checks the
-polynomial route against direct 2x2 eigenvalues at every grid point.
+Each scheme's certificate block P(lam) is written out once, in
+:func:`transition_matrix_P`.  Every block applies the kick once, so P is
+affine in lam, P(lam) = P0 + lam P1, and the A/B/C polynomials are derived
+from it rather than expanded by hand:
+
+    H(lam) = (1-c) W - P0^T W P0 - lam (P0^T W P1 + P1^T W P0) - lam^2 P1^T W P1.
+
+The literal one-step map of a splitting (:func:`step_matrix`) is composed
+from its operator word in :data:`langevin_contract.integrators.SPLITTING_WORDS`.
+Positivity is certified on a dense grid backed by a derivative bound (so
+the grid minimum genuinely implies positivity between nodes), and the
+polynomial route is cross-checked against direct 2x2 eigenvalues at every
+grid point.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coupling import certified_rate
-from .integrators import Scheme, StepParams
+from .integrators import OVERDAMPED_SCHEMES, SPLITTING_WORDS, Scheme, StepParams
 
 
 class CertificateError(ValueError):
@@ -82,54 +91,45 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
         al = -math.expm1(-g * h) / g
         be = (g * h + math.expm1(-g * h)) / g**2
         return np.array([[1.0 - be * lam, al], [-al * lam, eta]])
-    raise UnsupportedScheme(f"no certificate block for {scheme.value}")
+    raise UnsupportedScheme(
+        f"{scheme.value} has no certificate block; permuted splittings route through bao/oab"
+    )
 
 
 def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
     """Exact one-step difference map of the integrator on a scalar mode.
 
-    Equals :func:`transition_matrix_P` except for baoab/obabo (full
-    symmetric compositions) and the overdamped schemes (position row only;
-    the velocity passes through).
+    Splittings compose the 2x2 matrices of their operator word; the
+    overdamped schemes act on the position row only (the velocity passes
+    through); kinetic_em and ses equal their :func:`transition_matrix_P`.
+    For bao and oab the composition equals the certificate block, for
+    baoab/obabo it is the full symmetric step.
     """
     scheme = Scheme(scheme)
-    h = params.h
-
-    if scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
+    h, g = params.h, params.gamma
+    if scheme in OVERDAMPED_SCHEMES:
         return np.array([[1.0 - h * lam, 0.0], [0.0, 1.0]])
+    word = SPLITTING_WORDS.get(scheme)
+    if word is None:
+        return transition_matrix_P(scheme, lam, params)
+    out = np.eye(2)
+    for piece, frac in word:
+        tau = frac * h
+        if piece == "B":
+            op = np.array([[1.0, 0.0], [-tau * lam, 1.0]])
+        elif piece == "A":
+            op = np.array([[1.0, tau], [0.0, 1.0]])
+        else:
+            op = np.array([[1.0, 0.0], [0.0, math.exp(-g * tau)]])
+        out = op @ out  # operators apply left to right
+    return out
 
-    def A(t):
-        return np.array([[1.0, t], [0.0, 1.0]])
 
-    def B(t):
-        return np.array([[1.0, 0.0], [-t * lam, 1.0]])
-
-    def O(e):
-        return np.array([[1.0, 0.0], [0.0, e]])
-
-    def compose(*ops):
-        # operators apply left to right: right-multiply onto the state
-        out = np.eye(2)
-        for op in ops:
-            out = op @ out
-        return out
-
-    eta = params.eta
-    table = {
-        Scheme.BAO: (B(h), A(h), O(eta)),
-        Scheme.OAB: (O(eta), A(h), B(h)),
-        Scheme.ABO: (A(h), B(h), O(eta)),
-        Scheme.BOA: (B(h), O(eta), A(h)),
-        Scheme.OBA: (O(eta), B(h), A(h)),
-        Scheme.AOB: (A(h), O(eta), B(h)),
-        Scheme.BAOAB: (B(h / 2), A(h / 2), O(eta), A(h / 2), B(h / 2)),
-    }
-    if scheme in table:
-        return compose(*table[scheme])
-    if scheme is Scheme.OBABO:
-        es = params.eta_half
-        return compose(O(es), B(h / 2), A(h), B(h / 2), O(es))
-    return transition_matrix_P(scheme, lam, params)
+def _affine_P(scheme: Scheme, params: StepParams) -> tuple[np.ndarray, np.ndarray]:
+    """(P0, P1) with P(lam) = P0 + lam P1; exact because every certificate
+    block applies the kick operator once."""
+    P0 = transition_matrix_P(scheme, 0.0, params)
+    return P0, transition_matrix_P(scheme, 1.0, params) - P0
 
 
 @dataclass(frozen=True)
@@ -145,75 +145,16 @@ class AbcPolynomials:
 def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) -> AbcPolynomials:
     """Coefficient form of A, B, C for the certificate block of ``scheme``.
 
-    With the scheme's certified (a, b) the constant term of B collapses to
-    -b c, which is what makes the m-independent stepsize thresholds work.
+    Derived from P(lam) = P0 + lam P1 (see the module docstring).  With the
+    scheme's certified (a, b) the constant term of B collapses to -b c,
+    which is what makes the m-independent stepsize thresholds work.
     """
     scheme = Scheme(scheme)
-    h, g = params.h, params.gamma
-    eta = params.eta
-    if scheme is Scheme.KINETIC_EM:
-        A = [-c, 2.0 * b * h, -h * h * a]
-        B = [-c * b + h * (b * g - 1.0), h * (a + h * (b - a * g)), 0.0]
-        C = [-c * a + h * (2.0 * a * g - 2.0 * b - h * (1.0 - 2.0 * b * g + a * g * g)), 0.0, 0.0]
-    elif scheme is Scheme.BAO:
-        A = [-c, 2.0 * (b * eta + h) * h, -(a * eta**2 + 2.0 * b * eta * h + h * h) * h * h]
-        B = [b * (1.0 - eta) - h - b * c, (a * eta**2 + 2.0 * b * eta * h + h * h) * h, 0.0]
-        C = [a * (1.0 - eta**2) - 2.0 * b * eta * h - h * h - a * c, 0.0, 0.0]
-    elif scheme is Scheme.OAB:
-        A = [-c, 2.0 * b * h, -a * h * h]
-        B = [
-            b * (1.0 - eta) - eta * h - b * c,
-            a * eta * h + 2.0 * b * eta * h * h,
-            -a * eta * h**3,
-        ]
-        C = [
-            a * (1.0 - eta**2) - 2.0 * b * eta**2 * h - eta**2 * h * h - a * c,
-            2.0 * a * eta**2 * h * h + 2.0 * b * eta**2 * h**3,
-            -a * eta**2 * h**4,
-        ]
-    elif scheme is Scheme.BAOAB:
-        A = [
-            -c,
-            2.0 * b * eta * h + h * h,
-            -a * eta**2 * h * h - b * eta * h**3 - h**4 / 4.0,
-        ]
-        B = [
-            b * (1.0 - eta) - h - b * c,
-            a * eta**2 * h + 2.0 * b * eta * h * h + 0.75 * h**3,
-            -0.5 * a * eta**2 * h**3 - 0.5 * b * eta * h**4 - h**5 / 8.0,
-        ]
-        C = [
-            a * (1.0 - eta**2) - 2.0 * b * eta * h - h * h - a * c,
-            a * eta**2 * h * h + 1.5 * b * eta * h**3 + 0.5 * h**4,
-            -0.25 * a * eta**2 * h**4 - 0.25 * b * eta * h**5 - h**6 / 16.0,
-        ]
-    elif scheme is Scheme.OBABO:
-        A = [-c, b * h * (1.0 + eta), -((1.0 + eta) ** 2) * a * h * h / 4.0]
-        B = [
-            b * (1.0 - eta) - h - b * c,
-            (0.5 * a * eta + b * h) * (eta + 1.0) * h,
-            -((eta + 1.0) ** 2) * a * h**3 / 4.0,
-        ]
-        C = [
-            a * (1.0 - eta**2) - 2.0 * b * eta * h - h * h - a * c,
-            (a * eta + b * h) * (eta + 1.0) * h * h,
-            -a * (eta + 1.0) ** 2 * h**4 / 4.0,
-        ]
-    elif scheme is Scheme.SES:
-        al = -math.expm1(-g * h) / g
-        be = (g * h + math.expm1(-g * h)) / g**2
-        A = [-c, 2.0 * (b * al + be), -(a * al**2 + 2.0 * b * al * be + be**2)]
-        B = [
-            b * (1.0 - eta) - al - b * c,
-            a * al * eta + b * al**2 + b * be * eta + al * be,
-            0.0,
-        ]
-        C = [a * (1.0 - eta**2) - a * c - 2.0 * b * eta * al - al * al, 0.0, 0.0]
-    else:
-        raise UnsupportedScheme(
-            f"{scheme.value} has no direct certificate; use its bao/oab route"
-        )
-    return AbcPolynomials(scheme, np.array(A), np.array(B), np.array(C))
+    P0, P1 = _affine_P(scheme, params)
+    W = np.array([[1.0, b], [b, a]])
+    cross = P0.T @ W @ P1
+    H = np.stack([(1.0 - c) * W - P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)])
+    return AbcPolynomials(scheme, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1])
 
 
 @dataclass(frozen=True)
@@ -254,20 +195,9 @@ def _derivative_bound(coeffs: np.ndarray, hi: float) -> float:
     return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
 
 
-def _min_eig_H(norm_matrix: np.ndarray, P: np.ndarray, c: float) -> float:
-    H = (1.0 - c) * norm_matrix - P.T @ norm_matrix @ P
-    tr, det = H[0, 0] + H[1, 1], H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-    return 0.5 * (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
-
-
 def _min_eig_H_grid(scheme: Scheme, lams: np.ndarray, params: StepParams, W: np.ndarray, c: float) -> np.ndarray:
-    """Vectorized min eigenvalue of H over the lam grid.
-
-    Every certificate block applies the kick operator once, so P is affine
-    in lam: P(lam) = P(0) + lam (P(1) - P(0)).
-    """
-    P0 = transition_matrix_P(scheme, 0.0, params)
-    P1 = transition_matrix_P(scheme, 1.0, params) - P0
+    """Vectorized min eigenvalue of H over the lam grid."""
+    P0, P1 = _affine_P(scheme, params)
     Pg = P0[np.newaxis] + lams[:, np.newaxis, np.newaxis] * P1[np.newaxis]
     Hg = (1.0 - c) * W[np.newaxis] - np.einsum("nki,kl,nlj->nij", Pg, W, Pg)
     tr = Hg[:, 0, 0] + Hg[:, 1, 1]

@@ -226,11 +226,7 @@ def cmd_couple(cfg: dict, args) -> int:
         rows = []
         d0 = trace.distances[0]
         for k, dk in enumerate(trace.distances):
-            bound = (
-                rate.prefactor**2 * (1.0 - rate.c) ** (k - rate.shift) * d0
-                if rate.admissible
-                else ""
-            )
+            bound = rate.bound_sq(k, d0) if rate.admissible else ""
             rows.append([s.value, h, g, seed, k, dk, bound])
         _write_csv(out / name, ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"], rows)
         return {

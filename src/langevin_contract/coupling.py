@@ -14,7 +14,6 @@ are reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -88,6 +87,11 @@ class CertifiedRate:
 
     def violated(self) -> tuple[str, ...]:
         return tuple(s for s in self.constraints if s.endswith("(violated)"))
+
+    def bound_sq(self, k, d0):
+        """Certified squared-distance bound prefactor^2 (1 - c)^(k - shift) d0
+        at step k (a scalar or an array of steps)."""
+        return self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0
 
 
 def _fmt(name: str, ok: bool) -> str:
@@ -345,24 +349,10 @@ def verify_trace_bound(trace: CouplingTrace, rate: CertifiedRate) -> tuple[bool,
         raise CouplingError("bound check requires admissible parameters")
     d = trace.distances
     ks = np.arange(len(d), dtype=float)
-    bound = rate.prefactor**2 * (1.0 - rate.c) ** (ks - rate.shift) * d[0]
+    bound = rate.bound_sq(ks, d[0])
     bad = np.nonzero(~(d <= bound))[0]
     if trace.diverged:
         return False, trace.diverged_at
     if bad.size:
         return False, int(bad[0])
     return True, None
-
-
-def export_trace_csv(trace: CouplingTrace, rate: CertifiedRate | None, path) -> None:
-    """Write (k, distance_sq, bound_sq) rows; bound empty when no rate."""
-    d = trace.distances
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "distance_sq", "bound_sq"])
-        for k, dk in enumerate(d):
-            if rate is not None and rate.admissible:
-                bk = rate.prefactor**2 * (1.0 - rate.c) ** (k - rate.shift) * d[0]
-                w.writerow([k, f"{dk:.17g}", f"{bk:.17g}"])
-            else:
-                w.writerow([k, f"{dk:.17g}", ""])

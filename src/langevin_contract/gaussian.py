@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import transition_matrix_P
+from .certificates import CERTIFICATE_SCHEMES, step_matrix, transition_matrix_P
 from .integrators import KINETIC_SCHEMES, Scheme, StepParams
 
 
@@ -83,12 +83,9 @@ def transition_matrix_P_any(scheme: Scheme, lam: float, params: StepParams) -> n
     full compositions, so either choice has the same spectrum; first-order
     permutations use their literal one-step maps.
     """
-    from .certificates import UnsupportedScheme, step_matrix
-
-    try:
+    if Scheme(scheme) in CERTIFICATE_SCHEMES:
         return transition_matrix_P(scheme, lam, params)
-    except UnsupportedScheme:
-        return step_matrix(scheme, lam, params)
+    return step_matrix(scheme, lam, params)
 
 
 def mode_report(scheme: Scheme, lam: float, params: StepParams) -> SpectralReport:

@@ -22,6 +22,7 @@ underived.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,31 +43,78 @@ class LimitError(ValueError):
     """Scheme has no derived high-friction limit."""
 
 
-#: standard-normal d-vectors consumed by one limit step
-LIMIT_NOISE_COUNTS = {
-    Scheme.BAO: 1,
-    Scheme.OAB: 1,
-    Scheme.BAOAB: 2,
-    Scheme.OBABO: 1,
-    Scheme.SES: 0,
+@dataclass(frozen=True)
+class _LimitMap:
+    """High-friction limit of one scheme's position update.
+
+    ``step(p, x, h, xi)`` is the limit position update, consuming
+    ``noise_count`` standard-normal d-vectors stacked in ``xi``;
+    ``matched_noise(p, x, v, h, raw)`` maps one full step's raw draws (and
+    the incoming velocity) onto those limit-step draws.  ``step`` is None
+    when the scheme has no finite limit map.
+    """
+
+    glc: bool
+    noise_count: int = 0
+    step: Callable | None = None
+    matched_noise: Callable | None = None
+
+
+# In the limit the velocity equals the previous refresh draw, so bao's
+# lagged noise is v itself and baoab's pair is (v + h/2 grad U(x), xi).
+_LIMIT_MAPS = {
+    Scheme.BAO: _LimitMap(
+        glc=False,
+        noise_count=1,
+        step=lambda p, x, h, xi: x - h * h * p.gradient(x) + h * xi[0],
+        matched_noise=lambda p, x, v, h, raw: v[np.newaxis],
+    ),
+    Scheme.OAB: _LimitMap(
+        glc=False,
+        noise_count=1,
+        step=lambda p, x, h, xi: x + h * xi[0],
+        matched_noise=lambda p, x, v, h, raw: raw[:1],
+    ),
+    Scheme.BAOAB: _LimitMap(
+        glc=True,
+        noise_count=2,
+        step=lambda p, x, h, xi: x - 0.5 * h * h * p.gradient(x) + 0.5 * h * (xi[0] + xi[1]),
+        matched_noise=lambda p, x, v, h, raw: np.stack([v + 0.5 * h * p.gradient(x), raw[0]]),
+    ),
+    Scheme.OBABO: _LimitMap(
+        glc=True,
+        noise_count=1,
+        step=lambda p, x, h, xi: x - 0.5 * h * h * p.gradient(x) + h * xi[0],
+        matched_noise=lambda p, x, v, h, raw: raw[:1],
+    ),
+    Scheme.SES: _LimitMap(
+        glc=False,
+        noise_count=0,
+        step=lambda p, x, h, xi: x.copy(),
+        matched_noise=lambda p, x, v, h, raw: None,
+    ),
+    Scheme.KINETIC_EM: _LimitMap(glc=False),
 }
 
-_GLC_TABLE = {
-    Scheme.BAO: False,
-    Scheme.OAB: False,
-    Scheme.BAOAB: True,
-    Scheme.OBABO: True,
-    Scheme.SES: False,
-    Scheme.KINETIC_EM: False,
-}
+#: standard-normal d-vectors consumed by one limit step
+LIMIT_NOISE_COUNTS = {s: r.noise_count for s, r in _LIMIT_MAPS.items() if r.step is not None}
 
 
 def classify_glc(scheme: Scheme) -> bool:
     """True iff the high-friction limit is a faithful overdamped scheme."""
     scheme = Scheme(scheme)
-    if scheme in _GLC_TABLE:
-        return _GLC_TABLE[scheme]
+    if scheme in _LIMIT_MAPS:
+        return _LIMIT_MAPS[scheme].glc
     raise LimitError(f"high-friction limit of {scheme.value} not derived")
+
+
+def _limit_map(scheme: Scheme) -> _LimitMap:
+    rec = _LIMIT_MAPS.get(scheme)
+    if rec is None:
+        raise LimitError(f"high-friction limit of {scheme.value} not derived")
+    if rec.step is None:
+        raise LimitError(f"{scheme.value} has no finite limit map (unstable for fixed h)")
+    return rec
 
 
 def limit_step(scheme: Scheme, p: Potential, x: np.ndarray, h: float, noise) -> np.ndarray:
@@ -77,44 +125,11 @@ def limit_step(scheme: Scheme, p: Potential, x: np.ndarray, h: float, noise) -> 
     draw; for oab/obabo the current draw; ses takes none.  kinetic_em
     raises (no finite limit map).
     """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.KINETIC_EM:
-        raise LimitError("kinetic_em has no finite limit map (unstable for fixed h)")
-    if scheme not in LIMIT_NOISE_COUNTS:
-        raise LimitError(f"high-friction limit of {scheme.value} not derived")
+    rec = _limit_map(Scheme(scheme))
     x = np.asarray(x, dtype=float)
-    need = LIMIT_NOISE_COUNTS[scheme]
+    need = rec.noise_count
     xi = np.asarray(noise, dtype=float).reshape(need, *x.shape) if need else None
-    if scheme is Scheme.SES:
-        return x.copy()
-    if scheme is Scheme.OAB:
-        return x + h * xi[0]
-    if scheme is Scheme.BAO:
-        return x - h * h * p.gradient(x) + h * xi[0]
-    if scheme is Scheme.OBABO:
-        return x - 0.5 * h * h * p.gradient(x) + h * xi[0]
-    # baoab: averaged-noise overdamped step at stepsize h^2/2
-    return x - 0.5 * h * h * p.gradient(x) + 0.5 * h * (xi[0] + xi[1])
-
-
-def _limit_noise_from_scheme(
-    scheme: Scheme, p: Potential, x: np.ndarray, v: np.ndarray, h: float, raw: np.ndarray
-):
-    """Map one full step's raw draws (and the incoming velocity) onto the
-    matched limit-step noise.
-
-    In the limit the velocity equals the previous refresh draw, so bao's
-    lagged noise is v itself and baoab's pair is (v + h/2 grad U(x), xi).
-    """
-    if scheme is Scheme.BAO:
-        return v[np.newaxis]
-    if scheme is Scheme.OAB:
-        return raw[:1]
-    if scheme is Scheme.BAOAB:
-        return np.stack([v + 0.5 * h * p.gradient(x), raw[0]])
-    if scheme is Scheme.OBABO:
-        return raw[:1]
-    return None  # ses
+    return rec.step(p, x, h, xi)
 
 
 def glc_deviation(
@@ -133,10 +148,7 @@ def glc_deviation(
     the position update.
     """
     scheme = Scheme(scheme)
-    if scheme is Scheme.KINETIC_EM:
-        raise LimitError("kinetic_em has no finite limit map (unstable for fixed h)")
-    if scheme not in LIMIT_NOISE_COUNTS:
-        raise LimitError(f"high-friction limit of {scheme.value} not derived")
+    rec = _limit_map(scheme)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     params = StepParams(h, gamma)
@@ -144,8 +156,7 @@ def glc_deviation(
     d = x.shape[-1]
     raw = np.stack([streams.normals(j, 1, d)[0] for j in range(noise_requirements(scheme))])
     full = step(scheme, p, PhaseState(x, v), params, raw)
-    mapped = _limit_noise_from_scheme(scheme, p, x, v, h, raw)
-    limited = limit_step(scheme, p, x, h, mapped)
+    limited = limit_step(scheme, p, x, h, rec.matched_noise(p, x, v, h, raw))
     return float(np.linalg.norm(full.x - limited))
 
 

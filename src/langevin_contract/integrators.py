@@ -6,17 +6,20 @@ the B (velocity kick), A (position drift) and O (exact Ornstein-Uhlenbeck)
 pieces; the symmetric second-order splittings BAOAB and OBABO; and the
 stochastic exponential Euler scheme (SES) with its correlated noise pair.
 
-Update rules for the elementary pieces (operators apply left to right, so
-"BAO" kicks, drifts, then refreshes):
+Every splitting is one row of :data:`SPLITTING_WORDS`: its operator word, a
+sequence of (piece, fraction of h) applied left to right, so "BAO" kicks,
+drifts, then refreshes.  The step core, the noise count and the exact
+one-step matrix (:func:`langevin_contract.certificates.step_matrix`) are
+all derived from that row.  A piece of duration tau = fraction * h acts as
 
-    B: v <- v - h * grad U(x)
-    A: x <- x + h * v
+    B: v <- v - tau * grad U(x)
+    A: x <- x + tau * v
     O: v <- eta * v + sqrt(1 - eta^2) * xi,   eta = exp(-gamma * tau)
 
-with tau the duration of the O sub-step (h for single-O schemes, h/2 for
-each half of OBABO).  Step functions are pure: identical inputs give
-bit-identical outputs, and two states stepped with shared noise have a
-noise-independent difference (the basis of synchronous coupling).
+and each O piece consumes the next standard-normal draw.  Step functions
+are pure: identical inputs give bit-identical outputs, and two states
+stepped with shared noise have a noise-independent difference (the basis
+of synchronous coupling).
 """
 
 from __future__ import annotations
@@ -53,6 +56,18 @@ OVERDAMPED_SCHEMES = (Scheme.OVERDAMPED_EM, Scheme.LM)
 FIRST_ORDER_SPLITTINGS = (Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
 KINETIC_SCHEMES = tuple(s for s in Scheme if s not in OVERDAMPED_SCHEMES)
 
+#: operator word of each splitting: (piece, fraction of h), left to right
+SPLITTING_WORDS = {
+    Scheme.BAO: (("B", 1.0), ("A", 1.0), ("O", 1.0)),
+    Scheme.OAB: (("O", 1.0), ("A", 1.0), ("B", 1.0)),
+    Scheme.ABO: (("A", 1.0), ("B", 1.0), ("O", 1.0)),
+    Scheme.BOA: (("B", 1.0), ("O", 1.0), ("A", 1.0)),
+    Scheme.OBA: (("O", 1.0), ("B", 1.0), ("A", 1.0)),
+    Scheme.AOB: (("A", 1.0), ("O", 1.0), ("B", 1.0)),
+    Scheme.BAOAB: (("B", 0.5), ("A", 0.5), ("O", 1.0), ("A", 0.5), ("B", 0.5)),
+    Scheme.OBABO: (("O", 0.5), ("B", 0.5), ("A", 1.0), ("B", 0.5), ("O", 0.5)),
+}
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -76,7 +91,7 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class StepParams:
-    """Stepsize h and friction gamma; eta values are derived on demand."""
+    """Stepsize h and friction gamma; eta is derived on demand."""
 
     h: float
     gamma: float
@@ -92,48 +107,20 @@ class StepParams:
         """exp(-gamma h): the damping of a full-step O piece."""
         return math.exp(-self.gamma * self.h)
 
-    @property
-    def eta_half(self) -> float:
-        """exp(-gamma h / 2): the damping of each OBABO half-step O piece."""
-        return math.exp(-self.gamma * self.h / 2.0)
-
-    def o_substep_eta(self, scheme: Scheme) -> float:
-        return self.eta_half if scheme is Scheme.OBABO else self.eta
-
 
 def noise_requirements(scheme: Scheme) -> int:
     """Number of independent standard-normal d-vectors consumed per step.
 
-    OBABO refreshes twice; SES consumes two raw vectors that are mixed into
-    a single correlated (position, velocity) pair by :func:`ses_noise`.
-    All other schemes consume one vector.
+    A splitting consumes one per O piece of its word (two for OBABO); SES
+    consumes two raw vectors that are mixed into a single correlated
+    (position, velocity) pair by :func:`ses_noise`.  All other schemes
+    consume one vector.
     """
-    return 2 if scheme in (Scheme.OBABO, Scheme.SES) else 1
-
-
-def sub_step_B(state: PhaseState, h: float, potential: Potential) -> PhaseState:
-    """Velocity kick v <- v - h grad U(x); x untouched."""
-    if not h > 0.0:
-        raise IntegratorError(f"sub-step size must be positive, got {h}")
-    return PhaseState(state.x, state.v - h * potential.gradient(state.x))
-
-
-def sub_step_A(state: PhaseState, h: float) -> PhaseState:
-    """Position drift x <- x + h v; v untouched."""
-    if not h > 0.0:
-        raise IntegratorError(f"sub-step size must be positive, got {h}")
-    return PhaseState(state.x + h * state.v, state.v)
-
-
-def sub_step_O(state: PhaseState, eta: float, xi: np.ndarray) -> PhaseState:
-    """Exact OU refresh v <- eta v + sqrt(1 - eta^2) xi; x untouched.
-
-    eta = exp(-gamma tau) lies in (0, 1) mathematically; exactly 0.0 is
-    accepted because it is the float underflow of extreme friction.
-    """
-    if not 0.0 <= eta < 1.0:
-        raise IntegratorError(f"eta must lie in [0, 1), got {eta}")
-    return PhaseState(state.x, eta * state.v + math.sqrt(1.0 - eta * eta) * xi)
+    scheme = Scheme(scheme)
+    word = SPLITTING_WORDS.get(scheme)
+    if word is not None:
+        return sum(piece == "O" for piece, _ in word)
+    return 2 if scheme is Scheme.SES else 1
 
 
 def _ses_g(u: float) -> float:
@@ -219,7 +206,20 @@ def step(
 def _step_arrays(scheme, potential, x, v, params, xi, prev_noise=None):
     """Array-level step core (no state wrapping); shared by the runners."""
     h, g = params.h, params.gamma
-
+    word = SPLITTING_WORDS.get(scheme)
+    if word is not None:
+        k = 0
+        for piece, frac in word:
+            tau = frac * h
+            if piece == "B":
+                v = v - tau * potential.gradient(x)
+            elif piece == "A":
+                x = x + tau * v
+            else:
+                eta = math.exp(-g * tau)
+                v = eta * v + math.sqrt(1.0 - eta * eta) * xi[k]
+                k += 1
+        return x, v
     if scheme is Scheme.OVERDAMPED_EM:
         return x - h * potential.gradient(x) + math.sqrt(2.0 * h) * xi[0], v
     if scheme is Scheme.LM:
@@ -237,35 +237,6 @@ def _step_arrays(scheme, potential, x, v, params, xi, prev_noise=None):
         zeta, omega = ses_noise(params, (xi[0], xi[1]))
         grad = potential.gradient(x)
         return x + al * v - be * grad + zeta, eta * v - al * grad + omega
-    if scheme in FIRST_ORDER_SPLITTINGS:
-        eta = params.eta
-        s = math.sqrt(1.0 - eta * eta)
-        for op in scheme.value:
-            if op == "b":
-                v = v - h * potential.gradient(x)
-            elif op == "a":
-                x = x + h * v
-            else:
-                v = eta * v + s * xi[0]
-        return x, v
-    if scheme is Scheme.BAOAB:
-        eta = params.eta
-        s = math.sqrt(1.0 - eta * eta)
-        half = 0.5 * h
-        v = v - half * potential.gradient(x)
-        x = x + half * v
-        v = eta * v + s * xi[0]
-        x = x + half * v
-        return x, v - half * potential.gradient(x)
-    if scheme is Scheme.OBABO:
-        eta = params.eta_half
-        s = math.sqrt(1.0 - eta * eta)
-        half = 0.5 * h
-        v = eta * v + s * xi[0]
-        v = v - half * potential.gradient(x)
-        x = x + h * v
-        v = v - half * potential.gradient(x)
-        return x, eta * v + s * xi[1]
     raise IntegratorError(f"unknown scheme {scheme!r}")
 
 

@@ -37,10 +37,27 @@ def test_transition_matrix_bao_example():
     assert np.allclose(P, [[0.99, 0.1], [-0.1 * eta, eta]], atol=1e-15)
 
 
-def test_build_abc_kinetic_em_coefficients():
-    a, b, c = 0.25, 0.25, 0.0125
-    abc = build_abc(Scheme.KINETIC_EM, StepParams(0.1, 4.0), a, b, c)
-    assert np.allclose(abc.A, [-c, 2 * b * 0.1, -0.01 * a])
+def _hand_abc(scheme, h, g, a, b, c):
+    # hand-expanded coefficients of the kinetic_em and bao blocks: an oracle
+    # for the derived polynomials that does not go through transition_matrix_P
+    eta = math.exp(-g * h)
+    if scheme is Scheme.KINETIC_EM:
+        A = [-c, 2.0 * b * h, -h * h * a]
+        B = [-c * b + h * (b * g - 1.0), h * (a + h * (b - a * g)), 0.0]
+        C = [-c * a + h * (2.0 * a * g - 2.0 * b - h * (1.0 - 2.0 * b * g + a * g * g)), 0.0, 0.0]
+    else:
+        A = [-c, 2.0 * (b * eta + h) * h, -(a * eta**2 + 2.0 * b * eta * h + h * h) * h * h]
+        B = [b * (1.0 - eta) - h - b * c, (a * eta**2 + 2.0 * b * eta * h + h * h) * h, 0.0]
+        C = [a * (1.0 - eta**2) - 2.0 * b * eta * h - h * h - a * c, 0.0, 0.0]
+    return A, B, C
+
+
+@pytest.mark.parametrize("scheme", [Scheme.KINETIC_EM, Scheme.BAO])
+def test_build_abc_hand_coefficients(scheme):
+    h, g, a, b, c = 0.1, 4.0, 0.25, 0.25, 0.0125
+    abc = build_abc(scheme, StepParams(h, g), a, b, c)
+    for got, want in zip((abc.A, abc.B, abc.C), _hand_abc(scheme, h, g, a, b, c)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_build_abc_simplified_B_constant_term():

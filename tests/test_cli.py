@@ -1,10 +1,13 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from langevin_contract.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, obj):
@@ -37,6 +40,11 @@ def test_couple_smoke_and_schema(tmp_path):
     trace = (tmp_path / "out" / run["trace_file"]).read_text().splitlines()
     assert trace[0] == "scheme,h,gamma,seed,k,distance_sq,bound_sq"
     assert len(trace) == 52  # header + n_steps + 1
+    # row 0: the start gap (x-difference (-2, -2), equal velocities) and a
+    # certified bound at least as large
+    row0 = dict(zip(trace[0].split(","), trace[1].split(",")))
+    assert int(row0["k"]) == 0 and float(row0["distance_sq"]) == 8.0
+    assert float(row0["bound_sq"]) >= float(row0["distance_sq"])
 
 
 def test_couple_deterministic_outputs(tmp_path):
@@ -196,3 +204,29 @@ def test_worker_env_cap(tmp_path, monkeypatch):
     a = (tmp_path / "o1" / "couple_summary.json").read_text()
     b = (tmp_path / "o2" / "couple_summary.json").read_text()
     assert a == b
+
+
+# subcommand arguments, main output and its schema (None for CSV outputs)
+SHIPPED = {
+    "fig1_couple": (["couple", "--force"], "couple_summary.json", "couple_summary.schema.json"),
+    "certify_check": (["certify"], "certificates.json", "certificates.schema.json"),
+    "certify_table1": (["certify"], "certificates.json", "certificates.schema.json"),
+    "gaussian_scan": (["gaussian-scan"], "gaussian_scan.csv", None),
+    "glc_scan": (["glc-scan"], "glc_scan.csv", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_runs(tmp_path, name):
+    argv, output, schema = SHIPPED[name]
+    cfg = CONFIGS / f"{name}.json"
+    jsonschema.validate(json.loads(cfg.read_text()), load_schema("config.schema.json"))
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / output).read_text()
+    if schema is None:
+        assert len(text.splitlines()) > 1  # header plus rows
+        return
+    doc = json.loads(text)
+    jsonschema.validate(doc, load_schema(schema))
+    for run in doc.get("runs", []):
+        assert (tmp_path / run["trace_file"]).is_file()

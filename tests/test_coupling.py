@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from langevin_contract.cli import main
 from langevin_contract.coupling import (
     CouplingError,
     CounterStreams,
@@ -10,7 +12,6 @@ from langevin_contract.coupling import (
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
-    export_trace_csv,
     run_synchronous_coupling,
     verify_trace_bound,
 )
@@ -245,15 +246,23 @@ def test_lm_coupling_contracts():
 
 
 def test_trace_csv_export(tmp_path):
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": ["kinetic_em"],
+        "params": {"h": [0.1], "gamma": [4.0], "n_steps": 10, "seeds": [0]},
+        "coupling": {"z0": [[-1.0, -1.0], [0.0, 0.0]], "z0_tilde": [[1.0, 1.0], [0.0, 0.0]]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["couple", "--config", str(tmp_path / "cfg.json")]) == 0
     rate = certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 0.1)
     tr = run_synchronous_coupling(
-        Scheme.KINETIC_EM, ANISO, Z0, Z1, StepParams(0.1, 4.0), 10, seed=0
+        Scheme.KINETIC_EM, ANISO, Z0, Z1, StepParams(0.1, 4.0), 10, seed=0, norm=rate.norm
     )
-    path = tmp_path / "trace.csv"
-    export_trace_csv(tr, rate, path)
+    path = tmp_path / "out" / "couple_kinetic_em_h0.1_g4_s0.csv"
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,distance_sq,bound_sq"
+    assert lines[0] == "scheme,h,gamma,seed,k,distance_sq,bound_sq"
     assert len(lines) == 12
-    k, d, b = lines[1].split(",")
+    *_, k, d, b = lines[1].split(",")
     assert (int(k), float(d)) == (0, tr.distances[0])
     assert float(b) >= float(d)

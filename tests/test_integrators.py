@@ -7,6 +7,7 @@ from langevin_contract.certificates import step_matrix, transition_matrix_P
 from langevin_contract.coupling import CounterStreams
 from langevin_contract.integrators import (
     FIRST_ORDER_SPLITTINGS,
+    SPLITTING_WORDS,
     IntegratorError,
     PhaseState,
     Scheme,
@@ -17,9 +18,6 @@ from langevin_contract.integrators import (
     ses_noise,
     simulate_mode_chain,
     step,
-    sub_step_A,
-    sub_step_B,
-    sub_step_O,
 )
 from langevin_contract.potentials import Potential, QuadraticPotential
 
@@ -59,21 +57,21 @@ def test_noise_requirements():
 
 
 def test_sub_steps_identities():
-    z = state()
-    zb = sub_step_B(z, 0.3, ZeroForce())
-    assert np.array_equal(zb.x, z.x) and np.array_equal(zb.v, z.v)
-    za = sub_step_A(state(v=(0.0, 0.0)), 0.3)
-    assert np.array_equal(za.x, z.x)
-    zo = sub_step_O(z, 0.7, np.zeros(2))
-    assert np.array_equal(zo.x, z.x)
-    assert np.allclose(np.linalg.norm(zo.v), 0.7 * np.linalg.norm(z.v))
+    # zero force and zero noise: B pieces are identities, A pieces leave x
+    # alone at zero velocity, and the O pieces of every splitting damp v by
+    # exp(-gamma h) in total
+    p = params()
+    for scheme in SPLITTING_WORDS:
+        still = step(scheme, ZeroForce(), state(v=(0.0, 0.0)), p, zero_noise(scheme))
+        assert np.array_equal(still.x, state().x) and np.array_equal(still.v, np.zeros(2))
+        moving = step(scheme, ZeroForce(), state(), p, zero_noise(scheme))
+        assert np.allclose(moving.v, p.eta * state().v, rtol=1e-14, atol=0.0), scheme
 
 
-def test_sub_step_validation():
-    with pytest.raises(IntegratorError):
-        sub_step_A(state(), -0.1)
-    with pytest.raises(IntegratorError):
-        sub_step_O(state(), 1.0, np.zeros(2))
+def test_step_params_validation():
+    for h, gamma in ((0.0, 1.0), (-0.1, 1.0), (0.1, 0.0)):
+        with pytest.raises(IntegratorError):
+            StepParams(h, gamma)
 
 
 def test_kinetic_em_free_dynamics():
@@ -109,7 +107,7 @@ def test_baoab_matches_merged_update():
 def test_obabo_matches_merged_update():
     pot = QuadraticPotential.diagonal([1.0, 3.0])
     p = params()
-    eta = p.eta_half
+    eta = math.exp(-p.gamma * p.h / 2.0)
     z0 = state()
     xi = np.array([[0.3, -1.2], [0.9, 0.1]])
     z1 = step(Scheme.OBABO, pot, z0, p, xi)
@@ -288,13 +286,6 @@ def test_stationary_variance_short_run():
     noise = CounterStreams(5).normals(0, 100_000, 1)
     xs = simulate_mode_chain(Scheme.BAOAB, 1.0, p, 0.0, 0.0, noise)
     assert np.var(xs[1000:]) == pytest.approx(1.0, abs=0.05)
-
-
-def test_o_substep_eta_per_scheme():
-    p = StepParams(0.1, 4.0)
-    assert p.o_substep_eta(Scheme.OBABO) == p.eta_half
-    assert p.o_substep_eta(Scheme.BAOAB) == p.eta
-    assert p.o_substep_eta(Scheme.BAO) == p.eta
 
 
 def _stationary_cov(P, N):
