@@ -57,6 +57,10 @@ CERTIFICATE_SCHEMES = (
 )
 
 GRID_POINTS = 2048
+#: search cap of :func:`max_certified_stepsize`, and the bisection widths
+STEPSIZE_CAP = 10.0
+STEPSIZE_TOL = 1e-8
+RATE_TOL = 1e-10
 
 
 def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
@@ -214,7 +218,6 @@ def check_certificate(
     a: float | None = None,
     b: float | None = None,
     c: float | None = None,
-    grid_points: int = GRID_POINTS,
 ) -> CertificateReport:
     """Certify A > 0 and AC - B^2 > 0 on lam in [m, M].
 
@@ -237,13 +240,13 @@ def check_certificate(
     params = StepParams(h, gamma)
     abc = build_abc(scheme, params, a, b, c)
 
-    lams = np.linspace(m, M, grid_points) if M > m else np.array([m])
+    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
     pa = npoly.polyval(lams, abc.A)
     quartic = npoly.polysub(npoly.polymul(abc.A, abc.C), npoly.polymul(abc.B, abc.B))
     pq = npoly.polyval(lams, quartic)
 
     if M > m:
-        dlam = (M - m) / (grid_points - 1)
+        dlam = (M - m) / (GRID_POINTS - 1)
         guard_a = _derivative_bound(abc.A, M) * dlam / 2.0
         guard_q = _derivative_bound(quartic, M) * dlam / 2.0
     else:
@@ -278,18 +281,52 @@ def check_certificate(
     )
 
 
-def max_certified_rate(
-    scheme: Scheme,
-    m: float,
-    M: float,
-    gamma: float,
-    h: float,
-    tol: float = 1e-10,
-) -> float:
+def bracket(passes, start: float, cap: float, halvings: int) -> tuple[float | None, float | None]:
+    """Bracket the edge of a pass region (0, x*), trying each point once.
+
+    From ``start`` (at most ``cap``) doubles upward, clamped at ``cap``,
+    while ``passes`` holds, or halves downward, at most ``halvings`` times,
+    while it fails.  Returns (lo, hi) with lo passing and hi failing; hi is
+    None when ``cap`` passes and lo is None when no tried point passes.
+    """
+    x = start
+    if passes(x):
+        while x < cap:
+            nxt = min(2.0 * x, cap)
+            if not passes(nxt):
+                return x, nxt
+            x = nxt
+        return x, None
+    for _ in range(halvings):
+        hi, x = x, x / 2.0
+        if passes(x):
+            return x, hi
+    return None, x
+
+
+def bisect(passes, lo: float, hi: float, tol: float) -> float:
+    """Shrink a bracket (lo passing, hi failing) to width ``tol``; return lo.
+
+    Also stops when the midpoint rounds onto an endpoint, so a ``tol``
+    below the float spacing of the bracket cannot loop forever.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> float:
     """Largest c in (0, 1) passing the certificate with the scheme's (a, b).
 
-    H is monotone decreasing in c, so bisection applies.  Raises when even
-    c = 0 fails (no contraction certified at these parameters).
+    H is monotone decreasing in c, so bisection on [0, 1] applies, to width
+    :data:`RATE_TOL`.  Raises when even c = 0 fails (no contraction
+    certified at these parameters).
     """
     rate = certified_rate(scheme, m, M, gamma, h)
 
@@ -300,59 +337,30 @@ def max_certified_rate(
         raise CertificateError(
             f"{Scheme(scheme).value} certifies no contraction at h={h}, gamma={gamma}"
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(passes, 0.0, 1.0, RATE_TOL)
 
 
-def max_certified_stepsize(
-    scheme: Scheme,
-    m: float,
-    M: float,
-    gamma: float,
-    h_cap: float = 10.0,
-    tol: float = 1e-8,
-) -> float:
+def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> float:
     """Largest h whose certificate passes with the certified (a, b, c)(h).
 
-    The pass region is an interval (0, h*) in practice; a geometric search
-    brackets h*, then bisection resolves it to ``tol``.  Returns 0.0 when
+    The pass region is taken to be an interval (0, h*): halving from
+    :data:`STEPSIZE_CAP` brackets h*, then bisection resolves it to
+    :data:`STEPSIZE_TOL`.  Returns the cap when the cap passes and 0.0 when
     no stepsize passes (friction below the scheme's implicit floor).
     """
 
     def passes(h: float) -> bool:
-        if h <= 0.0:
-            return False
         try:
             return check_certificate(scheme, m, M, gamma, h).passed
         except (CertificateError, OverflowError):
             return False
 
-    lo, probe = 0.0, h_cap
-    for _ in range(60):
-        if passes(probe):
-            lo = probe
-            break
-        probe /= 2.0
-    else:
+    lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)
+    if lo is None:
         return 0.0
-    while lo < h_cap and passes(min(h_cap, 2.0 * lo)):
-        lo = min(h_cap, 2.0 * lo)
-    if lo >= h_cap:
-        return h_cap
-    hi = min(h_cap, 2.0 * lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if hi is None:
+        return lo
+    return bisect(passes, lo, hi, STEPSIZE_TOL)
 
 
 # boundary-operator amplification templates: per operator word, the

@@ -295,7 +295,7 @@ def cmd_certify(cfg: dict, args) -> int:
             "hypothesis_h_max": h_hyp,
         }
         if h_hyp > 0.0:
-            h_use = 0.8 * h_hyp
+            h_use = glc.THRESHOLD_FRACTION * h_hyp
             row["hypothesis_rate_at_08h"] = certified_rate(s, pot.m, pot.M, g, h_use).c
             row["certified_rate_at_08h"] = certificates.max_certified_rate(
                 s, pot.m, pot.M, g, h_use

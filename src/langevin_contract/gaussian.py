@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CERTIFICATE_SCHEMES, step_matrix, transition_matrix_P
+from .certificates import CERTIFICATE_SCHEMES, bisect, bracket, step_matrix, transition_matrix_P
 from .integrators import KINETIC_SCHEMES, Scheme, StepParams
 
 
@@ -115,42 +115,32 @@ def _monotone_stable(scheme: Scheme, lam: float, gamma: float, h: float) -> bool
     return all(abs(e) < 1.0 and e.real > 0.0 for e in eigs)
 
 
-def stability_threshold(
-    scheme: Scheme,
-    lam: float,
-    gamma: float,
-    h_cap: float = 1e6,
-    tol: float = 1e-10,
-) -> float:
+#: largest stepsize :func:`stability_threshold` searches, and its bisection width
+STABILITY_CAP = 1e6
+STABILITY_TOL = 1e-10
+
+
+def stability_threshold(scheme: Scheme, lam: float, gamma: float) -> float:
     """Largest monotonically stable h, located by bisection.
 
-    Raises when no stable stepsize below the search cap exists.
+    The search starts at min(1/sqrt(lam), :data:`STABILITY_CAP`), doubles
+    or halves to bracket the threshold, then bisects to
+    :data:`STABILITY_TOL` or to adjacent floats.  Raises when nothing
+    stable is found by halving, or when the cap is still stable.
     """
     scheme = Scheme(scheme)
-    lo = 0.0
-    probe = min(1.0 / math.sqrt(lam), h_cap)
-    for _ in range(80):
-        if _monotone_stable(scheme, lam, gamma, probe):
-            lo = probe
-            break
-        probe /= 2.0
-    else:
+
+    def stable(h: float) -> bool:
+        return _monotone_stable(scheme, lam, gamma, h)
+
+    lo, hi = bracket(stable, min(1.0 / math.sqrt(lam), STABILITY_CAP), STABILITY_CAP, 79)
+    if lo is None:
         raise SpectralError(
             f"no stable stepsize found for {scheme.value} below cap at gamma={gamma}, lam={lam}"
         )
-    hi = lo
-    while hi < h_cap and _monotone_stable(scheme, lam, gamma, hi):
-        lo = hi
-        hi = min(2.0 * hi, h_cap)
-    if hi >= h_cap and _monotone_stable(scheme, lam, gamma, hi):
-        raise SpectralError(f"still stable at the search cap h={h_cap}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _monotone_stable(scheme, lam, gamma, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if hi is None:
+        raise SpectralError(f"still stable at the search cap h={STABILITY_CAP}")
+    return bisect(stable, lo, hi, STABILITY_TOL)
 
 
 def bao_exact_rate(m: float, h: float, gamma: float) -> float:

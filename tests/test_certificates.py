@@ -6,8 +6,13 @@ import pytest
 from langevin_contract.certificates import (
     CERTIFICATE_SCHEMES,
     CertificateError,
+    RATE_TOL,
     REFERENCE_BOUND_CONSTANTS,
+    STEPSIZE_CAP,
+    STEPSIZE_TOL,
     UnsupportedScheme,
+    bisect,
+    bracket,
     build_abc,
     check_certificate,
     composition_bound,
@@ -201,6 +206,64 @@ def test_max_certified_stepsize_bao_bracket():
     assert (1 - eta) / math.sqrt(6.0) <= h <= 2 * (1 - eta) / math.sqrt(6.0)
     # and it is at least the hypothesis threshold (sufficient condition)
     assert h >= certified_stepsize_threshold(Scheme.BAO, 1.0, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("gamma", [11.0, 22.0, 44.0])
+@pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
+def test_certificate_searches_stop_at_the_pass_boundary(scheme, gamma):
+    m, M = 1.0, 4.0
+    h = max_certified_stepsize(scheme, m, M, gamma)
+    assert check_certificate(scheme, m, M, gamma, h).passed
+    if h < STEPSIZE_CAP:  # ses at gamma >= 22 still passes at the cap
+        assert not check_certificate(scheme, m, M, gamma, h + STEPSIZE_TOL).passed
+    h_use = 0.8 * certified_stepsize_threshold(scheme, m, M, gamma)
+    r = certified_rate(scheme, m, M, gamma, h_use)
+    c = max_certified_rate(scheme, m, M, gamma, h_use)
+    assert check_certificate(scheme, m, M, gamma, h_use, a=r.a, b=r.b, c=c).passed
+    assert not check_certificate(scheme, m, M, gamma, h_use, a=r.a, b=r.b, c=c + RATE_TOL).passed
+
+
+def _threshold(t):
+    """The predicate x < t, recording every point it is asked about."""
+    seen = []
+
+    def passes(x):
+        seen.append(x)
+        return x < t
+
+    return passes, seen
+
+
+@pytest.mark.parametrize(
+    "t, start, cap, want",
+    [
+        (0.3, 10.0, 10.0, (0.15625, 0.3125)),  # found by halving
+        (7.0, 1.0, 100.0, (4.0, 8.0)),  # found by doubling
+        (50.0, 1.0, 40.0, (40.0, None)),  # doubling reaches a passing cap
+        (20.0, 10.0, 10.0, (10.0, None)),  # start is a passing cap
+        (1e-30, 1.0, 1.0, (None, 2.0**-10)),  # nothing passes in 10 halvings
+    ],
+)
+def test_bracket(t, start, cap, want):
+    passes, seen = _threshold(t)
+    assert bracket(passes, start, cap, 10) == want
+    assert len(seen) == len(set(seen))  # no point is tried twice
+
+
+def test_bisect_stops_at_tol():
+    passes, seen = _threshold(0.3)
+    lo = bisect(passes, 0.0, 1.0, 1e-6)
+    assert lo < 0.3 <= lo + 1e-6
+    assert len(seen) == 20  # 2**-20 is the first width below 1e-6
+
+
+def test_bisect_tol_below_float_spacing_terminates():
+    # float spacing in [2**18, 2**19) is 2**-34 ~ 5.8e-11, above tol, so the
+    # search has to end on adjacent floats
+    passes, _ = _threshold(3.0e5 + 0.1)
+    lo = bisect(passes, 2.0**18, 2.0**19, 1e-12)
+    assert passes(lo)
+    assert not passes(math.nextafter(lo, math.inf))
 
 
 def test_step_matrix_overdamped():

@@ -7,6 +7,7 @@ import pytest
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.gaussian import (
     SpectralError,
+    _monotone_stable,
     bao_exact_rate,
     gaussian_scan,
     mode_eigenvalues,
@@ -113,6 +114,14 @@ def test_stability_threshold_bao_limit():
     for _ in range(200):
         h = math.sqrt((1 + math.exp(-8.0 * h)) / 1.0)
     assert stability_threshold(Scheme.BAO, 1.0, 8.0) == pytest.approx(h, abs=1e-8)
+
+
+def test_stability_threshold_ends_on_adjacent_floats():
+    # the threshold lies in [2**19, 2**20), where the float spacing
+    # (1.16e-10) exceeds the bisection width; the search must still end
+    h = stability_threshold(Scheme.BAO, 3e-12, 1e-4)
+    assert _monotone_stable(Scheme.BAO, 3e-12, 1e-4, h)
+    assert not _monotone_stable(Scheme.BAO, 3e-12, 1e-4, math.nextafter(h, math.inf))
 
 
 def test_bao_exact_rate_examples():
