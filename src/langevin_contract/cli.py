@@ -42,7 +42,7 @@ from .coupling import (
 )
 from .integrators import OVERDAMPED_SCHEMES, PhaseState, Scheme, StepParams
 from .norms import WeightedNorm
-from .potentials import PotentialError, make_potential
+from .potentials import make_potential
 
 WORKERS_ENV = "LANGEVIN_CONTRACT_WORKERS"
 
@@ -95,11 +95,41 @@ def _jsonable(x):
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return cfg
+
+
+def _block(cfg: dict, section: str) -> dict:
+    block = cfg.get(section, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{section}' must be a mapping")
+    return block
+
+
+def _number(x, what: str) -> float:
+    """``x`` as a finite float; JSON strings, booleans and 1e400 are config errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {x!r}")
+    try:
+        val = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {x!r}")
+    return val
+
+
+def _positive(x, what: str) -> float:
+    val = _number(x, what)
+    if val <= 0.0:
+        raise ConfigError(f"{what} must be positive, got {x!r}")
+    return val
 
 
 def _schemes(cfg: dict) -> list[Scheme]:
@@ -119,13 +149,12 @@ def _potential(cfg: dict):
         raise ConfigError("config needs a 'potential' mapping")
     try:
         return make_potential(spec)
-    except PotentialError as e:
+    except (TypeError, ValueError) as e:  # PotentialError is a ValueError
         raise ConfigError(f"potential: {e}")
 
 
 def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[float]:
-    block = cfg.get(section, {})
-    val = block.get(key)
+    val = _block(cfg, section).get(key)
     if val is None:
         if required:
             raise ConfigError(f"config needs '{section}.{key}'")
@@ -133,19 +162,30 @@ def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[floa
     vals = val if isinstance(val, list) else [val]
     if not vals:
         raise ConfigError(f"'{section}.{key}' must be non-empty")
-    return [float(x) for x in vals]
+    return [_positive(x, f"'{section}.{key}' entry") for x in vals]
 
 
 def _seeds(cfg: dict) -> list[int]:
-    seeds = cfg.get("params", {}).get("seeds", [0])
+    seeds = _block(cfg, "params").get("seeds", [0])
     seeds = seeds if isinstance(seeds, list) else [seeds]
-    if any((not isinstance(s, int)) or s < 0 for s in seeds):
+    if any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
         raise ConfigError("'params.seeds' must be non-negative integers")
     return seeds
 
 
+def _n_steps(cfg: dict, default: int) -> int:
+    raw = _block(cfg, "params").get("n_steps", default)
+    n = _number(raw, "'params.n_steps'")
+    if n < 0.0 or not n.is_integer():
+        raise ConfigError(f"'params.n_steps' must be a non-negative whole number, got {raw!r}")
+    return int(raw)
+
+
 def _out_dir(cfg: dict, args) -> Path:
-    out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
+    out_dir = _block(cfg, "output").get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"'output.dir' must be a string, got {out_dir!r}")
+    out = Path(args.out or out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -172,7 +212,10 @@ def _phase_state(block, key: str, dim: int) -> PhaseState:
     raw = block.get(key)
     if raw is None:
         raise ConfigError(f"config needs 'coupling.{key}'")
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'coupling.{key}' must be numeric [x, v] arrays")
     if arr.shape == (dim,):
         arr = np.stack([arr, np.zeros(dim)])
     if arr.shape != (2, dim):
@@ -186,10 +229,8 @@ def cmd_couple(cfg: dict, args) -> int:
     hs = _grid(cfg, "params", "h")
     gammas = _grid(cfg, "params", "gamma")
     seeds = _seeds(cfg)
-    n_steps = int(cfg.get("params", {}).get("n_steps", 1000))
-    if n_steps < 0:
-        raise ConfigError("'params.n_steps' must be non-negative")
-    coupling_block = cfg.get("coupling", {})
+    n_steps = _n_steps(cfg, 1000)
+    coupling_block = _block(cfg, "coupling")
     z0 = _phase_state(coupling_block, "z0", pot.dim)
     z1 = _phase_state(coupling_block, "z0_tilde", pot.dim)
     out = _out_dir(cfg, args)
@@ -264,7 +305,7 @@ def cmd_certify(cfg: dict, args) -> int:
             f"bao/oab (certified_rate); certifiable schemes: {ok}"
         )
     gammas = _grid(cfg, "params", "gamma")
-    mode = cfg.get("certify", {}).get("mode", "check")
+    mode = _block(cfg, "certify").get("mode", "check")
     out = _out_dir(cfg, args)
     if mode not in ("check", "table1"):
         raise ConfigError(f"'certify.mode' must be 'check' or 'table1', got {mode!r}")
@@ -359,19 +400,18 @@ def cmd_glc_scan(cfg: dict, args) -> int:
     pot = _potential(cfg)
     schemes = _schemes(cfg)
     gammas = _grid(cfg, "scan", "gamma_grid", required=False) or list(glc.DEFAULT_GAMMA_GRID)
-    block = cfg.get("params", {})
-    h = block.get("h")
+    h = _block(cfg, "params").get("h")
     if isinstance(h, list):
         raise ConfigError("glc-scan takes a scalar 'params.h' (or omit for auto)")
-    n_steps = int(block.get("n_steps", 2000))
+    if h is not None:
+        h = _positive(h, "'params.h'")
+    n_steps = _n_steps(cfg, 2000)
     seeds = _seeds(cfg)
     out = _out_dir(cfg, args)
 
     def run(job):
         s, seed = job
-        rows = glc.rate_collapse_scan(
-            s, pot.m, pot.M, None if h is None else float(h), gammas, n_steps=n_steps, seed=seed
-        )
+        rows = glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seed=seed)
         return [
             [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
             for r in rows

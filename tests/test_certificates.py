@@ -6,11 +6,14 @@ import pytest
 from langevin_contract.certificates import (
     CERTIFICATE_SCHEMES,
     CertificateError,
+    GRID_POINTS,
     RATE_TOL,
     REFERENCE_BOUND_CONSTANTS,
     STEPSIZE_CAP,
     STEPSIZE_TOL,
     UnsupportedScheme,
+    _affine_P,
+    _min_eig_H_grid,
     bisect,
     bracket,
     build_abc,
@@ -109,6 +112,41 @@ def test_abc_polynomials_match_numeric_H(scheme):
         for coeffs, entry in ((abc.A, H[0, 0]), (abc.B, H[0, 1]), (abc.C, H[1, 1])):
             val = coeffs[0] + coeffs[1] * lam + coeffs[2] * lam * lam
             assert abs(val - entry) <= 1e-12 * scale
+
+
+def _einsum_min_eig_H_grid(scheme, lams, params, W, c):
+    # the former _min_eig_H_grid, kept as the reference for the
+    # entry-by-entry version, which must reproduce it bit for bit
+    P0, P1 = _affine_P(scheme, params)
+    Pg = P0[np.newaxis] + lams[:, np.newaxis, np.newaxis] * P1[np.newaxis]
+    Hg = (1.0 - c) * W[np.newaxis] - np.einsum("nki,kl,nlj->nij", Pg, W, Pg)
+    tr = Hg[:, 0, 0] + Hg[:, 1, 1]
+    det = Hg[:, 0, 0] * Hg[:, 1, 1] - Hg[:, 0, 1] * Hg[:, 1, 0]
+    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+
+
+@pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
+def test_min_eig_H_grid_matches_einsum_reference(scheme):
+    rng = np.random.default_rng(3)
+    for M in (1.0, 4.0, 100.0):
+        for m in (M, M * rng.uniform(0.01, 1.0)):
+            for gamma in (0.5, 10 ** rng.uniform(0.0, 4.0), 1e4):
+                for h in (1e-4, 10 ** rng.uniform(-4.0, 0.3), STEPSIZE_CAP):
+                    params = StepParams(h, gamma)
+                    r = certified_rate(scheme, m, M, gamma, h)
+                    W = np.array([[1.0, r.b], [r.b, r.a]])
+                    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
+                    got = _min_eig_H_grid(scheme, lams, params, W, r.c)
+                    want = _einsum_min_eig_H_grid(scheme, lams, params, W, r.c)
+                    assert np.array_equal(got, want), (m, M, gamma, h)
+                    for k in (0, len(lams) // 2, len(lams) - 1):
+                        P = transition_matrix_P(scheme, lams[k], params)
+                        H = (1.0 - r.c) * W - P.T @ W @ P
+                        # the trace/determinant formula loses digits relative
+                        # to the largest entry of H, not to the eigenvalue
+                        atol = 1e-10 * np.abs(H).max()
+                        ref = np.linalg.eigvalsh(H)[0]
+                        np.testing.assert_allclose(got[k], ref, rtol=1e-10, atol=atol)
 
 
 def test_check_certificate_kinetic_em_example():

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -97,6 +98,58 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["couple", "--config", cfg2]) == 2
 
 
+def _replace(section, **fields):
+    return lambda cfg: {**cfg, section: {**cfg[section], **fields}}
+
+
+# malformed couple configs: each must exit 2, not raise or run on a coerced value
+MALFORMED = {
+    "h_not_a_number": _replace("params", h=["x"]),
+    "h_negative": _replace("params", h=[-0.1]),
+    "gamma_zero": _replace("params", gamma=[0.0]),
+    "params_not_a_mapping": lambda cfg: {**cfg, "params": [1]},
+    "top_level_array": lambda cfg: [cfg],
+    "n_steps_1e400": _replace("params", n_steps=math.inf),
+    "n_steps_fractional": _replace("params", n_steps=2.5),
+    "seed_boolean": _replace("params", seeds=[True]),
+    "z0_not_numeric": _replace("coupling", z0=[["x", 1.0], [0.0, 0.0]]),
+    "potential_m_not_a_number": _replace("potential", m="x"),
+    "output_dir_not_a_string": _replace("output", dir=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exits_2(tmp_path, capsys, name):
+    cfg = MALFORMED[name](couple_config(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    # json writes math.inf as Infinity; the literal 1e400 also parses to inf
+    path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
+    assert main(["couple", "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_whole_float_n_steps_accepted(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", couple_config(tmp_path / "out", n_steps=5.0))
+    assert main(["couple", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "couple_summary.json").read_text())
+    trace = (tmp_path / "out" / summary["runs"][0]["trace_file"]).read_text().splitlines()
+    assert len(trace) == 7  # header + n_steps + 1
+
+
+def test_glc_scan_rejects_a_non_positive_h(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "potential": {"name": "quadratic", "m": 1.0, "M": 1.0},
+            "schemes": ["baoab"],
+            "params": {"h": -0.1},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert main(["glc-scan", "--config", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_certify_check_mode(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -128,8 +181,6 @@ def test_certify_table1_mode(tmp_path):
     doc = json.loads((tmp_path / "out" / "certificates.json").read_text())
     jsonschema.validate(doc, load_schema("certificates.schema.json"))
     row = doc["rows"][0]
-    import math
-
     h = row["certified_h_max"]
     eta = math.exp(-5.0 * h)
     assert (1 - eta) / math.sqrt(6.0) <= h <= 2 * (1 - eta) / math.sqrt(6.0)
@@ -152,8 +203,6 @@ def test_gaussian_scan_cmd(tmp_path):
     lines = (tmp_path / "out" / "gaussian_scan.csv").read_text().splitlines()
     assert lines[0] == "scheme,h,gamma,lambda,radius,contractive,stability_threshold"
     assert len(lines) == 1 + 2 * 2 * 2  # schemes x h x lambdas
-    import math
-
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert row["scheme"] == "kinetic_em" and float(row["lambda"]) == 1.0
     expect = 2.0 / (5.0 + math.sqrt(25.0 - 4.0))
