@@ -10,9 +10,7 @@ Subcommands (all take a JSON config, see README for the format):
 Exit codes: 0 success, 2 config error, 3 inadmissible parameters or
 numerical divergence without --force.  Outputs are deterministic functions
 of (config, seeds): floats are printed with 17 significant digits, files
-are written atomically, and grid order is the config order.  The optional
-LANGEVIN_CONTRACT_WORKERS environment variable caps the number of worker
-threads used for independent grid points (default 1).
+are written atomically, and grid order is the config order.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +40,6 @@ from .coupling import (
 from .integrators import OVERDAMPED_SCHEMES, PhaseState, Scheme, StepParams
 from .norms import WeightedNorm
 from .potentials import make_potential
-
-WORKERS_ENV = "LANGEVIN_CONTRACT_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -190,24 +185,6 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _n_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _run_grid(fn, items):
-    """Evaluate fn over items, preserving order; threads when configured."""
-    workers = _n_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _phase_state(block, key: str, dim: int) -> PhaseState:
     raw = block.get(key)
     if raw is None:
@@ -246,8 +223,7 @@ def cmd_couple(cfg: dict, args) -> int:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
-    def run(job):
-        s, h, g, seed = job
+    def run(s, h, g, seed):
         rate = certified_rate(s, pot.m, pot.M, g, h)
         params = StepParams(h, g)
         # forced runs can land where the certified norm degenerates (b^2 >= a);
@@ -286,7 +262,7 @@ def cmd_couple(cfg: dict, args) -> int:
             "trace_file": name,
         }
 
-    summary = _run_grid(run, jobs)
+    summary = [run(*job) for job in jobs]
     diverged = [r for r in summary if r["diverged"]]
     _write_json(out / "couple_summary.json", {"runs": summary})
     if diverged and not args.force:
@@ -312,19 +288,16 @@ def cmd_certify(cfg: dict, args) -> int:
 
     if mode == "check":
         hs = _grid(cfg, "params", "h")
-        jobs = [(s, h, g) for s in schemes for h in hs for g in gammas]
-
-        def run(job):
-            s, h, g = job
-            rep = certificates.check_certificate(s, pot.m, pot.M, g, h)
-            return rep.to_dict()
-
-        reports = _run_grid(run, jobs)
+        reports = [
+            certificates.check_certificate(s, pot.m, pot.M, g, h).to_dict()
+            for s in schemes
+            for h in hs
+            for g in gammas
+        ]
         _write_json(out / "certificates.json", {"mode": "check", "reports": reports})
         return 0
 
-    def run_row(job):
-        s, g = job
+    def run_row(s, g):
         h_cert = certificates.max_certified_stepsize(s, pot.m, pot.M, g)
         h_hyp = certified_stepsize_threshold(s, pot.m, pot.M, g)
         row = {
@@ -346,7 +319,7 @@ def cmd_certify(cfg: dict, args) -> int:
             row["certified_rate_at_08h"] = None
         return row
 
-    rows = _run_grid(run_row, [(s, g) for s in schemes for g in gammas])
+    rows = [run_row(s, g) for s in schemes for g in gammas]
     _write_json(out / "certificates.json", {"mode": "table1", "rows": rows})
     return 0
 
@@ -363,8 +336,7 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
     h_grid = _grid(cfg, "scan", "h_grid")
     out = _out_dir(cfg, args)
 
-    def run(job):
-        s, g = job
+    def run(s, g):
         thresholds = {}
         for lam in (pot.m, pot.M):
             try:
@@ -387,7 +359,7 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
                 )
         return rows
 
-    all_rows = [r for chunk in _run_grid(run, [(s, g) for s in schemes for g in gammas]) for r in chunk]
+    all_rows = [r for s in schemes for g in gammas for r in run(s, g)]
     _write_csv(
         out / "gaussian_scan.csv",
         ["scheme", "h", "gamma", "lambda", "radius", "contractive", "stability_threshold"],
@@ -409,15 +381,14 @@ def cmd_glc_scan(cfg: dict, args) -> int:
     seeds = _seeds(cfg)
     out = _out_dir(cfg, args)
 
-    def run(job):
-        s, seed = job
+    def run(s, seed):
         rows = glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seed=seed)
         return [
             [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
             for r in rows
         ]
 
-    all_rows = [r for chunk in _run_grid(run, [(s, seed) for s in schemes for seed in seeds]) for r in chunk]
+    all_rows = [r for s in schemes for seed in seeds for r in run(s, seed)]
     _write_csv(
         out / "glc_scan.csv",
         ["scheme", "gamma", "h", "c_theoretical", "c_empirical", "admissible", "deviation"],

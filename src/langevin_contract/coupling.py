@@ -9,7 +9,11 @@ scheme's certified (a, b, c(h)) triple with its hypotheses.
 Noise contract: draws come from counter-based Philox streams keyed on
 (seed, chain-pair id, sub-step index) with the step index as the counter
 position, so both chains of a pair consume byte-identical noise and sweeps
-are reproducible regardless of scheduling.
+are reproducible regardless of scheduling.  A run keeps one generator per
+substream alive and draws its noise in blocks of rows; this gives the same
+numbers as one draw of the whole run.  The chain differences are reduced
+to distances block by block too, so a run's memory does not grow with its
+length.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ from .norms import WeightedNorm
 from .potentials import Potential, QuadraticPotential
 
 
+#: bytes per block buffer of streamed noise or chain differences; a run's
+#: working memory is a few such blocks, whatever its length
+_BLOCK_BYTES = 2**19
+
+
 class CouplingError(ValueError):
     """Invalid coupling run or rate query."""
 
@@ -43,7 +52,9 @@ class CounterStreams:
 
     Stream identity is (seed, pair_id, substream); within a stream, row k
     is the draw for step k.  Generation is vectorized per stream, and the
-    same (seed, pair_id) always reproduces the same numbers.
+    same (seed, pair_id) always reproduces the same numbers.  The coupling
+    runner keeps one :meth:`generator` per substream and draws blocks of
+    rows from it, byte-identical to a single :meth:`normals` draw.
     """
 
     def __init__(self, seed: int, pair_id: int = 0):
@@ -52,13 +63,21 @@ class CounterStreams:
         self.seed = int(seed)
         self.pair_id = int(pair_id)
 
-    def normals(self, substream: int, n: int, dim: int) -> np.ndarray:
-        """(n, dim) standard normals for steps 0..n-1 of one substream."""
+    def generator(self, substream: int) -> np.random.Generator:
+        """A fresh generator at step 0 of one substream.
+
+        Successive draws of whole rows continue the stream, so drawing n
+        rows in blocks gives the same numbers as one :meth:`normals` call.
+        """
         bg = np.random.Philox(
             counter=[0, 0, 0, int(substream)],
             key=[np.uint64(self.seed), np.uint64(self.pair_id)],
         )
-        return np.random.Generator(bg).standard_normal((n, dim))
+        return np.random.Generator(bg)
+
+    def normals(self, substream: int, n: int, dim: int) -> np.ndarray:
+        """(n, dim) standard normals for steps 0..n-1 of one substream."""
+        return self.generator(substream).standard_normal((n, dim))
 
 
 @dataclass(frozen=True)
@@ -229,6 +248,17 @@ class CouplingTrace:
         return self.diverged_at is not None
 
 
+def _noise_rows(gens, n_steps: int, d: int, rows: int):
+    """The (k, d) noise of steps 0..n_steps-1, one step at a time.
+
+    Each block of ``rows`` steps is one draw per substream generator, so the
+    numbers equal one ``CounterStreams.normals`` call per substream.
+    """
+    for start in range(0, n_steps, rows):
+        n = min(rows, n_steps - start)
+        yield from np.stack([gen.standard_normal((n, d)) for gen in gens], axis=1)
+
+
 def run_synchronous_coupling(
     scheme: Scheme,
     potential: Potential,
@@ -260,39 +290,43 @@ def run_synchronous_coupling(
         norm = rate.norm  # raises if b^2 >= a at forced parameters
 
     d = potential.dim
+    rows = max(1, _BLOCK_BYTES // (8 * d))
     streams = CounterStreams(seed, pair_id)
     k = noise_requirements(scheme)
-    # (n, k, d): row i holds the k sub-step draws of step i
-    noise = np.stack([streams.normals(j, n_steps, d) for j in range(k)], axis=1) if n_steps else np.zeros((0, k, d))
+    gens = [streams.generator(j) for j in range(k)]
     prev = streams.normals(k, 1, d)[0] if scheme is Scheme.LM else None
 
     # both chains stacked along a leading axis; shared noise broadcasts
     x = np.stack([np.asarray(z0.x, dtype=float), np.asarray(z0_tilde.x, dtype=float)])
     v = np.stack([np.asarray(z0.v, dtype=float), np.asarray(z0_tilde.v, dtype=float)])
-    xbar = np.empty((n_steps + 1, d))
-    vbar = np.empty((n_steps + 1, d))
+    # chain differences of steps t - s .. t, reduced to distances when full
+    xbar = np.empty((rows, d))
+    vbar = np.empty((rows, d))
+    distances = np.empty(n_steps + 1)
+    t = s = 0
     xbar[0] = x[0] - x[1]
     vbar[0] = v[0] - v[1]
     diverged_at = None
     # overflow on forced runs is an anticipated outcome, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            x, v = _step_arrays(scheme, potential, x, v, params, noise[i], prev)
+        for t, xi in enumerate(_noise_rows(gens, n_steps, d, rows), 1):
+            if s == rows - 1:
+                distances[t - rows : t] = norm.squared(xbar, vbar)
+            x, v = _step_arrays(scheme, potential, x, v, params, xi, prev)
             if scheme is Scheme.LM:
-                prev = noise[i, 0]
-            xbar[i + 1] = x[0] - x[1]
-            vbar[i + 1] = v[0] - v[1]
+                prev = xi[0]
+            s = t % rows
+            xbar[s] = x[0] - x[1]
+            vbar[s] = v[0] - v[1]
             if not (np.isfinite(x).all() and np.isfinite(v).all()):
-                diverged_at = i + 1
-                xbar = xbar[: i + 2]
-                vbar = vbar[: i + 2]
+                diverged_at = t
                 break
-        distances = norm.squared(xbar, vbar)
+        distances[t - s : t + 1] = norm.squared(xbar[: s + 1], vbar[: s + 1])
     return CouplingTrace(
         scheme=scheme,
         params=params,
         norm=norm,
-        distances=distances,
+        distances=distances[: t + 1],
         seed=seed,
         quadratic=isinstance(potential, QuadraticPotential),
         diverged_at=diverged_at,

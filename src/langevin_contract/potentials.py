@@ -3,8 +3,9 @@
 Every potential carries constants 0 < m <= M such that U is m-strongly
 convex and grad U is M-Lipschitz; the spectrum of the Hessian (and of any
 segment-averaged Hessian) then lies inside [m, M].  Evaluators accept
-batched inputs of shape (..., dim) and are safe to call concurrently:
-potentials are immutable after construction.
+batched inputs of shape (..., dim).  Potentials are immutable after
+construction; the only deferred work is the dense matrix of a diagonal
+quadratic target, built on first use.
 """
 
 from __future__ import annotations
@@ -59,41 +60,74 @@ class Potential:
         return x
 
 
+def _finite_array(raw, name: str, ndim: int) -> np.ndarray:
+    """``raw`` as a non-empty float array of ``ndim`` axes with finite entries."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise PotentialError(f"{name} must be an array of numbers: {e}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise PotentialError(f"{name} must be a non-empty {ndim}-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise PotentialError(f"{name} entries must be finite")
+    return arr
+
+
 class QuadraticPotential(Potential):
     """U(x) = 1/2 x^T Q x for a symmetric positive definite Q.
 
-    m and M are the extreme eigenvalues of Q.  A diagonal Q gets a fast
-    evaluation path.
+    m and M are the extreme eigenvalues of Q.  A diagonal Q is kept as its
+    diagonal vector: m and M are its extremes, the gradient is an
+    elementwise product, and the dense ``matrix`` is built only on first
+    use.
     """
 
     def __init__(self, matrix: np.ndarray):
-        Q = np.atleast_2d(np.asarray(matrix, dtype=float))
+        Q = _finite_array(matrix, "matrix", 2)
         if Q.shape[0] != Q.shape[1]:
             raise PotentialError(f"matrix must be square, got shape {Q.shape}")
+        if np.count_nonzero(Q) == np.count_nonzero(np.diagonal(Q)):  # diagonal Q
+            self._init_diagonal(np.diagonal(Q).copy())
+            return
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(Q).max())):
             raise PotentialError("matrix must be symmetric")
         eigs = np.linalg.eigvalsh(Q)
         if eigs[0] <= 0.0:
             raise PotentialError(f"matrix must be positive definite, min eig {eigs[0]}")
         super().__init__(Q.shape[0], eigs[0], eigs[-1])
-        Q = Q.copy()
-        Q.setflags(write=False)
-        self.matrix = Q
-        offdiag = Q - np.diag(np.diag(Q))
-        if offdiag.any():
-            self._diag = None
-        else:
-            self._diag = np.diag(Q).copy()
-            self._diag.setflags(write=False)
+        self._diag = None
+        self._matrix = Q.copy()
+        self._matrix.setflags(write=False)
+
+    def _init_diagonal(self, diag: np.ndarray) -> None:
+        # the eigenvalues of a diagonal matrix are its entries, exactly
+        if diag.min() <= 0.0:
+            raise PotentialError(f"matrix must be positive definite, min eig {diag.min()}")
+        super().__init__(diag.size, diag.min(), diag.max())
+        diag.setflags(write=False)
+        self._diag = diag
+        self._matrix = None
 
     @classmethod
     def diagonal(cls, diag) -> "QuadraticPotential":
-        return cls(np.diag(np.asarray(diag, dtype=float)))
+        """The target Q = diag(diag), kept as the vector."""
+        p = cls.__new__(cls)
+        p._init_diagonal(np.array(_finite_array(diag, "diag", 1)))
+        return p
 
     @classmethod
     def anisotropic_gaussian(cls, m: float, M: float) -> "QuadraticPotential":
         """The 2-d benchmark target U(x, y) = m x^2 / 2 + M y^2 / 2."""
         return cls.diagonal([m, M])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Q as a read-only dense (dim, dim) array."""
+        if self._matrix is None:
+            Q = np.diag(self._diag)
+            Q.setflags(write=False)
+            self._matrix = Q
+        return self._matrix
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self._check_dim(x)
@@ -103,7 +137,7 @@ class QuadraticPotential(Potential):
         x = self._check_dim(x)
         if self._diag is not None:
             return self._diag * x
-        return x @ self.matrix
+        return x @ self._matrix
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
@@ -115,17 +149,22 @@ class PerturbedQuadratic(Potential):
 
     The cosine perturbation shifts the certified constants to
     (m_Q - eps, M_Q + eps); eps < m_Q is required so strong convexity
-    survives.
+    survives.  ``matrix`` is Q itself or a :class:`QuadraticPotential`
+    holding it.
     """
 
-    def __init__(self, matrix: np.ndarray, eps: float):
-        base = QuadraticPotential(matrix)
+    def __init__(self, matrix, eps: float):
+        base = matrix if isinstance(matrix, QuadraticPotential) else QuadraticPotential(matrix)
         if not 0.0 <= eps < base.m:
             raise PotentialError(f"need 0 <= eps < lambda_min(Q)={base.m}, got eps={eps}")
         super().__init__(base.dim, base.m - eps, base.M + eps)
         self._base = base
         self.eps = float(eps)
-        self.matrix = base.matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Q of the quadratic part, as :attr:`QuadraticPotential.matrix`."""
+        return self._base.matrix
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self._check_dim(x)
@@ -181,13 +220,13 @@ def make_potential(spec: dict) -> Potential:
     if kind not in ("quadratic", "perturbed_quadratic"):
         raise PotentialError(f"unknown potential name: {kind!r}")
     if "matrix" in spec:
-        Q = np.asarray(spec["matrix"], dtype=float)
+        base = QuadraticPotential(spec["matrix"])
     elif "diag" in spec:
-        Q = np.diag(np.asarray(spec["diag"], dtype=float))
+        base = QuadraticPotential.diagonal(spec["diag"])
     elif "m" in spec and "M" in spec:
-        Q = np.diag([float(spec["m"]), float(spec["M"])])
+        base = QuadraticPotential.anisotropic_gaussian(float(spec["m"]), float(spec["M"]))
     else:
         raise PotentialError("potential spec needs 'matrix', 'diag', or 'm' and 'M'")
     if kind == "quadratic":
-        return QuadraticPotential(Q)
-    return PerturbedQuadratic(Q, float(spec.get("eps", 0.0)))
+        return base
+    return PerturbedQuadratic(base, float(spec.get("eps", 0.0)))

@@ -128,6 +128,32 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
     assert "config error:" in capsys.readouterr().err
 
 
+# malformed potential specs: each exits 2 with a message naming the problem
+MALFORMED_POTENTIALS = {
+    "diag_2d": ({"diag": [[1.0, 2.0]]}, "1-d array"),
+    "diag_nan": ({"diag": [1.0, math.nan]}, "finite"),
+    "diag_inf": ({"diag": [1.0, math.inf]}, "finite"),
+    "diag_empty": ({"diag": []}, "non-empty"),
+    "diag_not_numeric": ({"diag": ["x", 1.0]}, "array of numbers"),
+    "matrix_1d": ({"matrix": [1.0, 2.0]}, "2-d array"),
+    "matrix_not_square": ({"matrix": [[1.0, 0.0]]}, "square"),
+    "matrix_ragged": ({"matrix": [[1.0, 0.0], [0.0]]}, "array of numbers"),
+    "matrix_nan": ({"matrix": [[1.0, math.nan], [math.nan, 1.0]]}, "finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POTENTIALS))
+def test_malformed_potential_exits_2(tmp_path, capsys, name):
+    spec, problem = MALFORMED_POTENTIALS[name]
+    cfg = couple_config(tmp_path / "out")
+    cfg["potential"] = {"name": "quadratic", **spec}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity literals parse back
+    assert main(["couple", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: potential:" in err and problem in err, err
+
+
 def test_whole_float_n_steps_accepted(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", couple_config(tmp_path / "out", n_steps=5.0))
     assert main(["couple", "--config", cfg]) == 0
@@ -241,18 +267,6 @@ def test_empty_scheme_list_rejected(tmp_path):
         },
     )
     assert main(["gaussian-scan", "--config", cfg]) == 2
-
-
-def test_worker_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("LANGEVIN_CONTRACT_WORKERS", "2")
-    cfg = write_config(tmp_path / "cfg.json", couple_config(tmp_path / "o1", gammas=(4.0, 4.5)))
-    assert main(["couple", "--config", cfg]) == 0
-    monkeypatch.setenv("LANGEVIN_CONTRACT_WORKERS", "1")
-    cfg2 = write_config(tmp_path / "cfg2.json", couple_config(tmp_path / "o2", gammas=(4.0, 4.5)))
-    assert main(["couple", "--config", cfg2]) == 0
-    a = (tmp_path / "o1" / "couple_summary.json").read_text()
-    b = (tmp_path / "o2" / "couple_summary.json").read_text()
-    assert a == b
 
 
 # subcommand arguments, main output and its schema (None for CSV outputs)

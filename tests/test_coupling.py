@@ -6,6 +6,7 @@ import pytest
 
 from langevin_contract.cli import main
 from langevin_contract.coupling import (
+    _BLOCK_BYTES,
     CouplingError,
     CounterStreams,
     InadmissibleParameters,
@@ -15,7 +16,8 @@ from langevin_contract.coupling import (
     run_synchronous_coupling,
     verify_trace_bound,
 )
-from langevin_contract.integrators import PhaseState, Scheme, StepParams
+from langevin_contract.integrators import PhaseState, Scheme, StepParams, _step_arrays, noise_requirements
+from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import PerturbedQuadratic, QuadraticPotential
 
 ANISO = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
@@ -266,3 +268,71 @@ def test_trace_csv_export(tmp_path):
     *_, k, d, b = lines[1].split(",")
     assert (int(k), float(d)) == (0, tr.distances[0])
     assert float(b) >= float(d)
+
+
+def _reference_coupling(scheme, pot, z0, z1, params, n_steps, seed, norm):
+    """The runner written as one pre-drawn (n, k, d) noise buffer, stepped
+    row by row, with a single distance reduction at the end."""
+    d = pot.dim
+    streams = CounterStreams(seed)
+    k = noise_requirements(scheme)
+    noise = np.stack([streams.normals(j, n_steps, d) for j in range(k)], axis=1)
+    prev = streams.normals(k, 1, d)[0] if scheme is Scheme.LM else None
+    x, v = np.stack([z0.x, z1.x]), np.stack([z0.v, z1.v])
+    xbar, vbar = [x[0] - x[1]], [v[0] - v[1]]
+    diverged_at = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            x, v = _step_arrays(scheme, pot, x, v, params, noise[i], prev)
+            if scheme is Scheme.LM:
+                prev = noise[i, 0]
+            xbar.append(x[0] - x[1])
+            vbar.append(v[0] - v[1])
+            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                diverged_at = i + 1
+                break
+        return norm.squared(np.array(xbar), np.array(vbar)), diverged_at
+
+
+HIGHD = 2048
+HIGHD_TARGET = QuadraticPotential.diagonal(np.linspace(1.0, 100.0, HIGHD))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_block_streamed_runner_matches_one_draw(scheme):
+    rows = _BLOCK_BYTES // (8 * HIGHD)
+    assert 100 > 2 * rows and 100 % rows  # n = 100 ends inside a third block
+    rng = np.random.default_rng(9)
+    z0 = PhaseState(rng.standard_normal(HIGHD), rng.standard_normal(HIGHD))
+    z1 = PhaseState(rng.standard_normal(HIGHD), rng.standard_normal(HIGHD))
+    norm = WeightedNorm(1.0, 0.0)
+    perturbed = PerturbedQuadratic(HIGHD_TARGET, 0.5)
+    # short runs on both targets, empty runs, and a forced run that
+    # overflows several blocks in
+    runs = [(pot, 0.005, 30.0, n) for pot in (HIGHD_TARGET, perturbed) for n in (100, 0)]
+    runs.append((HIGHD_TARGET, 1.0, 1.0, 400))
+    for pot, h, gamma, n in runs:
+        params = StepParams(h, gamma)
+        tr = run_synchronous_coupling(scheme, pot, z0, z1, params, n, seed=4, force=True, norm=norm)
+        ref, ref_div = _reference_coupling(scheme, pot, z0, z1, params, n, 4, norm)
+        assert np.array_equal(tr.distances, ref, equal_nan=True)
+        assert tr.diverged_at == ref_div
+        if h == 1.0:
+            assert ref_div is not None and ref_div > 2 * rows
+
+
+def test_coupling_memory_does_not_grow_with_run_length():
+    import tracemalloc
+
+    d = 512
+    pot = QuadraticPotential.diagonal(np.linspace(1.0, 4.0, d))
+    z0 = PhaseState(np.ones(d), np.zeros(d))
+    z1 = PhaseState(-np.ones(d), np.zeros(d))
+    tracemalloc.start()
+    try:
+        tr = run_synchronous_coupling(Scheme.SES, pot, z0, z1, StepParams(0.05, 10.0), 2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr.distances) == 2001 and not tr.diverged
+    assert peak < 8_000_000  # the whole run's noise alone is 16 MB

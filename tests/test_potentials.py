@@ -163,3 +163,76 @@ def test_make_potential_from_config():
         make_potential({"name": "bogus"})
     with pytest.raises(PotentialError):
         make_potential({"name": "quadratic"})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_diagonal_extremes_equal_dense_eigenvalues(seed):
+    # the vector path's min/max are exactly what eigvalsh gave on np.diag(d)
+    d = np.random.default_rng(seed).uniform(0.1, 50.0, 2048)
+    p = QuadraticPotential.diagonal(d)
+    m, M = np.linalg.eigvalsh(np.diag(d))[[0, -1]]
+    assert (p.m, p.M) == (m, M)
+
+
+def test_diagonal_matrix_matches_diag_spec():
+    rng = np.random.default_rng(8)
+    d = rng.uniform(0.5, 9.0, 6)
+    from_diag = make_potential({"name": "quadratic", "diag": d.tolist()})
+    from_matrix = make_potential({"name": "quadratic", "matrix": np.diag(d).tolist()})
+    xs = rng.standard_normal((4, 6))
+    assert (from_matrix.m, from_matrix.M) == (from_diag.m, from_diag.M)
+    assert np.array_equal(from_matrix.gradient(xs), from_diag.gradient(xs))
+    assert np.array_equal(from_matrix.gradient(xs), d * xs)
+
+
+def test_lazy_matrix_is_dense_and_read_only():
+    d = np.array([3.0, 1.0, 2.0])
+    for p in (QuadraticPotential.diagonal(d), PerturbedQuadratic(QuadraticPotential.diagonal(d), 0.5)):
+        Q = p.matrix
+        assert np.array_equal(Q, np.diag(d)) and Q is p.matrix
+        assert not Q.flags.writeable
+        with pytest.raises(ValueError):
+            Q[0, 1] = 1.0
+        with pytest.raises(AttributeError):
+            p.matrix = np.eye(3)
+    p = QuadraticPotential.diagonal(d)
+    assert np.array_equal(p.hessian(np.zeros(3)), np.diag(d))
+    assert np.array_equal(mean_value_hessian(p, np.zeros(3), np.ones(3)), np.diag(d))
+    pp = PerturbedQuadratic(np.diag(d), 0.5)
+    x = np.array([0.1, 0.2, 0.3])
+    assert np.array_equal(pp.hessian(x), np.diag(d) - 0.5 * np.diag(np.cos(x)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QuadraticPotential.diagonal([[1.0, 2.0]]),
+        lambda: QuadraticPotential.diagonal([]),
+        lambda: QuadraticPotential.diagonal([1.0, np.nan]),
+        lambda: QuadraticPotential.diagonal([1.0, np.inf]),
+        lambda: QuadraticPotential.diagonal([1.0, 0.0]),
+        lambda: QuadraticPotential(np.array(2.0)),
+        lambda: QuadraticPotential(np.ones((2, 3))),
+        lambda: QuadraticPotential(np.array([[1.0, np.inf], [np.inf, 1.0]])),
+        lambda: QuadraticPotential(np.zeros((0, 0))),
+    ],
+    ids=["diag_2d", "diag_empty", "diag_nan", "diag_inf", "diag_not_pd", "matrix_0d",
+         "matrix_not_square", "matrix_inf", "matrix_empty"],
+)
+def test_malformed_targets_rejected(build):
+    with pytest.raises(PotentialError):
+        build()
+
+
+def test_diag_spec_setup_memory_is_linear():
+    import tracemalloc
+
+    spec = {"name": "quadratic", "diag": np.linspace(1.0, 4.0, 4096).tolist()}
+    tracemalloc.start()
+    try:
+        p = make_potential(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (p.dim, p.m, p.M) == (4096, 1.0, 4.0)
+    assert peak < 1_000_000  # a dense 4096 x 4096 matrix is 134 MB
