@@ -19,7 +19,9 @@ length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +90,7 @@ class CertifiedRate:
     guarantee d_k <= prefactor^2 (1 - c)^(k - shift) d_0 for the coupled
     squared distance d_k.  ``constraints`` lists every checked hypothesis
     with its outcome; ``admissible`` is their conjunction (plus b^2 < a and
-    0 < c < 1).
+    0 < c <= 1).
     """
 
     scheme: Scheme
@@ -117,27 +119,90 @@ def _fmt(name: str, ok: bool) -> str:
     return f"{name} ({'ok' if ok else 'violated'})"
 
 
-def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> CertifiedRate:
-    """Certified (a, b, c) and admissibility for one parameter set.
+class _Hypothesis(NamedTuple):
+    """A hypothesis whose check and root share the one expression ``f``.
 
-    Per scheme (eta = exp(-gamma h) throughout, including OBABO, whose
-    certificate block uses the full-step damping even though the integrator
-    applies exp(-gamma h / 2) twice):
-
-    - kinetic_em: a=1/M, b=1/gamma, c = m h / (2 gamma),
-      needs gamma^2 >= 4M and h < 1/(2 gamma)
-    - bao:        a=1/M, b=h/(1-eta), c = h^2 m / (4(1-eta)),
-      needs h < (1-eta)/sqrt(6M)
-    - oab:        a=1/M, b=eta h/(1-eta), c = eta h^2 m / (4(1-eta)),
-      needs h < min(1/(4 gamma), (1-eta)/sqrt(6M))
-    - baoab:      as bao with prefactor 7, needs h <= (1-eta)/(2 sqrt(M))
-    - obabo:      as bao with prefactor 7, needs h < (1-eta)/(2 sqrt(M))
-    - ses:        a=1/M, b=1/gamma, c = m h / (4 gamma),
-      needs gamma >= 5 sqrt(M) and h <= 1/(2 gamma)
-    - abo, boa:   oab's triple with prefactor 27 (boundary-operator route)
-    - oba, aob:   bao's triple with prefactor 27
-    - overdamped_em, lm: a=1, b=0, c = h m (2 - h M), needs h <= 2/M
+    kind "floor": no h is admissible unless lhs >= rhs, (lhs, rhs) = f(M, gamma).
+    kind "h": h op f(M, gamma).  kind "eta": h op (1 - eta)/s, s = f(M); its root
+    exists only when gamma > s, and fixed-point iterates from 1/s stay above it.
     """
+
+    kind: str
+    label: str
+    f: Callable
+    op: str = "<"
+
+    def check(self, M: float, gamma: float, h: float, one_minus_eta: float) -> str:
+        if self.kind == "floor":
+            lhs, rhs = self.f(M, gamma)
+            return _fmt(f"{self.label}: {lhs} >= {rhs}", lhs >= rhs)
+        lim = one_minus_eta / self.f(M) if self.kind == "eta" else self.f(M, gamma)
+        return _fmt(f"h {self.op} {self.label}: {h} {self.op} {lim}", h < lim if self.op == "<" else h <= lim)
+
+    def root(self, M: float, gamma: float) -> float:
+        if self.kind == "floor":
+            lhs, rhs = self.f(M, gamma)
+            return math.inf if lhs >= rhs else 0.0
+        if self.kind == "h":
+            return self.f(M, gamma)
+        s = self.f(M)
+        if gamma <= s:
+            return 0.0
+        h = 1.0 / s
+        for _ in range(200):
+            h_next = -math.expm1(-gamma * h) / s
+            if abs(h_next - h) <= 1e-15 * h:
+                return h_next
+            h = h_next
+        return h
+
+
+class _Record(NamedTuple):
+    """A scheme's (a, b, c) = abc(m, M, gamma, h, eta, 1 - eta), bound shape and hypotheses."""
+
+    abc: Callable[..., tuple[float, float, float]]
+    hypotheses: tuple[_Hypothesis, ...]
+    prefactor: float = 1.0
+    shift: int = 0
+
+
+_2_OVER_M = _Hypothesis("h", "2/M", lambda M, g: 2.0 / M, "<=")
+_1_OVER_2_GAMMA = _Hypothesis("h", "1/(2 gamma)", lambda M, g: 0.5 / g)
+_SQRT_6M = _Hypothesis("eta", "(1-eta)/sqrt(6M)", lambda M: math.sqrt(6.0 * M))
+_2_SQRT_M = _Hypothesis("eta", "(1-eta)/(2 sqrt(M))", lambda M: 2.0 * math.sqrt(M), "<=")
+_OVERDAMPED = _Record(lambda m, M, g, h, eta, ome: (1.0, 0.0, h * m * (2.0 - h * M)), (_2_OVER_M,))
+_BAO = _Record(lambda m, M, g, h, eta, ome: (1.0 / M, h / ome, h * h * m / (4.0 * ome)), (_SQRT_6M,))
+_OAB = _Record(
+    lambda m, M, g, h, eta, ome: (1.0 / M, eta * h / ome, eta * h * h * m / (4.0 * ome)),
+    (_Hypothesis("h", "1/(4 gamma)", lambda M, g: 0.25 / g), _SQRT_6M),
+)
+
+#: each scheme's record, read by certified_rate and certified_stepsize_threshold;
+#: eta = exp(-gamma h) for every scheme, OBABO too: its certificate block uses the
+#: full-step damping though its integrator applies exp(-gamma h / 2) twice
+_RECORDS = {
+    Scheme.OVERDAMPED_EM: _OVERDAMPED,
+    Scheme.LM: _OVERDAMPED,
+    Scheme.KINETIC_EM: _Record(
+        lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (2.0 * g)),
+        (_Hypothesis("floor", "gamma^2 >= 4M", lambda M, g: (g**2, 4 * M)), _1_OVER_2_GAMMA),
+    ),
+    Scheme.SES: _Record(
+        lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (4.0 * g)),
+        (_Hypothesis("floor", "gamma >= 5 sqrt(M)", lambda M, g: (g, 5 * math.sqrt(M))), _1_OVER_2_GAMMA._replace(op="<=")),
+    ),
+    Scheme.BAO: _BAO,
+    Scheme.OAB: _OAB,
+    # the permuted splittings reach oab's or bao's triple through a boundary operator
+    **dict.fromkeys((Scheme.ABO, Scheme.BOA), _OAB._replace(prefactor=27.0, shift=1)),
+    **dict.fromkeys((Scheme.OBA, Scheme.AOB), _BAO._replace(prefactor=27.0, shift=1)),
+    Scheme.BAOAB: _BAO._replace(hypotheses=(_2_SQRT_M,), prefactor=7.0, shift=1),
+    Scheme.OBABO: _BAO._replace(hypotheses=(_2_SQRT_M._replace(op="<"),), prefactor=7.0, shift=1),
+}
+
+
+def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> CertifiedRate:
+    """Certified (a, b, c) and admissibility: the scheme's record, then 0 < c <= 1 and b^2 < a."""
     scheme = Scheme(scheme)
     if not (0.0 < m <= M):
         raise CouplingError(f"need 0 < m <= M, got m={m}, M={M}")
@@ -145,85 +210,19 @@ def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -
         raise CouplingError(f"need gamma > 0 and h > 0, got gamma={gamma}, h={h}")
     eta = math.exp(-gamma * h)
     one_minus_eta = -math.expm1(-gamma * h)  # cancellation-free 1 - eta
-    rootM = math.sqrt(M)
-    checks: list[str] = []
-    prefactor, shift = 1.0, 0
-
-    if scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
-        a, b = 1.0, 0.0
-        c = h * m * (2.0 - h * M)
-        checks.append(_fmt(f"h <= 2/M: {h} <= {2.0 / M}", h <= 2.0 / M))
-    elif scheme is Scheme.KINETIC_EM:
-        a, b, c = 1.0 / M, 1.0 / gamma, m * h / (2.0 * gamma)
-        checks.append(_fmt(f"gamma^2 >= 4M: {gamma**2} >= {4 * M}", gamma**2 >= 4.0 * M))
-        checks.append(_fmt(f"h < 1/(2 gamma): {h} < {0.5 / gamma}", h < 0.5 / gamma))
-    elif scheme is Scheme.SES:
-        a, b, c = 1.0 / M, 1.0 / gamma, m * h / (4.0 * gamma)
-        checks.append(_fmt(f"gamma >= 5 sqrt(M): {gamma} >= {5 * rootM}", gamma >= 5.0 * rootM))
-        checks.append(_fmt(f"h <= 1/(2 gamma): {h} <= {0.5 / gamma}", h <= 0.5 / gamma))
-    elif scheme in (Scheme.BAO, Scheme.OBA, Scheme.AOB):
-        a, b = 1.0 / M, h / one_minus_eta
-        c = h * h * m / (4.0 * one_minus_eta)
-        lim = one_minus_eta / math.sqrt(6.0 * M)
-        checks.append(_fmt(f"h < (1-eta)/sqrt(6M): {h} < {lim}", h < lim))
-        if scheme is not Scheme.BAO:
-            prefactor, shift = 27.0, 1
-    elif scheme in (Scheme.OAB, Scheme.ABO, Scheme.BOA):
-        a, b = 1.0 / M, eta * h / one_minus_eta
-        c = eta * h * h * m / (4.0 * one_minus_eta)
-        lim = one_minus_eta / math.sqrt(6.0 * M)
-        checks.append(_fmt(f"h < 1/(4 gamma): {h} < {0.25 / gamma}", h < 0.25 / gamma))
-        checks.append(_fmt(f"h < (1-eta)/sqrt(6M): {h} < {lim}", h < lim))
-        if scheme is not Scheme.OAB:
-            prefactor, shift = 27.0, 1
-    elif scheme in (Scheme.BAOAB, Scheme.OBABO):
-        a, b = 1.0 / M, h / one_minus_eta
-        c = h * h * m / (4.0 * one_minus_eta)
-        lim = one_minus_eta / (2.0 * rootM)
-        if scheme is Scheme.BAOAB:
-            checks.append(_fmt(f"h <= (1-eta)/(2 sqrt(M)): {h} <= {lim}", h <= lim))
-        else:
-            checks.append(_fmt(f"h < (1-eta)/(2 sqrt(M)): {h} < {lim}", h < lim))
-        prefactor, shift = 7.0, 1
-    else:  # pragma: no cover - enum is exhaustive
-        raise CouplingError(f"unknown scheme {scheme!r}")
-
-    checks.append(_fmt(f"0 < c < 1: c={c}", 0.0 < c < 1.0))
+    record = _RECORDS[scheme]
+    a, b, c = record.abc(m, M, gamma, h, eta, one_minus_eta)
+    checks = [hyp.check(M, gamma, h, one_minus_eta) for hyp in record.hypotheses]
+    checks.append(_fmt(f"0 < c <= 1: c={c}", 0.0 < c <= 1.0))
     checks.append(_fmt(f"b^2 < a: b={b}, a={a}", b * b < a))
     admissible = all(s.endswith("(ok)") for s in checks)
-    return CertifiedRate(scheme, a, b, c, prefactor, shift, admissible, tuple(checks))
+    return CertifiedRate(scheme, a, b, c, record.prefactor, record.shift, admissible, tuple(checks))
 
 
 def certified_stepsize_threshold(scheme: Scheme, m: float, M: float, gamma: float) -> float:
-    """Largest h allowed by the scheme's stepsize hypothesis.
-
-    For eta-dependent restrictions this solves the fixed point
-    h = (1 - exp(-gamma h)) / s by iteration; the positive solution exists
-    only when gamma > s, which is the implicit lower bound on the friction
-    (s = sqrt(6M) for bao/oab-type schemes, 2 sqrt(M) for baoab/obabo).
-    Returns 0.0 when no positive stepsize is admissible.
-    """
-    scheme = Scheme(scheme)
-    rootM = math.sqrt(M)
-    if scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
-        return 2.0 / M
-    if scheme is Scheme.KINETIC_EM:
-        return 0.5 / gamma if gamma * gamma >= 4.0 * M else 0.0
-    if scheme is Scheme.SES:
-        return 0.5 / gamma if gamma >= 5.0 * rootM else 0.0
-    slope = math.sqrt(6.0 * M) if scheme in (Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB) else 2.0 * rootM
-    if gamma <= slope:
-        return 0.0
-    h = 1.0 / slope
-    for _ in range(200):
-        h_next = -math.expm1(-gamma * h) / slope
-        if abs(h_next - h) <= 1e-15 * h:
-            h = h_next
-            break
-        h = h_next
-    if scheme in (Scheme.OAB, Scheme.ABO, Scheme.BOA):
-        return min(h, 0.25 / gamma)
-    return h
+    """Supremum of the stepsizes the scheme's hypotheses admit (0.0 when a friction
+    floor fails): every h below it is admissible, the threshold itself may not be."""
+    return min(hyp.root(M, gamma) for hyp in _RECORDS[Scheme(scheme)].hypotheses)
 
 
 @dataclass
@@ -341,13 +340,11 @@ def positive_prefix(trace: CouplingTrace) -> CouplingTrace:
     states, after which the distance is exactly zero; rate fits only make
     sense on the positive finite prefix.
     """
-    import dataclasses
-
     d = trace.distances
     bad = np.nonzero(~(d > 0.0) | ~np.isfinite(d))[0]
     if bad.size == 0:
         return trace
-    return dataclasses.replace(trace, distances=d[: int(bad[0])], diverged_at=None)
+    return replace(trace, distances=d[: int(bad[0])], diverged_at=None)
 
 
 def empirical_rate(trace: CouplingTrace, burn_in: int | None = None) -> float:

@@ -118,6 +118,8 @@ class QuadraticPotential(Potential):
     @classmethod
     def anisotropic_gaussian(cls, m: float, M: float) -> "QuadraticPotential":
         """The 2-d benchmark target U(x, y) = m x^2 / 2 + M y^2 / 2."""
+        if not m <= M:
+            raise PotentialError(f"need m <= M, got m={m}, M={M}")
         return cls.diagonal([m, M])
 
     @property

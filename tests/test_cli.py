@@ -139,6 +139,7 @@ MALFORMED_POTENTIALS = {
     "matrix_not_square": ({"matrix": [[1.0, 0.0]]}, "square"),
     "matrix_ragged": ({"matrix": [[1.0, 0.0], [0.0]]}, "array of numbers"),
     "matrix_nan": ({"matrix": [[1.0, math.nan], [math.nan, 1.0]]}, "finite"),
+    "m_above_M": ({"m": 4.0, "M": 1.0}, "m=4.0, M=1.0"),
 }
 
 

@@ -16,7 +16,14 @@ from langevin_contract.coupling import (
     run_synchronous_coupling,
     verify_trace_bound,
 )
-from langevin_contract.integrators import PhaseState, Scheme, StepParams, _step_arrays, noise_requirements
+from langevin_contract.integrators import (
+    FIRST_ORDER_SPLITTINGS,
+    PhaseState,
+    Scheme,
+    StepParams,
+    _step_arrays,
+    noise_requirements,
+)
 from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import PerturbedQuadratic, QuadraticPotential
 
@@ -149,6 +156,26 @@ def test_certified_rate_overdamped():
     assert not r_bad.admissible  # h > 2/M
 
 
+def test_exact_one_step_contraction_is_admissible():
+    # m = M = 1, h = 1: c = h m (2 - h M) = 1, and one step maps both chains
+    # to the same point
+    for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
+        r = certified_rate(scheme, 1.0, 1.0, 1.0, 1.0)
+        assert r.admissible and r.c == 1.0, r.constraints
+        assert r.bound_sq(1, 3.0) == 0.0
+    pot = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
+    tr = run_synchronous_coupling(Scheme.LM, pot, Z0, Z1, StepParams(1.0, 1.0), 20, seed=0)
+    assert verify_trace_bound(tr, r) == (True, None)
+
+
+def test_threshold_and_rate_read_the_same_friction_floor():
+    # gamma^2 >= 4M holds here in one rounding of gamma^2 and fails in another
+    m, M, gamma = 1.0, 233.79025282939912, 30.580402406076942
+    h_max = certified_stepsize_threshold(Scheme.KINETIC_EM, m, M, gamma)
+    r = certified_rate(Scheme.KINETIC_EM, m, M, gamma, 0.5 * (h_max or 0.5 / gamma))
+    assert r.admissible == (h_max > 0.0), (h_max, r.constraints)
+
+
 def test_certified_rate_prefactors_for_permutations():
     for s, pref in [
         (Scheme.ABO, 27.0),
@@ -166,29 +193,61 @@ def test_certified_rate_prefactors_for_permutations():
     assert certified_rate(Scheme.OBA, 1, 1, 8.0, 0.05).b == pytest.approx(0.05 / (1 - eta))
 
 
-def test_certified_norm_weights_always_equivalent():
-    # b^2 < a (and 2b <= sqrt(a)) across 1000 random admissible draws per scheme
-    rng = np.random.default_rng(8)
-    floors = {
-        Scheme.KINETIC_EM: lambda M: 2 * math.sqrt(M),
-        Scheme.SES: lambda M: 5 * math.sqrt(M),
-        Scheme.BAO: lambda M: math.sqrt(6 * M),
-        Scheme.OAB: lambda M: math.sqrt(6 * M),
-        Scheme.BAOAB: lambda M: 2 * math.sqrt(M),
-        Scheme.OBABO: lambda M: 2 * math.sqrt(M),
-    }
-    for scheme, floor in floors.items():
-        for _ in range(1000):
+#: the friction each scheme's hypotheses are scaled by: a floor on gamma, or
+#: the s of a restriction h < (1 - eta)/s; overdamped schemes have neither
+FRICTION_SCALE = {
+    **{s: lambda M: math.sqrt(6 * M) for s in FIRST_ORDER_SPLITTINGS},
+    Scheme.OVERDAMPED_EM: lambda M: 1.0,
+    Scheme.LM: lambda M: 1.0,
+    Scheme.KINETIC_EM: lambda M: 2 * math.sqrt(M),
+    Scheme.SES: lambda M: 5 * math.sqrt(M),
+    Scheme.BAOAB: lambda M: 2 * math.sqrt(M),
+    Scheme.OBABO: lambda M: 2 * math.sqrt(M),
+}
+
+
+def _random_draws(rng):
+    for scheme, scale in FRICTION_SCALE.items():
+        for i in range(1000):
             m = 10 ** rng.uniform(-1, 0.5)
-            M = m * 10 ** rng.uniform(0, 2)
-            gamma = floor(M) * 10 ** rng.uniform(0.05, 1)
-            hmax = certified_stepsize_threshold(scheme, m, M, gamma)
-            if hmax <= 0:
-                continue
-            r = certified_rate(scheme, m, M, gamma, rng.uniform(0.05, 0.999) * hmax)
-            assert r.admissible, (scheme, r.constraints)
-            assert r.b**2 < r.a
-            assert 2 * r.b <= math.sqrt(r.a) * (1 + 1e-12)
+            M = m if i % 5 == 0 else m * 10 ** rng.uniform(0, 2)
+            gamma = scale(M) * 10 ** rng.uniform(0.05, 8)
+            theta = 0.999999 if i % 7 == 0 else rng.uniform(0.05, 0.999999)
+            yield scheme, m, M, gamma, theta
+
+
+def _near_eta_floor_draws(rng):
+    for scheme in (Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO):
+        for rel in (1e-3, 1e-4):
+            M = 10 ** rng.uniform(0, 2)
+            yield scheme, 1.0, M, FRICTION_SCALE[scheme](M) * (1 + rel), 0.8
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [
+        pytest.param(_random_draws, id="random"),
+        pytest.param(
+            _near_eta_floor_draws,
+            id="near-eta-floor",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 4(b): this close to gamma = s, 200 fixed-point steps "
+                "stop above the root of h = (1 - eta)/s",
+            ),
+        ),
+    ],
+)
+def test_certified_norm_weights_always_equivalent(draws):
+    # every theta * threshold, theta < 1, is admissible, with b^2 < a and 2b <= sqrt(a)
+    rng = np.random.default_rng(8)
+    for scheme, m, M, gamma, theta in draws(rng):
+        hmax = certified_stepsize_threshold(scheme, m, M, gamma)
+        assert hmax > 0, (scheme, m, M, gamma)  # every draw clears its friction floor
+        r = certified_rate(scheme, m, M, gamma, theta * hmax)
+        assert r.admissible, (scheme, theta, r.constraints)
+        assert r.b**2 < r.a
+        assert 2 * r.b <= math.sqrt(r.a) * (1 + 1e-12)
 
 
 def test_stepsize_threshold_fixed_point():

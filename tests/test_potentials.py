@@ -215,9 +215,10 @@ def test_lazy_matrix_is_dense_and_read_only():
         lambda: QuadraticPotential(np.ones((2, 3))),
         lambda: QuadraticPotential(np.array([[1.0, np.inf], [np.inf, 1.0]])),
         lambda: QuadraticPotential(np.zeros((0, 0))),
+        lambda: QuadraticPotential.anisotropic_gaussian(4.0, 1.0),
     ],
     ids=["diag_2d", "diag_empty", "diag_nan", "diag_inf", "diag_not_pd", "matrix_0d",
-         "matrix_not_square", "matrix_inf", "matrix_empty"],
+         "matrix_not_square", "matrix_inf", "matrix_empty", "m_above_M"],
 )
 def test_malformed_targets_rejected(build):
     with pytest.raises(PotentialError):
