@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -30,11 +31,13 @@ import numpy as np
 from . import certificates, gaussian, glc
 from .coupling import (
     CouplingError,
+    CouplingPoint,
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
     positive_prefix,
-    run_synchronous_coupling,
+    run_coupling_batch,
+    run_synchronous_coupling,  # noqa: F401  (bench/child.py traces it here by name)
     verify_trace_bound,
 )
 from .integrators import OVERDAMPED_SCHEMES, PhaseState, Scheme, StepParams
@@ -75,6 +78,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         w.writerow([_fmt(x) for x in row])
     _atomic_write(path, buf.getvalue())
+
+
+def _write_trace(path: Path, prefix: str, distances: list[float], bound: list[float] | None) -> None:
+    """A couple trace CSV, one f-string per row after the constant
+    ``scheme,h,gamma,seed`` prefix: the bytes :func:`_write_csv` would write,
+    with an empty bound column when ``bound`` is None."""
+    if bound is None:
+        rows = [f"{prefix},{k},{dk:.17g},\n" for k, dk in enumerate(distances)]
+    else:
+        rows = [f"{prefix},{k},{dk:.17g},{b:.17g}\n" for k, (dk, b) in enumerate(zip(distances, bound))]
+    _atomic_write(path, "scheme,h,gamma,seed,k,distance_sq,bound_sq\n" + "".join(rows))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -213,39 +227,37 @@ def cmd_couple(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
 
     jobs = [(s, h, g, seed) for s in schemes for h in hs for g in gammas for seed in seeds]
-    blocked = []
-    for s, h, g, _ in jobs:
-        rate = certified_rate(s, pot.m, pot.M, g, h)
-        if not rate.admissible and not args.force:
-            blocked.append(f"{s.value} h={h} gamma={g}: " + "; ".join(rate.violated()))
+    rates = [certified_rate(s, pot.m, pot.M, g, h) for s, h, g, _ in jobs]
+    blocked = [
+        f"{s.value} h={h} gamma={g}: " + "; ".join(rate.violated())
+        for (s, h, g, _), rate in zip(jobs, rates)
+        if not rate.admissible and not args.force
+    ]
     if blocked:
         for msg in blocked:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
-    def run(s, h, g, seed):
-        rate = certified_rate(s, pot.m, pot.M, g, h)
-        params = StepParams(h, g)
+    def point(h, g, seed, rate):
         # forced runs can land where the certified norm degenerates (b^2 >= a);
         # fall back to the cross-term-free norm to still record the divergence
         norm = rate.norm if rate.b**2 < rate.a else WeightedNorm(rate.a, 0.0)
-        trace = run_synchronous_coupling(
-            s, pot, z0, z1, params, n_steps, seed, force=True, norm=norm
-        )
-        ok, first_bad = (None, None)
+        return CouplingPoint(StepParams(h, g), seed, norm, rate)
+
+    def report(s, h, g, seed, trace):
+        rate = trace.rate
+        distances = trace.distances.tolist()
+        bound, ok, first_bad = None, None, None
         if rate.admissible:
-            ok, first_bad = verify_trace_bound(trace, rate)
+            bound = rate.bound_sq_steps(trace.n_steps, distances[0])
+            ok, first_bad = verify_trace_bound(trace, rate, bound)
         try:
             c_hat = empirical_rate(positive_prefix(trace))
         except CouplingError:
             c_hat = math.nan
         name = f"couple_{s.value}_h{h:g}_g{g:g}_s{seed}.csv"
-        rows = []
-        d0 = trace.distances[0]
-        for k, dk in enumerate(trace.distances):
-            bound = rate.bound_sq(k, d0) if rate.admissible else ""
-            rows.append([s.value, h, g, seed, k, dk, bound])
-        _write_csv(out / name, ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"], rows)
+        prefix = ",".join(_fmt(x) for x in (s.value, h, g, seed))
+        _write_trace(out / name, prefix, distances, bound)
         return {
             "scheme": s.value,
             "h": h,
@@ -262,7 +274,13 @@ def cmd_couple(cfg: dict, args) -> int:
             "trace_file": name,
         }
 
-    summary = [run(*job) for job in jobs]
+    # each scheme's grid points are one batch, stepped together
+    summary = []
+    for s, batch in itertools.groupby(zip(jobs, rates), key=lambda job_rate: job_rate[0][0]):
+        batch = list(batch)
+        points = [point(h, g, seed, rate) for (_, h, g, seed), rate in batch]
+        traces = run_coupling_batch(s, pot, z0, z1, points, n_steps)
+        summary += [report(*job, trace) for (job, _), trace in zip(batch, traces)]
     diverged = [r for r in summary if r["diverged"]]
     _write_json(out / "couple_summary.json", {"runs": summary})
     if diverged and not args.force:

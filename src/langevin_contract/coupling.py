@@ -11,9 +11,10 @@ Noise contract: draws come from counter-based Philox streams keyed on
 position, so both chains of a pair consume byte-identical noise and sweeps
 are reproducible regardless of scheduling.  A run keeps one generator per
 substream alive and draws its noise in blocks of rows; this gives the same
-numbers as one draw of the whole run.  The chain differences are reduced
-to distances block by block too, so a run's memory does not grow with its
-length.
+numbers as one draw of the whole run.  The chain states are reduced to
+distances block by block too, so a run's memory does not grow with its
+length.  Runs of one scheme at several (h, gamma, seed) points step
+together as one batch, each point on its own streams.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ from .integrators import (
     PhaseState,
     Scheme,
     StepParams,
-    _step_arrays,
+    _coefficients,
+    _step_core,
     noise_requirements,
 )
 from .norms import WeightedNorm
 from .potentials import Potential, QuadraticPotential
 
 
-#: bytes per block buffer of streamed noise or chain differences; a run's
+#: bytes per block of streamed noise or of one chain's states; a run's
 #: working memory is a few such blocks, whatever its length
-_BLOCK_BYTES = 2**19
+_BLOCK_BYTES = 2**17
 
 
 class CouplingError(ValueError):
@@ -113,6 +115,11 @@ class CertifiedRate:
         """Certified squared-distance bound prefactor^2 (1 - c)^(k - shift) d0
         at step k (a scalar or an array of steps)."""
         return self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0
+
+    def bound_sq_steps(self, n_steps: int, d0: float) -> list[float]:
+        """:meth:`bound_sq` at steps 0..n_steps, a float power on each int k
+        (numpy's vector power can differ from it in the last digit)."""
+        return [self.bound_sq(k, d0) for k in range(n_steps + 1)]
 
 
 def _fmt(name: str, ok: bool) -> str:
@@ -247,15 +254,13 @@ class CouplingTrace:
         return self.diverged_at is not None
 
 
-def _noise_rows(gens, n_steps: int, d: int, rows: int):
-    """The (k, d) noise of steps 0..n_steps-1, one step at a time.
+class CouplingPoint(NamedTuple):
+    """One (h, gamma, seed) point of a batched run: its norm and the rate its trace carries."""
 
-    Each block of ``rows`` steps is one draw per substream generator, so the
-    numbers equal one ``CounterStreams.normals`` call per substream.
-    """
-    for start in range(0, n_steps, rows):
-        n = min(rows, n_steps - start)
-        yield from np.stack([gen.standard_normal((n, d)) for gen in gens], axis=1)
+    params: StepParams
+    seed: int
+    norm: WeightedNorm
+    rate: CertifiedRate | None = None
 
 
 def run_synchronous_coupling(
@@ -275,11 +280,9 @@ def run_synchronous_coupling(
     Distances are measured in the scheme's certified norm unless ``norm``
     overrides it.  Inadmissible parameters raise unless ``force`` is set
     (divergence is then reported by truncating the trace at the first
-    non-finite state).
+    non-finite state).  The one-point call of :func:`run_coupling_batch`.
     """
     scheme = Scheme(scheme)
-    if n_steps < 0:
-        raise CouplingError(f"n_steps must be non-negative, got {n_steps}")
     rate = certified_rate(scheme, potential.m, potential.M, params.gamma, params.h)
     if not rate.admissible and not force:
         raise InadmissibleParameters(
@@ -287,50 +290,105 @@ def run_synchronous_coupling(
         )
     if norm is None:
         norm = rate.norm  # raises if b^2 >= a at forced parameters
+    point = CouplingPoint(params, seed, norm, rate)
+    return run_coupling_batch(scheme, potential, z0, z0_tilde, [point], n_steps, pair_id)[0]
 
+
+def run_coupling_batch(
+    scheme: Scheme,
+    potential: Potential,
+    z0: PhaseState,
+    z0_tilde: PhaseState,
+    points: list[CouplingPoint],
+    n_steps: int,
+    pair_id: int = 0,
+) -> list[CouplingTrace]:
+    """One coupled pair per point, all stepped together; their traces in order.
+
+    The chains carry a leading batch axis, (B, 2, d), so each step is one
+    call of the step core for the whole batch.  Each point keeps its own
+    noise streams ``CounterStreams(seed, pair_id)``, LM primer, norm and
+    divergence step, so its trace equals its run alone.  Admissibility is
+    the caller's: a point that diverges is truncated there and the others
+    run on.
+    """
+    scheme = Scheme(scheme)
+    if n_steps < 0:
+        raise CouplingError(f"n_steps must be non-negative, got {n_steps}")
+    if not points:
+        return []
     d = potential.dim
-    rows = max(1, _BLOCK_BYTES // (8 * d))
-    streams = CounterStreams(seed, pair_id)
+    B = len(points)
+    rows = max(1, min(n_steps + 1, _BLOCK_BYTES // (8 * d * B)))
     k = noise_requirements(scheme)
-    gens = [streams.generator(j) for j in range(k)]
-    prev = streams.normals(k, 1, d)[0] if scheme is Scheme.LM else None
+    streams = [CounterStreams(p.seed, pair_id) for p in points]
+    gens = [[st.generator(j) for j in range(k)] for st in streams]
+    prev = np.stack([st.normals(k, 1, d) for st in streams]) if scheme is Scheme.LM else None
+    # each point's step constants, as (B, 1, 1) columns broadcast over its two
+    # chains; one point keeps floats, which numpy applies faster to small arrays
+    coefs = [_coefficients(scheme, p.params) for p in points]
+    coefs = coefs[0] if B == 1 else tuple(np.array(col)[:, None, None] for col in zip(*coefs))
 
-    # both chains stacked along a leading axis; shared noise broadcasts
-    x = np.stack([np.asarray(z0.x, dtype=float), np.asarray(z0_tilde.x, dtype=float)])
-    v = np.stack([np.asarray(z0.v, dtype=float), np.asarray(z0_tilde.v, dtype=float)])
-    # chain differences of steps t - s .. t, reduced to distances when full
-    xbar = np.empty((rows, d))
-    vbar = np.empty((rows, d))
-    distances = np.empty(n_steps + 1)
+    x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], B, axis=0)
+    v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], B, axis=0)
+    grad = None
+    # the states of steps t - s .. t, reduced to each point's distances when full
+    xs = np.empty((rows, B, 2, d))
+    vs = np.empty((rows, B, 2, d))
+    distances = np.empty((B, n_steps + 1))
     t = s = 0
-    xbar[0] = x[0] - x[1]
-    vbar[0] = v[0] - v[1]
-    diverged_at = None
+    xs[0] = x
+    vs[0] = v
+    diverged_at = [None] * B
+
+    def reduce(stop: int, count: int) -> None:
+        for b, p in enumerate(points):
+            xb, vb = xs[:count, b], vs[:count, b]
+            distances[b, stop - count : stop] = p.norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+
     # overflow on forced runs is an anticipated outcome, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, xi in enumerate(_noise_rows(gens, n_steps, d, rows), 1):
+        for t in range(1, n_steps + 1):
+            # s is the slot of step t - 1, and the row of step t's noise in its block
             if s == rows - 1:
-                distances[t - rows : t] = norm.squared(xbar, vbar)
-            x, v = _step_arrays(scheme, potential, x, v, params, xi, prev)
-            if scheme is Scheme.LM:
+                reduce(t, rows)
+            if s == 0:
+                # the next block's noise: one draw of its rows per point and substream
+                n = min(rows, n_steps - t + 1)
+                noise = np.empty((n, k, B, 1, d))
+                for b in range(B):
+                    for j in range(k):
+                        noise[:, j, b, 0] = gens[b][j].standard_normal((n, d))
+            xi = noise[s]
+            x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, prev, grad)
+            if prev is not None:
                 prev = xi[0]
             s = t % rows
-            xbar[s] = x[0] - x[1]
-            vbar[s] = v[0] - v[1]
-            if not (np.isfinite(x).all() and np.isfinite(v).all()):
-                diverged_at = t
-                break
-        distances[t - s : t + 1] = norm.squared(xbar[: s + 1], vbar[: s + 1])
-    return CouplingTrace(
-        scheme=scheme,
-        params=params,
-        norm=norm,
-        distances=distances[: t + 1],
-        seed=seed,
-        quadratic=isinstance(potential, QuadraticPotential),
-        diverged_at=diverged_at,
-        rate=rate,
-    )
+            xs[s] = x
+            vs[s] = v
+            # x + v is finite unless x or v is not, or the sum overflows
+            if not np.isfinite(x + v).all():
+                finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(v).all(axis=(1, 2))
+                for b in np.flatnonzero(~finite):
+                    if diverged_at[b] is None:
+                        diverged_at[b] = t
+                if None not in diverged_at:
+                    break
+        reduce(t + 1, s + 1)
+    quadratic = isinstance(potential, QuadraticPotential)
+    return [
+        CouplingTrace(
+            scheme=scheme,
+            params=p.params,
+            norm=p.norm,
+            distances=distances[b, : (t if div is None else div) + 1],
+            seed=p.seed,
+            quadratic=quadratic,
+            diverged_at=div,
+            rate=p.rate,
+        )
+        for b, (p, div) in enumerate(zip(points, diverged_at))
+    ]
 
 
 def positive_prefix(trace: CouplingTrace) -> CouplingTrace:
@@ -369,19 +427,22 @@ def empirical_rate(trace: CouplingTrace, burn_in: int | None = None) -> float:
     return float(-np.expm1(slope))
 
 
-def verify_trace_bound(trace: CouplingTrace, rate: CertifiedRate) -> tuple[bool, int | None]:
+def verify_trace_bound(trace: CouplingTrace, rate: CertifiedRate, bound=None) -> tuple[bool, int | None]:
     """Check d_k <= prefactor^2 (1 - c)^(k - shift) d_0 along the trace.
 
-    Returns (True, None) when the bound holds everywhere, otherwise
-    (False, first violating index).  Divergence counts as a violation at
-    the truncation point.
+    ``bound`` is the bound at every step of the trace, by default
+    ``rate.bound_sq_steps(trace.n_steps, d_0)``; pass those values to check
+    against exactly the numbers written beside the trace.  Returns (True,
+    None) when the bound holds everywhere, otherwise (False, first
+    violating index).  Divergence counts as a violation at the truncation
+    point.
     """
     if not rate.admissible:
         raise CouplingError("bound check requires admissible parameters")
     d = trace.distances
-    ks = np.arange(len(d), dtype=float)
-    bound = rate.bound_sq(ks, d[0])
-    bad = np.nonzero(~(d <= bound))[0]
+    if bound is None:
+        bound = rate.bound_sq_steps(trace.n_steps, d[0])
+    bad = np.nonzero(~(d <= np.asarray(bound)))[0]
     if trace.diverged:
         return False, trace.diverged_at
     if bad.size:

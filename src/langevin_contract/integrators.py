@@ -150,12 +150,9 @@ def ses_covariance(params: StepParams) -> tuple[float, float, float]:
     return var_pos, var_vel, cov
 
 
-def ses_noise(params: StepParams, xi_pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Correlate a standard-normal pair into the SES (zeta, omega) draw.
-
-    Applies the lower-triangular Cholesky factor of the 2x2 covariance from
-    :func:`ses_covariance`, position component first.
-    """
+def _ses_cholesky(params: StepParams) -> tuple[float, float, float]:
+    """(l11, l21, l22): the lower-triangular Cholesky factor of the SES noise
+    covariance from :func:`ses_covariance`, position component first."""
     var_pos, var_vel, cov = ses_covariance(params)
     schur = var_vel - cov * cov / var_pos
     if var_pos <= 0.0 or schur <= 0.0:
@@ -163,8 +160,16 @@ def ses_noise(params: StepParams, xi_pair: tuple[np.ndarray, np.ndarray]) -> tup
             f"SES noise covariance not positive definite at h={params.h}, gamma={params.gamma}"
         )
     l11 = math.sqrt(var_pos)
-    l21 = cov / l11
-    l22 = math.sqrt(schur)
+    return l11, cov / l11, math.sqrt(schur)
+
+
+def ses_noise(params: StepParams, xi_pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Correlate a standard-normal pair into the SES (zeta, omega) draw.
+
+    Applies the lower-triangular Cholesky factor of the 2x2 covariance from
+    :func:`ses_covariance`, position component first.
+    """
+    l11, l21, l22 = _ses_cholesky(params)
     xi1, xi2 = xi_pair
     return l11 * xi1, l21 * xi1 + l22 * xi2
 
@@ -204,40 +209,81 @@ def step(
 
 
 def _step_arrays(scheme, potential, x, v, params, xi, prev_noise=None):
-    """Array-level step core (no state wrapping); shared by the runners."""
+    """One memoryless step at ``params``: the step core with this point's coefficients."""
+    return _step_core(scheme, potential, x, v, _coefficients(scheme, params), xi, prev_noise)[:2]
+
+
+def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
+    """The per-step constants of one (h, gamma) point, in the order the core reads them.
+
+    Scalar ``math`` calls, so a batch of points stacked into (B, 1, 1)
+    columns steps bit-identically to each point alone.
+    """
     h, g = params.h, params.gamma
     word = SPLITTING_WORDS.get(scheme)
     if word is not None:
-        k = 0
+        coefs = []
         for piece, frac in word:
             tau = frac * h
-            if piece == "B":
-                v = v - tau * potential.gradient(x)
-            elif piece == "A":
-                x = x + tau * v
-            else:
+            if piece == "O":
                 eta = math.exp(-g * tau)
-                v = eta * v + math.sqrt(1.0 - eta * eta) * xi[k]
+                coefs += (eta, math.sqrt(1.0 - eta * eta))
+            else:
+                coefs.append(tau)
+        return tuple(coefs)
+    if scheme in OVERDAMPED_SCHEMES:
+        return h, math.sqrt(2.0 * h)
+    if scheme is Scheme.KINETIC_EM:
+        return h, g * h, math.sqrt(2.0 * g * h)
+    if scheme is Scheme.SES:
+        alpha = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
+        beta = (g * h + math.expm1(-g * h)) / g**2  # (gamma h + eta - 1)/gamma^2
+        return (alpha, beta, params.eta, *_ses_cholesky(params))
+    raise IntegratorError(f"unknown scheme {scheme!r}")
+
+
+def _step_core(scheme, potential, x, v, coefs, xi, prev_noise=None, grad=None):
+    """The array-level step from :func:`_coefficients`; returns (x, v, grad).
+
+    Shared by :func:`step` and the coupling runner.  ``coefs`` entries are
+    floats or (B, 1, 1) columns of a batch of points; ``xi[j]`` is the j-th
+    draw, broadcast against x.  ``grad``, when given, is grad U(x): a
+    splitting kicks with it until its first drift, and the returned grad is
+    grad U at the new x, or None once a drift followed the last kick.  So
+    BAOAB and OBABO reuse the end-of-step gradient (one evaluation per step).
+    """
+    word = SPLITTING_WORDS.get(scheme)
+    if word is not None:
+        c = iter(coefs)
+        k = 0
+        for piece, _ in word:
+            if piece == "B":
+                if grad is None:
+                    grad = potential.gradient(x)
+                v = v - next(c) * grad
+            elif piece == "A":
+                x = x + next(c) * v
+                grad = None
+            else:
+                eta, scale = next(c), next(c)
+                v = eta * v + scale * xi[k]
                 k += 1
-        return x, v
+        return x, v, grad
+    grad = potential.gradient(x)
     if scheme is Scheme.OVERDAMPED_EM:
-        return x - h * potential.gradient(x) + math.sqrt(2.0 * h) * xi[0], v
+        h, s = coefs
+        return x - h * grad + s * xi[0], v, None
     if scheme is Scheme.LM:
         if prev_noise is None:
             raise IntegratorError("LM needs prev_noise (the previous step's draw)")
-        avg = 0.5 * (xi[0] + prev_noise)
-        return x - h * potential.gradient(x) + math.sqrt(2.0 * h) * avg, v
+        h, s = coefs
+        return x - h * grad + s * (0.5 * (xi[0] + prev_noise)), v, None
     if scheme is Scheme.KINETIC_EM:
-        vn = v - h * potential.gradient(x) - g * h * v + math.sqrt(2.0 * g * h) * xi[0]
-        return x + h * v, vn
-    if scheme is Scheme.SES:
-        eta = params.eta
-        al = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
-        be = (g * h + math.expm1(-g * h)) / g**2  # (gamma h + eta - 1)/gamma^2
-        zeta, omega = ses_noise(params, (xi[0], xi[1]))
-        grad = potential.gradient(x)
-        return x + al * v - be * grad + zeta, eta * v - al * grad + omega
-    raise IntegratorError(f"unknown scheme {scheme!r}")
+        h, gh, s = coefs
+        return x + h * v, v - h * grad - gh * v + s * xi[0], None
+    alpha, beta, eta, l11, l21, l22 = coefs  # SES
+    zeta, omega = l11 * xi[0], l21 * xi[0] + l22 * xi[1]
+    return x + alpha * v - beta * grad + zeta, eta * v - alpha * grad + omega, None
 
 
 class _ScalarQuadratic(Potential):

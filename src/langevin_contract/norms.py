@@ -70,8 +70,8 @@ def wasserstein_decay_factor(C: float, a: float, c: float, n_steps: int) -> floa
     into the worst-case multiplier on squared Wasserstein distance after
     n steps.
     """
-    if not 0.0 < c < 1.0:
-        raise NormError(f"rate must satisfy 0 < c < 1, got {c}")
+    if not 0.0 < c <= 1.0:
+        raise NormError(f"rate must satisfy 0 < c <= 1, got {c}")
     if C < 1.0:
         raise NormError(f"equivalence constant must be >= 1, got {C}")
     if a <= 0.0:

@@ -4,9 +4,14 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from langevin_contract.cli import main
+from langevin_contract.cli import _write_csv, main
+from langevin_contract.coupling import certified_rate, run_synchronous_coupling
+from langevin_contract.integrators import PhaseState, Scheme, StepParams
+from langevin_contract.norms import WeightedNorm
+from langevin_contract.potentials import QuadraticPotential
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -67,6 +72,46 @@ def test_couple_zero_steps(tmp_path):
     trace = (tmp_path / "out" / run["trace_file"]).read_text().splitlines()
     assert len(trace) == 2  # header + single distance row
     assert run["c_empirical"] is None
+
+
+def test_trace_writer_matches_csv_writer_rendering(tmp_path):
+    # a forced grid with admissible points, an inadmissible point that stays
+    # finite (empty bound column) and diverging points whose distances reach
+    # inf and nan; each trace file equals the csv.writer + _fmt rendering of
+    # the point's one-point run, with its bound taken per int k
+    cfg = couple_config(tmp_path / "out", n_steps=500, schemes=("lm", "kinetic_em"))
+    cfg["params"].update(h=[0.05, 0.2, 1.5], seeds=[0, 3])
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg), "--force"]) == 0
+    runs = json.loads((tmp_path / "out" / "couple_summary.json").read_text())["runs"]
+    pot = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
+    z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
+    z1 = PhaseState(np.array([1.0, 1.0]), np.zeros(2))
+    header = ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"]
+    seen = set()
+    for run in runs:
+        s, h, g, seed = Scheme(run["scheme"]), run["h"], run["gamma"], run["seed"]
+        rate = certified_rate(s, 1.0, 4.0, g, h)
+        norm = rate.norm if rate.b**2 < rate.a else WeightedNorm(rate.a, 0.0)
+        trace = run_synchronous_coupling(s, pot, z0, z1, StepParams(h, g), 500, seed, force=True, norm=norm)
+        d0 = trace.distances[0]
+        rows = [
+            [s.value, h, g, seed, k, dk, rate.bound_sq(k, d0) if rate.admissible else ""]
+            for k, dk in enumerate(trace.distances)
+        ]
+        _write_csv(tmp_path / "ref.csv", header, rows)
+        got = (tmp_path / "out" / run["trace_file"]).read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes(), run["trace_file"]
+        if not run["admissible"] and not run["diverged"]:
+            seen.add("inadmissible")
+        seen.update(word for word in ("inf", "nan") if word.encode() in got)
+    assert seen == {"inadmissible", "inf", "nan"}
+
+
+def test_couple_without_seeds_writes_an_empty_summary(tmp_path):
+    cfg = couple_config(tmp_path / "out")
+    cfg["params"]["seeds"] = []
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    assert json.loads((tmp_path / "out" / "couple_summary.json").read_text()) == {"runs": []}
 
 
 def test_couple_inadmissible_needs_force(tmp_path):

@@ -8,11 +8,13 @@ from langevin_contract.cli import main
 from langevin_contract.coupling import (
     _BLOCK_BYTES,
     CouplingError,
+    CouplingPoint,
     CounterStreams,
     InadmissibleParameters,
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
+    run_coupling_batch,
     run_synchronous_coupling,
     verify_trace_bound,
 )
@@ -23,9 +25,10 @@ from langevin_contract.integrators import (
     StepParams,
     _step_arrays,
     noise_requirements,
+    step,
 )
 from langevin_contract.norms import WeightedNorm
-from langevin_contract.potentials import PerturbedQuadratic, QuadraticPotential
+from langevin_contract.potentials import PerturbedQuadratic, Potential, QuadraticPotential
 
 ANISO = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
 Z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
@@ -395,3 +398,73 @@ def test_coupling_memory_does_not_grow_with_run_length():
         tracemalloc.stop()
     assert len(tr.distances) == 2001 and not tr.diverged
     assert peak < 8_000_000  # the whole run's noise alone is 16 MB
+
+
+BATCH_D = 256
+BATCH_TARGET = QuadraticPotential.diagonal(np.linspace(1.0, 100.0, BATCH_D))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_batched_runner_equals_one_point_runs(scheme):
+    rows = _BLOCK_BYTES // (8 * BATCH_D * 4)
+    assert 410 > 2 * rows and 410 % rows  # n = 410 ends inside a block
+    rng = np.random.default_rng(9)
+    z0 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
+    z1 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
+    # mixed h, gamma, seeds (lm primes each point from its own seed) and
+    # norms; the forced (h, gamma) = (1, 1) point overflows mid-block
+    points = [
+        CouplingPoint(StepParams(0.005, 30.0), 4, WeightedNorm(1.0, 0.0)),
+        CouplingPoint(StepParams(1.0, 1.0), 4, WeightedNorm(1.0, 0.0)),
+        CouplingPoint(StepParams(0.004, 20.0), 7, WeightedNorm(0.5, 0.1)),
+        CouplingPoint(StepParams(0.003, 40.0), 11, WeightedNorm(1.0, 0.0)),
+    ]
+    for pot in (BATCH_TARGET, PerturbedQuadratic(BATCH_TARGET, 0.5)):
+        for n in (410, 0):
+            traces = run_coupling_batch(scheme, pot, z0, z1, points, n)
+            for p, tr in zip(points, traces):
+                one = run_synchronous_coupling(scheme, pot, z0, z1, p.params, n, p.seed, force=True, norm=p.norm)
+                assert np.array_equal(tr.distances, one.distances, equal_nan=True)
+                assert tr.diverged_at == one.diverged_at
+            div = traces[1].diverged_at
+            if n:
+                assert div is not None and div % rows  # diverged inside a block ...
+                assert [tr.diverged_at for tr in traces] == [None, div, None, None]
+                assert [len(tr.distances) for tr in traces] == [n + 1, div + 1, n + 1, n + 1]  # ... the others ran on
+
+
+class CountingTarget(Potential):
+    """diag(1, 4) quadratic counting its gradient evaluations."""
+
+    def __init__(self):
+        super().__init__(2, 1.0, 4.0)
+        self.calls = 0
+
+    def value(self, x):
+        return 0.5 * np.sum(x * self.gradient(x), axis=-1)
+
+    def gradient(self, x):
+        self.calls += 1
+        return np.array([1.0, 4.0]) * x
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_symmetric_splittings_reuse_the_end_of_step_gradient(scheme):
+    kicks = 2 if scheme in (Scheme.BAOAB, Scheme.OBABO) else 1
+    params, n = StepParams(0.1, 4.0), 25
+    pot = CountingTarget()
+    run_synchronous_coupling(scheme, pot, Z0, Z1, params, n, seed=0, force=True, norm=WeightedNorm(1.0, 0.0))
+    assert pot.calls == (n + 1 if kicks == 2 else n)
+    # a batch of points makes one gradient call per step for all of them
+    pot.calls = 0
+    points = [CouplingPoint(params, seed, WeightedNorm(1.0, 0.0)) for seed in (0, 1, 2)]
+    run_coupling_batch(scheme, pot, Z0, Z1, points, n)
+    assert pot.calls == (n + 1 if kicks == 2 else n)
+    # step() carries nothing from one call to the next: each call kicks afresh
+    pot.calls = 0
+    xi = np.ones((noise_requirements(scheme), 2))
+    prev = np.ones(2) if scheme is Scheme.LM else None
+    a = step(scheme, pot, Z0, params, xi, prev)
+    b = step(scheme, pot, Z0, params, xi, prev)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+    assert pot.calls == 2 * kicks

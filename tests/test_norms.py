@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langevin_contract.coupling import certified_rate
+from langevin_contract.integrators import Scheme
 from langevin_contract.norms import (
     NormError,
     WeightedNorm,
@@ -111,9 +113,18 @@ def test_wasserstein_decay_factor_validation():
     with pytest.raises(NormError):
         wasserstein_decay_factor(1.0, 1.0, 0.0, 1)
     with pytest.raises(NormError):
-        wasserstein_decay_factor(1.0, 1.0, 1.0, 1)
+        wasserstein_decay_factor(1.0, 1.0, 1.5, 1)
     with pytest.raises(NormError):
         wasserstein_decay_factor(0.5, 1.0, 0.5, 1)
+
+
+def test_wasserstein_decay_factor_admits_a_certified_unit_rate():
+    # lm at m = M = 1, h = 1 contracts in one step: c = h m (2 - h M) = 1,
+    # admissible like every rate in (0, 1]
+    rate = certified_rate(Scheme.LM, 1.0, 1.0, 1.0, 1.0)
+    assert rate.admissible and rate.c == 1.0
+    assert wasserstein_decay_factor(1.0, rate.a, rate.c, 0) == 3.0
+    assert wasserstein_decay_factor(1.0, rate.a, rate.c, 4) == 0.0
 
 
 def test_gaussian_w2_identical_is_zero():
