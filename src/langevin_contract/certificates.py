@@ -9,15 +9,16 @@ spectrum in [m, M], the problem reduces to scalar polynomial positivity:
     H = [[A(Q), B(Q)], [B(Q), C(Q)]]  is PD
     iff  A(lam) > 0 and (AC - B^2)(lam) > 0 for every lam in [m, M].
 
-Each scheme's certificate block P(lam) is written out once, in
-:func:`transition_matrix_P`.  Every block applies the kick once, so P is
-affine in lam, P(lam) = P0 + lam P1, and the A/B/C polynomials are derived
-from it rather than expanded by hand:
+A scheme's mode matrix comes from its step: :func:`step_matrix` runs the
+integrators' step core on a scalar mode (basis states, Python floats), and
+for kinetic_em, bao, oab and ses that is also the certificate block of
+:func:`transition_matrix_P`.  Only the conjugate blocks of baoab and obabo
+are written out by hand there (see its docstring for why).  Every block
+applies the kick once, so P is affine in lam, P(lam) = P0 + lam P1, and
+the A/B/C polynomials are derived from it rather than expanded by hand:
 
     H(lam) = (1-c) W - P0^T W P0 - lam (P0^T W P1 + P1^T W P0) - lam^2 P1^T W P1.
 
-The literal one-step map of a splitting (:func:`step_matrix`) is composed
-from its operator word in :data:`langevin_contract.integrators.SPLITTING_WORDS`.
 Positivity is certified on a dense grid backed by a derivative bound (so
 the grid minimum genuinely implies positivity between nodes), and the
 polynomial route is cross-checked against direct 2x2 eigenvalues at every
@@ -26,14 +27,13 @@ grid point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coupling import certified_rate
-from .integrators import OVERDAMPED_SCHEMES, SPLITTING_WORDS, Scheme, StepParams
+from .integrators import Scheme, StepParams, _mode_map
 
 
 class CertificateError(ValueError):
@@ -64,23 +64,25 @@ RATE_TOL = 1e-10
 
 
 def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
-    """Difference-process one-step matrix for a scalar mode Q = lam.
+    """Difference-process one-step matrix certified for a scalar mode Q = lam.
 
-    For baoab and obabo this is the conjugate block actually certified
-    (A(h/2) B(h) A(h/2) O(h) and A(h) B(h/2) O(h) B(h/2) respectively),
-    which shares its spectrum with the full composition; use
-    :func:`step_matrix` for the literal one-step map.  eta = exp(-gamma h)
-    in all entries.
+    For kinetic_em, bao, oab and ses this is :func:`step_matrix`, the step
+    core's own map.  For baoab and obabo it is the conjugate block
+    A(h/2) B(h) A(h/2) O(h), respectively A(h) B(h/2) O(h) B(h/2): it kicks
+    once, so it is affine in lam, and shares its spectrum with the full
+    step, which kicks twice.  These two blocks are written out by hand:
+    composed from their words they round differently, enough to move
+    obabo's stability thresholds in the zone where exp(-gamma h) is below
+    ~1e-16.  eta = exp(-gamma h) in both.
     """
     scheme = Scheme(scheme)
-    h, g = params.h, params.gamma
-    eta = params.eta
-    if scheme is Scheme.KINETIC_EM:
-        return np.array([[1.0, h], [-h * lam, 1.0 - g * h]])
-    if scheme is Scheme.BAO:
-        return np.array([[1.0 - h * h * lam, h], [-h * eta * lam, eta]])
-    if scheme is Scheme.OAB:
-        return np.array([[1.0, h * eta], [-h * lam, eta - h * h * eta * lam]])
+    if scheme not in CERTIFICATE_SCHEMES:
+        raise UnsupportedScheme(
+            f"{scheme.value} has no certificate block; permuted splittings route through bao/oab"
+        )
+    if scheme not in (Scheme.BAOAB, Scheme.OBABO):
+        return _mode_map(scheme, lam, params)[0]
+    h, eta = params.h, params.eta
     if scheme is Scheme.BAOAB:
         return np.array(
             [
@@ -88,45 +90,19 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
                 [-h * eta * lam, eta - h * h * eta * lam / 2.0],
             ]
         )
-    if scheme is Scheme.OBABO:
-        half = 0.5 * h * (1.0 + eta)
-        return np.array([[1.0, h], [-half * lam, eta - h * half * lam]])
-    if scheme is Scheme.SES:
-        al = -math.expm1(-g * h) / g
-        be = (g * h + math.expm1(-g * h)) / g**2
-        return np.array([[1.0 - be * lam, al], [-al * lam, eta]])
-    raise UnsupportedScheme(
-        f"{scheme.value} has no certificate block; permuted splittings route through bao/oab"
-    )
+    half = 0.5 * h * (1.0 + eta)
+    return np.array([[1.0, h], [-half * lam, eta - h * half * lam]])
 
 
 def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
     """Exact one-step difference map of the integrator on a scalar mode.
 
-    Splittings compose the 2x2 matrices of their operator word; the
-    overdamped schemes act on the position row only (the velocity passes
-    through); kinetic_em and ses equal their :func:`transition_matrix_P`.
-    For bao and oab the composition equals the certificate block, for
-    baoab/obabo it is the full symmetric step.
+    Read off the step core on Python floats (the P of
+    :func:`langevin_contract.integrators.affine_mode_map`); for LM the
+    previous draw is 0.0, and the overdamped velocity passes through.  For
+    baoab/obabo it is the full symmetric step, not the certificate block.
     """
-    scheme = Scheme(scheme)
-    h, g = params.h, params.gamma
-    if scheme in OVERDAMPED_SCHEMES:
-        return np.array([[1.0 - h * lam, 0.0], [0.0, 1.0]])
-    word = SPLITTING_WORDS.get(scheme)
-    if word is None:
-        return transition_matrix_P(scheme, lam, params)
-    out = np.eye(2)
-    for piece, frac in word:
-        tau = frac * h
-        if piece == "B":
-            op = np.array([[1.0, 0.0], [-tau * lam, 1.0]])
-        elif piece == "A":
-            op = np.array([[1.0, tau], [0.0, 1.0]])
-        else:
-            op = np.array([[1.0, 0.0], [0.0, math.exp(-g * tau)]])
-        out = op @ out  # operators apply left to right
-    return out
+    return _mode_map(Scheme(scheme), lam, params)[0]
 
 
 def _affine_P(scheme: Scheme, params: StepParams) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +122,13 @@ class AbcPolynomials:
     C: np.ndarray
 
 
+def _abc(P0: np.ndarray, P1: np.ndarray, W: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
+    """(A, B, C) for P(lam) = P0 + lam P1 and the weight matrix W."""
+    cross = P0.T @ W @ P1
+    H = np.stack([(1.0 - c) * W - P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)])
+    return H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+
+
 def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) -> AbcPolynomials:
     """Coefficient form of A, B, C for the certificate block of ``scheme``.
 
@@ -154,11 +137,8 @@ def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) 
     which is what makes the m-independent stepsize thresholds work.
     """
     scheme = Scheme(scheme)
-    P0, P1 = _affine_P(scheme, params)
     W = np.array([[1.0, b], [b, a]])
-    cross = P0.T @ W @ P1
-    H = np.stack([(1.0 - c) * W - P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)])
-    return AbcPolynomials(scheme, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1])
+    return AbcPolynomials(scheme, *_abc(*_affine_P(scheme, params), W, c))
 
 
 @dataclass(frozen=True)
@@ -199,8 +179,9 @@ def _derivative_bound(coeffs: np.ndarray, hi: float) -> float:
     return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
 
 
-def _min_eig_H_grid(scheme: Scheme, lams: np.ndarray, params: StepParams, W: np.ndarray, c: float) -> np.ndarray:
-    """Vectorized min eigenvalue of H over the lam grid, assembled from P.
+def _min_eig_H_grid(P0: np.ndarray, P1: np.ndarray, lams: np.ndarray, W: np.ndarray, c: float) -> np.ndarray:
+    """Vectorized min eigenvalue of H over the lam grid, assembled from
+    P(lam) = P0 + lam P1.
 
     Each entry of P^T W P is written out as its four terms
     (P[k][i] W[k, l]) P[l][j] over grid vectors, added k outer, l inner,
@@ -209,7 +190,6 @@ def _min_eig_H_grid(scheme: Scheme, lams: np.ndarray, params: StepParams, W: np.
     are bit-identical to it; numpy runs a three-operand einsum through its
     generic loop, about ten times slower than these vector operations.
     """
-    P0, P1 = _affine_P(scheme, params)
     P = [[P0[k, i] + lams * P1[k, i] for i in range(2)] for k in range(2)]
 
     def entry(i: int, j: int) -> np.ndarray:
@@ -250,25 +230,26 @@ def check_certificate(
     a = rate.a if a is None else a
     b = rate.b if b is None else b
     c = rate.c if c is None else c
-    params = StepParams(h, gamma)
-    abc = build_abc(scheme, params, a, b, c)
+    # one (P0, P1) for both the polynomial route and the eigenvalue oracle
+    P0, P1 = _affine_P(scheme, StepParams(h, gamma))
+    W = np.array([[1.0, b], [b, a]])
+    A, B, C = _abc(P0, P1, W, c)
 
     lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
-    pa = npoly.polyval(lams, abc.A)
-    quartic = npoly.polysub(npoly.polymul(abc.A, abc.C), npoly.polymul(abc.B, abc.B))
+    pa = npoly.polyval(lams, A)
+    quartic = npoly.polysub(npoly.polymul(A, C), npoly.polymul(B, B))
     pq = npoly.polyval(lams, quartic)
 
     if M > m:
         dlam = (M - m) / (GRID_POINTS - 1)
-        guard_a = _derivative_bound(abc.A, M) * dlam / 2.0
+        guard_a = _derivative_bound(A, M) * dlam / 2.0
         guard_q = _derivative_bound(quartic, M) * dlam / 2.0
     else:
         guard_a = guard_q = 0.0
     norm_valid = b * b < a
     passed = bool(norm_valid and pa.min() > guard_a and pq.min() > guard_q)
 
-    norm_matrix = np.array([[1.0, b], [b, a]])
-    eigs = _min_eig_H_grid(scheme, lams, params, norm_matrix, c)
+    eigs = _min_eig_H_grid(P0, P1, lams, W, c)
     poly_pd = (pa > 0.0) & (pq > 0.0)
     oracle_pd = eigs > 0.0
     agrees = bool(np.array_equal(poly_pd, oracle_pd))

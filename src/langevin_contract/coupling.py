@@ -280,7 +280,7 @@ def run_synchronous_coupling(
     Distances are measured in the scheme's certified norm unless ``norm``
     overrides it.  Inadmissible parameters raise unless ``force`` is set
     (divergence is then reported by truncating the trace at the first
-    non-finite state).  The one-point call of :func:`run_coupling_batch`.
+    non-finite distance).  The one-point call of :func:`run_coupling_batch`.
     """
     scheme = Scheme(scheme)
     rate = certified_rate(scheme, potential.m, potential.M, params.gamma, params.h)
@@ -309,8 +309,9 @@ def run_coupling_batch(
     call of the step core for the whole batch.  Each point keeps its own
     noise streams ``CounterStreams(seed, pair_id)``, LM primer, norm and
     divergence step, so its trace equals its run alone.  Admissibility is
-    the caller's: a point that diverges is truncated there and the others
-    run on.
+    the caller's.  A point diverges at its first non-finite distance: its
+    trace ends there, the others run on, and the run stops early once every
+    point has diverged (checked as each block of states is reduced).
     """
     scheme = Scheme(scheme)
     if n_steps < 0:
@@ -336,22 +337,29 @@ def run_coupling_batch(
     xs = np.empty((rows, B, 2, d))
     vs = np.empty((rows, B, 2, d))
     distances = np.empty((B, n_steps + 1))
-    t = s = 0
+    s = 0
     xs[0] = x
     vs[0] = v
     diverged_at = [None] * B
 
-    def reduce(stop: int, count: int) -> None:
+    def reduce(stop: int, count: int) -> bool:
+        """Distances of steps stop - count .. stop - 1; whether every point has diverged."""
         for b, p in enumerate(points):
             xb, vb = xs[:count, b], vs[:count, b]
-            distances[b, stop - count : stop] = p.norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+            d = p.norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+            distances[b, stop - count : stop] = d
+            if diverged_at[b] is None:
+                bad = np.flatnonzero(~np.isfinite(d))
+                if bad.size:
+                    diverged_at[b] = stop - count + int(bad[0])
+        return None not in diverged_at
 
     # overflow on forced runs is an anticipated outcome, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, n_steps + 1):
             # s is the slot of step t - 1, and the row of step t's noise in its block
-            if s == rows - 1:
-                reduce(t, rows)
+            if s == rows - 1 and reduce(t, rows):
+                break
             if s == 0:
                 # the next block's noise: one draw of its rows per point and substream
                 n = min(rows, n_steps - t + 1)
@@ -366,22 +374,15 @@ def run_coupling_batch(
             s = t % rows
             xs[s] = x
             vs[s] = v
-            # x + v is finite unless x or v is not, or the sum overflows
-            if not np.isfinite(x + v).all():
-                finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(v).all(axis=(1, 2))
-                for b in np.flatnonzero(~finite):
-                    if diverged_at[b] is None:
-                        diverged_at[b] = t
-                if None not in diverged_at:
-                    break
-        reduce(t + 1, s + 1)
+        else:
+            reduce(n_steps + 1, s + 1)
     quadratic = isinstance(potential, QuadraticPotential)
     return [
         CouplingTrace(
             scheme=scheme,
             params=p.params,
             norm=p.norm,
-            distances=distances[b, : (t if div is None else div) + 1],
+            distances=distances[b, : (n_steps if div is None else div) + 1],
             seed=p.seed,
             quadratic=quadratic,
             diverged_at=div,

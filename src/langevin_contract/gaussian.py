@@ -1,11 +1,11 @@
 """Exact spectral analysis of the difference dynamics on Gaussian targets.
 
 Diagonal quadratic targets decouple into scalar modes of curvature lam, so
-the coupled difference process is governed by the 2x2 matrix of
-:func:`langevin_contract.certificates.transition_matrix_P` per mode.  This
-module computes mode eigenvalues (closed forms for the kinetic
-Euler-Maruyama and BAO schemes, direct eigensolves otherwise), monotone
-stability thresholds, the exact BAO mode rate, and grid scans.
+the coupled difference process is governed by one 2x2 mode matrix per
+mode (see :func:`mode_eigenvalues`).  This module computes mode
+eigenvalues (closed forms for the kinetic Euler-Maruyama and BAO schemes,
+direct eigensolves otherwise), monotone stability thresholds, the exact
+BAO mode rate, and grid scans.
 
 Two different decay notions are reported and never conflated: the spectral
 radius governs the asymptotic decay of the mode, while the certified rate
@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .certificates import CERTIFICATE_SCHEMES, bisect, bracket, step_matrix, transition_matrix_P
+from .certificates import bisect, bracket, step_matrix, transition_matrix_P
 from .integrators import KINETIC_SCHEMES, Scheme, StepParams
 
 
@@ -60,7 +58,11 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
     Closed forms (evaluated in the cancellation-free trace/det form):
       kinetic_em:  (2 - gamma h +/- h sqrt(gamma^2 - 4 lam)) / 2
       bao:         (1 + eta - h^2 lam +/- sqrt((1 + eta - h^2 lam)^2 - 4 eta)) / 2
-    Other schemes use the trace and determinant of the 2x2 mode matrix.
+    Other schemes use the trace and determinant of the 2x2 mode matrix:
+    :func:`~langevin_contract.certificates.step_matrix`, the step core's own
+    map, or for baoab and obabo their hand-written certificate block (same
+    spectrum as the full step), which keeps their stability thresholds on
+    their established rounding.
     """
     scheme = Scheme(scheme)
     if lam <= 0.0:
@@ -72,20 +74,11 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
         return _eig_pair(2.0 - g * h, 1.0 - g * h + h * h * lam)
     if scheme is Scheme.BAO:
         return _eig_pair(1.0 + params.eta - h * h * lam, params.eta)
-    P = transition_matrix_P_any(scheme, lam, params)
+    if scheme in (Scheme.BAOAB, Scheme.OBABO):
+        P = transition_matrix_P(scheme, lam, params)
+    else:
+        P = step_matrix(scheme, lam, params)
     return _eig_pair(P[0, 0] + P[1, 1], P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0])
-
-
-def transition_matrix_P_any(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
-    """Certificate-block matrix where one exists, full composition otherwise.
-
-    The certificate blocks of baoab/obabo are cyclic rearrangements of the
-    full compositions, so either choice has the same spectrum; first-order
-    permutations use their literal one-step maps.
-    """
-    if Scheme(scheme) in CERTIFICATE_SCHEMES:
-        return transition_matrix_P(scheme, lam, params)
-    return step_matrix(scheme, lam, params)
 
 
 def mode_report(scheme: Scheme, lam: float, params: StepParams) -> SpectralReport:

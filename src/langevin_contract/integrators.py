@@ -8,9 +8,8 @@ stochastic exponential Euler scheme (SES) with its correlated noise pair.
 
 Every splitting is one row of :data:`SPLITTING_WORDS`: its operator word, a
 sequence of (piece, fraction of h) applied left to right, so "BAO" kicks,
-drifts, then refreshes.  The step core, the noise count and the exact
-one-step matrix (:func:`langevin_contract.certificates.step_matrix`) are
-all derived from that row.  A piece of duration tau = fraction * h acts as
+drifts, then refreshes.  The step core and the noise count are derived
+from that row.  A piece of duration tau = fraction * h acts as
 
     B: v <- v - tau * grad U(x)
     A: x <- x + tau * v
@@ -20,6 +19,13 @@ and each O piece consumes the next standard-normal draw.  Step functions
 are pure: identical inputs give bit-identical outputs, and two states
 stepped with shared noise have a noise-independent difference (the basis
 of synchronous coupling).
+
+Every mode matrix of a scheme is read off the step core: :func:`_mode_map`
+runs it on Python floats on a 1-d mode U(x) = lam x^2 / 2, which gives the
+(P, N) of :func:`affine_mode_map` and the
+:func:`langevin_contract.certificates.step_matrix` that certificates and
+spectra use.  Only the conjugate certificate blocks of BAOAB and OBABO are
+written out by hand, in :func:`langevin_contract.certificates.transition_matrix_P`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,49 +293,51 @@ def _step_core(scheme, potential, x, v, coefs, xi, prev_noise=None, grad=None):
     return x + alpha * v - beta * grad + zeta, eta * v - alpha * grad + omega, None
 
 
-class _ScalarQuadratic(Potential):
-    """Internal 1-d quadratic mode U(x) = lam x^2 / 2 used for probing."""
+class _Mode(NamedTuple):
+    """The gradient of a 1-d mode U(x) = lam x^2 / 2 on Python floats."""
 
-    def __init__(self, lam: float):
-        super().__init__(1, lam, lam)
-        self.lam = float(lam)
+    lam: float
 
-    def value(self, x):
-        return 0.5 * self.lam * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+    def gradient(self, x: float) -> float:
+        return self.lam * x
 
-    def gradient(self, x):
-        return self.lam * np.asarray(x, dtype=float)
 
-    def hessian(self, x):
-        return np.array([[self.lam]])
+def _mode_map(
+    scheme: Scheme, lam: float, params: StepParams, noise: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(P, N) of the step core on a 1-d mode of curvature lam: z' = P z + N xi.
+
+    The core runs on Python floats, from the basis states (1, 0) and (0, 1)
+    at zero noise for the columns of P and, when ``noise``, from z = 0 with
+    one unit draw for each column of N (else N is None).  So every mode
+    matrix of a scheme is its step's own arithmetic, rounding included.
+    LM's previous draw is 0.0.
+    """
+    coefs = _coefficients(scheme, params)
+    mode = _Mode(float(lam))
+
+    # the default zero noise covers every scheme: none draws more than two
+    def image(x: float, v: float, xi=(0.0, 0.0)) -> tuple[float, float]:
+        return _step_core(scheme, mode, x, v, coefs, xi, 0.0)[:2]
+
+    (p00, p10), (p01, p11) = image(1.0, 0.0), image(0.0, 1.0)
+    P = np.array([[p00, p01], [p10, p11]])
+    if not noise:
+        return P, None
+    k = noise_requirements(scheme)
+    return P, np.array([image(0.0, 0.0, [float(j == i) for j in range(k)]) for i in range(k)]).T
 
 
 def affine_mode_map(scheme: Scheme, lam: float, params: StepParams) -> tuple[np.ndarray, np.ndarray]:
     """(P, N) of the exact one-step affine map z' = P z + N xi on a 1-d
-    quadratic mode of curvature lam.
+    quadratic mode of curvature lam, read off the step core.
 
-    Extracted by probing :func:`step` on basis states and unit noises, so
-    it is the integrator's own map by construction.  Not defined for LM
-    (carries cross-step noise state).
+    Not defined for LM (carries cross-step noise state).
     """
     scheme = Scheme(scheme)
     if scheme is Scheme.LM:
         raise IntegratorError("LM carries cached noise; no memoryless affine map")
-    pot = _ScalarQuadratic(lam)
-    k = noise_requirements(scheme)
-    zeros = np.zeros((k, 1))
-
-    def img(x0, v0, xi):
-        z = step(scheme, pot, PhaseState(np.array([x0]), np.array([v0])), params, xi)
-        return np.array([z.x[0], z.v[0]])
-
-    P = np.column_stack([img(1.0, 0.0, zeros), img(0.0, 1.0, zeros)])
-    cols = []
-    for j in range(k):
-        e = np.zeros((k, 1))
-        e[j, 0] = 1.0
-        cols.append(img(0.0, 0.0, e))
-    return P, np.column_stack(cols)
+    return _mode_map(scheme, lam, params, noise=True)
 
 
 def simulate_mode_chain(

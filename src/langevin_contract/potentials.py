@@ -132,11 +132,16 @@ class QuadraticPotential(Potential):
         return self._matrix
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_dim(x)
-        return 0.5 * np.sum(x * self.gradient(x), axis=-1)
+        return self._value(self._check_dim(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_dim(x)
+        return self._gradient(self._check_dim(x))
+
+    # _value and _gradient take an x already checked by _check_dim
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(x * self._gradient(x), axis=-1)
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
         if self._diag is not None:
             return self._diag * x
         return x @ self._matrix
@@ -170,11 +175,11 @@ class PerturbedQuadratic(Potential):
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self._check_dim(x)
-        return self._base.value(x) + self.eps * np.sum(np.cos(x), axis=-1)
+        return self._base._value(x) + self.eps * np.sum(np.cos(x), axis=-1)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check_dim(x)
-        return self._base.gradient(x) - self.eps * np.sin(x)
+        return self._base._gradient(x) - self.eps * np.sin(x)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check_dim(x)

@@ -114,10 +114,9 @@ def test_abc_polynomials_match_numeric_H(scheme):
             assert abs(val - entry) <= 1e-12 * scale
 
 
-def _einsum_min_eig_H_grid(scheme, lams, params, W, c):
+def _einsum_min_eig_H_grid(P0, P1, lams, W, c):
     # the former _min_eig_H_grid, kept as the reference for the
     # entry-by-entry version, which must reproduce it bit for bit
-    P0, P1 = _affine_P(scheme, params)
     Pg = P0[np.newaxis] + lams[:, np.newaxis, np.newaxis] * P1[np.newaxis]
     Hg = (1.0 - c) * W[np.newaxis] - np.einsum("nki,kl,nlj->nij", Pg, W, Pg)
     tr = Hg[:, 0, 0] + Hg[:, 1, 1]
@@ -136,8 +135,9 @@ def test_min_eig_H_grid_matches_einsum_reference(scheme):
                     r = certified_rate(scheme, m, M, gamma, h)
                     W = np.array([[1.0, r.b], [r.b, r.a]])
                     lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
-                    got = _min_eig_H_grid(scheme, lams, params, W, r.c)
-                    want = _einsum_min_eig_H_grid(scheme, lams, params, W, r.c)
+                    P0, P1 = _affine_P(scheme, params)
+                    got = _min_eig_H_grid(P0, P1, lams, W, r.c)
+                    want = _einsum_min_eig_H_grid(P0, P1, lams, W, r.c)
                     assert np.array_equal(got, want), (m, M, gamma, h)
                     for k in (0, len(lams) // 2, len(lams) - 1):
                         P = transition_matrix_P(scheme, lams[k], params)
@@ -307,6 +307,12 @@ def test_bisect_tol_below_float_spacing_terminates():
 def test_step_matrix_overdamped():
     P = step_matrix(Scheme.OVERDAMPED_EM, 2.0, StepParams(0.1, 1.0))
     assert np.allclose(P, [[0.8, 0.0], [0.0, 1.0]])
+    # exactly the position factor 1 - h lam with the velocity passing
+    # through; LM's previous draw enters only its noise
+    for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
+        for h, lam in ((0.1, 2.0), (0.37, 5.3), (1e-6, 1e3)):
+            P = step_matrix(scheme, lam, StepParams(h, 1.0))
+            assert np.array_equal(P, [[1.0 - h * lam, 0.0], [0.0, 1.0]])
 
 
 def test_composition_bound_values():

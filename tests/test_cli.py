@@ -76,10 +76,11 @@ def test_couple_zero_steps(tmp_path):
 
 def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     # a forced grid with admissible points, an inadmissible point that stays
-    # finite (empty bound column) and diverging points whose distances reach
-    # inf and nan; each trace file equals the csv.writer + _fmt rendering of
+    # finite (empty bound column) and diverging points whose traces end at
+    # an inf or (baoab at h = 1.5, in the cross-term-free norm) a nan
+    # distance; each trace file equals the csv.writer + _fmt rendering of
     # the point's one-point run, with its bound taken per int k
-    cfg = couple_config(tmp_path / "out", n_steps=500, schemes=("lm", "kinetic_em"))
+    cfg = couple_config(tmp_path / "out", n_steps=500, schemes=("lm", "kinetic_em", "baoab"))
     cfg["params"].update(h=[0.05, 0.2, 1.5], seeds=[0, 3])
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg), "--force"]) == 0
     runs = json.loads((tmp_path / "out" / "couple_summary.json").read_text())["runs"]

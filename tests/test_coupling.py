@@ -14,6 +14,7 @@ from langevin_contract.coupling import (
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
+    positive_prefix,
     run_coupling_batch,
     run_synchronous_coupling,
     verify_trace_bound,
@@ -275,6 +276,23 @@ def test_inadmissible_requires_force():
     assert tr.diverged and tr.diverged_at is not None
 
 
+def test_divergence_marked_at_first_non_finite_distance():
+    # kinetic_em far above its stepsize bound overflows the squared distance
+    # (k = 113) long before a state (k = 224); baoab in a cross-term-free
+    # norm gets nan distances from 0 * inf while its states stay finite
+    iso = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
+    runs = [
+        (Scheme.KINETIC_EM, iso, StepParams(0.25, 100.0), 600, None, 113),
+        (Scheme.BAOAB, ANISO, StepParams(1.5, 4.0), 400, WeightedNorm(0.25, 0.0), 283),
+    ]
+    for scheme, pot, params, n, norm, first_bad in runs:
+        tr = run_synchronous_coupling(scheme, pot, Z0, Z1, params, n, seed=0, force=True, norm=norm)
+        assert tr.diverged_at == first_bad
+        assert len(tr.distances) == first_bad + 1
+        assert np.isfinite(tr.distances[:first_bad]).all() and not np.isfinite(tr.distances[first_bad])
+        assert len(positive_prefix(tr).distances) == first_bad
+
+
 def test_verify_trace_bound_violation_injection():
     rate = certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 0.1)
     tr = run_synchronous_coupling(
@@ -334,7 +352,8 @@ def test_trace_csv_export(tmp_path):
 
 def _reference_coupling(scheme, pot, z0, z1, params, n_steps, seed, norm):
     """The runner written as one pre-drawn (n, k, d) noise buffer, stepped
-    row by row, with a single distance reduction at the end."""
+    row by row, with a single distance reduction at the end and the trace
+    cut at its first non-finite distance."""
     d = pot.dim
     streams = CounterStreams(seed)
     k = noise_requirements(scheme)
@@ -342,7 +361,6 @@ def _reference_coupling(scheme, pot, z0, z1, params, n_steps, seed, norm):
     prev = streams.normals(k, 1, d)[0] if scheme is Scheme.LM else None
     x, v = np.stack([z0.x, z1.x]), np.stack([z0.v, z1.v])
     xbar, vbar = [x[0] - x[1]], [v[0] - v[1]]
-    diverged_at = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             x, v = _step_arrays(scheme, pot, x, v, params, noise[i], prev)
@@ -350,10 +368,11 @@ def _reference_coupling(scheme, pot, z0, z1, params, n_steps, seed, norm):
                 prev = noise[i, 0]
             xbar.append(x[0] - x[1])
             vbar.append(v[0] - v[1])
-            if not (np.isfinite(x).all() and np.isfinite(v).all()):
-                diverged_at = i + 1
-                break
-        return norm.squared(np.array(xbar), np.array(vbar)), diverged_at
+        d = norm.squared(np.array(xbar), np.array(vbar))
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        return d[: bad[0] + 1], int(bad[0])
+    return d, None
 
 
 HIGHD = 2048

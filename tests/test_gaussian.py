@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from langevin_contract.certificates import step_matrix
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.gaussian import (
     SpectralError,
@@ -75,13 +76,11 @@ def test_closed_forms_match_eigensolve(scheme):
     # 1e-12 outright.
     rng = np.random.default_rng(0)
     eps = np.finfo(float).eps
-    from langevin_contract.gaussian import transition_matrix_P_any
-
     for _ in range(5000):
         lam = 10 ** rng.uniform(-1, 1)
         params = StepParams(10 ** rng.uniform(-3, -0.3), 10 ** rng.uniform(-0.5, 1.5))
         got = sorted(mode_eigenvalues(scheme, lam, params), key=lambda z: (z.real, z.imag))
-        P = transition_matrix_P_any(scheme, lam, params)
+        P = step_matrix(scheme, lam, params)
         want = sorted(np.linalg.eigvals(P), key=lambda z: (z.real, z.imag))
         tr, det = P[0, 0] + P[1, 1], P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
         scale = max(1.0, abs(tr))

@@ -199,12 +199,74 @@ def test_difference_process_matches_step_matrix(scheme):
     assert np.abs(got - want).max() <= 1e-12
 
 
-def test_certificate_block_matches_composition_for_plain_schemes():
-    p = StepParams(0.11, 3.0)
-    for scheme in (Scheme.KINETIC_EM, Scheme.BAO, Scheme.OAB, Scheme.SES):
-        assert np.allclose(
-            transition_matrix_P(scheme, 1.7, p), step_matrix(scheme, 1.7, p), atol=1e-14
-        )
+# references for the mode matrices read off the step core, typed
+# independently of it: the paper's hand blocks of the single-kick schemes
+# and the product of the 2x2 piece matrices of a splitting's word
+
+
+def _hand_block(scheme, lam, p):
+    h, g, eta = p.h, p.gamma, p.eta
+    if scheme is Scheme.KINETIC_EM:
+        return np.array([[1.0, h], [-h * lam, 1.0 - g * h]])
+    if scheme is Scheme.BAO:
+        return np.array([[1.0 - h * h * lam, h], [-h * eta * lam, eta]])
+    if scheme is Scheme.OAB:
+        return np.array([[1.0, h * eta], [-h * lam, eta - h * h * eta * lam]])
+    assert scheme is Scheme.SES
+    al = -math.expm1(-g * h) / g
+    be = (g * h + math.expm1(-g * h)) / g**2
+    return np.array([[1.0 - be * lam, al], [-al * lam, eta]])
+
+
+def _word_composition(scheme, lam, p):
+    out = np.eye(2)
+    for piece, frac in SPLITTING_WORDS[scheme]:
+        tau = frac * p.h
+        if piece == "B":
+            op = np.array([[1.0, 0.0], [-tau * lam, 1.0]])
+        elif piece == "A":
+            op = np.array([[1.0, tau], [0.0, 1.0]])
+        else:
+            op = np.array([[1.0, 0.0], [0.0, math.exp(-p.gamma * tau)]])
+        out = op @ out  # operators apply left to right
+    return out
+
+
+def _mode_draws(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        lam = 10 ** rng.uniform(-2, 3)
+        yield lam, StepParams(10 ** rng.uniform(-4, 0.5), 10 ** rng.uniform(-1, 4))
+
+
+def _assert_close_to_reference(got, want):
+    # rtol 1e-13, with a floor at 1e-13 of the largest entry for the entries
+    # that cancel (1 - h^2 lam near h^2 lam = 1)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("scheme", list(SPLITTING_WORDS), ids=lambda s: s.value)
+def test_step_matrix_matches_word_composition(scheme):
+    for lam, p in _mode_draws(5):
+        want = _word_composition(scheme, lam, p)
+        _assert_close_to_reference(step_matrix(scheme, lam, p), want)
+        _assert_close_to_reference(affine_mode_map(scheme, lam, p)[0], want)
+
+
+@pytest.mark.parametrize(
+    "scheme", [Scheme.KINETIC_EM, Scheme.BAO, Scheme.OAB, Scheme.SES], ids=lambda s: s.value
+)
+def test_mode_matrices_match_hand_blocks(scheme):
+    # kinetic_em and ses round exactly as their hand blocks; the bao and oab
+    # blocks multiply h * h first where the step kicks, then drifts
+    for lam, p in _mode_draws(6):
+        want = _hand_block(scheme, lam, p)
+        P, _ = affine_mode_map(scheme, lam, p)
+        for got in (transition_matrix_P(scheme, lam, p), step_matrix(scheme, lam, p), P):
+            if scheme in (Scheme.KINETIC_EM, Scheme.SES):
+                assert np.array_equal(got, want), (lam, p)
+            else:
+                _assert_close_to_reference(got, want)
 
 
 def test_certificate_block_shares_spectrum_with_composition():
@@ -270,13 +332,6 @@ def test_simulate_mode_chain_matches_stepping():
         for i in range(n):
             z = step(scheme, pot, z, p, noise[i][:, None])
             assert xs[i + 1] == pytest.approx(z.x[0], abs=1e-12)
-
-
-def test_affine_mode_map_matches_transition_matrix():
-    p = StepParams(0.07, 3.0)
-    for scheme in (Scheme.KINETIC_EM, Scheme.BAO, Scheme.OAB, Scheme.SES):
-        P, _ = affine_mode_map(scheme, 2.2, p)
-        assert np.allclose(P, transition_matrix_P(scheme, 2.2, p), atol=1e-13)
 
 
 def test_stationary_variance_short_run():

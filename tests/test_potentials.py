@@ -3,6 +3,7 @@ import pytest
 
 from langevin_contract.potentials import (
     PerturbedQuadratic,
+    Potential,
     PotentialError,
     QuadraticPotential,
     make_potential,
@@ -61,9 +62,24 @@ def test_gradient_batched_evaluation():
 
 
 def test_dimension_mismatch_rejected():
-    p = QuadraticPotential.diagonal([1.0, 2.0])
-    with pytest.raises(PotentialError):
-        p.gradient(np.zeros(3))
+    diag = QuadraticPotential.diagonal([1.0, 2.0])
+    dense = QuadraticPotential(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for p in (diag, dense, PerturbedQuadratic(diag, 0.5), PerturbedQuadratic(dense, 0.5)):
+        for x in (np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(PotentialError):
+                p.gradient(x)
+            with pytest.raises(PotentialError):
+                p.value(x)
+
+
+def test_perturbed_target_checks_its_input_once(monkeypatch):
+    calls = []
+    check = Potential._check_dim
+    monkeypatch.setattr(Potential, "_check_dim", lambda self, x: calls.append(x) or check(self, x))
+    p = PerturbedQuadratic(QuadraticPotential.diagonal([1.0, 2.0]), 0.5)
+    p.gradient(np.zeros((3, 2)))
+    p.value(np.zeros(2))
+    assert len(calls) == 2
 
 
 def test_constructor_validation():
