@@ -8,7 +8,7 @@ Library layout:
 - ``coupling``:     synchronously coupled pairs, certified rates, traces
 - ``certificates``: positive-definiteness contraction certificates
 - ``gaussian``:     exact mode spectra, stability thresholds, scans
-- ``glc``:          high-friction limit maps and rate-collapse sweeps
+- ``glc``:          high-friction limits (the step at gamma = inf) and rate-collapse sweeps
 - ``cli``:          the ``langevin-contract`` batch experiment driver
 """
 

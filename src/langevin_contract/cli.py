@@ -134,6 +134,18 @@ def _number(x, what: str) -> float:
     return val
 
 
+def _numbers(raw, what: str) -> None:
+    """Hold every entry of ``raw``, a number or nested lists of them, to :func:`_number`'s rule."""
+    for x in raw if isinstance(raw, list) else [raw]:
+        if isinstance(x, list):
+            _numbers(x, what)
+            continue
+        try:
+            _number(x, "entry")
+        except ConfigError as e:
+            raise ConfigError(f"{what} must be an array of numbers: {e}") from None
+
+
 def _positive(x, what: str) -> float:
     val = _number(x, what)
     if val <= 0.0:
@@ -157,8 +169,14 @@ def _potential(cfg: dict):
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'potential' mapping")
     try:
+        for key in ("m", "M", "eps"):
+            if key in spec:
+                _number(spec[key], f"'{key}'")
+        for key in ("diag", "matrix"):
+            if key in spec:
+                _numbers(spec[key], f"'{key}'")
         return make_potential(spec)
-    except (TypeError, ValueError) as e:  # PotentialError is a ValueError
+    except (TypeError, ValueError) as e:  # ConfigError and PotentialError are ValueErrors
         raise ConfigError(f"potential: {e}")
 
 
@@ -203,6 +221,7 @@ def _phase_state(block, key: str, dim: int) -> PhaseState:
     raw = block.get(key)
     if raw is None:
         raise ConfigError(f"config needs 'coupling.{key}'")
+    _numbers(raw, f"'coupling.{key}'")
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):

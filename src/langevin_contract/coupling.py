@@ -54,18 +54,17 @@ class InadmissibleParameters(CouplingError):
 class CounterStreams:
     """Counter-based standard-normal streams (Philox 4x64).
 
-    Stream identity is (seed, pair_id, substream); within a stream, row k
-    is the draw for step k.  Generation is vectorized per stream, and the
-    same (seed, pair_id) always reproduces the same numbers.  The coupling
-    runner keeps one :meth:`generator` per substream and draws blocks of
-    rows from it, byte-identical to a single :meth:`normals` draw.
+    Stream identity is (seed, substream); within a stream, row k is the
+    draw for step k.  Generation is vectorized per stream, and the same
+    seed always reproduces the same numbers.  The coupling runner keeps one
+    :meth:`generator` per substream and draws blocks of rows from it,
+    byte-identical to a single :meth:`normals` draw.
     """
 
-    def __init__(self, seed: int, pair_id: int = 0):
-        if seed < 0 or pair_id < 0:
-            raise CouplingError("seed and pair_id must be non-negative")
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise CouplingError(f"seed must be non-negative, got {seed}")
         self.seed = int(seed)
-        self.pair_id = int(pair_id)
 
     def generator(self, substream: int) -> np.random.Generator:
         """A fresh generator at step 0 of one substream.
@@ -75,7 +74,7 @@ class CounterStreams:
         """
         bg = np.random.Philox(
             counter=[0, 0, 0, int(substream)],
-            key=[np.uint64(self.seed), np.uint64(self.pair_id)],
+            key=[np.uint64(self.seed), np.uint64(0)],
         )
         return np.random.Generator(bg)
 
@@ -272,7 +271,6 @@ def run_synchronous_coupling(
     n_steps: int,
     seed: int,
     force: bool = False,
-    pair_id: int = 0,
     norm: WeightedNorm | None = None,
 ) -> CouplingTrace:
     """Run two chains on common noise and record the distance trace.
@@ -291,7 +289,7 @@ def run_synchronous_coupling(
     if norm is None:
         norm = rate.norm  # raises if b^2 >= a at forced parameters
     point = CouplingPoint(params, seed, norm, rate)
-    return run_coupling_batch(scheme, potential, z0, z0_tilde, [point], n_steps, pair_id)[0]
+    return run_coupling_batch(scheme, potential, z0, z0_tilde, [point], n_steps)[0]
 
 
 def run_coupling_batch(
@@ -301,13 +299,12 @@ def run_coupling_batch(
     z0_tilde: PhaseState,
     points: list[CouplingPoint],
     n_steps: int,
-    pair_id: int = 0,
 ) -> list[CouplingTrace]:
     """One coupled pair per point, all stepped together; their traces in order.
 
     The chains carry a leading batch axis, (B, 2, d), so each step is one
     call of the step core for the whole batch.  Each point keeps its own
-    noise streams ``CounterStreams(seed, pair_id)``, LM primer, norm and
+    noise streams ``CounterStreams(seed)``, LM primer, norm and
     divergence step, so its trace equals its run alone.  Admissibility is
     the caller's.  A point diverges at its first non-finite distance: its
     trace ends there, the others run on, and the run stops early once every
@@ -322,7 +319,7 @@ def run_coupling_batch(
     B = len(points)
     rows = max(1, min(n_steps + 1, _BLOCK_BYTES // (8 * d * B)))
     k = noise_requirements(scheme)
-    streams = [CounterStreams(p.seed, pair_id) for p in points]
+    streams = [CounterStreams(p.seed) for p in points]
     gens = [[st.generator(j) for j in range(k)] for st in streams]
     prev = np.stack([st.normals(k, 1, d) for st in streams]) if scheme is Scheme.LM else None
     # each point's step constants, as (B, 1, 1) columns broadcast over its two

@@ -1,28 +1,33 @@
-"""High-friction (gamma -> infinity) limit maps and GLC classification.
+"""High-friction (gamma -> infinity) limits and GLC classification.
 
-Each kinetic scheme has a pointwise limit of its position update as the
-friction grows.  A scheme is gamma-limit convergent (GLC) when that limit
-is a consistent overdamped discretization with no potential rescaling and
-a friction-independent stepsize restriction; of the schemes here only
-baoab and obabo qualify:
+A kinetic scheme's high-friction limit is its own step at gamma = inf.  A
+splitting's constants depend on gamma only through eta = exp(-gamma tau),
+so its limit is the same step core at eta = 0, sqrt(1 - eta^2) = 1: each O
+piece sets v to its draw.  SES's constants take their limits too (see
+:func:`langevin_contract.integrators._coefficients`).  The limit exists
+when every step constant is finite there; kinetic_em's gamma h and
+sqrt(2 gamma h) are not, so it has none.
 
-    bao:    x - h^2 grad U(x) + h xi_k        (previous step's O-noise;
-            an overdamped EM step for a rescaled potential -- not GLC)
-    oab:    x + h xi                          (gradient drops out -- not GLC)
-    baoab:  x - h^2/2 grad U(x) + h/2 (xi_k + xi_{k+1})
+A scheme is gamma-limit convergent (GLC) when its limit is a consistent
+overdamped discretization with no potential rescaling and a
+friction-independent stepsize restriction.  Stepping the limit moves the
+position as follows (xi_k is step k's draw):
+
+    bao:    x - h^2 grad U(x) + h xi_{k-1}   (an overdamped EM step for a
+            rescaled potential -- not GLC)
+    oab:    x + h xi_k                       (gradient drops out -- not GLC)
+    baoab:  x - h^2/2 grad U(x) + h/2 (xi_{k-1} + xi_k)
             == averaged-noise overdamped EM (LM) at stepsize h^2/2 -- GLC
-    obabo:  x - h^2/2 grad U(x) + h xi        == overdamped EM at h^2/2 -- GLC
-    ses:    x                                 (frozen -- not GLC)
+    obabo:  x - h^2/2 grad U(x) + h xi_k     == overdamped EM at h^2/2 -- GLC
+    ses:    x                                (frozen -- not GLC)
 
-kinetic_em has no finite limit map (the velocity update diverges for any
-fixed h), and the remaining first-order permutations are reported as
-underived.
+:func:`classify_glc` holds this table and kinetic_em's entry; abo, boa, oba
+and aob have limits but are not classified.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,101 +40,63 @@ from .coupling import (
     positive_prefix,
     run_synchronous_coupling,
 )
-from .integrators import IntegratorError, PhaseState, Scheme, StepParams, noise_requirements, step
-from .potentials import Potential
+from .integrators import (
+    OVERDAMPED_SCHEMES,
+    IntegratorError,
+    PhaseState,
+    Scheme,
+    StepParams,
+    _coefficients,
+    noise_requirements,
+    step,
+)
+from .potentials import Potential, QuadraticPotential
 
 
 class LimitError(ValueError):
-    """Scheme has no derived high-friction limit."""
+    """Scheme has no high-friction limit, or no GLC classification."""
 
 
-@dataclass(frozen=True)
-class _LimitMap:
-    """High-friction limit of one scheme's position update.
-
-    ``step(p, x, h, xi)`` is the limit position update, consuming
-    ``noise_count`` standard-normal d-vectors stacked in ``xi``;
-    ``matched_noise(p, x, v, h, raw)`` maps one full step's raw draws (and
-    the incoming velocity) onto those limit-step draws.  ``step`` is None
-    when the scheme has no finite limit map.
-    """
-
-    glc: bool
-    noise_count: int = 0
-    step: Callable | None = None
-    matched_noise: Callable | None = None
-
-
-# In the limit the velocity equals the previous refresh draw, so bao's
-# lagged noise is v itself and baoab's pair is (v + h/2 grad U(x), xi).
-_LIMIT_MAPS = {
-    Scheme.BAO: _LimitMap(
-        glc=False,
-        noise_count=1,
-        step=lambda p, x, h, xi: x - h * h * p.gradient(x) + h * xi[0],
-        matched_noise=lambda p, x, v, h, raw: v[np.newaxis],
-    ),
-    Scheme.OAB: _LimitMap(
-        glc=False,
-        noise_count=1,
-        step=lambda p, x, h, xi: x + h * xi[0],
-        matched_noise=lambda p, x, v, h, raw: raw[:1],
-    ),
-    Scheme.BAOAB: _LimitMap(
-        glc=True,
-        noise_count=2,
-        step=lambda p, x, h, xi: x - 0.5 * h * h * p.gradient(x) + 0.5 * h * (xi[0] + xi[1]),
-        matched_noise=lambda p, x, v, h, raw: np.stack([v + 0.5 * h * p.gradient(x), raw[0]]),
-    ),
-    Scheme.OBABO: _LimitMap(
-        glc=True,
-        noise_count=1,
-        step=lambda p, x, h, xi: x - 0.5 * h * h * p.gradient(x) + h * xi[0],
-        matched_noise=lambda p, x, v, h, raw: raw[:1],
-    ),
-    Scheme.SES: _LimitMap(
-        glc=False,
-        noise_count=0,
-        step=lambda p, x, h, xi: x.copy(),
-        matched_noise=lambda p, x, v, h, raw: None,
-    ),
-    Scheme.KINETIC_EM: _LimitMap(glc=False),
+#: whether each classified scheme's high-friction limit is GLC (module docstring)
+_GLC = {
+    Scheme.BAO: False,
+    Scheme.OAB: False,
+    Scheme.BAOAB: True,
+    Scheme.OBABO: True,
+    Scheme.SES: False,
+    Scheme.KINETIC_EM: False,
 }
-
-#: standard-normal d-vectors consumed by one limit step
-LIMIT_NOISE_COUNTS = {s: r.noise_count for s, r in _LIMIT_MAPS.items() if r.step is not None}
 
 
 def classify_glc(scheme: Scheme) -> bool:
     """True iff the high-friction limit is a faithful overdamped scheme."""
     scheme = Scheme(scheme)
-    if scheme in _LIMIT_MAPS:
-        return _LIMIT_MAPS[scheme].glc
-    raise LimitError(f"high-friction limit of {scheme.value} not derived")
+    if scheme in _GLC:
+        return _GLC[scheme]
+    raise LimitError(f"high-friction limit of {scheme.value} not classified")
 
 
-def _limit_map(scheme: Scheme) -> _LimitMap:
-    rec = _LIMIT_MAPS.get(scheme)
-    if rec is None:
-        raise LimitError(f"high-friction limit of {scheme.value} not derived")
-    if rec.step is None:
-        raise LimitError(f"{scheme.value} has no finite limit map (unstable for fixed h)")
-    return rec
+def _limit_params(scheme: Scheme, h: float) -> StepParams:
+    """StepParams(h, inf), where a kinetic scheme's step is its high-friction
+    limit; raises LimitError, before any step is taken, if there is none."""
+    params = StepParams(h, math.inf)
+    if scheme in OVERDAMPED_SCHEMES:
+        raise LimitError(f"{scheme.value} is overdamped: it has no friction to take to infinity")
+    if not all(math.isfinite(c) for c in _coefficients(scheme, params)):
+        raise LimitError(f"{scheme.value} has no high-friction limit: its step constants diverge")
+    return params
 
 
-def limit_step(scheme: Scheme, p: Potential, x: np.ndarray, h: float, noise) -> np.ndarray:
-    """One step of the scheme's high-friction position update.
+def limit_step(scheme: Scheme, p: Potential, state: PhaseState, h: float, noise) -> PhaseState:
+    """One step of the scheme's high-friction limit: its :func:`step` at gamma = inf.
 
-    ``noise`` stacks LIMIT_NOISE_COUNTS[scheme] standard-normal d-vectors:
-    for baoab the pair (previous, current); for bao the previous step's
-    draw; for oab/obabo the current draw; ses takes none.  kinetic_em
-    raises (no finite limit map).
+    Every O piece there has eta = 0, so it sets v to its draw.  ``noise``
+    holds the scheme's own ``noise_requirements(scheme)`` draws; bao's
+    "previous draw" (module docstring) is just the incoming v.  kinetic_em
+    and the overdamped schemes raise LimitError.
     """
-    rec = _limit_map(Scheme(scheme))
-    x = np.asarray(x, dtype=float)
-    need = rec.noise_count
-    xi = np.asarray(noise, dtype=float).reshape(need, *x.shape) if need else None
-    return rec.step(p, x, h, xi)
+    scheme = Scheme(scheme)
+    return step(scheme, p, state, _limit_params(scheme, h), noise)
 
 
 def glc_deviation(
@@ -141,23 +108,18 @@ def glc_deviation(
     gamma: float,
     seed: int,
 ) -> float:
-    """Position gap between one full step and one matched limit step.
+    """Position gap between one step at gamma and one limit step.
 
-    Both consume the same underlying draws (mapped per scheme); the gap
-    vanishes as gamma grows since the limit map is the pointwise limit of
-    the position update.
+    Both start from (x, v) and consume the same draws, so the gap vanishes
+    as gamma grows, the step's constants tending to the limit's.
     """
     scheme = Scheme(scheme)
-    rec = _limit_map(scheme)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    params = StepParams(h, gamma)
+    state = PhaseState(x, v)
     streams = CounterStreams(seed)
-    d = x.shape[-1]
-    raw = np.stack([streams.normals(j, 1, d)[0] for j in range(noise_requirements(scheme))])
-    full = step(scheme, p, PhaseState(x, v), params, raw)
-    limited = limit_step(scheme, p, x, h, rec.matched_noise(p, x, v, h, raw))
-    return float(np.linalg.norm(full.x - limited))
+    xi = np.stack([streams.normals(j, 1, state.dim)[0] for j in range(noise_requirements(scheme))])
+    limited = limit_step(scheme, p, state, h, xi)
+    full = step(scheme, p, state, StepParams(h, gamma), xi)
+    return float(np.linalg.norm(full.x - limited.x))
 
 
 DEFAULT_GAMMA_GRID = (1e1, 1e2, 1e3, 1e4, 1e6, 1e8)
@@ -175,7 +137,7 @@ class CollapseRow:
     c_theoretical: float
     c_empirical: float
     admissible: bool
-    deviation: float  # nan when the scheme has no limit map
+    deviation: float  # nan when the scheme has no high-friction limit
 
 
 def rate_collapse_scan(
@@ -195,8 +157,6 @@ def rate_collapse_scan(
     diag(m, M); inadmissible entries are flagged and fitted anyway (forced
     run) so the collapse is visible.
     """
-    from .potentials import QuadraticPotential
-
     scheme = Scheme(scheme)
     pot = QuadraticPotential.diagonal([m, M])
     rows = []
@@ -215,11 +175,11 @@ def rate_collapse_scan(
             c_hat = empirical_rate(positive_prefix(trace))
         except (IntegratorError, ValueError):
             c_hat = math.nan
-        if scheme in LIMIT_NOISE_COUNTS:
-            dev = glc_deviation(
-                scheme, pot, np.array([-1.0, -1.0]), np.zeros(2), h_used, gamma, seed
-            )
-        else:
+        try:
+            _limit_params(scheme, h_used)
+        except LimitError:
             dev = math.nan
+        else:
+            dev = glc_deviation(scheme, pot, z0.x, z0.v, h_used, gamma, seed)
         rows.append(CollapseRow(scheme, gamma, h_used, rate.c, c_hat, rate.admissible, dev))
     return rows

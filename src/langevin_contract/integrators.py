@@ -224,7 +224,9 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
     """The per-step constants of one (h, gamma) point, in the order the core reads them.
 
     Scalar ``math`` calls, so a batch of points stacked into (B, 1, 1)
-    columns steps bit-identically to each point alone.
+    columns steps bit-identically to each point alone.  At gamma = inf every
+    eta is 0: the constants of the high-friction limit (kinetic_em's are
+    infinite there).
     """
     h, g = params.h, params.gamma
     word = SPLITTING_WORDS.get(scheme)
@@ -243,6 +245,8 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
     if scheme is Scheme.KINETIC_EM:
         return h, g * h, math.sqrt(2.0 * g * h)
     if scheme is Scheme.SES:
+        if math.isinf(g):  # the formulas below give 0/0; these are their limits
+            return 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
         alpha = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
         beta = (g * h + math.expm1(-g * h)) / g**2  # (gamma h + eta - 1)/gamma^2
         return (alpha, beta, params.eta, *_ses_cholesky(params))

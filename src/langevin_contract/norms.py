@@ -81,15 +81,19 @@ def wasserstein_decay_factor(C: float, a: float, c: float, n_steps: int) -> floa
     return 3.0 * C * max(a, 1.0 / a) * (1.0 - c) ** n_steps
 
 
-def _sqrtm_psd(S: np.ndarray, tol: float) -> np.ndarray:
+# an eigenvalue below -_PSD_TOL * max(1, |largest|) is negative, not roundoff
+_PSD_TOL = 1e-10
+
+
+def _sqrtm_psd(S: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition."""
     w, V = np.linalg.eigh(S)
-    if w.min() < -tol * max(1.0, abs(w).max()):
+    if w.min() < -_PSD_TOL * max(1.0, abs(w).max()):
         raise NormError(f"covariance is not positive semidefinite, min eig {w.min()}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def gaussian_w2(mean1, cov1, mean2, cov2, tol: float = 1e-10) -> float:
+def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
     """2-Wasserstein distance between two Gaussians (Bures closed form).
 
     W2^2 = |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}).
@@ -98,8 +102,8 @@ def gaussian_w2(mean1, cov1, mean2, cov2, tol: float = 1e-10) -> float:
     mu2 = np.atleast_1d(np.asarray(mean2, dtype=float))
     S1 = np.atleast_2d(np.asarray(cov1, dtype=float))
     S2 = np.atleast_2d(np.asarray(cov2, dtype=float))
-    root2 = _sqrtm_psd(S2, tol)
-    cross = _sqrtm_psd(root2 @ S1 @ root2, tol)
+    root2 = _sqrtm_psd(S2)
+    cross = _sqrtm_psd(root2 @ S1 @ root2)
     sq = np.sum((mu1 - mu2) ** 2) + np.trace(S1) + np.trace(S2) - 2.0 * np.trace(cross)
     # the exact value is >= 0; clamp roundoff
     return float(np.sqrt(max(sq, 0.0)))

@@ -193,7 +193,7 @@ class PerturbedQuadratic(Potential):
 _GL_NODES = 16
 
 
-def mean_value_hessian(p: Potential, x: np.ndarray, y: np.ndarray, order: int = _GL_NODES) -> np.ndarray:
+def mean_value_hessian(p: Potential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Average Hessian Q = int_0^1 hess U(x + t(y - x)) dt along the segment.
 
     Satisfies Q (y - x) = grad U(y) - grad U(x) with spectrum in [m, M].
@@ -208,7 +208,7 @@ def mean_value_hessian(p: Potential, x: np.ndarray, y: np.ndarray, order: int = 
         return p.matrix.copy()
     if not p.has_hessian:
         raise PotentialError(f"{type(p).__name__} exposes no Hessian oracle")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     ts = 0.5 * (nodes + 1.0)  # map [-1, 1] -> [0, 1]
     Q = np.zeros((p.dim, p.dim))
     for t, w in zip(ts, weights):

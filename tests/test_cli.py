@@ -160,6 +160,15 @@ MALFORMED = {
     "seed_boolean": _replace("params", seeds=[True]),
     "z0_not_numeric": _replace("coupling", z0=[["x", 1.0], [0.0, 0.0]]),
     "potential_m_not_a_number": _replace("potential", m="x"),
+    # numbers written as strings or booleans: float() would take them
+    "h_string": _replace("params", h="0.05"),
+    "potential_m_M_strings": _replace("potential", m="1", M="4"),
+    "potential_m_boolean": _replace("potential", m=True),
+    "potential_eps_string": _replace("potential", name="perturbed_quadratic", eps="0.1"),
+    "potential_diag_string": _replace("potential", diag=["1", 4.0]),
+    "potential_matrix_boolean": _replace("potential", matrix=[[True, 0.0], [0.0, 4.0]]),
+    "z0_strings": _replace("coupling", z0=[["-1", "-1"], [0, 0]]),
+    "z0_tilde_boolean": _replace("coupling", z0_tilde=[[True, 1.0], [0.0, 0.0]]),
     "output_dir_not_a_string": _replace("output", dir=1),
 }
 

@@ -1,53 +1,107 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from langevin_contract.coupling import CounterStreams, certified_stepsize_threshold
 from langevin_contract.glc import (
-    LIMIT_NOISE_COUNTS,
     LimitError,
     classify_glc,
     glc_deviation,
     limit_step,
     rate_collapse_scan,
 )
-from langevin_contract.integrators import PhaseState, Scheme, StepParams, step
+from langevin_contract.integrators import (
+    IntegratorError,
+    PhaseState,
+    Scheme,
+    StepParams,
+    _coefficients,
+    _mode_map,
+    noise_requirements,
+    step,
+)
 from langevin_contract.potentials import PerturbedQuadratic, QuadraticPotential
 
 POT = PerturbedQuadratic(np.diag([2.0, 3.0]), 0.5)
+FIRST_ORDER_PERMUTATIONS = (Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
 
 
 def test_limit_step_ses_is_identity():
-    x = np.array([0.3, -0.8])
-    assert np.array_equal(limit_step(Scheme.SES, POT, x, 0.1, np.zeros((0, 2))), x)
+    z = PhaseState(np.array([0.3, -0.8]), np.array([1.1, 0.4]))
+    xi = np.array([[0.5, 1.5], [-0.7, 0.2]])
+    got = limit_step(Scheme.SES, POT, z, 0.1, xi)
+    assert np.array_equal(got.x, z.x)
+    assert np.array_equal(got.v, xi[1])  # the velocity is a fresh draw
 
 
 def test_limit_step_oab_ignores_gradient():
-    x = np.array([0.3, -0.8])
+    z = PhaseState(np.array([0.3, -0.8]), np.array([1.1, 0.4]))
     xi = np.array([[0.5, 1.5]])
     other = QuadraticPotential.diagonal([7.0, 11.0])
-    a = limit_step(Scheme.OAB, POT, x, 0.1, xi)
-    b = limit_step(Scheme.OAB, other, x, 0.1, xi)
-    assert np.array_equal(a, b)
-    assert np.allclose(a, x + 0.1 * xi[0])
+    a = limit_step(Scheme.OAB, POT, z, 0.1, xi)
+    b = limit_step(Scheme.OAB, other, z, 0.1, xi)
+    assert np.array_equal(a.x, b.x)
+    assert np.allclose(a.x, z.x + 0.1 * xi[0])
 
 
 def test_limit_step_baoab_zero_noise_is_gradient_descent():
-    x = np.array([0.3, -0.8])
-    got = limit_step(Scheme.BAOAB, POT, x, 0.2, np.zeros((2, 2)))
-    assert np.allclose(got, x - 0.5 * 0.04 * POT.gradient(x))
+    # v0 = xi_0 - (h/2) grad U(x0) with xi_0 = 0: the start of the LM chain
+    h, x = 0.2, np.array([0.3, -0.8])
+    got = limit_step(Scheme.BAOAB, POT, PhaseState(x, -0.5 * h * POT.gradient(x)), h, np.zeros((1, 2)))
+    assert np.allclose(got.x, x - 0.5 * h * h * POT.gradient(x))
+
+
+def _assert_no_limit(scheme):
+    # checked before any step, so no inf * 0 warning fires
+    z = PhaseState(np.zeros(2), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LimitError):
+            limit_step(scheme, POT, z, 0.1, np.ones((1, 2)))
+        with pytest.raises(LimitError):
+            glc_deviation(scheme, POT, z.x, z.v, 0.1, 1e8, seed=3)
 
 
 def test_limit_step_kinetic_em_has_no_limit():
-    with pytest.raises(LimitError):
-        limit_step(Scheme.KINETIC_EM, POT, np.zeros(2), 0.1, np.zeros((1, 2)))
+    _assert_no_limit(Scheme.KINETIC_EM)  # its gamma h and sqrt(2 gamma h) diverge
 
 
-def test_limit_step_underived_schemes():
-    for scheme in (Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB):
+def test_limit_step_overdamped_schemes_have_no_limit():
+    for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
+        _assert_no_limit(scheme)
+
+
+def test_first_order_permutations_have_limits():
+    x, v = np.array([0.7, -0.2]), np.array([-0.4, 0.9])
+    for scheme in FIRST_ORDER_PERMUTATIONS:
+        z = limit_step(scheme, POT, PhaseState(x, v), 0.1, np.ones((1, 2)))
+        assert np.isfinite(z.x).all() and np.isfinite(z.v).all(), scheme
+        assert glc_deviation(scheme, POT, x, v, 0.1, 1e8, seed=3) <= 1e-6, scheme
+        (row,) = rate_collapse_scan(scheme, 1.0, 1.0, 0.1, [1e2], n_steps=20)
+        assert math.isfinite(row.deviation), scheme
         with pytest.raises(LimitError):
-            limit_step(scheme, POT, np.zeros(2), 0.1, np.zeros((1, 2)))
+            classify_glc(scheme)  # a limit, but no GLC classification
+
+
+def test_ses_limit_constants_are_the_large_friction_limits():
+    # the SES formulas give 0/0 at gamma = inf; the constants returned there
+    # are what they tend to, and finite frictions keep the formulas
+    limit = _coefficients(Scheme.SES, StepParams(0.1, math.inf))
+    assert limit == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    near = _coefficients(Scheme.SES, StepParams(0.1, 1e12))
+    assert np.allclose(near, limit, rtol=0.0, atol=1e-5)
+    assert near != limit
+
+
+def test_limit_step_consumes_the_scheme_noise():
+    z = PhaseState(np.array([0.3, -0.8]), np.array([1.1, 0.4]))
+    for scheme in (Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO, Scheme.SES, *FIRST_ORDER_PERMUTATIONS):
+        k = noise_requirements(scheme)
+        limit_step(scheme, POT, z, 0.1, np.ones((k, 2)))
+        with pytest.raises(IntegratorError):
+            limit_step(scheme, POT, z, 0.1, np.ones((k + 1, 2)))
 
 
 def test_classify_glc_table():
@@ -91,48 +145,78 @@ def test_glc_deviation_ses_vanishes_at_admissible_stepsize():
 
 
 def test_baoab_limit_chain_equals_averaged_noise_overdamped():
-    # iterate the baoab limit map and the overdamped LM step on shared
-    # draws for 1000 steps: identical to 1e-12
+    # iterate the baoab limit from v0 = xi_0 - (h/2) grad U(x0) and the
+    # overdamped LM step at h^2/2 on shared draws for 1000 steps
     h = 0.2
     n = 1000
     delta = h * h / 2.0
     xi = CounterStreams(9).normals(0, n + 1, 2)
-    x_limit = np.array([0.4, -0.6])
-    x_lm = x_limit.copy()
+    x_lm = np.array([0.4, -0.6])
+    z = PhaseState(x_lm, xi[0] - 0.5 * h * POT.gradient(x_lm))
     prev = xi[0]
     for k in range(1, n + 1):
-        x_limit = limit_step(Scheme.BAOAB, POT, x_limit, h, np.stack([prev, xi[k]]))
-        z = step(
+        z = limit_step(Scheme.BAOAB, POT, z, h, xi[k][np.newaxis])
+        x_lm = step(
             Scheme.LM,
             POT,
             PhaseState(x_lm, np.zeros(2)),
             StepParams(delta, 1.0),
             xi[k][np.newaxis],
             prev_noise=prev,
-        )
-        x_lm = z.x
+        ).x
         prev = xi[k]
-        assert np.abs(x_limit - x_lm).max() <= 1e-12
+        assert np.abs(z.x - x_lm).max() <= 1e-12
 
 
 def test_obabo_limit_chain_equals_overdamped_em():
+    # from any v0: the first O piece of each limit step discards v
     h = 0.2
     n = 1000
     delta = h * h / 2.0
     xi = CounterStreams(10).normals(0, n, 2)
-    x_limit = np.array([0.4, -0.6])
-    x_em = x_limit.copy()
+    xi2 = CounterStreams(10).normals(1, n, 2)
+    x_em = np.array([0.4, -0.6])
+    z = PhaseState(x_em, np.array([5.0, -3.0]))
     for k in range(n):
-        x_limit = limit_step(Scheme.OBABO, POT, x_limit, h, xi[k][np.newaxis])
-        z = step(
+        z = limit_step(Scheme.OBABO, POT, z, h, np.stack([xi[k], xi2[k]]))
+        x_em = step(
             Scheme.OVERDAMPED_EM,
             POT,
             PhaseState(x_em, np.zeros(2)),
             StepParams(delta, 1.0),
             xi[k][np.newaxis],
-        )
-        x_em = z.x
-        assert np.abs(x_limit - x_em).max() <= 1e-12
+        ).x
+        assert np.abs(z.x - x_em).max() <= 1e-12
+
+
+def _limit_position_law(scheme, lam, h):
+    """lam * Var(x) of the gamma = inf mode chain's stationary law, or None
+    when the chain has no finite map or no stationary law."""
+    P, N = _mode_map(scheme, lam, StepParams(h, math.inf), noise=True)
+    if not np.isfinite(P).all() or max(abs(np.linalg.eigvals(P))) >= 1.0:
+        return None
+    # discrete Lyapunov equation S = P S P^T + N N^T, solved on vec(S)
+    S = np.linalg.solve(np.eye(4) - np.kron(P, P), (N @ N.T).ravel()).reshape(2, 2)
+    return lam * S[0, 0]
+
+
+@pytest.mark.parametrize(
+    "scheme", [Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO, Scheme.SES, Scheme.KINETIC_EM]
+)
+def test_glc_table_derived_from_the_limit_mode_chain(scheme):
+    # GLC: the limit chain samples N(0, 1/lam) as h -> 0
+    lam = 2.0
+    laws = {h: _limit_position_law(scheme, lam, h) for h in (1e-2, 1e-3)}
+    glc = all(law is not None and abs(law - 1.0) <= h for h, law in laws.items())
+    assert glc is classify_glc(scheme), laws
+    expected = {Scheme.BAO: 0.50005, Scheme.BAOAB: 1.0, Scheme.OBABO: 1.00005}
+    if scheme in expected:
+        assert laws[1e-2] == pytest.approx(expected[scheme], abs=1e-6)
+    elif scheme in (Scheme.OAB, Scheme.SES):
+        P, _ = _mode_map(scheme, lam, StepParams(1e-2, math.inf))
+        assert max(abs(np.linalg.eigvals(P))) == pytest.approx(1.0, abs=1e-15)
+    else:
+        assert laws == {1e-2: None, 1e-3: None}  # kinetic_em: no finite limit map
 
 
 def test_rate_collapse_baoab_approaches_quarter_h2m():
@@ -158,13 +242,3 @@ def test_rate_collapse_flags_inadmissible():
     rows = rate_collapse_scan(Scheme.KINETIC_EM, 1.0, 1.0, 0.25, [100.0], n_steps=50)
     assert not rows[0].admissible
     assert math.isnan(rows[0].deviation)  # no limit map for kinetic_em
-
-
-def test_limit_noise_counts_cover_derived_schemes():
-    assert LIMIT_NOISE_COUNTS == {
-        Scheme.BAO: 1,
-        Scheme.OAB: 1,
-        Scheme.BAOAB: 2,
-        Scheme.OBABO: 1,
-        Scheme.SES: 0,
-    }
