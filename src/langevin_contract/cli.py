@@ -418,14 +418,15 @@ def cmd_glc_scan(cfg: dict, args) -> int:
     seeds = _seeds(cfg)
     out = _out_dir(cfg, args)
 
-    def run(s, seed):
-        rows = glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seed=seed)
+    def run(s):
+        rows = glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seeds=seeds)
         return [
             [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
             for r in rows
         ]
 
-    all_rows = [r for s in schemes for seed in seeds for r in run(s, seed)]
+    # each scheme's sweep, every (seed, gamma) point, is one batch
+    all_rows = [r for s in schemes for r in run(s)]
     _write_csv(
         out / "glc_scan.csv",
         ["scheme", "gamma", "h", "c_theoretical", "c_empirical", "admissible", "deviation"],

@@ -147,9 +147,12 @@ def ses_covariance(params: StepParams) -> tuple[float, float, float]:
         var(omega) = 1 - eta^2
         cov        = (1 - eta)^2 / gamma
 
-    with eta = exp(-gamma h).
+    with eta = exp(-gamma h).  An infinite gamma raises IntegratorError: the
+    formulas give 0/0 there (SES's limit constants are in :func:`_coefficients`).
     """
     g, h = params.gamma, params.h
+    if not math.isfinite(g):
+        raise IntegratorError(f"SES noise covariance needs a finite gamma, got {g}")
     u = g * h
     var_pos = 2.0 * _ses_g(u) / g**2
     var_vel = -math.expm1(-2.0 * u)
@@ -225,8 +228,8 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
 
     Scalar ``math`` calls, so a batch of points stacked into (B, 1, 1)
     columns steps bit-identically to each point alone.  At gamma = inf every
-    eta is 0: the constants of the high-friction limit (kinetic_em's are
-    infinite there).
+    eta is 0: the constants of the high-friction limit.  A non-finite
+    constant (kinetic_em's gamma h at gamma = inf) raises IntegratorError.
     """
     h, g = params.h, params.gamma
     word = SPLITTING_WORDS.get(scheme)
@@ -239,18 +242,21 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
                 coefs += (eta, math.sqrt(1.0 - eta * eta))
             else:
                 coefs.append(tau)
-        return tuple(coefs)
-    if scheme in OVERDAMPED_SCHEMES:
-        return h, math.sqrt(2.0 * h)
-    if scheme is Scheme.KINETIC_EM:
-        return h, g * h, math.sqrt(2.0 * g * h)
-    if scheme is Scheme.SES:
-        if math.isinf(g):  # the formulas below give 0/0; these are their limits
-            return 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
+    elif scheme in OVERDAMPED_SCHEMES:
+        coefs = h, math.sqrt(2.0 * h)
+    elif scheme is Scheme.KINETIC_EM:
+        coefs = h, g * h, math.sqrt(2.0 * g * h)
+    elif scheme is Scheme.SES and math.isinf(g):  # the formulas below give 0/0; these are their limits
+        coefs = 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
+    elif scheme is Scheme.SES:
         alpha = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
         beta = (g * h + math.expm1(-g * h)) / g**2  # (gamma h + eta - 1)/gamma^2
-        return (alpha, beta, params.eta, *_ses_cholesky(params))
-    raise IntegratorError(f"unknown scheme {scheme!r}")
+        coefs = alpha, beta, params.eta, *_ses_cholesky(params)
+    else:
+        raise IntegratorError(f"unknown scheme {scheme!r}")
+    if not all(map(math.isfinite, coefs)):
+        raise IntegratorError(f"{scheme.value} has non-finite step constants at h={h}, gamma={g}")
+    return tuple(coefs)
 
 
 def _step_core(scheme, potential, x, v, coefs, xi, prev_noise=None, grad=None):

@@ -312,6 +312,34 @@ def test_glc_scan_cmd(tmp_path):
     assert devs == sorted(devs, reverse=True)  # deviation monotone in gamma
 
 
+def test_glc_scan_rows_in_scheme_seed_gamma_order(tmp_path):
+    # a scheme's sweep runs every (seed, gamma) point as one batch; a point's
+    # row must not depend on which other points share the batch
+    gammas = [3.0, 10.0, 100.0, 1e8]
+
+    def scan(seeds):
+        out = tmp_path / "_".join(map(str, seeds))
+        cfg = {
+            "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+            "schemes": ["baoab", "ses", "kinetic_em"],
+            "params": {"n_steps": 200, "seeds": seeds},
+            "scan": {"gamma_grid": gammas},
+            "output": {"dir": str(out)},
+        }
+        assert main(["glc-scan", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+        return (out / "glc_scan.csv").read_text().splitlines()
+
+    both, alone = scan([1, 2]), {seed: scan([seed]) for seed in (1, 2)}
+    assert both[0] == alone[1][0] == alone[2][0]
+    n = len(gammas)
+    for i, scheme in enumerate(["baoab", "ses", "kinetic_em"]):
+        block = both[1 + 2 * n * i : 1 + 2 * n * (i + 1)]
+        assert [ln.split(",")[:2] for ln in block] == [[scheme, f"{g:.17g}"] for g in gammas * 2]
+        assert block[:n] == alone[1][1 + n * i : 1 + n * (i + 1)]
+        assert block[n:] == alone[2][1 + n * i : 1 + n * (i + 1)]
+    assert both[1 : 1 + n] != both[1 + n : 1 + 2 * n]  # baoab's deviation reads the seed's draws
+
+
 def test_empty_scheme_list_rejected(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

@@ -4,8 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from langevin_contract.coupling import CounterStreams, certified_stepsize_threshold
+from langevin_contract import glc
+from langevin_contract.coupling import (
+    CounterStreams,
+    certified_rate,
+    certified_stepsize_threshold,
+    empirical_rate,
+    positive_prefix,
+    run_synchronous_coupling,
+)
 from langevin_contract.glc import (
+    CollapseRow,
     LimitError,
     classify_glc,
     glc_deviation,
@@ -192,7 +201,10 @@ def test_obabo_limit_chain_equals_overdamped_em():
 def _limit_position_law(scheme, lam, h):
     """lam * Var(x) of the gamma = inf mode chain's stationary law, or None
     when the chain has no finite map or no stationary law."""
-    P, N = _mode_map(scheme, lam, StepParams(h, math.inf), noise=True)
+    try:
+        P, N = _mode_map(scheme, lam, StepParams(h, math.inf), noise=True)
+    except IntegratorError:  # non-finite step constants
+        return None
     if not np.isfinite(P).all() or max(abs(np.linalg.eigvals(P))) >= 1.0:
         return None
     # discrete Lyapunov equation S = P S P^T + N N^T, solved on vec(S)
@@ -242,3 +254,72 @@ def test_rate_collapse_flags_inadmissible():
     rows = rate_collapse_scan(Scheme.KINETIC_EM, 1.0, 1.0, 0.25, [100.0], n_steps=50)
     assert not rows[0].admissible
     assert math.isnan(rows[0].deviation)  # no limit map for kinetic_em
+
+
+def _scan_point_by_point(scheme, m, M, h, gamma_grid, n_steps, seeds):
+    """rate_collapse_scan's rows from one coupled run per (seed, gamma) point."""
+    pot = QuadraticPotential.diagonal([m, M])
+    z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
+    z1 = PhaseState(np.array([1.0, 1.0]), np.zeros(2))
+    rows = []
+    for seed in seeds:
+        for gamma in gamma_grid:
+            h_used = h if h is not None else 0.8 * certified_stepsize_threshold(scheme, m, M, gamma)
+            if h_used <= 0.0:
+                rows.append(CollapseRow(scheme, gamma, 0.0, 0.0, math.nan, False, math.nan))
+                continue
+            rate = certified_rate(scheme, m, M, gamma, h_used)
+            try:
+                trace = run_synchronous_coupling(
+                    scheme, pot, z0, z1, StepParams(h_used, gamma), n_steps, seed, force=True
+                )
+                c_hat = empirical_rate(positive_prefix(trace))
+            except ValueError:
+                c_hat = math.nan
+            try:
+                dev = glc_deviation(scheme, pot, z0.x, z0.v, h_used, gamma, seed)
+            except LimitError:
+                dev = math.nan
+            rows.append(CollapseRow(scheme, gamma, h_used, rate.c, c_hat, rate.admissible, dev))
+    return rows
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """(scheme, number of points) of each run_coupling_batch call rate_collapse_scan makes."""
+    calls = []
+    run_coupling_batch = glc.run_coupling_batch
+
+    def counting(scheme, potential, z0, z0_tilde, points, n_steps):
+        calls.append((scheme, len(points)))
+        return run_coupling_batch(scheme, potential, z0, z0_tilde, points, n_steps)
+
+    monkeypatch.setattr(glc, "run_coupling_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO, Scheme.SES, Scheme.KINETIC_EM, Scheme.LM],
+)
+def test_rate_collapse_scan_batch_equals_point_by_point(scheme, batch_calls):
+    # the grid has rows below a friction floor (h = 0), rows whose certified
+    # norm is degenerate (b^2 >= a) and forced rows that diverge
+    gammas, seeds = [1.0, 3.0, 10.0, 100.0, 1e8], [0, 7]
+    for h in (1.0, 0.3, None):
+        want = _scan_point_by_point(scheme, 1.0, 4.0, h, gammas, 200, seeds)
+        got = rate_collapse_scan(scheme, 1.0, 4.0, h, gammas, n_steps=200, seeds=seeds)
+        assert repr(got) == repr(want), h
+    # one batch per sweep, never one run per point
+    assert [s for s, _ in batch_calls] == [scheme] * 3
+
+
+def test_rate_collapse_scan_leaves_invalid_constants_out_of_the_batch(batch_calls):
+    # kinetic_em's gamma h overflows at gamma = 1e150, h = 1e160: that point
+    # gets a nan rate without stopping the gamma = 10 point's run
+    args = (Scheme.KINETIC_EM, 1.0, 4.0, 1e160, [10.0, 1e150])
+    want = _scan_point_by_point(*args, 50, [0])
+    got = rate_collapse_scan(*args, n_steps=50)
+    assert repr(got) == repr(want)
+    assert math.isnan(got[1].c_empirical)
+    assert batch_calls == [(Scheme.KINETIC_EM, 1)]

@@ -283,6 +283,22 @@ def test_ses_noise_zero_draw():
     assert np.array_equal(z, np.zeros(3)) and np.array_equal(w, np.zeros(3))
 
 
+def test_infinite_friction_without_finite_constants_raises():
+    # gamma = inf is only meaningful where every step constant has a finite
+    # limit; elsewhere it must not come back as nan
+    p = StepParams(0.1, math.inf)
+    with pytest.raises(IntegratorError):
+        ses_covariance(p)
+    with pytest.raises(IntegratorError):
+        ses_noise(p, (np.ones(2), np.ones(2)))
+    with pytest.raises(IntegratorError):
+        step_matrix(Scheme.KINETIC_EM, 1.0, p)
+    with pytest.raises(IntegratorError):
+        step(Scheme.KINETIC_EM, QuadraticPotential.diagonal([1.0, 2.0]), state(), p, np.ones((1, 2)))
+    # bao's limit constants are finite: its gamma = inf map is x' = x + h v, v' = 0
+    assert np.array_equal(step_matrix(Scheme.BAO, 1.0, p), [[1.0 - 0.1 * 0.1, 0.1], [0.0, 0.0]])
+
+
 def test_ses_covariance_small_gamma_h_limits():
     # leading order: var_vel -> 2 gamma h, cov -> gamma h^2
     g, h = 2.0, 1e-4
