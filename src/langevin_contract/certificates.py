@@ -208,13 +208,13 @@ def check_certificate(
     M: float,
     gamma: float,
     h: float,
-    a: float | None = None,
-    b: float | None = None,
     c: float | None = None,
 ) -> CertificateReport:
     """Certify A > 0 and AC - B^2 > 0 on lam in [m, M].
 
-    Defaults (a, b, c) to the scheme's certified triple.  AC - B^2 is
+    W is built from the scheme's certified (a, b), as written, so a
+    degenerate pair (b^2 >= a) is reported with ``norm_valid`` False and
+    never passes; ``c`` defaults to the certified rate.  AC - B^2 is
     expanded by coefficient convolution (degree <= 4), then both
     polynomials are evaluated on a uniform grid; positivity is asserted
     only when the grid minimum exceeds L * dlam / 2 with L the coarse
@@ -227,8 +227,7 @@ def check_certificate(
     if not (0.0 < m <= M):
         raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
     rate = certified_rate(scheme, m, M, gamma, h)
-    a = rate.a if a is None else a
-    b = rate.b if b is None else b
+    a, b = rate.a, rate.b
     c = rate.c if c is None else c
     # one (P0, P1) for both the polynomial route and the eigenvalue oracle
     P0, P1 = _affine_P(scheme, StepParams(h, gamma))
@@ -323,10 +322,9 @@ def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: floa
     :data:`RATE_TOL`.  Raises when even c = 0 fails (no contraction
     certified at these parameters).
     """
-    rate = certified_rate(scheme, m, M, gamma, h)
 
     def passes(c: float) -> bool:
-        return check_certificate(scheme, m, M, gamma, h, a=rate.a, b=rate.b, c=c).passed
+        return check_certificate(scheme, m, M, gamma, h, c=c).passed
 
     if not passes(0.0):
         raise CertificateError(

@@ -40,8 +40,7 @@ from .coupling import (
     run_synchronous_coupling,  # noqa: F401  (bench/child.py traces it here by name)
     verify_trace_bound,
 )
-from .integrators import OVERDAMPED_SCHEMES, PhaseState, Scheme, StepParams
-from .norms import WeightedNorm
+from .integrators import OVERDAMPED_SCHEMES, IntegratorError, PhaseState, Scheme, StepParams
 from .potentials import make_potential
 
 
@@ -257,12 +256,6 @@ def cmd_couple(cfg: dict, args) -> int:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
-    def point(h, g, seed, rate):
-        # forced runs can land where the certified norm degenerates (b^2 >= a);
-        # fall back to the cross-term-free norm to still record the divergence
-        norm = rate.norm if rate.b**2 < rate.a else WeightedNorm(rate.a, 0.0)
-        return CouplingPoint(StepParams(h, g), seed, norm, rate)
-
     def report(s, h, g, seed, trace):
         rate = trace.rate
         distances = trace.distances.tolist()
@@ -297,7 +290,7 @@ def cmd_couple(cfg: dict, args) -> int:
     summary = []
     for s, batch in itertools.groupby(zip(jobs, rates), key=lambda job_rate: job_rate[0][0]):
         batch = list(batch)
-        points = [point(h, g, seed, rate) for (_, h, g, seed), rate in batch]
+        points = [CouplingPoint(StepParams(h, g), seed, rate) for (_, h, g, seed), rate in batch]
         traces = run_coupling_batch(s, pot, z0, z1, points, n_steps)
         summary += [report(*job, trace) for (job, _), trace in zip(batch, traces)]
     diverged = [r for r in summary if r["diverged"]]
@@ -450,11 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help="run inadmissible parameters and record divergence instead of failing",
-        )
+        if name == "couple":
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help="run inadmissible parameters and record divergence instead of failing",
+            )
         p.set_defaults(func=fn)
     return parser
 
@@ -464,7 +458,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(cfg, args)
-    except ConfigError as e:
+    except (ConfigError, IntegratorError) as e:  # IntegratorError: the config's (h, gamma) break a step constant
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

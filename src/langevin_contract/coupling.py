@@ -105,7 +105,10 @@ class CertifiedRate:
 
     @property
     def norm(self) -> WeightedNorm:
-        return WeightedNorm(self.a, self.b)
+        """The norm a run at these parameters is measured in: |x|^2 + 2b<x,v> +
+        a|v|^2, or the cross-term-free |x|^2 + a|v|^2 where b^2 >= a (forced
+        parameters, where the certified form is not a norm)."""
+        return WeightedNorm(self.a, self.b if self.b * self.b < self.a else 0.0)
 
     def violated(self) -> tuple[str, ...]:
         return tuple(s for s in self.constraints if s.endswith("(violated)"))
@@ -254,12 +257,12 @@ class CouplingTrace:
 
 
 class CouplingPoint(NamedTuple):
-    """One (h, gamma, seed) point of a batched run: its norm and the rate its trace carries."""
+    """One (h, gamma, seed) point of a batched run and its certified rate, whose
+    :attr:`CertifiedRate.norm` the point's distances are measured in."""
 
     params: StepParams
     seed: int
-    norm: WeightedNorm
-    rate: CertifiedRate | None = None
+    rate: CertifiedRate
 
 
 def run_synchronous_coupling(
@@ -271,14 +274,13 @@ def run_synchronous_coupling(
     n_steps: int,
     seed: int,
     force: bool = False,
-    norm: WeightedNorm | None = None,
 ) -> CouplingTrace:
     """Run two chains on common noise and record the distance trace.
 
-    Distances are measured in the scheme's certified norm unless ``norm``
-    overrides it.  Inadmissible parameters raise unless ``force`` is set
-    (divergence is then reported by truncating the trace at the first
-    non-finite distance).  The one-point call of :func:`run_coupling_batch`.
+    Distances are measured in the certified rate's :attr:`CertifiedRate.norm`.
+    Inadmissible parameters raise unless ``force`` is set (divergence is then
+    reported by truncating the trace at the first non-finite distance).  The
+    one-point call of :func:`run_coupling_batch`.
     """
     scheme = Scheme(scheme)
     rate = certified_rate(scheme, potential.m, potential.M, params.gamma, params.h)
@@ -286,10 +288,7 @@ def run_synchronous_coupling(
         raise InadmissibleParameters(
             f"{scheme.value} at h={params.h}, gamma={params.gamma}: " + "; ".join(rate.violated())
         )
-    if norm is None:
-        norm = rate.norm  # raises if b^2 >= a at forced parameters
-    point = CouplingPoint(params, seed, norm, rate)
-    return run_coupling_batch(scheme, potential, z0, z0_tilde, [point], n_steps)[0]
+    return run_coupling_batch(scheme, potential, z0, z0_tilde, [CouplingPoint(params, seed, rate)], n_steps)[0]
 
 
 def run_coupling_batch(
@@ -304,11 +303,12 @@ def run_coupling_batch(
 
     The chains carry a leading batch axis, (B, 2, d), so each step is one
     call of the step core for the whole batch.  Each point keeps its own
-    noise streams ``CounterStreams(seed)``, LM primer, norm and
-    divergence step, so its trace equals its run alone.  Admissibility is
-    the caller's.  A point diverges at its first non-finite distance: its
-    trace ends there, the others run on, and the run stops early once every
-    point has diverged (checked as each block of states is reduced).
+    noise streams ``CounterStreams(seed)``, LM primer, divergence step and
+    norm, its rate's :attr:`CertifiedRate.norm`, so its trace equals its run
+    alone.  Admissibility is the caller's.  A point diverges at its first
+    non-finite distance: its trace ends there, the others run on, and the
+    run stops early once every point has diverged (checked as each block of
+    states is reduced).
     """
     scheme = Scheme(scheme)
     if n_steps < 0:
@@ -320,6 +320,7 @@ def run_coupling_batch(
     rows = max(1, min(n_steps + 1, _BLOCK_BYTES // (8 * d * B)))
     k = noise_requirements(scheme)
     streams = [CounterStreams(p.seed) for p in points]
+    norms = [p.rate.norm for p in points]
     gens = [[st.generator(j) for j in range(k)] for st in streams]
     prev = np.stack([st.normals(k, 1, d) for st in streams]) if scheme is Scheme.LM else None
     # each point's step constants, as (B, 1, 1) columns broadcast over its two
@@ -341,9 +342,9 @@ def run_coupling_batch(
 
     def reduce(stop: int, count: int) -> bool:
         """Distances of steps stop - count .. stop - 1; whether every point has diverged."""
-        for b, p in enumerate(points):
+        for b, norm in enumerate(norms):
             xb, vb = xs[:count, b], vs[:count, b]
-            d = p.norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+            d = norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
             distances[b, stop - count : stop] = d
             if diverged_at[b] is None:
                 bad = np.flatnonzero(~np.isfinite(d))
@@ -378,14 +379,14 @@ def run_coupling_batch(
         CouplingTrace(
             scheme=scheme,
             params=p.params,
-            norm=p.norm,
+            norm=norm,
             distances=distances[b, : (n_steps if div is None else div) + 1],
             seed=p.seed,
             quadratic=quadratic,
             diverged_at=div,
             rate=p.rate,
         )
-        for b, (p, div) in enumerate(zip(points, diverged_at))
+        for b, (p, norm, div) in enumerate(zip(points, norms, diverged_at))
     ]
 
 

@@ -57,7 +57,6 @@ from .integrators import (
     noise_requirements,
     step,
 )
-from .norms import NormError
 from .potentials import Potential, QuadraticPotential
 
 
@@ -170,10 +169,12 @@ def rate_collapse_scan(
     (gamma, seed) on the diagonal quadratic target diag(m, M), all of them
     one :func:`run_coupling_batch`, each point on its seed's own streams.
     Inadmissible entries are flagged and fitted anyway (forced run) so the
-    collapse is visible.  ``c_empirical`` is nan where no rate can be
-    fitted: at a point whose certified norm is degenerate (b^2 >= a) or
-    whose step constants are invalid, which stays out of the batch, and on
-    a forced run that diverges or merges within 10 steps.
+    collapse is visible; each run is measured in its rate's
+    :attr:`~langevin_contract.coupling.CertifiedRate.norm`, so a point whose
+    certified norm is degenerate (b^2 >= a) is fitted as ``couple --force``
+    fits it.  ``c_empirical`` is nan where no rate can be fitted: at a point
+    whose step constants are invalid, which stays out of the batch, and on a
+    forced run that diverges or merges within 10 steps.
     """
     scheme = Scheme(scheme)
     pot = QuadraticPotential.diagonal([m, M])
@@ -197,8 +198,8 @@ def rate_collapse_scan(
             params = StepParams(h_used, gamma)
             try:
                 _coefficients(scheme, params)  # in the batch, its error would stop every point
-                points.append(CouplingPoint(params, seed, rate.norm, rate))
-            except (IntegratorError, NormError):
+                points.append(CouplingPoint(params, seed, rate))
+            except IntegratorError:
                 continue  # no run: c_empirical stays nan
             batched.append(len(rows) - 1)
     for i, trace in zip(batched, run_coupling_batch(scheme, pot, z0, z1, points, n_steps)):

@@ -164,8 +164,9 @@ def _ses_cholesky(params: StepParams) -> tuple[float, float, float]:
     """(l11, l21, l22): the lower-triangular Cholesky factor of the SES noise
     covariance from :func:`ses_covariance`, position component first."""
     var_pos, var_vel, cov = ses_covariance(params)
-    schur = var_vel - cov * cov / var_pos
-    if var_pos <= 0.0 or schur <= 0.0:
+    # var_pos ~ 2 (gamma h)^3 / (3 gamma^2) underflows to 0.0 at tiny gamma h: test before dividing
+    schur = var_vel - cov * cov / var_pos if var_pos > 0.0 else 0.0
+    if schur <= 0.0:
         raise IntegratorError(
             f"SES noise covariance not positive definite at h={params.h}, gamma={params.gamma}"
         )

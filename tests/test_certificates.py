@@ -255,10 +255,9 @@ def test_certificate_searches_stop_at_the_pass_boundary(scheme, gamma):
     if h < STEPSIZE_CAP:  # ses at gamma >= 22 still passes at the cap
         assert not check_certificate(scheme, m, M, gamma, h + STEPSIZE_TOL).passed
     h_use = 0.8 * certified_stepsize_threshold(scheme, m, M, gamma)
-    r = certified_rate(scheme, m, M, gamma, h_use)
     c = max_certified_rate(scheme, m, M, gamma, h_use)
-    assert check_certificate(scheme, m, M, gamma, h_use, a=r.a, b=r.b, c=c).passed
-    assert not check_certificate(scheme, m, M, gamma, h_use, a=r.a, b=r.b, c=c + RATE_TOL).passed
+    assert check_certificate(scheme, m, M, gamma, h_use, c=c).passed
+    assert not check_certificate(scheme, m, M, gamma, h_use, c=c + RATE_TOL).passed
 
 
 def _threshold(t):

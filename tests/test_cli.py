@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from importlib import resources
@@ -9,8 +10,8 @@ import pytest
 
 from langevin_contract.cli import _write_csv, main
 from langevin_contract.coupling import certified_rate, run_synchronous_coupling
+from langevin_contract.glc import rate_collapse_scan
 from langevin_contract.integrators import PhaseState, Scheme, StepParams
-from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import QuadraticPotential
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -77,7 +78,7 @@ def test_couple_zero_steps(tmp_path):
 def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     # a forced grid with admissible points, an inadmissible point that stays
     # finite (empty bound column) and diverging points whose traces end at
-    # an inf or (baoab at h = 1.5, in the cross-term-free norm) a nan
+    # an inf or (baoab at h = 1.5, where its certified b^2 >= a) a nan
     # distance; each trace file equals the csv.writer + _fmt rendering of
     # the point's one-point run, with its bound taken per int k
     cfg = couple_config(tmp_path / "out", n_steps=500, schemes=("lm", "kinetic_em", "baoab"))
@@ -92,8 +93,7 @@ def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     for run in runs:
         s, h, g, seed = Scheme(run["scheme"]), run["h"], run["gamma"], run["seed"]
         rate = certified_rate(s, 1.0, 4.0, g, h)
-        norm = rate.norm if rate.b**2 < rate.a else WeightedNorm(rate.a, 0.0)
-        trace = run_synchronous_coupling(s, pot, z0, z1, StepParams(h, g), 500, seed, force=True, norm=norm)
+        trace = run_synchronous_coupling(s, pot, z0, z1, StepParams(h, g), 500, seed, force=True)
         d0 = trace.distances[0]
         rows = [
             [s.value, h, g, seed, k, dk, rate.bound_sq(k, d0) if rate.admissible else ""]
@@ -170,6 +170,8 @@ MALFORMED = {
     "z0_strings": _replace("coupling", z0=[["-1", "-1"], [0, 0]]),
     "z0_tilde_boolean": _replace("coupling", z0_tilde=[[True, 1.0], [0.0, 0.0]]),
     "output_dir_not_a_string": _replace("output", dir=1),
+    # admissible, but the SES noise variance underflows to 0 at gamma h ~ 1e-119
+    "ses_h_1e-120": lambda cfg: {**_replace("params", h=[1e-120], gamma=[11.0])(cfg), "schemes": ["ses"]},
 }
 
 
@@ -181,6 +183,49 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
     path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     assert main(["couple", "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, grid",
+    [
+        ("certify", {"params": {"h": [1e-120], "gamma": [11.0]}}),
+        ("gaussian-scan", {"params": {"gamma": [11.0]}, "scan": {"h_grid": [1e-120]}}),
+    ],
+    ids=["certify", "gaussian-scan"],
+)
+def test_ses_underflowing_noise_exits_2(tmp_path, capsys, command, grid):
+    # the couple case is ses_h_1e-120 in MALFORMED
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": ["ses"],
+        "output": {"dir": str(tmp_path / "out")},
+        **grid,
+    }
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert "config error: SES noise covariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "gaussian-scan", "glc-scan"])
+def test_only_couple_takes_force(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", couple_config(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_glc_scan_and_couple_force_agree_where_the_norm_degenerates(tmp_path):
+    # bao at h = 1 has b^2 >= a at gamma = 1 and 3; both commands measure
+    # the run in CertifiedRate.norm, so the fits agree
+    gammas = (1.0, 3.0)
+    cfg = couple_config(tmp_path / "out", n_steps=200, gammas=gammas, schemes=("bao",), h=1.0)
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg), "--force"]) == 0
+    runs = json.loads((tmp_path / "out" / "couple_summary.json").read_text())["runs"]
+    rows = rate_collapse_scan(Scheme.BAO, 1.0, 4.0, 1.0, gammas, n_steps=200)
+    for g, row, run, want in zip(gammas, rows, runs, (-5.1702, -7.6031)):
+        rate = certified_rate(Scheme.BAO, 1.0, 4.0, g, 1.0)
+        assert rate.b**2 >= rate.a
+        assert row.c_empirical == run["c_empirical"] == pytest.approx(want, abs=1e-4)
 
 
 # malformed potential specs: each exits 2 with a message naming the problem
@@ -362,6 +407,26 @@ SHIPPED = {
     "glc_scan": (["glc-scan"], "glc_scan.csv", None),
 }
 
+#: sha256 of each shipped config's output files (see _outputs_sha256), recorded
+#: with numpy 2.4.6 on x86-64 Linux; a change that moves an output updates its
+#: digest here and says which output moved and why
+SHIPPED_SHA256 = {
+    "fig1_couple": "28c555f66df4bbf0cd7c76c8fc66c03a60e2a7c21b0f045e137d20cf1eeb3053",
+    "certify_check": "c61bdb5ff143130ff54561eadfcff3575e770c314267d74326d1f974a299456f",
+    "certify_table1": "df8fce4539655066b87dc947e14e9397bdc7b0014de41ec2f21fae016a63eccf",
+    "gaussian_scan": "6e8981264a2ec3921ed83cc965d99dc026f0db4d4e1931c37e95c7a7f09495b6",
+    "glc_scan": "91bffeb76405364ffcfcf91f5552d0bda9aeefc2df0134faa769b71a13a43cec",
+}
+
+
+def _outputs_sha256(out: Path) -> str:
+    """One sha256 over the files in ``out``, in sorted name order: each name, a NUL, its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_shipped_config_runs(tmp_path, name):
@@ -369,6 +434,7 @@ def test_shipped_config_runs(tmp_path, name):
     cfg = CONFIGS / f"{name}.json"
     jsonschema.validate(json.loads(cfg.read_text()), load_schema("config.schema.json"))
     assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _outputs_sha256(tmp_path) == SHIPPED_SHA256[name]  # outputs byte-identical
     text = (tmp_path / output).read_text()
     if schema is None:
         assert len(text.splitlines()) > 1  # header plus rows

@@ -144,6 +144,12 @@ def test_certified_rate_bao_example():
     assert r.b == pytest.approx(0.1 / (1 - eta))
     assert r.c == pytest.approx(0.01 / (4 * (1 - eta)))
     assert r.c == pytest.approx(6.35373e-3, rel=1e-4)
+    assert r.norm == WeightedNorm(r.a, r.b)
+    # forced: at h = 1, gamma = 1 the certified b = 1/(1 - 1/e) has b^2 >= a = 1/M,
+    # so a run there is measured without the cross term
+    forced = certified_rate(Scheme.BAO, 1.0, 4.0, 1.0, 1.0)
+    assert not forced.admissible and "b^2 < a" in forced.violated()[-1]
+    assert forced.norm == WeightedNorm(0.25, 0.0)
 
 
 def test_certified_rate_ses_gamma_floor():
@@ -250,7 +256,7 @@ def test_certified_norm_weights_always_equivalent(draws):
         assert hmax > 0, (scheme, m, M, gamma)  # every draw clears its friction floor
         r = certified_rate(scheme, m, M, gamma, theta * hmax)
         assert r.admissible, (scheme, theta, r.constraints)
-        assert r.b**2 < r.a
+        assert r.b**2 < r.a and r.norm == WeightedNorm(r.a, r.b)
         assert 2 * r.b <= math.sqrt(r.a) * (1 + 1e-12)
 
 
@@ -278,19 +284,21 @@ def test_inadmissible_requires_force():
 
 def test_divergence_marked_at_first_non_finite_distance():
     # kinetic_em far above its stepsize bound overflows the squared distance
-    # (k = 113) long before a state (k = 224); baoab in a cross-term-free
-    # norm gets nan distances from 0 * inf while its states stay finite
+    # (k = 113) long before a state (k = 224); baoab at h = 1.5, where its
+    # certified b^2 >= a and so its norm has no cross term, gets nan
+    # distances from 0 * inf while its states stay finite
     iso = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
     runs = [
-        (Scheme.KINETIC_EM, iso, StepParams(0.25, 100.0), 600, None, 113),
-        (Scheme.BAOAB, ANISO, StepParams(1.5, 4.0), 400, WeightedNorm(0.25, 0.0), 283),
+        (Scheme.KINETIC_EM, iso, StepParams(0.25, 100.0), 600, 113),
+        (Scheme.BAOAB, ANISO, StepParams(1.5, 4.0), 400, 283),
     ]
-    for scheme, pot, params, n, norm, first_bad in runs:
-        tr = run_synchronous_coupling(scheme, pot, Z0, Z1, params, n, seed=0, force=True, norm=norm)
+    for scheme, pot, params, n, first_bad in runs:
+        tr = run_synchronous_coupling(scheme, pot, Z0, Z1, params, n, seed=0, force=True)
         assert tr.diverged_at == first_bad
         assert len(tr.distances) == first_bad + 1
         assert np.isfinite(tr.distances[:first_bad]).all() and not np.isfinite(tr.distances[first_bad])
         assert len(positive_prefix(tr).distances) == first_bad
+    assert tr.norm == WeightedNorm(0.25, 0.0)
 
 
 def test_verify_trace_bound_violation_injection():
@@ -337,9 +345,8 @@ def test_trace_csv_export(tmp_path):
     }
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["couple", "--config", str(tmp_path / "cfg.json")]) == 0
-    rate = certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 0.1)
     tr = run_synchronous_coupling(
-        Scheme.KINETIC_EM, ANISO, Z0, Z1, StepParams(0.1, 4.0), 10, seed=0, norm=rate.norm
+        Scheme.KINETIC_EM, ANISO, Z0, Z1, StepParams(0.1, 4.0), 10, seed=0
     )
     path = tmp_path / "out" / "couple_kinetic_em_h0.1_g4_s0.csv"
     lines = path.read_text().strip().splitlines()
@@ -386,7 +393,6 @@ def test_block_streamed_runner_matches_one_draw(scheme):
     rng = np.random.default_rng(9)
     z0 = PhaseState(rng.standard_normal(HIGHD), rng.standard_normal(HIGHD))
     z1 = PhaseState(rng.standard_normal(HIGHD), rng.standard_normal(HIGHD))
-    norm = WeightedNorm(1.0, 0.0)
     perturbed = PerturbedQuadratic(HIGHD_TARGET, 0.5)
     # short runs on both targets, empty runs, and a forced run that
     # overflows several blocks in
@@ -394,8 +400,9 @@ def test_block_streamed_runner_matches_one_draw(scheme):
     runs.append((HIGHD_TARGET, 1.0, 1.0, 400))
     for pot, h, gamma, n in runs:
         params = StepParams(h, gamma)
-        tr = run_synchronous_coupling(scheme, pot, z0, z1, params, n, seed=4, force=True, norm=norm)
-        ref, ref_div = _reference_coupling(scheme, pot, z0, z1, params, n, 4, norm)
+        rate = certified_rate(scheme, pot.m, pot.M, gamma, h)
+        tr = run_synchronous_coupling(scheme, pot, z0, z1, params, n, seed=4, force=True)
+        ref, ref_div = _reference_coupling(scheme, pot, z0, z1, params, n, 4, rate.norm)
         assert np.array_equal(tr.distances, ref, equal_nan=True)
         assert tr.diverged_at == ref_div
         if h == 1.0:
@@ -430,19 +437,20 @@ def test_batched_runner_equals_one_point_runs(scheme):
     rng = np.random.default_rng(9)
     z0 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
     z1 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
-    # mixed h, gamma, seeds (lm primes each point from its own seed) and
-    # norms; the forced (h, gamma) = (1, 1) point overflows mid-block
-    points = [
-        CouplingPoint(StepParams(0.005, 30.0), 4, WeightedNorm(1.0, 0.0)),
-        CouplingPoint(StepParams(1.0, 1.0), 4, WeightedNorm(1.0, 0.0)),
-        CouplingPoint(StepParams(0.004, 20.0), 7, WeightedNorm(0.5, 0.1)),
-        CouplingPoint(StepParams(0.003, 40.0), 11, WeightedNorm(1.0, 0.0)),
+    # mixed h, gamma and seeds (lm primes each point from its own seed), so
+    # mixed rate norms; the forced (h, gamma) = (1, 1) point overflows mid-block
+    grid = [
+        (StepParams(0.005, 30.0), 4),
+        (StepParams(1.0, 1.0), 4),
+        (StepParams(0.004, 20.0), 7),
+        (StepParams(0.003, 40.0), 11),
     ]
     for pot in (BATCH_TARGET, PerturbedQuadratic(BATCH_TARGET, 0.5)):
+        points = [CouplingPoint(p, seed, certified_rate(scheme, pot.m, pot.M, p.gamma, p.h)) for p, seed in grid]
         for n in (410, 0):
             traces = run_coupling_batch(scheme, pot, z0, z1, points, n)
             for p, tr in zip(points, traces):
-                one = run_synchronous_coupling(scheme, pot, z0, z1, p.params, n, p.seed, force=True, norm=p.norm)
+                one = run_synchronous_coupling(scheme, pot, z0, z1, p.params, n, p.seed, force=True)
                 assert np.array_equal(tr.distances, one.distances, equal_nan=True)
                 assert tr.diverged_at == one.diverged_at
             div = traces[1].diverged_at
@@ -472,11 +480,12 @@ def test_symmetric_splittings_reuse_the_end_of_step_gradient(scheme):
     kicks = 2 if scheme in (Scheme.BAOAB, Scheme.OBABO) else 1
     params, n = StepParams(0.1, 4.0), 25
     pot = CountingTarget()
-    run_synchronous_coupling(scheme, pot, Z0, Z1, params, n, seed=0, force=True, norm=WeightedNorm(1.0, 0.0))
+    run_synchronous_coupling(scheme, pot, Z0, Z1, params, n, seed=0, force=True)
     assert pot.calls == (n + 1 if kicks == 2 else n)
     # a batch of points makes one gradient call per step for all of them
     pot.calls = 0
-    points = [CouplingPoint(params, seed, WeightedNorm(1.0, 0.0)) for seed in (0, 1, 2)]
+    rate = certified_rate(scheme, pot.m, pot.M, params.gamma, params.h)
+    points = [CouplingPoint(params, seed, rate) for seed in (0, 1, 2)]
     run_coupling_batch(scheme, pot, Z0, Z1, points, n)
     assert pot.calls == (n + 1 if kicks == 2 else n)
     # step() carries nothing from one call to the next: each call kicks afresh
