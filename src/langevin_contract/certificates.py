@@ -23,17 +23,31 @@ Positivity is certified on a dense grid backed by a derivative bound (so
 the grid minimum genuinely implies positivity between nodes), and the
 polynomial route is cross-checked against direct 2x2 eigenvalues at every
 grid point.
+
+A check comes in two halves.  Only c moves between the probes of a rate
+search, so everything that does not depend on c is one *point*, built
+once per (scheme, m, M, gamma, h) and kept in a one-entry LRU cache
+(:func:`_point`): the certified rate, (P0, P1), W, the c-free blocks
+P0^T W P0, -(P0^T W P1 + P1^T W P0) and -P1^T W P1, the lam grid, and
+the oracle's grid sums of P(lam)^T W P(lam).  Its arrays are read-only.
+:func:`check_certificate` runs the c half on every call: the constant
+terms of A, B, C, both polynomials on the grid, the guards, the verdict,
+the oracle's H = (1-c) W - P^T W P with its minimum eigenvalue, and the
+margins.  So every search probe is still a full check, and its report is
+bit-identical to building the point afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coupling import certified_rate
-from .integrators import Scheme, StepParams, _mode_map
+from .integrators import Scheme, StepParams, _coefficients, _core_mode_map, _mode_map
 
 
 class CertificateError(ValueError):
@@ -61,6 +75,9 @@ GRID_POINTS = 2048
 STEPSIZE_CAP = 10.0
 STEPSIZE_TOL = 1e-8
 RATE_TOL = 1e-10
+#: c-free halves kept by :func:`_point`.  A rate search reuses one; more
+#: would only carry points between unrelated searches, grids and all
+_POINT_CACHE_SIZE = 1
 
 
 def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
@@ -75,23 +92,33 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
     obabo's stability thresholds in the zone where exp(-gamma h) is below
     ~1e-16.  eta = exp(-gamma h) in both.
     """
+    return _certificate_blocks(scheme, (lam,), params)[0]
+
+
+def _certificate_blocks(scheme: Scheme, lams, params: StepParams) -> list[np.ndarray]:
+    """:func:`transition_matrix_P` at each lam of ``lams``, from one set of
+    step constants."""
     scheme = Scheme(scheme)
     if scheme not in CERTIFICATE_SCHEMES:
         raise UnsupportedScheme(
             f"{scheme.value} has no certificate block; permuted splittings route through bao/oab"
         )
     if scheme not in (Scheme.BAOAB, Scheme.OBABO):
-        return _mode_map(scheme, lam, params)[0]
+        coefs = _coefficients(scheme, params)
+        return [_core_mode_map(scheme, lam, coefs)[0] for lam in lams]
     h, eta = params.h, params.eta
     if scheme is Scheme.BAOAB:
-        return np.array(
-            [
-                [1.0 - h * h * lam / 2.0, h - h**3 * lam / 4.0],
-                [-h * eta * lam, eta - h * h * eta * lam / 2.0],
-            ]
-        )
+        return [
+            np.array(
+                [
+                    [1.0 - h * h * lam / 2.0, h - h**3 * lam / 4.0],
+                    [-h * eta * lam, eta - h * h * eta * lam / 2.0],
+                ]
+            )
+            for lam in lams
+        ]
     half = 0.5 * h * (1.0 + eta)
-    return np.array([[1.0, h], [-half * lam, eta - h * half * lam]])
+    return [np.array([[1.0, h], [-half * lam, eta - h * half * lam]]) for lam in lams]
 
 
 def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
@@ -108,8 +135,8 @@ def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
 def _affine_P(scheme: Scheme, params: StepParams) -> tuple[np.ndarray, np.ndarray]:
     """(P0, P1) with P(lam) = P0 + lam P1; exact because every certificate
     block applies the kick operator once."""
-    P0 = transition_matrix_P(scheme, 0.0, params)
-    return P0, transition_matrix_P(scheme, 1.0, params) - P0
+    P0, P_at_1 = _certificate_blocks(scheme, (0.0, 1.0), params)
+    return P0, P_at_1 - P0
 
 
 @dataclass(frozen=True)
@@ -122,10 +149,17 @@ class AbcPolynomials:
     C: np.ndarray
 
 
-def _abc(P0: np.ndarray, P1: np.ndarray, W: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
-    """(A, B, C) for P(lam) = P0 + lam P1 and the weight matrix W."""
+def _h_blocks(P0: np.ndarray, P1: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The c-free blocks of H(lam) for P(lam) = P0 + lam P1: P0^T W P0,
+    then the coefficient blocks of lam and lam^2."""
     cross = P0.T @ W @ P1
-    H = np.stack([(1.0 - c) * W - P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)])
+    return P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)
+
+
+def _abc(blocks: tuple[np.ndarray, ...], W: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
+    """(A, B, C) from :func:`_h_blocks` and the weight matrix W at rate c."""
+    K0, H1, H2 = blocks
+    H = np.stack([(1.0 - c) * W - K0, H1, H2])
     return H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
 
 
@@ -138,7 +172,7 @@ def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) 
     """
     scheme = Scheme(scheme)
     W = np.array([[1.0, b], [b, a]])
-    return AbcPolynomials(scheme, *_abc(*_affine_P(scheme, params), W, c))
+    return AbcPolynomials(scheme, *_abc(_h_blocks(*_affine_P(scheme, params), W), W, c))
 
 
 @dataclass(frozen=True)
@@ -169,9 +203,8 @@ class CertificateReport:
     eta_convention: str = "exp(-gamma h)"
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scheme"] = self.scheme.value
-        return d
+        # every field is a scalar, so a shallow dict is the full copy
+        return {**vars(self), "scheme": self.scheme.value}
 
 
 def _derivative_bound(coeffs: np.ndarray, hi: float) -> float:
@@ -179,27 +212,59 @@ def _derivative_bound(coeffs: np.ndarray, hi: float) -> float:
     return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
 
 
-def _min_eig_H_grid(P0: np.ndarray, P1: np.ndarray, lams: np.ndarray, W: np.ndarray, c: float) -> np.ndarray:
-    """Vectorized min eigenvalue of H over the lam grid, assembled from
-    P(lam) = P0 + lam P1.
+def _grid_sums(P0: np.ndarray, P1: np.ndarray, lams: np.ndarray, W: np.ndarray) -> list[list[np.ndarray]]:
+    """The c-free half of the eigenvalue oracle: the four entries of
+    P(lam)^T W P(lam) over the lam grid, for P(lam) = P0 + lam P1.
 
-    Each entry of P^T W P is written out as its four terms
-    (P[k][i] W[k, l]) P[l][j] over grid vectors, added k outer, l inner,
-    from the first term.  That is the summation order of the einsum
-    ``"nki,kl,nlj->nij"`` the tests keep as the reference, so the results
-    are bit-identical to it; numpy runs a three-operand einsum through its
-    generic loop, about ten times slower than these vector operations.
+    Each entry is written out as its four terms (P[k][i] W[k, l]) P[l][j]
+    over grid vectors, added k outer, l inner, from the first term.  That
+    is the summation order of the einsum ``"nki,kl,nlj->nij"`` the tests
+    keep as the reference, so :func:`_min_eig_H` is bit-identical to it;
+    numpy runs a three-operand einsum through its generic loop, about ten
+    times slower than these vector operations.
     """
     P = [[P0[k, i] + lams * P1[k, i] for i in range(2)] for k in range(2)]
 
     def entry(i: int, j: int) -> np.ndarray:
         t = [(P[k][i] * W[k, l]) * P[l][j] for k in range(2) for l in range(2)]
-        return (1.0 - c) * W[i, j] - (((t[0] + t[1]) + t[2]) + t[3])
+        return ((t[0] + t[1]) + t[2]) + t[3]
 
-    H = [[entry(i, j) for j in range(2)] for i in range(2)]
+    return [[entry(i, j) for j in range(2)] for i in range(2)]
+
+
+def _min_eig_H(sums: list[list[np.ndarray]], W: np.ndarray, c: float) -> np.ndarray:
+    """Min eigenvalue of H = (1-c) W - P^T W P at each grid node, from the
+    :func:`_grid_sums` of P^T W P."""
+    H = [[(1.0 - c) * W[i, j] - sums[i][j] for j in range(2)] for i in range(2)]
     tr = H[0][0] + H[1][1]
     det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
     return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+
+
+class _Point(NamedTuple):
+    """The c-free half of a check at one (scheme, m, M, gamma, h)."""
+
+    a: float
+    b: float
+    c: float  # the certified rate, the default c of a check
+    W: np.ndarray
+    blocks: tuple[np.ndarray, ...]  # _h_blocks
+    lams: np.ndarray
+    sums: list[list[np.ndarray]]  # _grid_sums
+
+
+@functools.lru_cache(maxsize=_POINT_CACHE_SIZE, typed=True)
+def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point:
+    """Build the c-free half of a check (module docstring); cached."""
+    rate = certified_rate(scheme, m, M, gamma, h)
+    # one (P0, P1) for both the polynomial route and the eigenvalue oracle
+    P0, P1 = _affine_P(scheme, StepParams(h, gamma))
+    W = np.array([[1.0, rate.b], [rate.b, rate.a]])
+    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
+    point = _Point(rate.a, rate.b, rate.c, W, _h_blocks(P0, P1, W), lams, _grid_sums(P0, P1, lams, W))
+    for arr in (W, *point.blocks, lams, *point.sums[0], *point.sums[1]):
+        arr.flags.writeable = False
+    return point
 
 
 def check_certificate(
@@ -221,20 +286,17 @@ def check_certificate(
     derivative bound, which rules out a sign change between nodes.  Each
     grid point is independently checked by the minimum eigenvalue of the
     2x2 matrix H assembled from P, and the sign agreement of the two
-    routes is reported.
+    routes is reported.  Everything that does not depend on c comes from
+    :func:`_point`, built once per (scheme, m, M, gamma, h).
     """
     scheme = Scheme(scheme)
     if not (0.0 < m <= M):
         raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
-    rate = certified_rate(scheme, m, M, gamma, h)
-    a, b = rate.a, rate.b
-    c = rate.c if c is None else c
-    # one (P0, P1) for both the polynomial route and the eigenvalue oracle
-    P0, P1 = _affine_P(scheme, StepParams(h, gamma))
-    W = np.array([[1.0, b], [b, a]])
-    A, B, C = _abc(P0, P1, W, c)
+    point = _point(scheme, m, M, gamma, h)
+    a, b, lams = point.a, point.b, point.lams
+    c = point.c if c is None else c
+    A, B, C = _abc(point.blocks, point.W, c)
 
-    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
     pa = npoly.polyval(lams, A)
     quartic = npoly.polysub(npoly.polymul(A, C), npoly.polymul(B, B))
     pq = npoly.polyval(lams, quartic)
@@ -248,7 +310,7 @@ def check_certificate(
     norm_valid = b * b < a
     passed = bool(norm_valid and pa.min() > guard_a and pq.min() > guard_q)
 
-    eigs = _min_eig_H_grid(P0, P1, lams, W, c)
+    eigs = _min_eig_H(point.sums, point.W, c)
     poly_pd = (pa > 0.0) & (pq > 0.0)
     oracle_pd = eigs > 0.0
     agrees = bool(np.array_equal(poly_pd, oracle_pd))

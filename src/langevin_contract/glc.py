@@ -148,7 +148,7 @@ class CollapseRow:
     c_theoretical: float
     c_empirical: float
     admissible: bool
-    deviation: float  # nan when the scheme has no high-friction limit
+    deviation: float  # nan without a high-friction limit or valid step constants
 
 
 def rate_collapse_scan(
@@ -173,8 +173,9 @@ def rate_collapse_scan(
     :attr:`~langevin_contract.coupling.CertifiedRate.norm`, so a point whose
     certified norm is degenerate (b^2 >= a) is fitted as ``couple --force``
     fits it.  ``c_empirical`` is nan where no rate can be fitted: at a point
-    whose step constants are invalid, which stays out of the batch, and on a
-    forced run that diverges or merges within 10 steps.
+    whose step constants are invalid, which stays out of the batch and has
+    no ``deviation`` either, and on a forced run that diverges or merges
+    within 10 steps.
     """
     scheme = Scheme(scheme)
     pot = QuadraticPotential.diagonal([m, M])
@@ -192,7 +193,7 @@ def rate_collapse_scan(
                 continue
             try:
                 dev = glc_deviation(scheme, pot, z0.x, z0.v, h_used, gamma, seed)
-            except LimitError:
+            except (LimitError, IntegratorError):  # no limit, or invalid step constants
                 dev = math.nan
             rows.append(CollapseRow(scheme, gamma, h_used, rate.c, math.nan, rate.admissible, dev))
             params = StepParams(h_used, gamma)

@@ -1,19 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from langevin_contract import certificates
 from langevin_contract.certificates import (
     CERTIFICATE_SCHEMES,
     CertificateError,
+    CertificateReport,
     GRID_POINTS,
     RATE_TOL,
     REFERENCE_BOUND_CONSTANTS,
     STEPSIZE_CAP,
     STEPSIZE_TOL,
     UnsupportedScheme,
+    _POINT_CACHE_SIZE,
     _affine_P,
-    _min_eig_H_grid,
+    _grid_sums,
+    _min_eig_H,
+    _point,
     bisect,
     bracket,
     build_abc,
@@ -136,7 +143,7 @@ def test_min_eig_H_grid_matches_einsum_reference(scheme):
                     W = np.array([[1.0, r.b], [r.b, r.a]])
                     lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
                     P0, P1 = _affine_P(scheme, params)
-                    got = _min_eig_H_grid(P0, P1, lams, W, r.c)
+                    got = _min_eig_H(_grid_sums(P0, P1, lams, W), W, r.c)
                     want = _einsum_min_eig_H_grid(P0, P1, lams, W, r.c)
                     assert np.array_equal(got, want), (m, M, gamma, h)
                     for k in (0, len(lams) // 2, len(lams) - 1):
@@ -147,6 +154,146 @@ def test_min_eig_H_grid_matches_einsum_reference(scheme):
                         atol = 1e-10 * np.abs(H).max()
                         ref = np.linalg.eigvalsh(H)[0]
                         np.testing.assert_allclose(got[k], ref, rtol=1e-10, atol=atol)
+
+
+def _reference_check_certificate(scheme, m, M, gamma, h, c=None):
+    # check_certificate before its c-free half was cached, kept as the
+    # reference the split version must reproduce bit for bit: every call
+    # builds the rate, P0 and P1 (one block probe each), W, the grid and
+    # the einsum oracle afresh
+    scheme = Scheme(scheme)
+    if not (0.0 < m <= M):
+        raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
+    rate = certified_rate(scheme, m, M, gamma, h)
+    a, b = rate.a, rate.b
+    c = rate.c if c is None else c
+    params = StepParams(h, gamma)
+    P0 = transition_matrix_P(scheme, 0.0, params)
+    P1 = transition_matrix_P(scheme, 1.0, params) - P0
+    W = np.array([[1.0, b], [b, a]])
+    cross = P0.T @ W @ P1
+    H = np.stack([(1.0 - c) * W - P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)])
+    A, B, C = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+
+    def derivative_bound(coeffs, hi):
+        return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
+
+    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
+    pa = npoly.polyval(lams, A)
+    quartic = npoly.polysub(npoly.polymul(A, C), npoly.polymul(B, B))
+    pq = npoly.polyval(lams, quartic)
+    if M > m:
+        dlam = (M - m) / (GRID_POINTS - 1)
+        guard_a = derivative_bound(A, M) * dlam / 2.0
+        guard_q = derivative_bound(quartic, M) * dlam / 2.0
+    else:
+        guard_a = guard_q = 0.0
+    norm_valid = b * b < a
+    passed = bool(norm_valid and pa.min() > guard_a and pq.min() > guard_q)
+    eigs = _einsum_min_eig_H_grid(P0, P1, lams, W, c)
+    agrees = bool(np.array_equal((pa > 0.0) & (pq > 0.0), eigs > 0.0))
+    margin_a, margin_q = pa / lams, pq / lams
+    worst = int(np.argmin(np.minimum(margin_a, margin_q)))
+    return CertificateReport(
+        scheme=scheme,
+        m=m,
+        M=M,
+        gamma=gamma,
+        h=h,
+        a=a,
+        b=b,
+        c=c,
+        passed=passed,
+        min_margin_A=float(margin_a.min()),
+        min_margin_ACB2=float(margin_q.min()),
+        worst_lambda=float(lams[worst]),
+        oracle_min_eig=float(eigs.min()),
+        oracle_agrees=agrees,
+        norm_valid=norm_valid,
+        grid_points=len(lams),
+    )
+
+
+def _outcome(check, *args, **kwargs):
+    """The repr of every report field, or the type and text of the error raised."""
+    try:
+        rep = check(*args, **kwargs)
+    except Exception as exc:  # the reference must raise alike
+        return type(exc), str(exc)
+    return [(f.name, repr(getattr(rep, f.name))) for f in dataclasses.fields(rep)]
+
+
+@pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
+def test_check_certificate_matches_the_uncached_reference(scheme):
+    rng = np.random.default_rng(13)
+    _point.cache_clear()
+    points = []
+    for _ in range(12):
+        m = 10 ** rng.uniform(-1.0, 1.0)
+        M = m if rng.uniform() < 0.2 else m * 10 ** rng.uniform(0.0, 2.0)
+        points.append((scheme, m, M, 10 ** rng.uniform(math.log10(0.3), 4.0), 10 ** rng.uniform(-4.0, 1.0)))
+
+    def same(point, c):
+        kw = {} if c is None else {"c": c}
+        want = _outcome(_reference_check_certificate, *point, **kw)
+        assert _outcome(check_certificate, *point, **kw) == want, (point, c)
+
+    for i, point in enumerate(points):
+        # one point at several c: a miss, then hits
+        for c in (None, float(rng.uniform(0.0, 1.0)), 0.0, None, float(10 ** rng.uniform(-8.0, -1.0))):
+            same(point, c)
+        if i >= 1:  # A, B, A interleaved
+            same(points[i - 1], None)
+            same(point, float(rng.uniform(0.0, 0.1)))
+        if i > _POINT_CACHE_SIZE:  # a point evicted since its last call: a miss again
+            misses = _point.cache_info().misses
+            same(points[i - _POINT_CACHE_SIZE - 1], float(rng.uniform(0.0, 0.1)))
+            assert _point.cache_info().misses == misses + 1
+    info = _point.cache_info()
+    assert info.hits > 0 and info.misses > _POINT_CACHE_SIZE
+
+
+def test_every_search_probe_is_a_full_check(monkeypatch):
+    # a traced run counts each probe where it calls the module attribute
+    # certificates.check_certificate; each one must run the oracle too,
+    # while a rate search builds its c-free half once
+    reports, oracles, rates = [], [], []
+    check, oracle, rate = certificates.check_certificate, certificates._min_eig_H, certificates.certified_rate
+
+    def counting_check(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    def counting_oracle(*args):
+        oracles.append(args)
+        return oracle(*args)
+
+    def counting_rate(*args):
+        rates.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(certificates, "check_certificate", counting_check)
+    monkeypatch.setattr(certificates, "_min_eig_H", counting_oracle)
+    monkeypatch.setattr(certificates, "certified_rate", counting_rate)
+    _point.cache_clear()
+    scheme, m, M, gamma = Scheme.BAO, 1.0, 4.0, 26.0
+
+    h = max_certified_stepsize(scheme, m, M, gamma)
+    n_step = len(reports)
+    assert n_step > 20 and len(oracles) == n_step
+    assert len(rates) == len({rep.h for rep in reports}) == n_step  # every probe a new point
+
+    del rates[:]
+    max_certified_rate(scheme, m, M, gamma, 0.8 * h)
+    n_rate = len(reports) - n_step
+    assert n_rate > math.log2(1.0 / RATE_TOL) and len(oracles) == n_step + n_rate
+    assert len(rates) == 1  # one c-free half for the whole search
+    assert all(math.isfinite(rep.oracle_min_eig) and rep.oracle_agrees for rep in reports)
+
+    point = _point(scheme, m, M, gamma, 0.8 * h)
+    for arr in (point.W, *point.blocks, point.lams, *point.sums[0], *point.sums[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_check_certificate_kinetic_em_example():

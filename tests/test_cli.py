@@ -205,6 +205,24 @@ def test_ses_underflowing_noise_exits_2(tmp_path, capsys, command, grid):
     assert "config error: SES noise covariance" in capsys.readouterr().err
 
 
+def test_glc_scan_gives_a_nan_row_where_ses_noise_underflows(tmp_path):
+    # the deviation step raises on SES's noise factor at gamma h ~ 1e-119;
+    # that point alone reads nan, and the scan still writes its rows
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": ["ses"],
+        "params": {"h": 1e-120, "n_steps": 50},
+        "scan": {"gamma_grid": [11.0]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["glc-scan", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    header, line = (tmp_path / "out" / "glc_scan.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["scheme"] == "ses" and float(row["gamma"]) == 11.0
+    assert math.isfinite(float(row["c_theoretical"]))
+    assert row["c_empirical"] == row["deviation"] == "nan"
+
+
 @pytest.mark.parametrize("command", ["certify", "gaussian-scan", "glc-scan"])
 def test_only_couple_takes_force(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "cfg.json", couple_config(tmp_path / "out"))
