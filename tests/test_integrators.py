@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from langevin_contract.certificates import step_matrix, transition_matrix_P
 from langevin_contract.coupling import CounterStreams
 from langevin_contract.integrators import (
+    _CHAIN_BLOCK,
     FIRST_ORDER_SPLITTINGS,
+    KINETIC_SCHEMES,
     SPLITTING_WORDS,
     IntegratorError,
     PhaseState,
@@ -337,11 +340,114 @@ def test_ses_noise_monte_carlo_covariance():
     assert abs(np.mean(z * w) - cov) <= 3 * se_cov
 
 
+#: every scheme with a memoryless affine mode map
+CHAIN_SCHEMES = (*KINETIC_SCHEMES, Scheme.OVERDAMPED_EM)
+
+
+def _reference_simulate_mode_chain(scheme, lam, params, x0, v0, noise):
+    """The scalar loop that :func:`simulate_mode_chain` replaced: one step of
+    the affine map at a time, on Python floats."""
+    P, N = affine_mode_map(scheme, lam, params)
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2 or noise.shape[1] != N.shape[1]:
+        raise IntegratorError(f"noise must have shape (n, {N.shape[1]}), got {noise.shape}")
+    p00, p01 = float(P[0, 0]), float(P[0, 1])
+    p10, p11 = float(P[1, 0]), float(P[1, 1])
+    ncols = [[float(N[0, j]), float(N[1, j])] for j in range(N.shape[1])]
+    xs = np.empty(noise.shape[0] + 1)
+    x, v = float(x0), float(v0)
+    xs[0] = x
+    rows = noise.tolist()
+    for i, row in enumerate(rows):
+        nx = p00 * x + p01 * v
+        nv = p10 * x + p11 * v
+        for (n0, n1), w in zip(ncols, row):
+            nx += n0 * w
+            nv += n1 * w
+        x, v = nx, nv
+        xs[i + 1] = x
+    if not math.isfinite(x) or not math.isfinite(v):
+        raise IntegratorError("chain diverged to non-finite state")
+    return xs
+
+
+def _spectral_radius(scheme, P):
+    # overdamped_em carries v unchanged, so the eigenvalue 1 of its P says nothing
+    if scheme is Scheme.OVERDAMPED_EM:
+        return abs(P[0, 0])
+    return max(abs(np.linalg.eigvals(P)))
+
+
+@pytest.mark.parametrize("scheme", CHAIN_SCHEMES, ids=lambda s: s.value)
+def test_simulate_mode_chain_matches_the_loop_reference(scheme):
+    # blocked and looped arithmetic round differently: agreement to 1e-12 of
+    # the chain's scale, at every block-edge length and near rho(P) = 1, where
+    # the carry by P^B repeats its rounding n/B times
+    rng = np.random.default_rng(CHAIN_SCHEMES.index(scheme))
+    k = noise_requirements(scheme)
+    lam = rng.uniform(0.5, 4.0)
+    near_unit = StepParams(5e-4 / lam, 0.01)
+    P, _ = affine_mode_map(scheme, lam, near_unit)
+    assert 1.0 - 1e-3 <= _spectral_radius(scheme, P) < 1.0
+    # h lam <= 0.1 < gamma keeps kinetic_em and overdamped_em stable too
+    damped = StepParams(rng.uniform(0.01, 0.1) / lam, rng.uniform(0.5, 5.0))
+    B = _CHAIN_BLOCK
+    for p in (near_unit, damped):
+        for n in (0, 1, B - 1, B, B + 1, 1000, 100_003):
+            x0, v0 = rng.normal(size=2)
+            noise = rng.standard_normal((n, k))
+            xs = simulate_mode_chain(scheme, lam, p, x0, v0, noise)
+            ref = _reference_simulate_mode_chain(scheme, lam, p, x0, v0, noise)
+            assert xs.shape == ref.shape == (n + 1,)
+            assert np.max(np.abs(xs - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, n)
+
+
+def test_simulate_mode_chain_raises_where_it_diverges():
+    # BAOAB is unstable at h = 2.5 on a unit mode; the overflow warns nowhere
+    noise = CounterStreams(13).normals(0, 100_000, 1)
+    with pytest.raises(IntegratorError, match="non-finite"):
+        simulate_mode_chain(Scheme.BAOAB, 1.0, StepParams(2.5, 2.0), 0.3, -0.2, noise)
+
+
+def test_simulate_mode_chain_finite_end_before_an_overflowing_tail():
+    # kinetic_em at h = 1e6 grows ~1e6-fold a step: z_40 is finite, though
+    # continuing to the end of its block of steps would overflow
+    p = StepParams(1e6, 0.01)
+    noise = CounterStreams(13).normals(0, 40, 1)
+    xs = simulate_mode_chain(Scheme.KINETIC_EM, 1.0, p, 0.3, -0.2, noise)
+    ref = _reference_simulate_mode_chain(Scheme.KINETIC_EM, 1.0, p, 0.3, -0.2, noise)
+    assert np.isfinite(xs).all() and abs(xs[-1]) > 1e200
+    assert np.max(np.abs(xs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_simulate_mode_chain_start_and_non_finite_start():
+    xs = simulate_mode_chain(Scheme.BAOAB, 1.0, params(), 0.3, -0.2, np.zeros((0, 1)))
+    assert xs.tolist() == [0.3]
+    for x0, v0 in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)):
+        for n in (0, 5, 40):
+            with pytest.raises(IntegratorError, match="non-finite"):
+                simulate_mode_chain(Scheme.BAOAB, 1.0, params(), x0, v0, np.zeros((n, 1)))
+
+
+def test_simulate_mode_chain_peak_memory_per_step():
+    # a few float64 buffers per step; a Python object per step (a row of
+    # noise.tolist(), as the loop reference makes) costs ~136 bytes a step
+    n = 100_000
+    noise = CounterStreams(7).normals(0, n, 2)
+    tracemalloc.start()
+    try:
+        simulate_mode_chain(Scheme.OBABO, 1.0, StepParams(0.1, 2.0), 0.0, 0.0, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * n
+
+
 def test_simulate_mode_chain_matches_stepping():
     pot = QuadraticPotential(np.array([[1.3]]))
     p = StepParams(0.05, 2.0)
     n = 300
-    for scheme in (Scheme.KINETIC_EM, Scheme.BAO, Scheme.BAOAB, Scheme.OBABO, Scheme.SES):
+    for scheme in CHAIN_SCHEMES:
         noise = CounterStreams(11).normals(0, n, noise_requirements(scheme))
         xs = simulate_mode_chain(scheme, 1.3, p, 0.3, -0.2, noise)
         z = PhaseState(np.array([0.3]), np.array([-0.2]))
