@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coupling import certified_rate
-from .integrators import Scheme, StepParams, _coefficients, _core_mode_map, _mode_map
+from .integrators import Scheme, StepParams, _mode_map
 
 
 class CertificateError(ValueError):
@@ -92,33 +92,23 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
     obabo's stability thresholds in the zone where exp(-gamma h) is below
     ~1e-16.  eta = exp(-gamma h) in both.
     """
-    return _certificate_blocks(scheme, (lam,), params)[0]
-
-
-def _certificate_blocks(scheme: Scheme, lams, params: StepParams) -> list[np.ndarray]:
-    """:func:`transition_matrix_P` at each lam of ``lams``, from one set of
-    step constants."""
     scheme = Scheme(scheme)
     if scheme not in CERTIFICATE_SCHEMES:
         raise UnsupportedScheme(
             f"{scheme.value} has no certificate block; permuted splittings route through bao/oab"
         )
     if scheme not in (Scheme.BAOAB, Scheme.OBABO):
-        coefs = _coefficients(scheme, params)
-        return [_core_mode_map(scheme, lam, coefs)[0] for lam in lams]
+        return _mode_map(scheme, lam, params)[0]
     h, eta = params.h, params.eta
     if scheme is Scheme.BAOAB:
-        return [
-            np.array(
-                [
-                    [1.0 - h * h * lam / 2.0, h - h**3 * lam / 4.0],
-                    [-h * eta * lam, eta - h * h * eta * lam / 2.0],
-                ]
-            )
-            for lam in lams
-        ]
+        return np.array(
+            [
+                [1.0 - h * h * lam / 2.0, h - h**3 * lam / 4.0],
+                [-h * eta * lam, eta - h * h * eta * lam / 2.0],
+            ]
+        )
     half = 0.5 * h * (1.0 + eta)
-    return [np.array([[1.0, h], [-half * lam, eta - h * half * lam]]) for lam in lams]
+    return np.array([[1.0, h], [-half * lam, eta - h * half * lam]])
 
 
 def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
@@ -135,8 +125,8 @@ def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
 def _affine_P(scheme: Scheme, params: StepParams) -> tuple[np.ndarray, np.ndarray]:
     """(P0, P1) with P(lam) = P0 + lam P1; exact because every certificate
     block applies the kick operator once."""
-    P0, P_at_1 = _certificate_blocks(scheme, (0.0, 1.0), params)
-    return P0, P_at_1 - P0
+    P0 = transition_matrix_P(scheme, 0.0, params)
+    return P0, transition_matrix_P(scheme, 1.0, params) - P0
 
 
 @dataclass(frozen=True)

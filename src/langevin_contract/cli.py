@@ -16,8 +16,6 @@ are written atomically, and grid order is the config order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -71,12 +69,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(x) for x in row])
-    _atomic_write(path, buf.getvalue())
+    """Comma-joined :func:`_fmt` fields, unquoted: no field written contains a
+    comma, quote or newline."""
+    lines = [header] + [[_fmt(x) for x in row] for row in rows]
+    _atomic_write(path, "".join(",".join(line) + "\n" for line in lines))
 
 
 def _write_trace(path: Path, prefix: str, distances: list[float], bound: list[float] | None) -> None:
@@ -256,13 +252,14 @@ def cmd_couple(cfg: dict, args) -> int:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
-    def report(s, h, g, seed, trace):
-        rate = trace.rate
+    def report(trace):
+        params, seed, rate = trace.point
+        s, h, g = rate.scheme, params.h, params.gamma
         distances = trace.distances.tolist()
         bound, ok, first_bad = None, None, None
         if rate.admissible:
             bound = rate.bound_sq_steps(trace.n_steps, distances[0])
-            ok, first_bad = verify_trace_bound(trace, rate, bound)
+            ok, first_bad = verify_trace_bound(trace, bound)
         try:
             c_hat = empirical_rate(positive_prefix(trace))
         except CouplingError:
@@ -287,12 +284,10 @@ def cmd_couple(cfg: dict, args) -> int:
         }
 
     # each scheme's grid points are one batch, stepped together
+    points = [CouplingPoint(StepParams(h, g), seed, rate) for (_, h, g, seed), rate in zip(jobs, rates)]
     summary = []
-    for s, batch in itertools.groupby(zip(jobs, rates), key=lambda job_rate: job_rate[0][0]):
-        batch = list(batch)
-        points = [CouplingPoint(StepParams(h, g), seed, rate) for (_, h, g, seed), rate in batch]
-        traces = run_coupling_batch(s, pot, z0, z1, points, n_steps)
-        summary += [report(*job, trace) for (job, _), trace in zip(batch, traces)]
+    for s, batch in itertools.groupby(points, key=lambda p: p.rate.scheme):
+        summary += [report(trace) for trace in run_coupling_batch(s, pot, z0, z1, list(batch), n_steps)]
     diverged = [r for r in summary if r["diverged"]]
     _write_json(out / "couple_summary.json", {"runs": summary})
     if diverged and not args.force:

@@ -2,19 +2,20 @@
 
 Two chains driven by the identical noise sequence have a difference process
 whose weighted norm contracts geometrically under the admissibility
-conditions checked here.  The module runs such pairs, records the
-squared-norm distance trace, fits empirical rates, and evaluates each
+conditions checked here.  The module runs such pairs, records each
+pair's squared-norm distance trace with the point it ran at (its (h,
+gamma), seed and certified rate), fits empirical rates, and evaluates each
 scheme's certified (a, b, c(h)) triple with its hypotheses.
 
 Noise contract: draws come from counter-based Philox streams keyed on
 (seed, chain-pair id, sub-step index) with the step index as the counter
 position, so both chains of a pair consume byte-identical noise and sweeps
-are reproducible regardless of scheduling.  A run keeps one generator per
-substream alive and draws its noise in blocks of rows; this gives the same
-numbers as one draw of the whole run.  The chain states are reduced to
-distances block by block too, so a run's memory does not grow with its
-length.  Runs of one scheme at several (h, gamma, seed) points step
-together as one batch, each point on its own streams.
+are reproducible regardless of scheduling.  A run goes in blocks of steps:
+each block draws its rows of noise from one generator per substream, kept
+alive through the run (the same numbers as one draw of the whole run),
+steps, and reduces its states to distances, so a run's memory does not
+grow with its length.  Runs of one scheme at several (h, gamma, seed)
+points step together as one batch, each point on its own streams.
 """
 
 from __future__ import annotations
@@ -234,18 +235,24 @@ def certified_stepsize_threshold(scheme: Scheme, m: float, M: float, gamma: floa
     return min(hyp.root(M, gamma) for hyp in _RECORDS[Scheme(scheme)].hypotheses)
 
 
+class CouplingPoint(NamedTuple):
+    """One (h, gamma, seed) point of a batched run and its certified rate, whose
+    :attr:`CertifiedRate.norm` the point's distances are measured in."""
+
+    params: StepParams
+    seed: int
+    rate: CertifiedRate
+
+
 @dataclass
 class CouplingTrace:
-    """Squared weighted-norm distance trace of one synchronously coupled pair."""
+    """Squared weighted-norm distance trace of one synchronously coupled pair
+    run at ``point``, in its rate's :attr:`CertifiedRate.norm`."""
 
-    scheme: Scheme
-    params: StepParams
-    norm: WeightedNorm
+    point: CouplingPoint
     distances: np.ndarray
-    seed: int
     quadratic: bool
     diverged_at: int | None = None
-    rate: CertifiedRate | None = None
 
     @property
     def n_steps(self) -> int:
@@ -254,15 +261,6 @@ class CouplingTrace:
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
-
-
-class CouplingPoint(NamedTuple):
-    """One (h, gamma, seed) point of a batched run and its certified rate, whose
-    :attr:`CertifiedRate.norm` the point's distances are measured in."""
-
-    params: StepParams
-    seed: int
-    rate: CertifiedRate
 
 
 def run_synchronous_coupling(
@@ -302,13 +300,15 @@ def run_coupling_batch(
     """One coupled pair per point, all stepped together; their traces in order.
 
     The chains carry a leading batch axis, (B, 2, d), so each step is one
-    call of the step core for the whole batch.  Each point keeps its own
-    noise streams ``CounterStreams(seed)``, LM primer, divergence step and
-    norm, its rate's :attr:`CertifiedRate.norm`, so its trace equals its run
-    alone.  Admissibility is the caller's.  A point diverges at its first
-    non-finite distance: its trace ends there, the others run on, and the
-    run stops early once every point has diverged (checked as each block of
-    states is reduced).
+    call of the step core for the whole batch, with each point's step
+    constants as (B, 1, 1) columns.  Each point keeps its own noise streams
+    ``CounterStreams(seed)``, LM primer, divergence step and norm, its
+    rate's :attr:`CertifiedRate.norm`, so its trace equals its run alone.
+    Admissibility is the caller's.  The run goes in blocks of steps: each
+    block draws its noise, steps, and reduces its states to every point's
+    distances.  A point diverges at its first non-finite distance: its trace
+    ends there, the others run on, and the run stops early once every point
+    has diverged (checked as each block is reduced).
     """
     scheme = Scheme(scheme)
     if n_steps < 0:
@@ -317,76 +317,53 @@ def run_coupling_batch(
         return []
     d = potential.dim
     B = len(points)
-    rows = max(1, min(n_steps + 1, _BLOCK_BYTES // (8 * d * B)))
+    rows = max(1, min(n_steps, _BLOCK_BYTES // (8 * d * B)))
     k = noise_requirements(scheme)
     streams = [CounterStreams(p.seed) for p in points]
     norms = [p.rate.norm for p in points]
     gens = [[st.generator(j) for j in range(k)] for st in streams]
     prev = np.stack([st.normals(k, 1, d) for st in streams]) if scheme is Scheme.LM else None
-    # each point's step constants, as (B, 1, 1) columns broadcast over its two
-    # chains; one point keeps floats, which numpy applies faster to small arrays
     coefs = [_coefficients(scheme, p.params) for p in points]
-    coefs = coefs[0] if B == 1 else tuple(np.array(col)[:, None, None] for col in zip(*coefs))
+    coefs = tuple(np.array(col)[:, None, None] for col in zip(*coefs))
 
     x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], B, axis=0)
     v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], B, axis=0)
     grad = None
-    # the states of steps t - s .. t, reduced to each point's distances when full
-    xs = np.empty((rows, B, 2, d))
+    xs = np.empty((rows, B, 2, d))  # the states of one block's steps
     vs = np.empty((rows, B, 2, d))
     distances = np.empty((B, n_steps + 1))
-    s = 0
-    xs[0] = x
-    vs[0] = v
-    diverged_at = [None] * B
-
-    def reduce(stop: int, count: int) -> bool:
-        """Distances of steps stop - count .. stop - 1; whether every point has diverged."""
-        for b, norm in enumerate(norms):
-            xb, vb = xs[:count, b], vs[:count, b]
-            d = norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
-            distances[b, stop - count : stop] = d
-            if diverged_at[b] is None:
-                bad = np.flatnonzero(~np.isfinite(d))
-                if bad.size:
-                    diverged_at[b] = stop - count + int(bad[0])
-        return None not in diverged_at
-
+    distances[:, 0] = [norm.squared(z0.x - z0_tilde.x, z0.v - z0_tilde.v) for norm in norms]
+    diverged_at = [None if math.isfinite(d0) else 0 for d0 in distances[:, 0]]
     # overflow on forced runs is an anticipated outcome, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, n_steps + 1):
-            # s is the slot of step t - 1, and the row of step t's noise in its block
-            if s == rows - 1 and reduce(t, rows):
+        for t in range(0, n_steps, rows):
+            if None not in diverged_at:
                 break
-            if s == 0:
-                # the next block's noise: one draw of its rows per point and substream
-                n = min(rows, n_steps - t + 1)
-                noise = np.empty((n, k, B, 1, d))
-                for b in range(B):
-                    for j in range(k):
-                        noise[:, j, b, 0] = gens[b][j].standard_normal((n, d))
-            xi = noise[s]
-            x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, prev, grad)
-            if prev is not None:
-                prev = xi[0]
-            s = t % rows
-            xs[s] = x
-            vs[s] = v
-        else:
-            reduce(n_steps + 1, s + 1)
+            # steps t + 1 .. t + n, one draw of their noise per point and substream;
+            # a fresh array each block, as LM's prev is a view into the last one
+            n = min(rows, n_steps - t)
+            noise = np.empty((n, k, B, 1, d))
+            for b in range(B):
+                for j in range(k):
+                    noise[:, j, b, 0] = gens[b][j].standard_normal((n, d))
+            for i, xi in enumerate(noise):
+                x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, prev, grad)
+                if prev is not None:
+                    prev = xi[0]
+                xs[i] = x
+                vs[i] = v
+            for b, norm in enumerate(norms):
+                xb, vb = xs[:n, b], vs[:n, b]
+                block = norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+                distances[b, t + 1 : t + n + 1] = block
+                if diverged_at[b] is None:
+                    bad = np.flatnonzero(~np.isfinite(block))
+                    if bad.size:
+                        diverged_at[b] = t + 1 + int(bad[0])
     quadratic = isinstance(potential, QuadraticPotential)
     return [
-        CouplingTrace(
-            scheme=scheme,
-            params=p.params,
-            norm=norm,
-            distances=distances[b, : (n_steps if div is None else div) + 1],
-            seed=p.seed,
-            quadratic=quadratic,
-            diverged_at=div,
-            rate=p.rate,
-        )
-        for b, (p, norm, div) in enumerate(zip(points, norms, diverged_at))
+        CouplingTrace(p, distances[b, : (n_steps if div is None else div) + 1], quadratic, div)
+        for b, (p, div) in enumerate(zip(points, diverged_at))
     ]
 
 
@@ -426,8 +403,9 @@ def empirical_rate(trace: CouplingTrace, burn_in: int | None = None) -> float:
     return float(-np.expm1(slope))
 
 
-def verify_trace_bound(trace: CouplingTrace, rate: CertifiedRate, bound=None) -> tuple[bool, int | None]:
-    """Check d_k <= prefactor^2 (1 - c)^(k - shift) d_0 along the trace.
+def verify_trace_bound(trace: CouplingTrace, bound=None) -> tuple[bool, int | None]:
+    """Check d_k <= prefactor^2 (1 - c)^(k - shift) d_0 along the trace, at
+    its point's rate.
 
     ``bound`` is the bound at every step of the trace, by default
     ``rate.bound_sq_steps(trace.n_steps, d_0)``; pass those values to check
@@ -436,6 +414,7 @@ def verify_trace_bound(trace: CouplingTrace, rate: CertifiedRate, bound=None) ->
     violating index).  Divergence counts as a violation at the truncation
     point.
     """
+    rate = trace.point.rate
     if not rate.admissible:
         raise CouplingError("bound check requires admissible parameters")
     d = trace.distances

@@ -324,14 +324,7 @@ def _mode_map(
     matrix of a scheme is its step's own arithmetic, rounding included.
     LM's previous draw is 0.0.
     """
-    return _core_mode_map(scheme, lam, _coefficients(scheme, params), noise)
-
-
-def _core_mode_map(
-    scheme: Scheme, lam: float, coefs: tuple[float, ...], noise: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`_mode_map` from the step constants ``coefs`` of one (h, gamma)
-    point, so several curvatures can share one :func:`_coefficients` call."""
+    coefs = _coefficients(scheme, params)
     mode = _Mode(float(lam))
 
     # the default zero noise covers every scheme: none draws more than two

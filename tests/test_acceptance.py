@@ -71,7 +71,7 @@ def test_criterion_1_certified_trace_bounds():
             rate = certified_rate(scheme, 1.0, M, gamma, h)
             assert h > 0 and rate.admissible, (scheme, M)
             trace = run_synchronous_coupling(scheme, pot, z0, z1, StepParams(h, gamma), n, seed=0)
-            ok, first_bad = verify_trace_bound(trace, rate)
+            ok, first_bad = verify_trace_bound(trace)
             if not ok:
                 failures.append((scheme.value, M, first_bad))
     elapsed = time.perf_counter() - t0

@@ -1,13 +1,43 @@
 """The traced benchmark wraps library functions by name (bench/child.py::install).
 
-A refactor that drops or renames a wrapped name fails here, in the unit
-tests, rather than in a traced benchmark run.  bench/ is only read.
+A refactor that drops or renames a wrapped name, or changes a result type
+that a span note reads, fails here, in the unit tests, rather than in a
+traced benchmark run.  bench/ is only read.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from langevin_contract.coupling import CounterStreams
+from langevin_contract.integrators import PhaseState, Scheme, StepParams
+from langevin_contract.potentials import QuadraticPotential
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: per noted span: a real call (args, kwargs) of the function it wraps, and the note it should give
+NOTED_CALLS = {
+    "coupling.run_synchronous_coupling": (
+        (
+            Scheme.KINETIC_EM,
+            QuadraticPotential.anisotropic_gaussian(1.0, 4.0),
+            PhaseState(np.array([-1.0, -1.0]), np.zeros(2)),
+            PhaseState(np.array([1.0, 1.0]), np.zeros(2)),
+            StepParams(0.1, 4.0),
+            5,
+        ),
+        {"seed": 0},
+        {"scheme": "kinetic_em", "steps": 5},
+    ),
+    "certificates.check_certificate": ((Scheme.BAO, 1.0, 4.0, 8.0, 0.05), {}, {"agrees": True}),
+    "coupling.normals": ((CounterStreams(0), 0, 3, 2), {}, {"bytes": 48}),
+    "integrators.simulate_mode_chain": (
+        (Scheme.BAO, 1.0, StepParams(0.1, 2.0), 1.0, 0.0, np.zeros((4, 1))),
+        {},
+        {"steps": 4},
+    ),
+}
 
 
 class _CheckingTracer:
@@ -15,10 +45,13 @@ class _CheckingTracer:
 
     def __init__(self):
         self.names = []
+        self.notes = {}
 
     def wrap(self, owner, attr, name, note=None):
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} (traced as {name}) is gone"
         self.names.append(name)
+        if note is not None:
+            self.notes.setdefault(name, []).append((getattr(owner, attr), note))
 
 
 def test_bench_install_wraps_existing_names(monkeypatch):
@@ -29,3 +62,9 @@ def test_bench_install_wraps_existing_names(monkeypatch):
     tracer = _CheckingTracer()
     child.install(tracer)
     assert {"glc.glc_deviation", "glc.rate_collapse_scan", "coupling.run_synchronous_coupling"} <= set(tracer.names)
+    # each span note reads a real result of the function it wraps
+    assert set(tracer.notes) == set(NOTED_CALLS)
+    for name, wrapped in tracer.notes.items():
+        args, kwargs, want = NOTED_CALLS[name]
+        for fn, note in wrapped:
+            assert note(args, kwargs, fn(*args, **kwargs)) == want, name

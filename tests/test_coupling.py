@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from langevin_contract import coupling
 from langevin_contract.cli import main
 from langevin_contract.coupling import (
     _BLOCK_BYTES,
@@ -72,7 +73,8 @@ def test_kinetic_em_trace_bound_example():
     )
     ks = np.arange(1001)
     assert (tr.distances <= (1 - 0.0125) ** ks * tr.distances[0] * (1 + 1e-12)).all()
-    ok, bad = verify_trace_bound(tr, rate)
+    assert tr.point.rate == rate
+    ok, bad = verify_trace_bound(tr)
     assert ok and bad is None
 
 
@@ -175,7 +177,7 @@ def test_exact_one_step_contraction_is_admissible():
         assert r.bound_sq(1, 3.0) == 0.0
     pot = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
     tr = run_synchronous_coupling(Scheme.LM, pot, Z0, Z1, StepParams(1.0, 1.0), 20, seed=0)
-    assert verify_trace_bound(tr, r) == (True, None)
+    assert verify_trace_bound(tr) == (True, None)
 
 
 def test_threshold_and_rate_read_the_same_friction_floor():
@@ -298,17 +300,16 @@ def test_divergence_marked_at_first_non_finite_distance():
         assert len(tr.distances) == first_bad + 1
         assert np.isfinite(tr.distances[:first_bad]).all() and not np.isfinite(tr.distances[first_bad])
         assert len(positive_prefix(tr).distances) == first_bad
-    assert tr.norm == WeightedNorm(0.25, 0.0)
+    assert tr.point.rate.norm == WeightedNorm(0.25, 0.0)
 
 
 def test_verify_trace_bound_violation_injection():
-    rate = certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 0.1)
     tr = run_synchronous_coupling(
         Scheme.KINETIC_EM, ANISO, Z0, Z1, StepParams(0.1, 4.0), 50, seed=0
     )
     tr.distances = tr.distances.copy()
     tr.distances[5] = tr.distances[0] * 2.0
-    ok, bad = verify_trace_bound(tr, rate)
+    ok, bad = verify_trace_bound(tr)
     assert not ok and bad == 5
 
 
@@ -318,7 +319,7 @@ def test_verify_trace_bound_baoab_prefactor():
     rate = certified_rate(Scheme.BAOAB, m, M, gamma, h)
     assert rate.prefactor == 7.0
     tr = run_synchronous_coupling(Scheme.BAOAB, ANISO, Z0, Z1, StepParams(h, gamma), 2000, seed=0)
-    ok, _ = verify_trace_bound(tr, rate)
+    ok, _ = verify_trace_bound(tr)
     assert ok
     # the squared-norm bound carries prefactor 49 and exponent k - 1
     ks = np.arange(len(tr.distances))
@@ -330,8 +331,7 @@ def test_lm_coupling_contracts():
     pot = PerturbedQuadratic(np.diag([2.0, 3.0]), 0.5)
     h = 0.8 * 2.0 / pot.M
     tr = run_synchronous_coupling(Scheme.LM, pot, Z0, Z1, StepParams(h, 1.0), 300, seed=3)
-    rate = certified_rate(Scheme.LM, pot.m, pot.M, 1.0, h)
-    ok, bad = verify_trace_bound(tr, rate)
+    ok, bad = verify_trace_bound(tr)
     assert ok, bad
 
 
@@ -458,6 +458,29 @@ def test_batched_runner_equals_one_point_runs(scheme):
                 assert div is not None and div % rows  # diverged inside a block ...
                 assert [tr.diverged_at for tr in traces] == [None, div, None, None]
                 assert [len(tr.distances) for tr in traces] == [n + 1, div + 1, n + 1, n + 1]  # ... the others ran on
+
+
+def test_batched_runner_stops_once_every_point_diverged(monkeypatch):
+    iso = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
+    scheme = Scheme.KINETIC_EM
+    grid = [(StepParams(0.25, 100.0), 0), (StepParams(0.3, 100.0), 1), (StepParams(0.25, 100.0), 5)]
+    points = [CouplingPoint(p, seed, certified_rate(scheme, iso.m, iso.M, p.gamma, p.h)) for p, seed in grid]
+    rows = _BLOCK_BYTES // (8 * iso.dim * len(points))
+    calls = []
+    step_core = coupling._step_core
+
+    def counting_step_core(*args):
+        calls.append(1)
+        return step_core(*args)
+
+    monkeypatch.setattr(coupling, "_step_core", counting_step_core)
+    traces = run_coupling_batch(scheme, iso, Z0, Z1, points, 10 * rows)
+    assert len(calls) <= rows  # the first block, not the 10 * rows asked for
+    for p, tr in zip(points, traces):
+        assert tr.point is p
+        assert tr.diverged_at is not None and tr.diverged_at < rows
+        assert len(tr.distances) == tr.diverged_at + 1 and not np.isfinite(tr.distances[-1])
+    assert len({tr.diverged_at for tr in traces}) > 1
 
 
 class CountingTarget(Potential):
