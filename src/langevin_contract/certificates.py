@@ -25,16 +25,24 @@ polynomial route is cross-checked against direct 2x2 eigenvalues at every
 grid point.
 
 A check comes in two halves.  Only c moves between the probes of a rate
-search, so everything that does not depend on c is one *point*, built
+search, and it enters H only through (1-c) W, so it moves only the
+constant terms of A, B and C.  Everything else is one *point*, built
 once per (scheme, m, M, gamma, h) and kept in a one-entry LRU cache
-(:func:`_point`): the certified rate, (P0, P1), W, the c-free blocks
-P0^T W P0, -(P0^T W P1 + P1^T W P0) and -P1^T W P1, the lam grid, and
-the oracle's grid sums of P(lam)^T W P(lam).  Its arrays are read-only.
-:func:`check_certificate` runs the c half on every call: the constant
-terms of A, B, C, both polynomials on the grid, the guards, the verdict,
-the oracle's H = (1-c) W - P^T W P with its minimum eigenvalue, and the
-margins.  So every search probe is still a full check, and its report is
-bit-identical to building the point afresh.
+(:func:`_point`): the certified rate, W, the entries of P0^T W P0, the
+lam^1 and lam^2 coefficients of A, B and C as floats, the lam grid, A's
+Horner tail on it, and the oracle's grid sums of P(lam)^T W P(lam).  An
+entry of P(lam) whose P1 entry is exactly 0 is the same float at every
+node, so it stays one Python float, as does every sum built only from
+such entries; the point's arrays are read-only.  :func:`check_certificate`
+runs the c half on every call: the constant terms, A on the grid (the
+tail plus one add), the quartic AC - B^2 and its grid values, the guards,
+the verdict, the oracle's H = (1-c) W - P^T W P with its minimum
+eigenvalue, and the margins.  The helpers :func:`_trim`, :func:`_polymul`,
+:func:`_polysub` and :func:`_polyval` do the operations of their
+``numpy.polynomial`` namesakes in the same order, on short float lists
+and without its input checks.  So every search probe is still a full
+check, and its report is bit-identical to one built afresh with
+``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .coupling import certified_rate
 from .integrators import Scheme, StepParams, _mode_map
@@ -146,13 +153,6 @@ def _h_blocks(P0: np.ndarray, P1: np.ndarray, W: np.ndarray) -> tuple[np.ndarray
     return P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)
 
 
-def _abc(blocks: tuple[np.ndarray, ...], W: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
-    """(A, B, C) from :func:`_h_blocks` and the weight matrix W at rate c."""
-    K0, H1, H2 = blocks
-    H = np.stack([(1.0 - c) * W - K0, H1, H2])
-    return H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
-
-
 def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) -> AbcPolynomials:
     """Coefficient form of A, B, C for the certificate block of ``scheme``.
 
@@ -162,7 +162,9 @@ def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) 
     """
     scheme = Scheme(scheme)
     W = np.array([[1.0, b], [b, a]])
-    return AbcPolynomials(scheme, *_abc(_h_blocks(*_affine_P(scheme, params), W), W, c))
+    K0, H1, H2 = _h_blocks(*_affine_P(scheme, params), W)
+    H = np.stack([(1.0 - c) * W - K0, H1, H2])
+    return AbcPolynomials(scheme, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1])
 
 
 @dataclass(frozen=True)
@@ -197,12 +199,43 @@ class CertificateReport:
         return {**vars(self), "scheme": self.scheme.value}
 
 
-def _derivative_bound(coeffs: np.ndarray, hi: float) -> float:
+def _derivative_bound(coeffs: list[float], hi: float) -> float:
     """sup |d/dlam p(lam)| on [0, hi] via the coarse coefficient bound."""
     return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
 
 
-def _grid_sums(P0: np.ndarray, P1: np.ndarray, lams: np.ndarray, W: np.ndarray) -> list[list[np.ndarray]]:
+def _trim(c: list[float]) -> list[float]:
+    """``numpy.polynomial``'s trimseq: drop trailing zeros (of either sign),
+    keeping at least one coefficient."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _polymul(c1: list[float], c2: list[float]) -> list[float]:
+    """``npoly.polymul`` on float lists: ``np.convolve`` of the trimmed
+    factors, trimmed."""
+    return _trim(np.convolve(_trim(c1), _trim(c2)).tolist())
+
+
+def _polysub(c1: list[float], c2: list[float]) -> list[float]:
+    """``npoly.polysub`` on trimmed float lists: the common head subtracted,
+    the longer tail kept (negated when it is c2's), trimmed."""
+    n = min(len(c1), len(c2))
+    tail = c1[n:] if len(c1) > len(c2) else [-x for x in c2[n:]]
+    return _trim([x - y for x, y in zip(c1, c2)] + tail)
+
+
+def _polyval(x: np.ndarray, c: list[float]) -> np.ndarray:
+    """``npoly.polyval(x, c)``: Horner from ``c[-1] + x * 0``."""
+    p = c[-1] + x * 0
+    for ck in reversed(c[:-1]):
+        p = ck + p * x
+    return p
+
+
+def _grid_sums(P0: np.ndarray, P1: np.ndarray, lams: np.ndarray, W: np.ndarray) -> list[list]:
     """The c-free half of the eigenvalue oracle: the four entries of
     P(lam)^T W P(lam) over the lam grid, for P(lam) = P0 + lam P1.
 
@@ -211,24 +244,32 @@ def _grid_sums(P0: np.ndarray, P1: np.ndarray, lams: np.ndarray, W: np.ndarray) 
     is the summation order of the einsum ``"nki,kl,nlj->nij"`` the tests
     keep as the reference, so :func:`_min_eig_H` is bit-identical to it;
     numpy runs a three-operand einsum through its generic loop, about ten
-    times slower than these vector operations.
+    times slower than these vector operations.  An entry of P whose P1
+    entry is exactly 0 (of either sign) is one Python float, the node
+    operation P0 + lam P1 done once, and so is every sum of such entries.
     """
-    P = [[P0[k, i] + lams * P1[k, i] for i in range(2)] for k in range(2)]
+    w = W.tolist()
+    P = [
+        [P0[k, i] + lams * P1[k, i] if P1[k, i] != 0 else float(P0[k, i] + lams[0] * P1[k, i]) for i in range(2)]
+        for k in range(2)
+    ]
+    PW = [[[P[k][i] * w[k][l] for l in range(2)] for k in range(2)] for i in range(2)]  # shared by both j
 
-    def entry(i: int, j: int) -> np.ndarray:
-        t = [(P[k][i] * W[k, l]) * P[l][j] for k in range(2) for l in range(2)]
+    def entry(i: int, j: int):
+        t = [PW[i][k][l] * P[l][j] for k in range(2) for l in range(2)]
         return ((t[0] + t[1]) + t[2]) + t[3]
 
     return [[entry(i, j) for j in range(2)] for i in range(2)]
 
 
-def _min_eig_H(sums: list[list[np.ndarray]], W: np.ndarray, c: float) -> np.ndarray:
+def _min_eig_H(sums: list[list], W: np.ndarray, c: float, shape: tuple[int, ...]) -> np.ndarray:
     """Min eigenvalue of H = (1-c) W - P^T W P at each grid node, from the
-    :func:`_grid_sums` of P^T W P."""
+    :func:`_grid_sums` of P^T W P; ``shape`` is the grid's."""
     H = [[(1.0 - c) * W[i, j] - sums[i][j] for j in range(2)] for i in range(2)]
     tr = H[0][0] + H[1][1]
     det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
-    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    eig = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    return eig if np.ndim(eig) else np.full(shape, eig)  # a constant P(lam) gives one value
 
 
 class _Point(NamedTuple):
@@ -238,9 +279,11 @@ class _Point(NamedTuple):
     b: float
     c: float  # the certified rate, the default c of a check
     W: np.ndarray
-    blocks: tuple[np.ndarray, ...]  # _h_blocks
+    k0: tuple[float, float, float]  # entries (0, 0), (0, 1), (1, 1) of P0^T W P0
+    lam_terms: tuple[tuple[float, float], ...]  # the lam^1, lam^2 coefficients of A, B, C
     lams: np.ndarray
-    sums: list[list[np.ndarray]]  # _grid_sums
+    tail: np.ndarray  # A's Horner tail, so A(lams) = A[0] + tail
+    sums: list[list]  # _grid_sums
 
 
 @functools.lru_cache(maxsize=_POINT_CACHE_SIZE, typed=True)
@@ -250,11 +293,16 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     # one (P0, P1) for both the polynomial route and the eigenvalue oracle
     P0, P1 = _affine_P(scheme, StepParams(h, gamma))
     W = np.array([[1.0, rate.b], [rate.b, rate.a]])
+    K0, H1, H2 = (block.tolist() for block in _h_blocks(P0, P1, W))
+    abc = ((0, 0), (0, 1), (1, 1))  # the entries of H that are A, B and C
+    lam_terms = tuple((H1[i][j], H2[i][j]) for i, j in abc)
     lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
-    point = _Point(rate.a, rate.b, rate.c, W, _h_blocks(P0, P1, W), lams, _grid_sums(P0, P1, lams, W))
-    for arr in (W, *point.blocks, lams, *point.sums[0], *point.sums[1]):
-        arr.flags.writeable = False
-    return point
+    tail = _polyval(lams, list(lam_terms[0])) * lams  # A(lams) is A[0] + tail, polyval's last step
+    sums = _grid_sums(P0, P1, lams, W)
+    for arr in (W, lams, tail, *sums[0], *sums[1]):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return _Point(rate.a, rate.b, rate.c, W, tuple(K0[i][j] for i, j in abc), lam_terms, lams, tail, sums)
 
 
 def check_certificate(
@@ -285,11 +333,12 @@ def check_certificate(
     point = _point(scheme, m, M, gamma, h)
     a, b, lams = point.a, point.b, point.lams
     c = point.c if c is None else c
-    A, B, C = _abc(point.blocks, point.W, c)
+    # the constant terms, (1-c) W - P0^T W P0, are all that c moves
+    A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, b, a), point.k0, point.lam_terms))
 
-    pa = npoly.polyval(lams, A)
-    quartic = npoly.polysub(npoly.polymul(A, C), npoly.polymul(B, B))
-    pq = npoly.polyval(lams, quartic)
+    pa = A[0] + point.tail
+    quartic = _polysub(_polymul(A, C), _polymul(B, B))
+    pq = _polyval(lams, quartic)
 
     if M > m:
         dlam = (M - m) / (GRID_POINTS - 1)
@@ -300,7 +349,7 @@ def check_certificate(
     norm_valid = b * b < a
     passed = bool(norm_valid and pa.min() > guard_a and pq.min() > guard_q)
 
-    eigs = _min_eig_H(point.sums, point.W, c)
+    eigs = _min_eig_H(point.sums, point.W, c, lams.shape)
     poly_pd = (pa > 0.0) & (pq > 0.0)
     oracle_pd = eigs > 0.0
     agrees = bool(np.array_equal(poly_pd, oracle_pd))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import polyutils
 
 from langevin_contract import certificates
 from langevin_contract.certificates import (
@@ -21,6 +22,10 @@ from langevin_contract.certificates import (
     _grid_sums,
     _min_eig_H,
     _point,
+    _polymul,
+    _polysub,
+    _polyval,
+    _trim,
     bisect,
     bracket,
     build_abc,
@@ -143,9 +148,12 @@ def test_min_eig_H_grid_matches_einsum_reference(scheme):
                     W = np.array([[1.0, r.b], [r.b, r.a]])
                     lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
                     P0, P1 = _affine_P(scheme, params)
-                    got = _min_eig_H(_grid_sums(P0, P1, lams, W), W, r.c)
+                    got = _min_eig_H(_grid_sums(P0, P1, lams, W), W, r.c, lams.shape)
                     want = _einsum_min_eig_H_grid(P0, P1, lams, W, r.c)
                     assert np.array_equal(got, want), (m, M, gamma, h)
+                    # a constant P(lam): every sum is one float, and the oracle still fills the grid
+                    flat = _min_eig_H(_grid_sums(P0, 0.0 * P1, lams, W), W, r.c, lams.shape)
+                    assert np.array_equal(flat, _einsum_min_eig_H_grid(P0, 0.0 * P1, lams, W, r.c))
                     for k in (0, len(lams) // 2, len(lams) - 1):
                         P = transition_matrix_P(scheme, lams[k], params)
                         H = (1.0 - r.c) * W - P.T @ W @ P
@@ -214,6 +222,23 @@ def _reference_check_certificate(scheme, m, M, gamma, h, c=None):
     )
 
 
+def _zeroing_c(scheme, m, M, gamma, h, i, j):
+    """A c at which entry (i, j) of (1-c) W - P0^T W P0, the constant term
+    of A, B or C, is exactly 0.0 as the reference computes it, or None."""
+    rate = certified_rate(scheme, m, M, gamma, h)
+    W = np.array([[1.0, rate.b], [rate.b, rate.a]])
+    P0 = transition_matrix_P(scheme, 0.0, StepParams(h, gamma))
+    K0 = P0.T @ W @ P0
+    start = 1.0 - K0[i, j] / W[i, j] if W[i, j] != 0.0 else 0.0  # b = 0: c does not move B0
+    for direction in (np.inf, -np.inf):
+        c = start
+        for _ in range(64):
+            if ((1.0 - c) * W - K0)[i, j] == 0.0:
+                return float(c)
+            c = np.nextafter(c, direction)
+    return None
+
+
 def _outcome(check, *args, **kwargs):
     """The repr of every report field, or the type and text of the error raised."""
     try:
@@ -227,21 +252,34 @@ def _outcome(check, *args, **kwargs):
 def test_check_certificate_matches_the_uncached_reference(scheme):
     rng = np.random.default_rng(13)
     _point.cache_clear()
-    points = []
+    points = [(scheme, 2.0, 2.0, 11.0, 0.05)]  # m = M
     for _ in range(12):
         m = 10 ** rng.uniform(-1.0, 1.0)
         M = m if rng.uniform() < 0.2 else m * 10 ** rng.uniform(0.0, 2.0)
         points.append((scheme, m, M, 10 ** rng.uniform(math.log10(0.3), 4.0), 10 ** rng.uniform(-4.0, 1.0)))
+    # gamma h past ~745: eta underflows to 0.0, and more P1 entries are exactly +-0.0
+    steep = []
+    for _ in range(6):
+        m = 10 ** rng.uniform(-1.0, 1.0)
+        M = m if rng.uniform() < 0.2 else m * 10 ** rng.uniform(0.0, 2.0)
+        steep.append((scheme, m, M, 10 ** rng.uniform(4.0, 8.0), 10 ** rng.uniform(-3.0, 0.0)))
+    points += steep
 
     def same(point, c):
         kw = {} if c is None else {"c": c}
         want = _outcome(_reference_check_certificate, *point, **kw)
         assert _outcome(check_certificate, *point, **kw) == want, (point, c)
 
+    zeroed = [0, 0, 0]
     for i, point in enumerate(points):
         # one point at several c: a miss, then hits
-        for c in (None, float(rng.uniform(0.0, 1.0)), 0.0, None, float(10 ** rng.uniform(-8.0, -1.0))):
+        for c in (None, float(rng.uniform(0.0, 1.0)), 0.0, 1.0, None, float(10 ** rng.uniform(-8.0, -1.0))):
             same(point, c)
+        for k, entry in enumerate(((0, 0), (0, 1), (1, 1))):  # A0, B0 or C0 exactly 0.0
+            c = _zeroing_c(*point, *entry)
+            if c is not None:
+                zeroed[k] += 1
+                same(point, c)
         if i >= 1:  # A, B, A interleaved
             same(points[i - 1], None)
             same(point, float(rng.uniform(0.0, 0.1)))
@@ -251,6 +289,38 @@ def test_check_certificate_matches_the_uncached_reference(scheme):
             assert _point.cache_info().misses == misses + 1
     info = _point.cache_info()
     assert info.hits > 0 and info.misses > _POINT_CACHE_SIZE
+    assert min(zeroed) > 0, zeroed
+    params = [StepParams(h, gamma) for *_, gamma, h in steep]
+    assert all(p.eta == 0.0 for p in params)
+    if scheme in (Scheme.BAO, Scheme.OAB, Scheme.BAOAB):  # P1 entries with a factor eta
+        zeros = [np.count_nonzero(_affine_P(scheme, p)[1] == 0) for p in params]
+        moderate = [np.count_nonzero(_affine_P(scheme, StepParams(p.h, 1.0))[1] == 0) for p in params]
+        assert all(z > z1 for z, z1 in zip(zeros, moderate))
+
+
+def _float_lists(rng):
+    """Coefficient lists with trailing zeros of either sign, -0.0 inside, and length 1."""
+    yield from ([0.0], [-0.0], [2.5], [1.0, 0.0], [1.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 3.0, -0.0])
+    for _ in range(200):
+        c = list(rng.normal(size=rng.integers(1, 6)) * 10.0 ** rng.integers(-20, 20, size=1))
+        for k in rng.choice(len(c), size=rng.integers(0, len(c) + 1), replace=False):
+            c[k] = float(rng.choice([0.0, -0.0]))
+        yield [float(x) for x in c]
+
+
+def test_polynomial_helpers_repeat_numpy_polynomial():
+    rng = np.random.default_rng(17)
+    lams = np.concatenate([np.linspace(0.1, 100.0, 9), [1.0]])
+    lists = list(_float_lists(rng))
+    for c1, c2 in zip(lists, lists[1:] + lists[:1]):
+        assert repr(_trim(c1)) == repr(polyutils.trimseq(np.array(c1)).tolist())
+        prod = _polymul(c1, c2)
+        assert repr(prod) == repr(npoly.polymul(c1, c2).tolist())
+        t1, t2 = _trim(c1), _trim(c2)
+        assert repr(_polysub(t1, t2)) == repr(npoly.polysub(t1, t2).tolist())
+        assert repr(_polysub(prod, t1)) == repr(npoly.polysub(prod, t1).tolist())
+        for c in (c1, prod):
+            assert repr(_polyval(lams, c).tolist()) == repr(npoly.polyval(lams, c).tolist())
 
 
 def test_every_search_probe_is_a_full_check(monkeypatch):
@@ -291,7 +361,15 @@ def test_every_search_probe_is_a_full_check(monkeypatch):
     assert all(math.isfinite(rep.oracle_min_eig) and rep.oracle_agrees for rep in reports)
 
     point = _point(scheme, m, M, gamma, 0.8 * h)
-    for arr in (point.W, *point.blocks, point.lams, *point.sums[0], *point.sums[1]):
+    arrays = [x for x in point if isinstance(x, np.ndarray)]
+    assert len(arrays) == 3  # W, lams and A's Horner tail
+    for x in (*point.k0, *sum(point.lam_terms, ()), *point.sums[0], *point.sums[1]):
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        else:  # a lam-free entry is one immutable float
+            assert type(x) is float
+    assert len(arrays) == 3 + 3  # bao: the sums (0, 0), (0, 1) and (1, 0) depend on lam
+    for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
 
