@@ -30,6 +30,7 @@ from . import certificates, gaussian, glc
 from .coupling import (
     CouplingError,
     CouplingPoint,
+    CounterStreams,
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
@@ -39,7 +40,7 @@ from .coupling import (
     verify_trace_bound,
 )
 from .integrators import OVERDAMPED_SCHEMES, IntegratorError, PhaseState, Scheme, StepParams
-from .potentials import make_potential
+from .potentials import PerturbedQuadratic, Potential, QuadraticPotential
 
 
 class ConfigError(ValueError):
@@ -159,18 +160,32 @@ def _schemes(cfg: dict) -> list[Scheme]:
         raise ConfigError(f"{e}; known schemes: {known}")
 
 
-def _potential(cfg: dict):
+def make_potential(cfg: dict) -> Potential:
+    """The target of the config's ``potential`` mapping: ``quadratic`` with one of ``matrix`` |
+    ``diag`` | ``m`` and ``M`` (the 2-d anisotropic Gaussian), or ``perturbed_quadratic`` with
+    the same keys plus ``eps``.  Every number is checked before the name."""
     spec = cfg.get("potential")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'potential' mapping")
     try:
-        for key in ("m", "M", "eps"):
-            if key in spec:
-                _number(spec[key], f"'{key}'")
+        num = {key: _number(spec[key], f"'{key}'") for key in ("m", "M", "eps") if key in spec}
         for key in ("diag", "matrix"):
             if key in spec:
                 _numbers(spec[key], f"'{key}'")
-        return make_potential(spec)
+        kind = spec.get("name")
+        if kind not in ("quadratic", "perturbed_quadratic"):
+            raise ConfigError(f"unknown potential name: {kind!r}")
+        if "matrix" in spec:
+            base = QuadraticPotential(spec["matrix"])
+        elif "diag" in spec:
+            base = QuadraticPotential.diagonal(spec["diag"])
+        elif "m" in num and "M" in num:
+            base = QuadraticPotential.anisotropic_gaussian(num["m"], num["M"])
+        else:
+            raise ConfigError("potential spec needs 'matrix', 'diag', or 'm' and 'M'")
+        if kind == "quadratic":
+            return base
+        return PerturbedQuadratic(base, num.get("eps", 0.0))
     except (TypeError, ValueError) as e:  # ConfigError and PotentialError are ValueErrors
         raise ConfigError(f"potential: {e}")
 
@@ -192,7 +207,10 @@ def _seeds(cfg: dict) -> list[int]:
     seeds = seeds if isinstance(seeds, list) else [seeds]
     if any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
         raise ConfigError("'params.seeds' must be non-negative integers")
-    return seeds
+    try:
+        return [CounterStreams(s).seed for s in seeds]  # each must fit the Philox key
+    except CouplingError as e:
+        raise ConfigError(f"'params.seeds': {e}")
 
 
 def _n_steps(cfg: dict, default: int) -> int:
@@ -229,7 +247,7 @@ def _phase_state(block, key: str, dim: int) -> PhaseState:
 
 
 def cmd_couple(cfg: dict, args) -> int:
-    pot = _potential(cfg)
+    pot = make_potential(cfg)
     schemes = _schemes(cfg)
     hs = _grid(cfg, "params", "h")
     gammas = _grid(cfg, "params", "gamma")
@@ -296,7 +314,7 @@ def cmd_couple(cfg: dict, args) -> int:
 
 
 def cmd_certify(cfg: dict, args) -> int:
-    pot = _potential(cfg)
+    pot = make_potential(cfg)
     schemes = _schemes(cfg)
     bad = [s.value for s in schemes if s not in certificates.CERTIFICATE_SCHEMES]
     if bad:
@@ -350,7 +368,7 @@ def cmd_certify(cfg: dict, args) -> int:
 
 
 def cmd_gaussian_scan(cfg: dict, args) -> int:
-    pot = _potential(cfg)
+    pot = make_potential(cfg)
     schemes = _schemes(cfg)
     overdamped = [s.value for s in schemes if s in OVERDAMPED_SCHEMES]
     if overdamped:
@@ -394,7 +412,7 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
 
 
 def cmd_glc_scan(cfg: dict, args) -> int:
-    pot = _potential(cfg)
+    pot = make_potential(cfg)
     schemes = _schemes(cfg)
     gammas = _grid(cfg, "scan", "gamma_grid", required=False) or list(glc.DEFAULT_GAMMA_GRID)
     h = _block(cfg, "params").get("h")

@@ -63,8 +63,8 @@ class CounterStreams:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise CouplingError(f"seed must be non-negative, got {seed}")
+        if not 0 <= seed <= np.iinfo(np.uint64).max:
+            raise CouplingError(f"seed must be in [0, 2**64) to key Philox, got {seed}")
         self.seed = int(seed)
 
     def generator(self, substream: int) -> np.random.Generator:
@@ -114,15 +114,10 @@ class CertifiedRate:
     def violated(self) -> tuple[str, ...]:
         return tuple(s for s in self.constraints if s.endswith("(violated)"))
 
-    def bound_sq(self, k, d0):
-        """Certified squared-distance bound prefactor^2 (1 - c)^(k - shift) d0
-        at step k (a scalar or an array of steps)."""
-        return self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0
-
     def bound_sq_steps(self, n_steps: int, d0: float) -> list[float]:
-        """:meth:`bound_sq` at steps 0..n_steps, a float power on each int k
-        (numpy's vector power can differ from it in the last digit)."""
-        return [self.bound_sq(k, d0) for k in range(n_steps + 1)]
+        """Certified squared-distance bounds prefactor^2 (1 - c)^(k - shift) d0 at steps
+        k = 0..n_steps, a float power on each int k (numpy's vector power can round differently)."""
+        return [self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0 for k in range(n_steps + 1)]
 
 
 def _fmt(name: str, ok: bool) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certificates import bisect, bracket, step_matrix, transition_matrix_P
+from .certificates import CERTIFICATE_SCHEMES, bisect, bracket, step_matrix, transition_matrix_P
 from .integrators import KINETIC_SCHEMES, Scheme, StepParams
 
 
@@ -58,11 +58,10 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
     Closed forms (evaluated in the cancellation-free trace/det form):
       kinetic_em:  (2 - gamma h +/- h sqrt(gamma^2 - 4 lam)) / 2
       bao:         (1 + eta - h^2 lam +/- sqrt((1 + eta - h^2 lam)^2 - 4 eta)) / 2
-    Other schemes use the trace and determinant of the 2x2 mode matrix:
-    :func:`~langevin_contract.certificates.step_matrix`, the step core's own
-    map, or for baoab and obabo their hand-written certificate block (same
-    spectrum as the full step), which keeps their stability thresholds on
-    their established rounding.
+    Other schemes use the trace and determinant of the 2x2 mode matrix: a
+    member of ``CERTIFICATE_SCHEMES`` its certificate block (same spectrum
+    as the full step), :func:`~langevin_contract.certificates.transition_matrix_P`,
+    and any other scheme the step core's own map, :func:`~langevin_contract.certificates.step_matrix`.
     """
     scheme = Scheme(scheme)
     if lam <= 0.0:
@@ -74,10 +73,8 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
         return _eig_pair(2.0 - g * h, 1.0 - g * h + h * h * lam)
     if scheme is Scheme.BAO:
         return _eig_pair(1.0 + params.eta - h * h * lam, params.eta)
-    if scheme in (Scheme.BAOAB, Scheme.OBABO):
-        P = transition_matrix_P(scheme, lam, params)
-    else:
-        P = step_matrix(scheme, lam, params)
+    matrix = transition_matrix_P if scheme in CERTIFICATE_SCHEMES else step_matrix
+    P = matrix(scheme, lam, params)
     return _eig_pair(P[0, 0] + P[1, 1], P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0])
 
 

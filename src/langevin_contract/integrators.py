@@ -119,9 +119,9 @@ def noise_requirements(scheme: Scheme) -> int:
     """Number of independent standard-normal d-vectors consumed per step.
 
     A splitting consumes one per O piece of its word (two for OBABO); SES
-    consumes two raw vectors that are mixed into a single correlated
-    (position, velocity) pair by :func:`ses_noise`.  All other schemes
-    consume one vector.
+    consumes two raw vectors that the step core mixes into a single
+    correlated (position, velocity) pair by the Cholesky factor of
+    :func:`ses_covariance`.  All other schemes consume one vector.
     """
     scheme = Scheme(scheme)
     word = SPLITTING_WORDS.get(scheme)
@@ -160,31 +160,6 @@ def ses_covariance(params: StepParams) -> tuple[float, float, float]:
     return var_pos, var_vel, cov
 
 
-def _ses_cholesky(params: StepParams) -> tuple[float, float, float]:
-    """(l11, l21, l22): the lower-triangular Cholesky factor of the SES noise
-    covariance from :func:`ses_covariance`, position component first."""
-    var_pos, var_vel, cov = ses_covariance(params)
-    # var_pos ~ 2 (gamma h)^3 / (3 gamma^2) underflows to 0.0 at tiny gamma h: test before dividing
-    schur = var_vel - cov * cov / var_pos if var_pos > 0.0 else 0.0
-    if schur <= 0.0:
-        raise IntegratorError(
-            f"SES noise covariance not positive definite at h={params.h}, gamma={params.gamma}"
-        )
-    l11 = math.sqrt(var_pos)
-    return l11, cov / l11, math.sqrt(schur)
-
-
-def ses_noise(params: StepParams, xi_pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Correlate a standard-normal pair into the SES (zeta, omega) draw.
-
-    Applies the lower-triangular Cholesky factor of the 2x2 covariance from
-    :func:`ses_covariance`, position component first.
-    """
-    l11, l21, l22 = _ses_cholesky(params)
-    xi1, xi2 = xi_pair
-    return l11 * xi1, l21 * xi1 + l22 * xi2
-
-
 def _as_noise(scheme: Scheme, noise, dim: int) -> np.ndarray:
     arr = np.asarray(noise, dtype=float)
     if arr.ndim == 1:
@@ -215,13 +190,8 @@ def step(
     scheme = Scheme(scheme)
     xi = _as_noise(scheme, noise, state.dim)
     prev = None if prev_noise is None else np.asarray(prev_noise, dtype=float)
-    x, v = _step_arrays(scheme, potential, state.x, state.v, params, xi, prev)
+    x, v, _ = _step_core(scheme, potential, state.x, state.v, _coefficients(scheme, params), xi, prev)
     return PhaseState(x, v)
-
-
-def _step_arrays(scheme, potential, x, v, params, xi, prev_noise=None):
-    """One memoryless step at ``params``: the step core with this point's coefficients."""
-    return _step_core(scheme, potential, x, v, _coefficients(scheme, params), xi, prev_noise)[:2]
 
 
 def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
@@ -252,7 +222,14 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
     elif scheme is Scheme.SES:
         alpha = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
         beta = (g * h + math.expm1(-g * h)) / g**2  # (gamma h + eta - 1)/gamma^2
-        coefs = alpha, beta, params.eta, *_ses_cholesky(params)
+        # the noise pair's lower-triangular Cholesky factor, position component first
+        var_pos, var_vel, cov = ses_covariance(params)
+        # var_pos ~ 2 (gamma h)^3 / (3 gamma^2) underflows to 0.0 at tiny gamma h: test before dividing
+        schur = var_vel - cov * cov / var_pos if var_pos > 0.0 else 0.0
+        if schur <= 0.0:
+            raise IntegratorError(f"SES noise covariance not positive definite at h={h}, gamma={g}")
+        l11 = math.sqrt(var_pos)
+        coefs = alpha, beta, params.eta, l11, cov / l11, math.sqrt(schur)
     else:
         raise IntegratorError(f"unknown scheme {scheme!r}")
     if not all(map(math.isfinite, coefs)):

@@ -5,7 +5,8 @@ convex and grad U is M-Lipschitz; the spectrum of the Hessian (and of any
 segment-averaged Hessian) then lies inside [m, M].  Evaluators accept
 batched inputs of shape (..., dim).  Potentials are immutable after
 construction; the only deferred work is the dense matrix of a diagonal
-quadratic target, built on first use.
+quadratic target, built on first use.  Configs are parsed into potentials
+by :func:`langevin_contract.cli.make_potential`.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class Potential:
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         raise PotentialError(f"{type(self).__name__} exposes no Hessian oracle")
-
-    @property
-    def has_hessian(self) -> bool:
-        try:
-            self.hessian(np.zeros(self.dim))
-        except PotentialError:
-            return False
-        return True
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -198,7 +191,8 @@ def mean_value_hessian(p: Potential, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
     Satisfies Q (y - x) = grad U(y) - grad U(x) with spectrum in [m, M].
     Quadratic targets return their matrix exactly; anything else is
-    integrated by fixed-order Gauss-Legendre quadrature in t.
+    integrated by fixed-order Gauss-Legendre quadrature in t, one ``hessian``
+    call per node (a target without one raises PotentialError at the first).
     """
     x = p._check_dim(np.asarray(x, dtype=float))
     y = p._check_dim(np.asarray(y, dtype=float))
@@ -206,8 +200,6 @@ def mean_value_hessian(p: Potential, x: np.ndarray, y: np.ndarray) -> np.ndarray
         raise PotentialError("x and y must be single points of equal shape (dim,)")
     if isinstance(p, QuadraticPotential):
         return p.matrix.copy()
-    if not p.has_hessian:
-        raise PotentialError(f"{type(p).__name__} exposes no Hessian oracle")
     nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     ts = 0.5 * (nodes + 1.0)  # map [-1, 1] -> [0, 1]
     Q = np.zeros((p.dim, p.dim))
@@ -215,25 +207,3 @@ def mean_value_hessian(p: Potential, x: np.ndarray, y: np.ndarray) -> np.ndarray
         Q += 0.5 * w * p.hessian(x + t * (y - x))
     return 0.5 * (Q + Q.T)
 
-
-def make_potential(spec: dict) -> Potential:
-    """Build a potential from a config mapping (CLI entry point).
-
-    Recognized names: ``quadratic`` (keys: one of ``matrix`` | ``diag`` |
-    ``m``/``M`` for the 2-d anisotropic Gaussian) and
-    ``perturbed_quadratic`` (same keys plus ``eps``).
-    """
-    kind = spec.get("name")
-    if kind not in ("quadratic", "perturbed_quadratic"):
-        raise PotentialError(f"unknown potential name: {kind!r}")
-    if "matrix" in spec:
-        base = QuadraticPotential(spec["matrix"])
-    elif "diag" in spec:
-        base = QuadraticPotential.diagonal(spec["diag"])
-    elif "m" in spec and "M" in spec:
-        base = QuadraticPotential.anisotropic_gaussian(float(spec["m"]), float(spec["M"]))
-    else:
-        raise PotentialError("potential spec needs 'matrix', 'diag', or 'm' and 'M'")
-    if kind == "quadratic":
-        return base
-    return PerturbedQuadratic(base, float(spec.get("eps", 0.0)))

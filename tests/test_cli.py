@@ -75,6 +75,20 @@ def test_couple_zero_steps(tmp_path):
     assert run["c_empirical"] is None
 
 
+@pytest.mark.parametrize("command", ["couple", "glc-scan"])
+def test_largest_seed_runs_and_the_next_exits_2(tmp_path, capsys, command):
+    # a seed keys Philox as one uint64: 2**64 - 1 is the largest that fits
+    cfg = couple_config(tmp_path / "out", n_steps=20)
+    cfg["params"]["h"] = 0.1  # glc-scan takes a scalar h
+    cfg["scan"] = {"gamma_grid": [4.0]}
+    path = tmp_path / "cfg.json"
+    for seed, code in ((2**64 - 1, 0), (2**64, 2)):
+        cfg["params"]["seeds"] = [seed]
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == code
+    assert "config error: 'params.seeds': seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
 def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     # a forced grid with admissible points, an inadmissible point that stays
     # finite (empty bound column) and diverging points whose traces end at
@@ -96,9 +110,11 @@ def test_trace_writer_matches_csv_writer_rendering(tmp_path):
         trace = run_synchronous_coupling(s, pot, z0, z1, StepParams(h, g), 500, seed, force=True)
         d0 = trace.distances[0]
         rows = [
-            [s.value, h, g, seed, k, dk, rate.bound_sq(k, d0) if rate.admissible else ""]
+            [s.value, h, g, seed, k, dk, rate.prefactor**2 * (1.0 - rate.c) ** (k - rate.shift) * d0]
             for k, dk in enumerate(trace.distances)
         ]
+        if not rate.admissible:
+            rows = [row[:-1] + [""] for row in rows]
         _write_csv(tmp_path / "ref.csv", header, rows)
         got = (tmp_path / "out" / run["trace_file"]).read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes(), run["trace_file"]
@@ -158,6 +174,7 @@ MALFORMED = {
     "n_steps_1e400": _replace("params", n_steps=math.inf),
     "n_steps_fractional": _replace("params", n_steps=2.5),
     "seed_boolean": _replace("params", seeds=[True]),
+    "seed_2_64": _replace("params", seeds=[2**64]),  # beyond the uint64 Philox key
     "z0_not_numeric": _replace("coupling", z0=[["x", 1.0], [0.0, 0.0]]),
     "potential_m_not_a_number": _replace("potential", m="x"),
     # numbers written as strings or booleans: float() would take them

@@ -25,7 +25,6 @@ from langevin_contract.integrators import (
     PhaseState,
     Scheme,
     StepParams,
-    _step_arrays,
     noise_requirements,
     step,
 )
@@ -46,6 +45,10 @@ def test_counter_streams_reproducible_and_independent():
     assert not np.array_equal(a, c) and not np.array_equal(a, d)
     with pytest.raises(CouplingError):
         CounterStreams(-1)
+    # the seed is the uint64 Philox key: 2**64 - 1 is the largest that fits
+    assert CounterStreams(2**64 - 1).normals(0, 1, 2).shape == (1, 2)
+    with pytest.raises(CouplingError, match=r"2\*\*64"):
+        CounterStreams(2**64)
 
 
 def test_coupled_chains_with_equal_starts_stay_equal():
@@ -174,7 +177,7 @@ def test_exact_one_step_contraction_is_admissible():
     for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
         r = certified_rate(scheme, 1.0, 1.0, 1.0, 1.0)
         assert r.admissible and r.c == 1.0, r.constraints
-        assert r.bound_sq(1, 3.0) == 0.0
+        assert r.bound_sq_steps(1, 3.0)[1] == 0.0
     pot = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
     tr = run_synchronous_coupling(Scheme.LM, pot, Z0, Z1, StepParams(1.0, 1.0), 20, seed=0)
     assert verify_trace_bound(tr) == (True, None)
@@ -370,7 +373,8 @@ def _reference_coupling(scheme, pot, z0, z1, params, n_steps, seed, norm):
     xbar, vbar = [x[0] - x[1]], [v[0] - v[1]]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            x, v = _step_arrays(scheme, pot, x, v, params, noise[i], prev)
+            z = step(scheme, pot, PhaseState(x, v), params, noise[i], prev)
+            x, v = z.x, z.v
             if scheme is Scheme.LM:
                 prev = noise[i, 0]
             xbar.append(x[0] - x[1])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from langevin_contract.integrators import (
     PhaseState,
     Scheme,
     StepParams,
+    _Mode,
+    _step_core,
     affine_mode_map,
     noise_requirements,
     ses_covariance,
-    ses_noise,
     simulate_mode_chain,
     step,
 )
@@ -281,8 +283,61 @@ def test_certificate_block_shares_spectrum_with_composition():
         assert np.allclose(a, b, atol=1e-13)
 
 
+def _symbolic_word_P(sp, word, lam, h, g):
+    """P of the step core on the mode U(x) = lam x^2 / 2, run on sympy
+    symbols for the splitting word keyed ``word`` in SPLITTING_WORDS: a
+    piece of fraction f drifts or kicks for f h, and an O piece damps by
+    exp(-gamma f h)."""
+    coefs = []
+    for piece, frac in SPLITTING_WORDS[word]:
+        tau = sp.Rational(frac) * h
+        coefs += (sp.exp(-g * tau), sp.sqrt(1 - sp.exp(-2 * g * tau))) if piece == "O" else (tau,)
+    cols = [_step_core(word, _Mode(lam), x, v, coefs, (0, 0))[:2] for x, v in ((1, 0), (0, 1))]
+    return sp.Matrix(cols).T
+
+
+def test_symbolic_splitting_words():
+    # every word damps the phase volume by exactly exp(-gamma h), and the six
+    # first-order words kick once, so their P is affine in lam; baoab and obabo
+    # kick twice, which is why their certificate blocks are conjugate words
+    sp = pytest.importorskip("sympy")
+    lam, h, g = sp.symbols("lam h gamma", positive=True)
+    for word in SPLITTING_WORDS:
+        P = _symbolic_word_P(sp, word, lam, h, g)
+        assert sp.simplify(P.det() - sp.exp(-g * h)) == 0, word
+        degree = max(sp.degree(sp.expand(p), lam) for p in P)
+        assert degree == (1 if word in FIRST_ORDER_SPLITTINGS else 2), word
+
+
+def test_hand_blocks_equal_rotated_words(monkeypatch):
+    # transition_matrix_P's baoab and obabo blocks are the rotated words
+    # A(1/2) B(1) A(1/2) O(1) and A(1) B(1/2) O(1) B(1/2), exactly
+    sp = pytest.importorskip("sympy")
+    lam, h, g = sp.symbols("lam h gamma", positive=True)
+    rotated = {
+        Scheme.BAOAB: (("A", 0.5), ("B", 1.0), ("A", 0.5), ("O", 1.0)),
+        Scheme.OBABO: (("A", 1.0), ("B", 0.5), ("O", 1.0), ("B", 0.5)),
+    }
+    symbolic = SimpleNamespace(h=h, eta=sp.exp(-g * h))  # StepParams takes floats only
+    for scheme, word in rotated.items():
+        monkeypatch.setitem(SPLITTING_WORDS, f"rotated_{scheme.value}", word)
+        want = _symbolic_word_P(sp, f"rotated_{scheme.value}", lam, h, g)
+        hand = sp.nsimplify(sp.Matrix(transition_matrix_P(scheme, lam, symbolic).tolist()), rational=True)
+        assert sp.simplify(hand - want) == sp.zeros(2, 2), scheme
+
+
+def _ses_draw(p, xi):
+    """The correlated SES (zeta, omega) draw of the raw pair ``xi`` (shape
+    (2, d)): one SES step from the origin of a quadratic target, where the
+    drift and the kick vanish."""
+    d = xi.shape[-1]
+    origin = PhaseState(np.zeros(d), np.zeros(d))
+    z = step(Scheme.SES, QuadraticPotential.diagonal(np.ones(d)), origin, p, xi)
+    return z.x, z.v
+
+
 def test_ses_noise_zero_draw():
-    z, w = ses_noise(params(), (np.zeros(3), np.zeros(3)))
+    z, w = _ses_draw(params(), np.zeros((2, 3)))
     assert np.array_equal(z, np.zeros(3)) and np.array_equal(w, np.zeros(3))
 
 
@@ -292,8 +347,6 @@ def test_infinite_friction_without_finite_constants_raises():
     p = StepParams(0.1, math.inf)
     with pytest.raises(IntegratorError):
         ses_covariance(p)
-    with pytest.raises(IntegratorError):
-        ses_noise(p, (np.ones(2), np.ones(2)))
     with pytest.raises(IntegratorError):
         step_matrix(Scheme.KINETIC_EM, 1.0, p)
     with pytest.raises(IntegratorError):
@@ -331,7 +384,7 @@ def test_ses_noise_monte_carlo_covariance():
     var_pos, var_vel, cov = ses_covariance(p)
     n = 1_000_000
     rng = np.random.default_rng(42)
-    z, w = ses_noise(p, (rng.standard_normal(n), rng.standard_normal(n)))
+    z, w = _ses_draw(p, rng.standard_normal((2, n)))
     se_pos = var_pos * math.sqrt(2.0 / n)
     se_vel = var_vel * math.sqrt(2.0 / n)
     se_cov = math.sqrt((var_pos * var_vel + cov * cov) / n)

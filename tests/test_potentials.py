@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from langevin_contract.cli import ConfigError, make_potential
 from langevin_contract.potentials import (
+    _GL_NODES,
     PerturbedQuadratic,
     Potential,
     PotentialError,
     QuadraticPotential,
-    make_potential,
     mean_value_hessian,
 )
 
@@ -140,9 +141,20 @@ def test_mean_value_hessian_needs_hessian_oracle():
         def gradient(self, x):
             return np.asarray(x, dtype=float)
 
-    assert not GradOnly().has_hessian
-    with pytest.raises(PotentialError):
+    with pytest.raises(PotentialError, match="GradOnly exposes no Hessian oracle"):
         mean_value_hessian(GradOnly(), np.zeros(2), np.ones(2))
+
+
+def test_mean_value_hessian_calls_hessian_once_per_node():
+    calls = []
+
+    class Counted(PerturbedQuadratic):
+        def hessian(self, x):
+            calls.append(x)
+            return super().hessian(x)
+
+    mean_value_hessian(Counted(np.diag([2.0, 5.0]), 0.5), np.zeros(2), np.ones(2))
+    assert len(calls) == _GL_NODES
 
 
 @pytest.mark.parametrize(
@@ -169,16 +181,16 @@ def test_convexity_and_lipschitz_sampled(pot):
 
 
 def test_make_potential_from_config():
-    p = make_potential({"name": "quadratic", "m": 1.0, "M": 4.0})
+    p = make_potential({"potential": {"name": "quadratic", "m": 1.0, "M": 4.0}})
     assert (p.m, p.M, p.dim) == (1.0, 4.0, 2)
-    p = make_potential({"name": "quadratic", "diag": [1.0, 2.0, 3.0]})
+    p = make_potential({"potential": {"name": "quadratic", "diag": [1.0, 2.0, 3.0]}})
     assert p.dim == 3
-    p = make_potential({"name": "perturbed_quadratic", "diag": [2.0, 4.0], "eps": 0.5})
+    p = make_potential({"potential": {"name": "perturbed_quadratic", "diag": [2.0, 4.0], "eps": 0.5}})
     assert (p.m, p.M) == (1.5, 4.5)
-    with pytest.raises(PotentialError):
-        make_potential({"name": "bogus"})
-    with pytest.raises(PotentialError):
-        make_potential({"name": "quadratic"})
+    with pytest.raises(ConfigError, match="potential: unknown potential name: 'bogus'"):
+        make_potential({"potential": {"name": "bogus"}})
+    with pytest.raises(ConfigError, match="needs 'matrix', 'diag', or 'm' and 'M'"):
+        make_potential({"potential": {"name": "quadratic"}})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -193,8 +205,8 @@ def test_diagonal_extremes_equal_dense_eigenvalues(seed):
 def test_diagonal_matrix_matches_diag_spec():
     rng = np.random.default_rng(8)
     d = rng.uniform(0.5, 9.0, 6)
-    from_diag = make_potential({"name": "quadratic", "diag": d.tolist()})
-    from_matrix = make_potential({"name": "quadratic", "matrix": np.diag(d).tolist()})
+    from_diag = make_potential({"potential": {"name": "quadratic", "diag": d.tolist()}})
+    from_matrix = make_potential({"potential": {"name": "quadratic", "matrix": np.diag(d).tolist()}})
     xs = rng.standard_normal((4, 6))
     assert (from_matrix.m, from_matrix.M) == (from_diag.m, from_diag.M)
     assert np.array_equal(from_matrix.gradient(xs), from_diag.gradient(xs))
@@ -244,10 +256,10 @@ def test_malformed_targets_rejected(build):
 def test_diag_spec_setup_memory_is_linear():
     import tracemalloc
 
-    spec = {"name": "quadratic", "diag": np.linspace(1.0, 4.0, 4096).tolist()}
+    cfg = {"potential": {"name": "quadratic", "diag": np.linspace(1.0, 4.0, 4096).tolist()}}
     tracemalloc.start()
     try:
-        p = make_potential(spec)
+        p = make_potential(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
