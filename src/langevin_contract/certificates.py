@@ -37,11 +37,12 @@ such entries; the point's arrays are read-only.  :func:`check_certificate`
 runs the c half on every call: the constant terms, A on the grid (the
 tail plus one add), the quartic AC - B^2 and its grid values, the guards,
 the verdict, the oracle's H = (1-c) W - P^T W P with its minimum
-eigenvalue, and the margins.  The helpers :func:`_trim`, :func:`_polymul`,
-:func:`_polysub` and :func:`_polyval` do the operations of their
-``numpy.polynomial`` namesakes in the same order, on short float lists
-and without its input checks.  So every search probe is still a full
-check, and its report is bit-identical to one built afresh with
+eigenvalue, and the margins.  The quartic is ``np.convolve(A, C) -
+np.convolve(B, B)`` of the untrimmed degree-2 lists, and :func:`_polyval`
+is ``npoly.polyval``'s Horner without its input checks.  For finite
+coefficients the trailing zeros that ``numpy.polynomial`` trims change
+only a list's length, never a value, so every search probe is still a
+full check, and its report is bit-identical to one built afresh with
 ``numpy.polynomial``.
 """
 
@@ -204,29 +205,6 @@ def _derivative_bound(coeffs: list[float], hi: float) -> float:
     return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
 
 
-def _trim(c: list[float]) -> list[float]:
-    """``numpy.polynomial``'s trimseq: drop trailing zeros (of either sign),
-    keeping at least one coefficient."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _polymul(c1: list[float], c2: list[float]) -> list[float]:
-    """``npoly.polymul`` on float lists: ``np.convolve`` of the trimmed
-    factors, trimmed."""
-    return _trim(np.convolve(_trim(c1), _trim(c2)).tolist())
-
-
-def _polysub(c1: list[float], c2: list[float]) -> list[float]:
-    """``npoly.polysub`` on trimmed float lists: the common head subtracted,
-    the longer tail kept (negated when it is c2's), trimmed."""
-    n = min(len(c1), len(c2))
-    tail = c1[n:] if len(c1) > len(c2) else [-x for x in c2[n:]]
-    return _trim([x - y for x, y in zip(c1, c2)] + tail)
-
-
 def _polyval(x: np.ndarray, c: list[float]) -> np.ndarray:
     """``npoly.polyval(x, c)``: Horner from ``c[-1] + x * 0``."""
     p = c[-1] + x * 0
@@ -337,7 +315,7 @@ def check_certificate(
     A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, b, a), point.k0, point.lam_terms))
 
     pa = A[0] + point.tail
-    quartic = _polysub(_polymul(A, C), _polymul(B, B))
+    quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
     pq = _polyval(lams, quartic)
 
     if M > m:

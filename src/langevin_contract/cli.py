@@ -161,9 +161,10 @@ def _schemes(cfg: dict) -> list[Scheme]:
 
 
 def make_potential(cfg: dict) -> Potential:
-    """The target of the config's ``potential`` mapping: ``quadratic`` with one of ``matrix`` |
-    ``diag`` | ``m`` and ``M`` (the 2-d anisotropic Gaussian), or ``perturbed_quadratic`` with
-    the same keys plus ``eps``.  Every number is checked before the name."""
+    """The target of the config's ``potential`` mapping: ``quadratic`` with exactly one of
+    ``matrix`` | ``diag`` | ``m`` and ``M`` (the 2-d anisotropic Gaussian), or
+    ``perturbed_quadratic`` with the same keys plus ``eps``.  Every number is checked before
+    the name and the keys."""
     spec = cfg.get("potential")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'potential' mapping")
@@ -175,6 +176,12 @@ def make_potential(cfg: dict) -> Potential:
         kind = spec.get("name")
         if kind not in ("quadratic", "perturbed_quadratic"):
             raise ConfigError(f"unknown potential name: {kind!r}")
+        given = [key for key in ("matrix", "diag", "m", "M") if key in spec]
+        if len({"m" if key == "M" else key for key in given}) > 1:
+            keys = ", ".join(map(repr, given))
+            raise ConfigError(f"give one of 'matrix', 'diag', or 'm' and 'M', got {keys}")
+        if kind == "quadratic" and "eps" in spec:
+            raise ConfigError("'eps' applies only to 'perturbed_quadratic'")
         if "matrix" in spec:
             base = QuadraticPotential(spec["matrix"])
         elif "diag" in spec:

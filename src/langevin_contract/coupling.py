@@ -63,6 +63,8 @@ class CounterStreams:
     """
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise CouplingError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed <= np.iinfo(np.uint64).max:
             raise CouplingError(f"seed must be in [0, 2**64) to key Philox, got {seed}")
         self.seed = int(seed)

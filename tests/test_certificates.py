@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial import polyutils
 
 from langevin_contract import certificates
 from langevin_contract.certificates import (
@@ -22,10 +21,6 @@ from langevin_contract.certificates import (
     _grid_sums,
     _min_eig_H,
     _point,
-    _polymul,
-    _polysub,
-    _polyval,
-    _trim,
     bisect,
     bracket,
     build_abc,
@@ -296,31 +291,6 @@ def test_check_certificate_matches_the_uncached_reference(scheme):
         zeros = [np.count_nonzero(_affine_P(scheme, p)[1] == 0) for p in params]
         moderate = [np.count_nonzero(_affine_P(scheme, StepParams(p.h, 1.0))[1] == 0) for p in params]
         assert all(z > z1 for z, z1 in zip(zeros, moderate))
-
-
-def _float_lists(rng):
-    """Coefficient lists with trailing zeros of either sign, -0.0 inside, and length 1."""
-    yield from ([0.0], [-0.0], [2.5], [1.0, 0.0], [1.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 3.0, -0.0])
-    for _ in range(200):
-        c = list(rng.normal(size=rng.integers(1, 6)) * 10.0 ** rng.integers(-20, 20, size=1))
-        for k in rng.choice(len(c), size=rng.integers(0, len(c) + 1), replace=False):
-            c[k] = float(rng.choice([0.0, -0.0]))
-        yield [float(x) for x in c]
-
-
-def test_polynomial_helpers_repeat_numpy_polynomial():
-    rng = np.random.default_rng(17)
-    lams = np.concatenate([np.linspace(0.1, 100.0, 9), [1.0]])
-    lists = list(_float_lists(rng))
-    for c1, c2 in zip(lists, lists[1:] + lists[:1]):
-        assert repr(_trim(c1)) == repr(polyutils.trimseq(np.array(c1)).tolist())
-        prod = _polymul(c1, c2)
-        assert repr(prod) == repr(npoly.polymul(c1, c2).tolist())
-        t1, t2 = _trim(c1), _trim(c2)
-        assert repr(_polysub(t1, t2)) == repr(npoly.polysub(t1, t2).tolist())
-        assert repr(_polysub(prod, t1)) == repr(npoly.polysub(prod, t1).tolist())
-        for c in (c1, prod):
-            assert repr(_polyval(lams, c).tolist()) == repr(npoly.polyval(lams, c).tolist())
 
 
 def test_every_search_probe_is_a_full_check(monkeypatch):

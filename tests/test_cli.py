@@ -275,6 +275,10 @@ MALFORMED_POTENTIALS = {
     "matrix_ragged": ({"matrix": [[1.0, 0.0], [0.0]]}, "array of numbers"),
     "matrix_nan": ({"matrix": [[1.0, math.nan], [math.nan, 1.0]]}, "finite"),
     "m_above_M": ({"m": 4.0, "M": 1.0}, "m=4.0, M=1.0"),
+    # keys that do not apply: eps would be dropped, and diag would override M = 4
+    "quadratic_with_eps": ({"m": 1, "M": 4, "eps": 0.5}, "'eps' applies only to 'perturbed_quadratic'"),
+    "diag_and_m_M": ({"diag": [1, 9], "m": 1, "M": 4}, "got 'diag', 'm', 'M'"),
+    "matrix_and_diag": ({"matrix": [[1.0, 0.0], [0.0, 4.0]], "diag": [1.0, 4.0]}, "got 'matrix', 'diag'"),
 }
 
 
@@ -288,6 +292,16 @@ def test_malformed_potential_exits_2(tmp_path, capsys, name):
     assert main(["couple", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error: potential:" in err and problem in err, err
+
+
+@pytest.mark.parametrize("name", ["quadratic_with_eps", "diag_and_m_M", "matrix_and_diag"])
+def test_config_schema_rejects_keys_that_do_not_apply(tmp_path, name):
+    cfg = couple_config(tmp_path / "out")
+    cfg["potential"] = {"name": "quadratic", **MALFORMED_POTENTIALS[name][0]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(cfg, load_schema("config.schema.json"))
+    cfg["potential"] = {"name": "perturbed_quadratic", "m": 1, "M": 4, "eps": 0.5}
+    jsonschema.validate(cfg, load_schema("config.schema.json"))
 
 
 def test_whole_float_n_steps_accepted(tmp_path):
@@ -348,6 +362,62 @@ def test_certify_table1_mode(tmp_path):
     assert (1 - eta) / math.sqrt(6.0) <= h <= 2 * (1 - eta) / math.sqrt(6.0)
     assert row["certified_h_max"] >= row["hypothesis_h_max"] > 0
     assert row["certified_rate_at_08h"] >= row["hypothesis_rate_at_08h"] > 0
+
+
+def test_certify_table1_below_the_friction_floor(tmp_path):
+    # gamma = 1 is below every scheme's floor at m = 1, M = 4: no stepsize
+    # passes, so both thresholds read 0.0 and no rate is reported
+    schemes = ["kinetic_em", "bao", "ses"]
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+            "schemes": schemes,
+            "params": {"gamma": [1.0]},
+            "certify": {"mode": "table1"},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert main(["certify", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    jsonschema.validate(doc, load_schema("certificates.schema.json"))
+    assert [row["scheme"] for row in doc["rows"]] == schemes
+    for row in doc["rows"]:
+        assert row["certified_h_max"] == 0.0 and row["hypothesis_h_max"] == 0.0, row
+        assert row["hypothesis_rate_at_08h"] is None and row["certified_rate_at_08h"] is None, row
+
+
+@pytest.mark.parametrize(
+    "command, cfg, problem",
+    [
+        ("certify", {"schemes": ["abo"], "params": {"gamma": [5.0]}}, "certifiable schemes: kinetic_em, bao, oab"),
+        ("certify", {"params": {"gamma": [5.0]}, "certify": {"mode": "grid"}}, "'certify.mode' must be"),
+        ("gaussian-scan", {"schemes": ["lm"], "params": {"gamma": [5.0]}, "scan": {"h_grid": [0.1]}}, "['lm']"),
+        ("glc-scan", {"params": {"h": [0.1]}}, "scalar 'params.h'"),
+    ],
+    ids=["certify_abo", "certify_unknown_mode", "gaussian_scan_lm", "glc_scan_list_h"],
+)
+def test_command_rejects_what_it_does_not_cover(tmp_path, capsys, command, cfg, problem):
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": ["bao"],
+        "output": {"dir": str(tmp_path / "out")},
+        **cfg,
+    }
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and problem in err, err
+
+
+def test_bare_position_start_gets_zero_velocity(tmp_path):
+    # z0: [-1, -1] is the pair [[-1, -1], [0, 0]]
+    summaries = []
+    for name, z0 in (("bare", [-1.0, -1.0]), ("pair", [[-1.0, -1.0], [0.0, 0.0]])):
+        cfg = couple_config(tmp_path / name)
+        cfg["coupling"]["z0"] = z0
+        assert main(["couple", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+        summaries.append((tmp_path / name / "couple_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_gaussian_scan_cmd(tmp_path):

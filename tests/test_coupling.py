@@ -51,6 +51,22 @@ def test_counter_streams_reproducible_and_independent():
         CounterStreams(2**64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(1.0), "1"])
+def test_counter_streams_reject_a_non_integral_seed(seed):
+    # a float would key Philox with its truncation, so 1.5 would draw seed 1's numbers
+    with pytest.raises(CouplingError, match="seed must be an integer"):
+        CounterStreams(seed)
+
+
+def test_counter_streams_take_numpy_integers():
+    want = CounterStreams(7).normals(0, 3, 2)
+    for seed in (np.int64(7), np.uint64(7), np.int32(7)):
+        assert CounterStreams(seed).seed == 7 and type(CounterStreams(seed).seed) is int
+        assert np.array_equal(CounterStreams(seed).normals(0, 3, 2), want)
+    with pytest.raises(CouplingError, match=r"2\*\*64"):
+        CounterStreams(np.int64(-1))
+
+
 def test_coupled_chains_with_equal_starts_stay_equal():
     tr = run_synchronous_coupling(
         Scheme.KINETIC_EM, ANISO, Z0, Z0, StepParams(0.1, 4.0), 50, seed=0

@@ -134,6 +134,16 @@ def test_bao_exact_rate_examples():
     assert expect == pytest.approx(0.05305885449688286, rel=1e-12)
 
 
+def test_bao_exact_rate_on_a_complex_pair_is_one_minus_eta():
+    # at m = 1, h = 0.5, gamma = 0.1 the discriminant is negative: the mode
+    # eigenvalues are a conjugate pair of modulus sqrt(eta)
+    eta = math.exp(-0.05)
+    eigs = mode_eigenvalues(Scheme.BAO, 1.0, StepParams(0.5, 0.1))
+    assert all(e.imag != 0.0 for e in eigs)
+    assert [abs(e) ** 2 for e in eigs] == pytest.approx([eta, eta], rel=1e-12)
+    assert bao_exact_rate(1.0, 0.5, 0.1) == 1.0 - eta
+
+
 def test_bao_exact_rate_is_twice_the_slow_mode_gap():
     # identity check: c_N equals 2 (1 - lam_max) of the mode matrix
     for h, gamma in [(0.1, 5.0), (0.05, 4.0), (0.2, 9.0)]:

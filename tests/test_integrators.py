@@ -300,7 +300,7 @@ def test_symbolic_splitting_words():
     # every word damps the phase volume by exactly exp(-gamma h), and the six
     # first-order words kick once, so their P is affine in lam; baoab and obabo
     # kick twice, which is why their certificate blocks are conjugate words
-    sp = pytest.importorskip("sympy")
+    import sympy as sp
     lam, h, g = sp.symbols("lam h gamma", positive=True)
     for word in SPLITTING_WORDS:
         P = _symbolic_word_P(sp, word, lam, h, g)
@@ -312,7 +312,7 @@ def test_symbolic_splitting_words():
 def test_hand_blocks_equal_rotated_words(monkeypatch):
     # transition_matrix_P's baoab and obabo blocks are the rotated words
     # A(1/2) B(1) A(1/2) O(1) and A(1) B(1/2) O(1) B(1/2), exactly
-    sp = pytest.importorskip("sympy")
+    import sympy as sp
     lam, h, g = sp.symbols("lam h gamma", positive=True)
     rotated = {
         Scheme.BAOAB: (("A", 0.5), ("B", 1.0), ("A", 0.5), ("O", 1.0)),
