@@ -418,13 +418,16 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
     The pass region is taken to be an interval (0, h*): halving from
     :data:`STEPSIZE_CAP` brackets h*, then bisection resolves it to
     :data:`STEPSIZE_TOL`.  Returns the cap when the cap passes and 0.0 when
-    no stepsize passes (friction below the scheme's implicit floor).
+    no stepsize passes (friction below the scheme's implicit floor).  Bad
+    input raises as :func:`max_certified_rate` does: a scheme outside
+    :data:`CERTIFICATE_SCHEMES`, or m, M outside 0 < m <= M.  A probe fails
+    only where its derivative bound overflows (M beyond about 1e102).
     """
 
     def passes(h: float) -> bool:
         try:
             return check_certificate(scheme, m, M, gamma, h).passed
-        except (CertificateError, OverflowError):
+        except OverflowError:  # _derivative_bound's float power
             return False
 
     lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)

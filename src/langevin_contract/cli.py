@@ -16,7 +16,6 @@ are written atomically, and grid order is the config order.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -58,6 +57,7 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -89,12 +89,6 @@ def _write_trace(path: Path, prefix: str, distances: list[float], bound: list[fl
 
 def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(x):
-    if isinstance(x, float):
-        return None if math.isnan(x) else x
-    return x
 
 
 def load_config(path: str) -> dict:
@@ -211,11 +205,8 @@ def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[floa
 
 def _seeds(cfg: dict) -> list[int]:
     seeds = _block(cfg, "params").get("seeds", [0])
-    seeds = seeds if isinstance(seeds, list) else [seeds]
-    if any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
-        raise ConfigError("'params.seeds' must be non-negative integers")
-    try:
-        return [CounterStreams(s).seed for s in seeds]  # each must fit the Philox key
+    try:  # CounterStreams holds the rule for a seed: an integer that keys Philox
+        return [CounterStreams(s).seed for s in (seeds if isinstance(seeds, list) else [seeds])]
     except CouplingError as e:
         raise ConfigError(f"'params.seeds': {e}")
 
@@ -229,12 +220,12 @@ def _n_steps(cfg: dict, default: int) -> int:
 
 
 def _out_dir(cfg: dict, args) -> Path:
+    """The output directory; :func:`_atomic_write` creates it with its first file,
+    so a run that fails before it writes leaves nothing behind."""
     out_dir = _block(cfg, "output").get("dir", "out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"'output.dir' must be a string, got {out_dir!r}")
-    out = Path(args.out or out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out or out_dir)
 
 
 def _phase_state(block, key: str, dim: int) -> PhaseState:
@@ -265,54 +256,55 @@ def cmd_couple(cfg: dict, args) -> int:
     z1 = _phase_state(coupling_block, "z0_tilde", pot.dim)
     out = _out_dir(cfg, args)
 
-    jobs = [(s, h, g, seed) for s in schemes for h in hs for g in gammas for seed in seeds]
-    rates = [certified_rate(s, pot.m, pot.M, g, h) for s, h, g, _ in jobs]
+    # each scheme's grid points are one batch, stepped together
+    grid = [(h, g, seed) for h in hs for g in gammas for seed in seeds]
+    batches = [
+        [CouplingPoint(StepParams(h, g), seed, certified_rate(s, pot.m, pot.M, g, h)) for h, g, seed in grid]
+        for s in schemes
+    ]
     blocked = [
-        f"{s.value} h={h} gamma={g}: " + "; ".join(rate.violated())
-        for (s, h, g, _), rate in zip(jobs, rates)
-        if not rate.admissible and not args.force
+        f"{s.value} h={p.params.h} gamma={p.params.gamma}: " + "; ".join(p.rate.violated())
+        for s, batch in zip(schemes, batches)
+        for p in batch
+        if not p.rate.admissible and not args.force
     ]
     if blocked:
         for msg in blocked:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
-    def report(trace):
-        params, seed, rate = trace.point
-        s, h, g = rate.scheme, params.h, params.gamma
-        distances = trace.distances.tolist()
-        bound, ok, first_bad = None, None, None
-        if rate.admissible:
-            bound = rate.bound_sq_steps(trace.n_steps, distances[0])
-            ok, first_bad = verify_trace_bound(trace, bound)
-        try:
-            c_hat = empirical_rate(positive_prefix(trace))
-        except CouplingError:
-            c_hat = math.nan
-        name = f"couple_{s.value}_h{h:g}_g{g:g}_s{seed}.csv"
-        prefix = ",".join(_fmt(x) for x in (s.value, h, g, seed))
-        _write_trace(out / name, prefix, distances, bound)
-        return {
-            "scheme": s.value,
-            "h": h,
-            "gamma": g,
-            "seed": seed,
-            "admissible": rate.admissible,
-            "c_theoretical": rate.c,
-            "prefactor": rate.prefactor,
-            "c_empirical": _jsonable(c_hat),
-            "bound_holds": ok,
-            "first_violation": first_bad,
-            "diverged": trace.diverged,
-            "diverged_at": trace.diverged_at,
-            "trace_file": name,
-        }
-
-    # each scheme's grid points are one batch, stepped together
-    points = [CouplingPoint(StepParams(h, g), seed, rate) for (_, h, g, seed), rate in zip(jobs, rates)]
     summary = []
-    for s, batch in itertools.groupby(points, key=lambda p: p.rate.scheme):
-        summary += [report(trace) for trace in run_coupling_batch(s, pot, z0, z1, list(batch), n_steps)]
+    for s, batch in zip(schemes, batches):
+        for trace in run_coupling_batch(s, pot, z0, z1, batch, n_steps):
+            (params, seed, rate), distances = trace.point, trace.distances.tolist()
+            h, g = params.h, params.gamma
+            bound, ok, first_bad = None, None, None
+            if rate.admissible:
+                bound = rate.bound_sq_steps(trace.n_steps, distances[0])
+                ok, first_bad = verify_trace_bound(trace, bound)
+            try:
+                c_hat = empirical_rate(positive_prefix(trace))
+            except CouplingError:
+                c_hat = None
+            name = f"couple_{s.value}_h{h:g}_g{g:g}_s{seed}.csv"
+            _write_trace(out / name, ",".join(_fmt(x) for x in (s.value, h, g, seed)), distances, bound)
+            summary.append(
+                {
+                    "scheme": s.value,
+                    "h": h,
+                    "gamma": g,
+                    "seed": seed,
+                    "admissible": rate.admissible,
+                    "c_theoretical": rate.c,
+                    "prefactor": rate.prefactor,
+                    "c_empirical": c_hat,
+                    "bound_holds": ok,
+                    "first_violation": first_bad,
+                    "diverged": trace.diverged,
+                    "diverged_at": trace.diverged_at,
+                    "trace_file": name,
+                }
+            )
     diverged = [r for r in summary if r["diverged"]]
     _write_json(out / "couple_summary.json", {"runs": summary})
     if diverged and not args.force:
@@ -332,12 +324,12 @@ def cmd_certify(cfg: dict, args) -> int:
         )
     gammas = _grid(cfg, "params", "gamma")
     mode = _block(cfg, "certify").get("mode", "check")
-    out = _out_dir(cfg, args)
     if mode not in ("check", "table1"):
         raise ConfigError(f"'certify.mode' must be 'check' or 'table1', got {mode!r}")
+    hs = _grid(cfg, "params", "h") if mode == "check" else []
+    out = _out_dir(cfg, args)
 
     if mode == "check":
-        hs = _grid(cfg, "params", "h")
         reports = [
             certificates.check_certificate(s, pot.m, pot.M, g, h).to_dict()
             for s in schemes
@@ -347,29 +339,26 @@ def cmd_certify(cfg: dict, args) -> int:
         _write_json(out / "certificates.json", {"mode": "check", "reports": reports})
         return 0
 
-    def run_row(s, g):
-        h_cert = certificates.max_certified_stepsize(s, pot.m, pot.M, g)
-        h_hyp = certified_stepsize_threshold(s, pot.m, pot.M, g)
-        row = {
-            "scheme": s.value,
-            "m": pot.m,
-            "M": pot.M,
-            "gamma": g,
-            "certified_h_max": h_cert,
-            "hypothesis_h_max": h_hyp,
-        }
-        if h_hyp > 0.0:
+    rows = []
+    for s in schemes:
+        for g in gammas:
+            h_cert = certificates.max_certified_stepsize(s, pot.m, pot.M, g)
+            h_hyp = certified_stepsize_threshold(s, pot.m, pot.M, g)
             h_use = glc.THRESHOLD_FRACTION * h_hyp
-            row["hypothesis_rate_at_08h"] = certified_rate(s, pot.m, pot.M, g, h_use).c
-            row["certified_rate_at_08h"] = certificates.max_certified_rate(
-                s, pot.m, pot.M, g, h_use
+            rows.append(
+                {
+                    "scheme": s.value,
+                    "m": pot.m,
+                    "M": pot.M,
+                    "gamma": g,
+                    "certified_h_max": h_cert,
+                    "hypothesis_h_max": h_hyp,
+                    "hypothesis_rate_at_08h": certified_rate(s, pot.m, pot.M, g, h_use).c if h_hyp > 0.0 else None,
+                    "certified_rate_at_08h": (
+                        certificates.max_certified_rate(s, pot.m, pot.M, g, h_use) if h_hyp > 0.0 else None
+                    ),
+                }
             )
-        else:
-            row["hypothesis_rate_at_08h"] = None
-            row["certified_rate_at_08h"] = None
-        return row
-
-    rows = [run_row(s, g) for s in schemes for g in gammas]
     _write_json(out / "certificates.json", {"mode": "table1", "rows": rows})
     return 0
 
@@ -386,34 +375,24 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
     h_grid = _grid(cfg, "scan", "h_grid")
     out = _out_dir(cfg, args)
 
-    def run(s, g):
-        thresholds = {}
-        for lam in (pot.m, pot.M):
-            try:
-                thresholds[lam] = gaussian.stability_threshold(s, lam, g)
-            except gaussian.SpectralError:
-                thresholds[lam] = math.nan
-        rows = []
-        for scan_row in gaussian.gaussian_scan(s, pot.m, pot.M, g, h_grid):
-            for rep in scan_row.reports:
-                rows.append(
-                    [
-                        s.value,
-                        scan_row.h,
-                        g,
-                        rep.lam,
-                        rep.spectral_radius,
-                        rep.contractive,
-                        thresholds[rep.lam],
-                    ]
-                )
-        return rows
-
-    all_rows = [r for s in schemes for g in gammas for r in run(s, g)]
+    rows = []
+    for s in schemes:
+        for g in gammas:
+            thresholds = {}
+            for lam in (pot.m, pot.M):
+                try:
+                    thresholds[lam] = gaussian.stability_threshold(s, lam, g)
+                except gaussian.SpectralError:
+                    thresholds[lam] = math.nan
+            for scan_row in gaussian.gaussian_scan(s, pot.m, pot.M, g, h_grid):
+                rows += [
+                    [s.value, scan_row.h, g, rep.lam, rep.spectral_radius, rep.contractive, thresholds[rep.lam]]
+                    for rep in scan_row.reports
+                ]
     _write_csv(
         out / "gaussian_scan.csv",
         ["scheme", "h", "gamma", "lambda", "radius", "contractive", "stability_threshold"],
-        all_rows,
+        rows,
     )
     return 0
 
@@ -431,19 +410,17 @@ def cmd_glc_scan(cfg: dict, args) -> int:
     seeds = _seeds(cfg)
     out = _out_dir(cfg, args)
 
-    def run(s):
-        rows = glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seeds=seeds)
-        return [
-            [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
-            for r in rows
-        ]
-
     # each scheme's sweep, every (seed, gamma) point, is one batch
-    all_rows = [r for s in schemes for r in run(s)]
+    rows = []
+    for s in schemes:
+        rows += [
+            [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
+            for r in glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seeds=seeds)
+        ]
     _write_csv(
         out / "glc_scan.csv",
         ["scheme", "gamma", "h", "c_theoretical", "c_empirical", "admissible", "deviation"],
-        all_rows,
+        rows,
     )
     return 0
 

@@ -184,7 +184,8 @@ _OAB = _Record(
     (_Hypothesis("h", "1/(4 gamma)", lambda M, g: 0.25 / g), _SQRT_6M),
 )
 
-#: each scheme's record, read by certified_rate and certified_stepsize_threshold;
+#: each scheme's record, read by certified_rate and certified_stepsize_threshold
+#: through _record, which checks their shared arguments;
 #: eta = exp(-gamma h) for every scheme, OBABO too: its certificate block uses the
 #: full-step damping though its integrator applies exp(-gamma h / 2) twice
 _RECORDS = {
@@ -208,16 +209,23 @@ _RECORDS = {
 }
 
 
+def _record(scheme: Scheme, m: float, M: float, gamma: float) -> _Record:
+    """The scheme's record, once 0 < m <= M and gamma > 0 hold."""
+    if not (0.0 < m <= M):
+        raise CouplingError(f"need 0 < m <= M, got m={m}, M={M}")
+    if gamma <= 0.0:
+        raise CouplingError(f"need gamma > 0, got gamma={gamma}")
+    return _RECORDS[scheme]
+
+
 def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> CertifiedRate:
     """Certified (a, b, c) and admissibility: the scheme's record, then 0 < c <= 1 and b^2 < a."""
     scheme = Scheme(scheme)
-    if not (0.0 < m <= M):
-        raise CouplingError(f"need 0 < m <= M, got m={m}, M={M}")
-    if gamma <= 0.0 or h <= 0.0:
-        raise CouplingError(f"need gamma > 0 and h > 0, got gamma={gamma}, h={h}")
+    record = _record(scheme, m, M, gamma)
+    if h <= 0.0:
+        raise CouplingError(f"need h > 0, got h={h}")
     eta = math.exp(-gamma * h)
     one_minus_eta = -math.expm1(-gamma * h)  # cancellation-free 1 - eta
-    record = _RECORDS[scheme]
     a, b, c = record.abc(m, M, gamma, h, eta, one_minus_eta)
     checks = [hyp.check(M, gamma, h, one_minus_eta) for hyp in record.hypotheses]
     checks.append(_fmt(f"0 < c <= 1: c={c}", 0.0 < c <= 1.0))
@@ -229,7 +237,7 @@ def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -
 def certified_stepsize_threshold(scheme: Scheme, m: float, M: float, gamma: float) -> float:
     """Supremum of the stepsizes the scheme's hypotheses admit (0.0 when a friction
     floor fails): every h below it is admissible, the threshold itself may not be."""
-    return min(hyp.root(M, gamma) for hyp in _RECORDS[Scheme(scheme)].hypotheses)
+    return min(hyp.root(M, gamma) for hyp in _record(Scheme(scheme), m, M, gamma).hypotheses)
 
 
 class CouplingPoint(NamedTuple):
@@ -329,10 +337,11 @@ def run_coupling_batch(
     xs = np.empty((rows, B, 2, d))  # the states of one block's steps
     vs = np.empty((rows, B, 2, d))
     distances = np.empty((B, n_steps + 1))
-    distances[:, 0] = [norm.squared(z0.x - z0_tilde.x, z0.v - z0_tilde.v) for norm in norms]
-    diverged_at = [None if math.isfinite(d0) else 0 for d0 in distances[:, 0]]
-    # overflow on forced runs is an anticipated outcome, reported as divergence
+    # overflow on forced runs, or from far-apart starts, is an anticipated
+    # outcome, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
+        distances[:, 0] = [norm.squared(z0.x - z0_tilde.x, z0.v - z0_tilde.v) for norm in norms]
+        diverged_at = [None if math.isfinite(d0) else 0 for d0 in distances[:, 0]]
         for t in range(0, n_steps, rows):
             if None not in diverged_at:
                 break

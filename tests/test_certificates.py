@@ -420,6 +420,25 @@ def test_max_certified_rate_errors_when_nothing_certifiable():
         max_certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 5.0)
 
 
+@pytest.mark.parametrize(
+    "scheme, m, M, error",
+    [
+        (Scheme.ABO, 1.0, 4.0, UnsupportedScheme),
+        (Scheme.LM, 1.0, 4.0, UnsupportedScheme),
+        (Scheme.BAO, 4.0, 1.0, CertificateError),
+        (Scheme.BAO, -1.0, 4.0, CertificateError),
+    ],
+    ids=["abo", "lm", "m_above_M", "m_negative"],
+)
+def test_certificate_searches_raise_on_bad_input(scheme, m, M, error):
+    # bad input is not "no stepsize passes": both searches raise the same error
+    with pytest.raises(error) as rate_err:
+        max_certified_rate(scheme, m, M, 11.0, 0.01)
+    with pytest.raises(error) as step_err:
+        max_certified_stepsize(scheme, m, M, 11.0)
+    assert str(step_err.value) == str(rate_err.value)
+
+
 def test_max_certified_rate_unimodal_in_h():
     # the certifiable rate grows with h away from zero and collapses to
     # zero at the edge of the certifiable stepsize range

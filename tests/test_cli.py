@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from langevin_contract import cli
 from langevin_contract.cli import _write_csv, main
 from langevin_contract.coupling import certified_rate, run_synchronous_coupling
 from langevin_contract.glc import rate_collapse_scan
@@ -124,6 +125,22 @@ def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     assert seen == {"inadmissible", "inf", "nan"}
 
 
+def test_couple_from_far_apart_starts_diverges_at_step_0(tmp_path):
+    # the start distance overflows to inf: an admissible run that diverges at
+    # once, which exits 3 without --force and is recorded with it
+    cfg = couple_config(tmp_path / "out", n_steps=20)
+    cfg["coupling"] = {"z0": [[-1e200, -1e200], [0.0, 0.0]], "z0_tilde": [[1e200, 1e200], [0.0, 0.0]]}
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["couple", "--config", path]) == 3
+    assert main(["couple", "--config", path, "--force"]) == 0
+    (run,) = json.loads((tmp_path / "out" / "couple_summary.json").read_text())["runs"]
+    assert run["admissible"] and run["diverged"] and run["diverged_at"] == 0
+    assert run["bound_holds"] is False and run["first_violation"] == 0
+    assert run["c_empirical"] is None
+    trace = (tmp_path / "out" / run["trace_file"]).read_text().splitlines()
+    assert trace[1:] == ["kinetic_em,0.10000000000000001,4,0,0,inf,inf"]
+
+
 def test_couple_without_seeds_writes_an_empty_summary(tmp_path):
     cfg = couple_config(tmp_path / "out")
     cfg["params"]["seeds"] = []
@@ -137,6 +154,7 @@ def test_couple_inadmissible_needs_force(tmp_path):
         couple_config(tmp_path / "out", gammas=(100.0,), h=0.25, n_steps=300),
     )
     assert main(["couple", "--config", cfg]) == 3
+    assert not (tmp_path / "out").exists()  # refused before any run
     assert main(["couple", "--config", cfg, "--force"]) == 0
     summary = json.loads((tmp_path / "out" / "couple_summary.json").read_text())
     run = summary["runs"][0]
@@ -200,6 +218,53 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
     path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     assert main(["couple", "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(set(MALFORMED) - {"ses_h_1e-120"}))
+def test_config_schema_rejects_malformed_configs(tmp_path, name):
+    # ses_h_1e-120 is well-formed: its step constant underflows only in the run
+    cfg = MALFORMED[name](couple_config(tmp_path / "out"))
+    cfg = json.loads(json.dumps(cfg).replace("Infinity", "1e400"))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(cfg, load_schema("config.schema.json"))
+
+
+def test_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    cfg = couple_config(tmp_path / "out")
+    cfg["params"]["h"] = [10**400]
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert "config error: 'params.h' entry must be finite, got 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, fields",
+    [
+        ("couple", "params", {"h": [-1.0]}),
+        ("certify", "params", {"h": [-1.0]}),
+        ("certify", "certify", {"mode": "grid"}),
+        ("gaussian-scan", "scan", {"h_grid": [-1.0]}),
+        ("glc-scan", "params", {"h": 0.1, "seeds": [2**64]}),
+    ],
+    ids=["couple_h", "certify_h", "certify_mode", "gaussian_scan_h_grid", "glc_scan_seed"],
+)
+def test_config_error_creates_no_output_directory(tmp_path, capsys, command, section, fields):
+    cfg = couple_config(tmp_path / "out")
+    cfg["scan"] = {"h_grid": [0.1]}
+    cfg[section] = {**cfg.get(section, {}), **fields}
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(tmp_path / "out.csv", "a,b\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -220,6 +285,7 @@ def test_ses_underflowing_noise_exits_2(tmp_path, capsys, command, grid):
     }
     assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert "config error: SES noise covariance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # the run failed before its one write
 
 
 def test_glc_scan_gives_a_nan_row_where_ses_noise_underflows(tmp_path):
@@ -439,6 +505,22 @@ def test_gaussian_scan_cmd(tmp_path):
     assert row["scheme"] == "kinetic_em" and float(row["lambda"]) == 1.0
     expect = 2.0 / (5.0 + math.sqrt(25.0 - 4.0))
     assert float(row["stability_threshold"]) == pytest.approx(expect, abs=1e-6)
+
+
+def test_gaussian_scan_writes_nan_where_the_threshold_search_fails(tmp_path):
+    # ses at gamma = 1e8 is still stable at the search cap, so it has no threshold
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 1.0},
+        "schemes": ["ses"],
+        "params": {"gamma": [1e8]},
+        "scan": {"h_grid": [0.1]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["gaussian-scan", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    header, *lines = (tmp_path / "out" / "gaussian_scan.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 2  # one per extreme curvature, here both lambda = 1
+    assert all(row["stability_threshold"] == "nan" for row in rows), rows
 
 
 def test_glc_scan_cmd(tmp_path):

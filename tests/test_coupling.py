@@ -292,6 +292,31 @@ def test_stepsize_threshold_fixed_point():
     assert certified_stepsize_threshold(Scheme.OAB, 1.0, 1.0, g) == pytest.approx(1 / (4 * g))
 
 
+@pytest.mark.parametrize(
+    "scheme, m, M, gamma, problem",
+    [
+        (Scheme.KINETIC_EM, 1.0, 4.0, -3.0, "need gamma > 0, got gamma=-3.0"),
+        (Scheme.KINETIC_EM, 1.0, 4.0, 0.0, "need gamma > 0, got gamma=0.0"),
+        (Scheme.BAO, 0.0, 4.0, 5.0, "need 0 < m <= M, got m=0.0, M=4.0"),
+        (Scheme.KINETIC_EM, 4.0, 1.0, 5.0, "need 0 < m <= M, got m=4.0, M=1.0"),
+    ],
+    ids=["gamma_negative", "gamma_zero", "m_zero", "m_above_M"],
+)
+def test_stepsize_threshold_checks_what_certified_rate_checks(scheme, m, M, gamma, problem):
+    # a negative threshold, a ZeroDivisionError or a threshold for an
+    # impossible target would each be read as a stepsize
+    with pytest.raises(CouplingError) as threshold_err:
+        certified_stepsize_threshold(scheme, m, M, gamma)
+    with pytest.raises(CouplingError) as rate_err:
+        certified_rate(scheme, m, M, gamma, 0.1)
+    assert str(threshold_err.value) == str(rate_err.value) == problem
+
+
+def test_certified_rate_needs_a_positive_h():
+    with pytest.raises(CouplingError, match=r"need h > 0, got h=0.0"):
+        certified_rate(Scheme.BAO, 1.0, 4.0, 5.0, 0.0)
+
+
 def test_inadmissible_requires_force():
     with pytest.raises(InadmissibleParameters):
         run_synchronous_coupling(

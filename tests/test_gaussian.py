@@ -123,6 +123,15 @@ def test_stability_threshold_ends_on_adjacent_floats():
     assert not _monotone_stable(Scheme.BAO, 3e-12, 1e-4, math.nextafter(h, math.inf))
 
 
+def test_stability_threshold_errors_at_the_ends_of_its_search():
+    # kinetic_em at lam = 1e13 and gamma = 0.01 is unstable at every h that
+    # halving from 1/sqrt(lam) reaches; ses at gamma = 1e8 is stable up to the cap
+    with pytest.raises(SpectralError, match="no stable stepsize found for kinetic_em below cap"):
+        stability_threshold(Scheme.KINETIC_EM, 1e13, 0.01)
+    with pytest.raises(SpectralError, match=r"still stable at the search cap h=1000000.0"):
+        stability_threshold(Scheme.SES, 1.0, 1e8)
+
+
 def test_bao_exact_rate_examples():
     # h -> 0 gives no contraction
     assert bao_exact_rate(1.0, 1e-9, 5.0) == pytest.approx(0.0, abs=1e-8)
