@@ -136,13 +136,6 @@ def _numbers(raw, what: str) -> None:
             raise ConfigError(f"{what} must be an array of numbers: {e}") from None
 
 
-def _positive(x, what: str) -> float:
-    val = _number(x, what)
-    if val <= 0.0:
-        raise ConfigError(f"{what} must be positive, got {x!r}")
-    return val
-
-
 def _schemes(cfg: dict) -> list[Scheme]:
     names = cfg.get("schemes")
     if not names or not isinstance(names, list):
@@ -200,13 +193,18 @@ def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[floa
     vals = val if isinstance(val, list) else [val]
     if not vals:
         raise ConfigError(f"'{section}.{key}' must be non-empty")
-    return [_positive(x, f"'{section}.{key}' entry") for x in vals]
+    for x in vals:
+        if _number(x, f"'{section}.{key}' entry") <= 0.0:
+            raise ConfigError(f"'{section}.{key}' entry must be positive, got {x!r}")
+    return [float(x) for x in vals]
 
 
 def _seeds(cfg: dict) -> list[int]:
     seeds = _block(cfg, "params").get("seeds", [0])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"'params.seeds' must be a list, got {seeds!r}")
     try:  # CounterStreams holds the rule for a seed: an integer that keys Philox
-        return [CounterStreams(s).seed for s in (seeds if isinstance(seeds, list) else [seeds])]
+        return [CounterStreams(s).seed for s in seeds]
     except CouplingError as e:
         raise ConfigError(f"'params.seeds': {e}")
 
@@ -273,9 +271,11 @@ def cmd_couple(cfg: dict, args) -> int:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
+    # every batch runs before the first write, so a step constant that breaks leaves no output
+    traces = [run_coupling_batch(s, pot, z0, z1, batch, n_steps) for s, batch in zip(schemes, batches)]
     summary = []
-    for s, batch in zip(schemes, batches):
-        for trace in run_coupling_batch(s, pot, z0, z1, batch, n_steps):
+    for s, scheme_traces in zip(schemes, traces):
+        for trace in scheme_traces:
             (params, seed, rate), distances = trace.point, trace.distances.tolist()
             h, g = params.h, params.gamma
             bound, ok, first_bad = None, None, None
@@ -401,22 +401,19 @@ def cmd_glc_scan(cfg: dict, args) -> int:
     pot = make_potential(cfg)
     schemes = _schemes(cfg)
     gammas = _grid(cfg, "scan", "gamma_grid", required=False) or list(glc.DEFAULT_GAMMA_GRID)
-    h = _block(cfg, "params").get("h")
-    if isinstance(h, list):
-        raise ConfigError("glc-scan takes a scalar 'params.h' (or omit for auto)")
-    if h is not None:
-        h = _positive(h, "'params.h'")
+    hs = _grid(cfg, "params", "h", required=False) or [None]  # None: 80% of each threshold
     n_steps = _n_steps(cfg, 2000)
     seeds = _seeds(cfg)
     out = _out_dir(cfg, args)
 
-    # each scheme's sweep, every (seed, gamma) point, is one batch
+    # each (scheme, h) sweep, every (seed, gamma) point, is one batch
     rows = []
     for s in schemes:
-        rows += [
-            [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
-            for r in glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seeds=seeds)
-        ]
+        for h in hs:
+            rows += [
+                [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
+                for r in glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seeds=seeds)
+            ]
     _write_csv(
         out / "glc_scan.csv",
         ["scheme", "gamma", "h", "c_theoretical", "c_empirical", "admissible", "deviation"],

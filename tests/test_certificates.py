@@ -568,6 +568,26 @@ def test_stepsize_restriction_scaling_in_gamma():
     assert hyp[0] / hyp[2] == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        1e5,
+        pytest.param(
+            1e8,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 13: the bracket is narrower than the absolute STEPSIZE_TOL, "
+                "so the search returns its lower end 10/2**30 unbisected",
+            ),
+        ),
+    ],
+)
+def test_kinetic_em_certified_stepsize_scales_like_1_over_gamma(gamma):
+    # far above the friction floor kinetic_em's certified stepsize is 1.466/gamma
+    want = 1e3 * max_certified_stepsize(Scheme.KINETIC_EM, 1.0, 4.0, 1e3)
+    assert gamma * max_certified_stepsize(Scheme.KINETIC_EM, 1.0, 4.0, gamma) == pytest.approx(want, rel=1e-3)
+
+
 def test_best_certified_rate_scales_like_m_over_M():
     # best rate ~ m/M: at gamma tied to sqrt(M) the certified rate at 80%
     # of the threshold scales like m/M across condition numbers

@@ -80,7 +80,6 @@ def test_couple_zero_steps(tmp_path):
 def test_largest_seed_runs_and_the_next_exits_2(tmp_path, capsys, command):
     # a seed keys Philox as one uint64: 2**64 - 1 is the largest that fits
     cfg = couple_config(tmp_path / "out", n_steps=20)
-    cfg["params"]["h"] = 0.1  # glc-scan takes a scalar h
     cfg["scan"] = {"gamma_grid": [4.0]}
     path = tmp_path / "cfg.json"
     for seed, code in ((2**64 - 1, 0), (2**64, 2)):
@@ -193,6 +192,7 @@ MALFORMED = {
     "n_steps_fractional": _replace("params", n_steps=2.5),
     "seed_boolean": _replace("params", seeds=[True]),
     "seed_2_64": _replace("params", seeds=[2**64]),  # beyond the uint64 Philox key
+    "seeds_scalar": _replace("params", seeds=3),  # a list, even of one seed
     "z0_not_numeric": _replace("coupling", z0=[["x", 1.0], [0.0, 0.0]]),
     "potential_m_not_a_number": _replace("potential", m="x"),
     # numbers written as strings or booleans: float() would take them
@@ -207,7 +207,14 @@ MALFORMED = {
     "output_dir_not_a_string": _replace("output", dir=1),
     # admissible, but the SES noise variance underflows to 0 at gamma h ~ 1e-119
     "ses_h_1e-120": lambda cfg: {**_replace("params", h=[1e-120], gamma=[11.0])(cfg), "schemes": ["ses"]},
+    # bao runs there, but every batch runs before the first write: no bao trace is left
+    "bao_then_ses_h_1e-120": lambda cfg: {
+        **_replace("params", h=[1e-120], gamma=[11.0])(cfg),
+        "schemes": ["bao", "ses"],
+    },
 }
+#: well-formed configs whose step constant breaks only in the run
+RUN_ERRORS = {"ses_h_1e-120", "bao_then_ses_h_1e-120"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -221,9 +228,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", sorted(set(MALFORMED) - {"ses_h_1e-120"}))
+@pytest.mark.parametrize("name", sorted(set(MALFORMED) - RUN_ERRORS))
 def test_config_schema_rejects_malformed_configs(tmp_path, name):
-    # ses_h_1e-120 is well-formed: its step constant underflows only in the run
     cfg = MALFORMED[name](couple_config(tmp_path / "out"))
     cfg = json.loads(json.dumps(cfg).replace("Infinity", "1e400"))
     with pytest.raises(jsonschema.ValidationError):
@@ -288,6 +294,27 @@ def test_ses_underflowing_noise_exits_2(tmp_path, capsys, command, grid):
     assert not (tmp_path / "out").exists()  # the run failed before its one write
 
 
+def test_glc_scan_runs_each_listed_h(tmp_path):
+    # params.h is a grid as in the other commands: per scheme, the rows of a
+    # run at each listed h, in list order
+    def scan(h):
+        out = tmp_path / f"h{h}"
+        cfg = {
+            "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+            "schemes": ["baoab", "bao"],
+            "params": {"h": h, "n_steps": 100, "seeds": [0, 1]},
+            "scan": {"gamma_grid": [10.0, 100.0]},
+            "output": {"dir": str(out)},
+        }
+        assert main(["glc-scan", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+        return (out / "glc_scan.csv").read_text().splitlines()
+
+    both, first, second = scan([0.05, 0.2]), scan(0.05), scan([0.2])
+    assert both[0] == first[0] == second[0]
+    n = 4  # rows per (scheme, h): two seeds by two gammas
+    assert both[1:] == first[1 : 1 + n] + second[1 : 1 + n] + first[1 + n :] + second[1 + n :]
+
+
 def test_glc_scan_gives_a_nan_row_where_ses_noise_underflows(tmp_path):
     # the deviation step raises on SES's noise factor at gamma h ~ 1e-119;
     # that point alone reads nan, and the scan still writes its rows
@@ -345,6 +372,10 @@ MALFORMED_POTENTIALS = {
     "quadratic_with_eps": ({"m": 1, "M": 4, "eps": 0.5}, "'eps' applies only to 'perturbed_quadratic'"),
     "diag_and_m_M": ({"diag": [1, 9], "m": 1, "M": 4}, "got 'diag', 'm', 'M'"),
     "matrix_and_diag": ({"matrix": [[1.0, 0.0], [0.0, 4.0]], "diag": [1.0, 4.0]}, "got 'matrix', 'diag'"),
+    # no complete target
+    "m_without_M": ({"m": 1.0}, "needs 'matrix', 'diag', or 'm' and 'M'"),
+    "no_target": ({}, "needs 'matrix', 'diag', or 'm' and 'M'"),
+    "matrix_empty": ({"matrix": []}, "non-empty"),
 }
 
 
@@ -360,8 +391,14 @@ def test_malformed_potential_exits_2(tmp_path, capsys, name):
     assert "config error: potential:" in err and problem in err, err
 
 
-@pytest.mark.parametrize("name", ["quadratic_with_eps", "diag_and_m_M", "matrix_and_diag"])
+# what a JSON schema cannot express: finiteness, a square or unragged matrix, m <= M
+SCHEMA_CANNOT = {"diag_nan", "diag_inf", "matrix_nan", "matrix_not_square", "matrix_ragged", "m_above_M"}
+
+
+@pytest.mark.parametrize("name", sorted(set(MALFORMED_POTENTIALS) - SCHEMA_CANNOT))
 def test_config_schema_rejects_keys_that_do_not_apply(tmp_path, name):
+    # every malformed potential a schema can express: keys that do not apply or
+    # are missing, arrays empty or of the wrong depth, entries that are not numbers
     cfg = couple_config(tmp_path / "out")
     cfg["potential"] = {"name": "quadratic", **MALFORMED_POTENTIALS[name][0]}
     with pytest.raises(jsonschema.ValidationError):
@@ -459,9 +496,8 @@ def test_certify_table1_below_the_friction_floor(tmp_path):
         ("certify", {"schemes": ["abo"], "params": {"gamma": [5.0]}}, "certifiable schemes: kinetic_em, bao, oab"),
         ("certify", {"params": {"gamma": [5.0]}, "certify": {"mode": "grid"}}, "'certify.mode' must be"),
         ("gaussian-scan", {"schemes": ["lm"], "params": {"gamma": [5.0]}, "scan": {"h_grid": [0.1]}}, "['lm']"),
-        ("glc-scan", {"params": {"h": [0.1]}}, "scalar 'params.h'"),
     ],
-    ids=["certify_abo", "certify_unknown_mode", "gaussian_scan_lm", "glc_scan_list_h"],
+    ids=["certify_abo", "certify_unknown_mode", "gaussian_scan_lm"],
 )
 def test_command_rejects_what_it_does_not_cover(tmp_path, capsys, command, cfg, problem):
     cfg = {
@@ -604,6 +640,10 @@ SHIPPED_SHA256 = {
     "gaussian_scan": "6e8981264a2ec3921ed83cc965d99dc026f0db4d4e1931c37e95c7a7f09495b6",
     "glc_scan": "91bffeb76405364ffcfcf91f5552d0bda9aeefc2df0134faa769b71a13a43cec",
 }
+
+
+def test_every_shipped_config_is_pinned():
+    assert {p.stem for p in CONFIGS.glob("*.json")} == set(SHIPPED) == set(SHIPPED_SHA256)
 
 
 def _outputs_sha256(out: Path) -> str:

@@ -30,6 +30,7 @@ from langevin_contract.integrators import (
 )
 from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import PerturbedQuadratic, Potential, QuadraticPotential
+from oracles import mp_eta_root
 
 ANISO = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
 Z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
@@ -290,6 +291,20 @@ def test_stepsize_threshold_fixed_point():
     # oab also caps at 1/(4 gamma)
     g = 100.0
     assert certified_stepsize_threshold(Scheme.OAB, 1.0, 1.0, g) == pytest.approx(1 / (4 * g))
+
+
+_STALLS = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4(b): the 200-step fixed point stalls above the root as gamma -> s+"
+)
+
+
+@pytest.mark.parametrize("excess", [0.5, 2.0, 10.0] + [pytest.param(x, marks=_STALLS) for x in (1e-4, 1e-3, 0.05)])
+def test_eta_threshold_is_the_root_of_its_hypothesis(excess):
+    # bao's threshold at gamma = s (1 + excess), s = sqrt(6 M), solves h = (1 - exp(-gamma h))/s
+    s = math.sqrt(6.0 * 4.0)
+    gamma = s * (1.0 + excess)
+    got = certified_stepsize_threshold(Scheme.BAO, 1.0, 4.0, gamma)
+    assert got == pytest.approx(mp_eta_root(gamma, s), rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,6 @@ from langevin_contract.integrators import (
     PhaseState,
     Scheme,
     StepParams,
-    _Mode,
-    _step_core,
     affine_mode_map,
     noise_requirements,
     ses_covariance,
@@ -25,6 +23,7 @@ from langevin_contract.integrators import (
     step,
 )
 from langevin_contract.potentials import Potential, QuadraticPotential
+from oracles import symbolic_word_P
 
 
 class ZeroForce(Potential):
@@ -283,19 +282,6 @@ def test_certificate_block_shares_spectrum_with_composition():
         assert np.allclose(a, b, atol=1e-13)
 
 
-def _symbolic_word_P(sp, word, lam, h, g):
-    """P of the step core on the mode U(x) = lam x^2 / 2, run on sympy
-    symbols for the splitting word keyed ``word`` in SPLITTING_WORDS: a
-    piece of fraction f drifts or kicks for f h, and an O piece damps by
-    exp(-gamma f h)."""
-    coefs = []
-    for piece, frac in SPLITTING_WORDS[word]:
-        tau = sp.Rational(frac) * h
-        coefs += (sp.exp(-g * tau), sp.sqrt(1 - sp.exp(-2 * g * tau))) if piece == "O" else (tau,)
-    cols = [_step_core(word, _Mode(lam), x, v, coefs, (0, 0))[:2] for x, v in ((1, 0), (0, 1))]
-    return sp.Matrix(cols).T
-
-
 def test_symbolic_splitting_words():
     # every word damps the phase volume by exactly exp(-gamma h), and the six
     # first-order words kick once, so their P is affine in lam; baoab and obabo
@@ -303,7 +289,7 @@ def test_symbolic_splitting_words():
     import sympy as sp
     lam, h, g = sp.symbols("lam h gamma", positive=True)
     for word in SPLITTING_WORDS:
-        P = _symbolic_word_P(sp, word, lam, h, g)
+        P = symbolic_word_P(word, lam, h, g)
         assert sp.simplify(P.det() - sp.exp(-g * h)) == 0, word
         degree = max(sp.degree(sp.expand(p), lam) for p in P)
         assert degree == (1 if word in FIRST_ORDER_SPLITTINGS else 2), word
@@ -321,7 +307,7 @@ def test_hand_blocks_equal_rotated_words(monkeypatch):
     symbolic = SimpleNamespace(h=h, eta=sp.exp(-g * h))  # StepParams takes floats only
     for scheme, word in rotated.items():
         monkeypatch.setitem(SPLITTING_WORDS, f"rotated_{scheme.value}", word)
-        want = _symbolic_word_P(sp, f"rotated_{scheme.value}", lam, h, g)
+        want = symbolic_word_P(f"rotated_{scheme.value}", lam, h, g)
         hand = sp.nsimplify(sp.Matrix(transition_matrix_P(scheme, lam, symbolic).tolist()), rational=True)
         assert sp.simplify(hand - want) == sp.zeros(2, 2), scheme
 
