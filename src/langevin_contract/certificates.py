@@ -20,30 +20,30 @@ the A/B/C polynomials are derived from it rather than expanded by hand:
     H(lam) = (1-c) W - P0^T W P0 - lam (P0^T W P1 + P1^T W P0) - lam^2 P1^T W P1.
 
 Positivity is certified on a dense grid backed by a derivative bound (so
-the grid minimum genuinely implies positivity between nodes), and the
-polynomial route is cross-checked against direct 2x2 eigenvalues at every
-grid point.
+the grid minimum genuinely implies positivity between nodes), and every
+report cross-checks the polynomial route against direct 2x2 eigenvalues
+at every grid point.
 
 A check comes in two halves.  Only c moves between the probes of a rate
 search, and it enters H only through (1-c) W, so it moves only the
 constant terms of A, B and C.  Everything else is one *point*, built
 once per (scheme, m, M, gamma, h) and kept in a one-entry LRU cache
-(:func:`_point`): the certified rate, W, the entries of P0^T W P0, the
-lam^1 and lam^2 coefficients of A, B and C as floats, the lam grid, A's
-Horner tail on it, and the oracle's grid sums of P(lam)^T W P(lam).  An
-entry of P(lam) whose P1 entry is exactly 0 is the same float at every
-node, so it stays one Python float, as does every sum built only from
-such entries; the point's arrays are read-only.  :func:`check_certificate`
-runs the c half on every call: the constant terms, A on the grid (the
-tail plus one add), the quartic AC - B^2 and its grid values, the guards,
-the verdict, the oracle's H = (1-c) W - P^T W P with its minimum
-eigenvalue, and the margins.  The quartic is ``np.convolve(A, C) -
-np.convolve(B, B)`` of the untrimmed degree-2 lists, and :func:`_polyval`
-is ``npoly.polyval``'s Horner without its input checks.  For finite
-coefficients the trailing zeros that ``numpy.polynomial`` trims change
-only a list's length, never a value, so every search probe is still a
-full check, and its report is bit-identical to one built afresh with
-``numpy.polynomial``.
+(:func:`_point`): the certified rate, W, P0 and P1, the entries of
+P0^T W P0, the lam^1 and lam^2 coefficients of A, B and C as floats, the
+lam grid (one read-only array per (m, M), :func:`_lam_grid`) and A's
+Horner tail on it; the point's arrays are read-only.  The c half is
+:func:`_verdict`: the constant terms, A on the grid (the tail plus one
+add), the quartic AC - B^2 and its grid values, the guards and the
+verdict.  The quartic is ``np.convolve(A, C) - np.convolve(B, B)`` of the
+untrimmed degree-2 lists, and :func:`_polyval` is ``npoly.polyval``'s
+Horner without its input checks.  For finite coefficients the trailing
+zeros that ``numpy.polynomial`` trims change only a list's length, never
+a value, so a report is bit-identical to one built afresh with
+``numpy.polynomial``.  :func:`check_certificate` adds to the verdict the
+eigenvalue oracle, H = (1-c) W - P^T W P from the point's P0, P1 and W
+with its minimum eigenvalue at every node, and the margins.  The
+searches decide on the verdict alone: they read only ``passed``, so no
+search probe runs the oracle, while every report carries it.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ GRID_POINTS = 2048
 STEPSIZE_CAP = 10.0
 STEPSIZE_TOL = 1e-8
 RATE_TOL = 1e-10
-#: c-free halves kept by :func:`_point`.  A rate search reuses one; more
-#: would only carry points between unrelated searches, grids and all
+#: c-free halves kept by :func:`_point`, so checks of one point at several c
+#: build it once; more would only carry points between unrelated checks
 _POINT_CACHE_SIZE = 1
 
 
@@ -256,17 +256,30 @@ class _Point(NamedTuple):
     a: float
     b: float
     c: float  # the certified rate, the default c of a check
+    norm_valid: bool  # b^2 < a
     W: np.ndarray
+    P0: np.ndarray  # P(lam) = P0 + lam P1, for the eigenvalue oracle
+    P1: np.ndarray
     k0: tuple[float, float, float]  # entries (0, 0), (0, 1), (1, 1) of P0^T W P0
     lam_terms: tuple[tuple[float, float], ...]  # the lam^1, lam^2 coefficients of A, B, C
     lams: np.ndarray
     tail: np.ndarray  # A's Horner tail, so A(lams) = A[0] + tail
-    sums: list[list]  # _grid_sums
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _lam_grid(m: float, M: float) -> np.ndarray:
+    """The read-only lam grid on [m, M]: :data:`GRID_POINTS` nodes, or m alone when m = M."""
+    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
+    lams.flags.writeable = False
+    return lams
 
 
 @functools.lru_cache(maxsize=_POINT_CACHE_SIZE, typed=True)
 def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point:
-    """Build the c-free half of a check (module docstring); cached."""
+    """Check the arguments, then build the c-free half of a check (module docstring); cached."""
+    scheme = Scheme(scheme)
+    if not (0.0 < m <= M):
+        raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
     rate = certified_rate(scheme, m, M, gamma, h)
     # one (P0, P1) for both the polynomial route and the eigenvalue oracle
     P0, P1 = _affine_P(scheme, StepParams(h, gamma))
@@ -274,13 +287,32 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     K0, H1, H2 = (block.tolist() for block in _h_blocks(P0, P1, W))
     abc = ((0, 0), (0, 1), (1, 1))  # the entries of H that are A, B and C
     lam_terms = tuple((H1[i][j], H2[i][j]) for i, j in abc)
-    lams = np.linspace(m, M, GRID_POINTS) if M > m else np.array([m])
+    lams = _lam_grid(m, M)
     tail = _polyval(lams, list(lam_terms[0])) * lams  # A(lams) is A[0] + tail, polyval's last step
-    sums = _grid_sums(P0, P1, lams, W)
-    for arr in (W, lams, tail, *sums[0], *sums[1]):
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return _Point(rate.a, rate.b, rate.c, W, tuple(K0[i][j] for i, j in abc), lam_terms, lams, tail, sums)
+    for arr in (W, P0, P1, tail):
+        arr.flags.writeable = False
+    k0 = tuple(K0[i][j] for i, j in abc)
+    return _Point(rate.a, rate.b, rate.c, rate.b * rate.b < rate.a, W, P0, P1, k0, lam_terms, lams, tail)
+
+
+def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The c half of a check up to its verdict: (A(lams), (AC - B^2)(lams),
+    passed).  Both searches decide on ``passed`` alone."""
+    # the constant terms, (1-c) W - P0^T W P0, are all that c moves
+    A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, point.b, point.a), point.k0, point.lam_terms))
+
+    pa = A[0] + point.tail
+    quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
+    pq = _polyval(point.lams, quartic)
+
+    if M > m:
+        dlam = (M - m) / (GRID_POINTS - 1)
+        guard_a = _derivative_bound(A, M) * dlam / 2.0
+        guard_q = _derivative_bound(quartic, M) * dlam / 2.0
+    else:
+        guard_a = guard_q = 0.0
+    passed = bool(point.norm_valid and pa.min() > guard_a and pq.min() > guard_q)
+    return pa, pq, passed
 
 
 def check_certificate(
@@ -303,31 +335,15 @@ def check_certificate(
     grid point is independently checked by the minimum eigenvalue of the
     2x2 matrix H assembled from P, and the sign agreement of the two
     routes is reported.  Everything that does not depend on c comes from
-    :func:`_point`, built once per (scheme, m, M, gamma, h).
+    :func:`_point`, built once per (scheme, m, M, gamma, h), which also
+    raises for bad input (see :func:`max_certified_stepsize`).
     """
-    scheme = Scheme(scheme)
-    if not (0.0 < m <= M):
-        raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
     point = _point(scheme, m, M, gamma, h)
-    a, b, lams = point.a, point.b, point.lams
+    lams = point.lams
     c = point.c if c is None else c
-    # the constant terms, (1-c) W - P0^T W P0, are all that c moves
-    A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, b, a), point.k0, point.lam_terms))
+    pa, pq, passed = _verdict(point, m, M, c)
 
-    pa = A[0] + point.tail
-    quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
-    pq = _polyval(lams, quartic)
-
-    if M > m:
-        dlam = (M - m) / (GRID_POINTS - 1)
-        guard_a = _derivative_bound(A, M) * dlam / 2.0
-        guard_q = _derivative_bound(quartic, M) * dlam / 2.0
-    else:
-        guard_a = guard_q = 0.0
-    norm_valid = b * b < a
-    passed = bool(norm_valid and pa.min() > guard_a and pq.min() > guard_q)
-
-    eigs = _min_eig_H(point.sums, point.W, c, lams.shape)
+    eigs = _min_eig_H(_grid_sums(point.P0, point.P1, lams, point.W), point.W, c, lams.shape)
     poly_pd = (pa > 0.0) & (pq > 0.0)
     oracle_pd = eigs > 0.0
     agrees = bool(np.array_equal(poly_pd, oracle_pd))
@@ -335,13 +351,13 @@ def check_certificate(
     margin_a, margin_q = pa / lams, pq / lams
     worst = int(np.argmin(np.minimum(margin_a, margin_q)))
     return CertificateReport(
-        scheme=scheme,
+        scheme=Scheme(scheme),
         m=m,
         M=M,
         gamma=gamma,
         h=h,
-        a=a,
-        b=b,
+        a=point.a,
+        b=point.b,
         c=c,
         passed=passed,
         min_margin_A=float(margin_a.min()),
@@ -349,7 +365,7 @@ def check_certificate(
         worst_lambda=float(lams[worst]),
         oracle_min_eig=float(eigs.min()),
         oracle_agrees=agrees,
-        norm_valid=norm_valid,
+        norm_valid=point.norm_valid,
         grid_points=len(lams),
     )
 
@@ -398,12 +414,14 @@ def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: floa
     """Largest c in (0, 1) passing the certificate with the scheme's (a, b).
 
     H is monotone decreasing in c, so bisection on [0, 1] applies, to width
-    :data:`RATE_TOL`.  Raises when even c = 0 fails (no contraction
-    certified at these parameters).
+    :data:`RATE_TOL`, on one point; a probe is the check's verdict alone.
+    Raises when even c = 0 fails (no contraction certified at these
+    parameters), and for bad input as :func:`check_certificate`.
     """
+    point = _point(scheme, m, M, gamma, h)
 
     def passes(c: float) -> bool:
-        return check_certificate(scheme, m, M, gamma, h, c=c).passed
+        return _verdict(point, m, M, c)[2]
 
     if not passes(0.0):
         raise CertificateError(
@@ -417,16 +435,18 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
 
     The pass region is taken to be an interval (0, h*): halving from
     :data:`STEPSIZE_CAP` brackets h*, then bisection resolves it to
-    :data:`STEPSIZE_TOL`.  Returns the cap when the cap passes and 0.0 when
-    no stepsize passes (friction below the scheme's implicit floor).  Bad
-    input raises as :func:`max_certified_rate` does: a scheme outside
+    :data:`STEPSIZE_TOL`; a probe builds its point and takes the check's
+    verdict alone, no oracle.  Returns the cap when the cap passes and 0.0
+    when no stepsize passes (friction below the scheme's implicit floor).
+    Bad input raises as :func:`max_certified_rate` does: a scheme outside
     :data:`CERTIFICATE_SCHEMES`, or m, M outside 0 < m <= M.  A probe fails
     only where its derivative bound overflows (M beyond about 1e102).
     """
 
     def passes(h: float) -> bool:
         try:
-            return check_certificate(scheme, m, M, gamma, h).passed
+            point = _point(scheme, m, M, gamma, h)
+            return _verdict(point, m, M, point.c)[2]
         except OverflowError:  # _derivative_bound's float power
             return False
 
