@@ -26,12 +26,11 @@ at every grid point.
 
 A check comes in two halves.  Only c moves between the probes of a rate
 search, and it enters H only through (1-c) W, so it moves only the
-constant terms of A, B and C.  Everything else is one *point*, built
-once per (scheme, m, M, gamma, h) and kept in a one-entry LRU cache
-(:func:`_point`): the certified rate, W, P0 and P1, the entries of
-P0^T W P0, the lam^1 and lam^2 coefficients of A, B and C as floats, the
-lam grid (one read-only array per (m, M), :func:`_lam_grid`) and A's
-Horner tail on it; the point's arrays are read-only.  The c half is
+constant terms of A, B and C.  Everything else is one *point*
+(:func:`_point`), built once per check and once per rate search: the certified
+rate, W, P0 and P1, the entries of P0^T W P0, the lam^1 and lam^2
+coefficients of A, B and C as floats, the lam grid (one read-only array
+per (m, M), :func:`_lam_grid`) and A's Horner tail on it.  The c half is
 :func:`_verdict`: the constant terms, A on the grid (the tail plus one
 add), the quartic AC - B^2 and its grid values, the guards and the
 verdict.  The quartic is ``np.convolve(A, C) - np.convolve(B, B)`` of the
@@ -83,9 +82,6 @@ GRID_POINTS = 2048
 STEPSIZE_CAP = 10.0
 STEPSIZE_TOL = 1e-8
 RATE_TOL = 1e-10
-#: c-free halves kept by :func:`_point`, so checks of one point at several c
-#: build it once; more would only carry points between unrelated checks
-_POINT_CACHE_SIZE = 1
 
 
 def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
@@ -201,8 +197,11 @@ class CertificateReport:
 
 
 def _derivative_bound(coeffs: list[float], hi: float) -> float:
-    """sup |d/dlam p(lam)| on [0, hi] via the coarse coefficient bound."""
-    return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
+    """sup |d/dlam p(lam)| on [0, hi] via the coarse coefficient bound; raises where hi^k overflows."""
+    try:
+        return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
+    except OverflowError:
+        raise CertificateError(f"the grid guard overflows at M={hi:g}: a check needs M below about 5.6e102") from None
 
 
 def _polyval(x: np.ndarray, c: list[float]) -> np.ndarray:
@@ -274,9 +273,8 @@ def _lam_grid(m: float, M: float) -> np.ndarray:
     return lams
 
 
-@functools.lru_cache(maxsize=_POINT_CACHE_SIZE, typed=True)
 def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point:
-    """Check the arguments, then build the c-free half of a check (module docstring); cached."""
+    """Check the arguments, then build the c-free half of a check (module docstring)."""
     scheme = Scheme(scheme)
     if not (0.0 < m <= M):
         raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
@@ -289,8 +287,6 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     lam_terms = tuple((H1[i][j], H2[i][j]) for i, j in abc)
     lams = _lam_grid(m, M)
     tail = _polyval(lams, list(lam_terms[0])) * lams  # A(lams) is A[0] + tail, polyval's last step
-    for arr in (W, P0, P1, tail):
-        arr.flags.writeable = False
     k0 = tuple(K0[i][j] for i, j in abc)
     return _Point(rate.a, rate.b, rate.c, rate.b * rate.b < rate.a, W, P0, P1, k0, lam_terms, lams, tail)
 
@@ -335,8 +331,8 @@ def check_certificate(
     grid point is independently checked by the minimum eigenvalue of the
     2x2 matrix H assembled from P, and the sign agreement of the two
     routes is reported.  Everything that does not depend on c comes from
-    :func:`_point`, built once per (scheme, m, M, gamma, h), which also
-    raises for bad input (see :func:`max_certified_stepsize`).
+    :func:`_point`, which also raises for bad input (see
+    :func:`max_certified_stepsize`).
     """
     point = _point(scheme, m, M, gamma, h)
     lams = point.lams
@@ -439,16 +435,13 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
     verdict alone, no oracle.  Returns the cap when the cap passes and 0.0
     when no stepsize passes (friction below the scheme's implicit floor).
     Bad input raises as :func:`max_certified_rate` does: a scheme outside
-    :data:`CERTIFICATE_SCHEMES`, or m, M outside 0 < m <= M.  A probe fails
-    only where its derivative bound overflows (M beyond about 1e102).
+    :data:`CERTIFICATE_SCHEMES`, m, M outside 0 < m <= M, or M > m beyond
+    the range of the derivative bound (about 5.6e102).
     """
 
     def passes(h: float) -> bool:
-        try:
-            point = _point(scheme, m, M, gamma, h)
-            return _verdict(point, m, M, point.c)[2]
-        except OverflowError:  # _derivative_bound's float power
-            return False
+        point = _point(scheme, m, M, gamma, h)
+        return _verdict(point, m, M, point.c)[2]
 
     lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)
     if lo is None:

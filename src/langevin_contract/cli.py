@@ -452,7 +452,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(cfg, args)
-    except (ConfigError, IntegratorError) as e:  # IntegratorError: the config's (h, gamma) break a step constant
+    except (ConfigError, IntegratorError, certificates.CertificateError) as e:  # (h, gamma) or M out of range
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

@@ -5,7 +5,7 @@ the coupled difference process is governed by one 2x2 mode matrix per
 mode (see :func:`mode_eigenvalues`).  This module computes mode
 eigenvalues (closed forms for the kinetic Euler-Maruyama and BAO schemes,
 direct eigensolves otherwise), monotone stability thresholds, the exact
-BAO mode rate, and grid scans.
+BAO mode rate, grid scans and the stationary law of a mode's chain.
 
 Two different decay notions are reported and never conflated: the spectral
 radius governs the asymptotic decay of the mode, while the certified rate
@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .certificates import CERTIFICATE_SCHEMES, bisect, bracket, step_matrix, transition_matrix_P
-from .integrators import KINETIC_SCHEMES, Scheme, StepParams
+from .integrators import KINETIC_SCHEMES, Scheme, StepParams, affine_mode_map
 
 
 class SpectralError(ValueError):
@@ -150,6 +152,19 @@ def bao_exact_rate(m: float, h: float, gamma: float) -> float:
     if disc < 0.0:
         return 1.0 - eta
     return s0 - math.sqrt(disc)
+
+
+def stationary_covariance(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
+    """S = P S P^T + N N^T, solved on vec(S), for a mode's chain z' = P z + N xi
+    (:func:`~langevin_contract.integrators.affine_mode_map`).  Raises unless
+    |det P| < 1 and |tr P| < 1 + det P (Jury: both eigenvalues in the open unit
+    disk), so rho(P) = 1, as at gamma = inf for oab, abo, boa and ses, fails exactly."""
+    scheme = Scheme(scheme)
+    P, N = affine_mode_map(scheme, lam, params)
+    trace, det = P[0, 0] + P[1, 1], P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
+    if not (abs(det) < 1.0 and abs(trace) < 1.0 + det):
+        raise SpectralError(f"{scheme.value}'s mode chain is not stable at lam={lam}, {params}")
+    return np.linalg.solve(np.eye(4) - np.kron(P, P), (N @ N.T).ravel()).reshape(2, 2)
 
 
 @dataclass(frozen=True)

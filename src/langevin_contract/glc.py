@@ -8,22 +8,6 @@ piece sets v to its draw.  SES's constants take their limits too (see
 when every step constant is finite there; kinetic_em's gamma h and
 sqrt(2 gamma h) are not, so it has none.
 
-A scheme is gamma-limit convergent (GLC) when its limit is a consistent
-overdamped discretization with no potential rescaling and a
-friction-independent stepsize restriction.  Stepping the limit moves the
-position as follows (xi_k is step k's draw):
-
-    bao:    x - h^2 grad U(x) + h xi_{k-1}   (an overdamped EM step for a
-            rescaled potential -- not GLC)
-    oab:    x + h xi_k                       (gradient drops out -- not GLC)
-    baoab:  x - h^2/2 grad U(x) + h/2 (xi_{k-1} + xi_k)
-            == averaged-noise overdamped EM (LM) at stepsize h^2/2 -- GLC
-    obabo:  x - h^2/2 grad U(x) + h xi_k     == overdamped EM at h^2/2 -- GLC
-    ses:    x                                (frozen -- not GLC)
-
-:func:`classify_glc` holds this table and kinetic_em's entry; abo, boa, oba
-and aob have limits but are not classified.
-
 :func:`rate_collapse_scan` shows the classification in rates: it sweeps one
 scheme's friction (by default up to gamma = 1e8) and runs the coupled pairs
 of every (gamma, seed) point of the sweep as one batch.
@@ -47,6 +31,7 @@ from .coupling import (
     run_coupling_batch,
     run_synchronous_coupling,  # noqa: F401  (bench/child.py traces it here by name)
 )
+from .gaussian import SpectralError, stationary_covariance
 from .integrators import (
     OVERDAMPED_SCHEMES,
     IntegratorError,
@@ -61,26 +46,31 @@ from .potentials import Potential, QuadraticPotential
 
 
 class LimitError(ValueError):
-    """Scheme has no high-friction limit, or no GLC classification."""
+    """Scheme has no high-friction limit."""
 
 
-#: whether each classified scheme's high-friction limit is GLC (module docstring)
-_GLC = {
-    Scheme.BAO: False,
-    Scheme.OAB: False,
-    Scheme.BAOAB: True,
-    Scheme.OBABO: True,
-    Scheme.SES: False,
-    Scheme.KINETIC_EM: False,
-}
+#: h sqrt(lam) at which :func:`classify_glc` reads the limit chain's stationary law
+GLC_STEPS = (1e-2, 1e-3)
 
 
 def classify_glc(scheme: Scheme) -> bool:
-    """True iff the high-friction limit is a faithful overdamped scheme."""
+    """True iff the scheme is gamma-limit convergent (GLC) in its limit half.
+
+    A GLC scheme's limit is a consistent overdamped discretization with no
+    potential rescaling, under a friction-independent stepsize restriction.
+    This computes the first half: on the mode U(x) = x^2 / 2 the limit's mode
+    chain must be stable, with a stationary Var(x) within h of 1 at each h in
+    :data:`GLC_STEPS` (:func:`~langevin_contract.gaussian.stationary_covariance`).
+    The stepsize half is ROADMAP item 6(ii)'s property test.  kinetic_em has
+    no limit, so it is not GLC; an overdamped scheme raises LimitError."""
     scheme = Scheme(scheme)
-    if scheme in _GLC:
-        return _GLC[scheme]
-    raise LimitError(f"high-friction limit of {scheme.value} not classified")
+    try:
+        laws = [stationary_covariance(scheme, 1.0, _limit_params(scheme, h))[0, 0] for h in GLC_STEPS]
+    except (LimitError, SpectralError):  # no limit (kinetic_em), or no stationary law
+        if scheme in OVERDAMPED_SCHEMES:
+            raise
+        return False
+    return all(abs(law - 1.0) <= h for h, law in zip(GLC_STEPS, laws))
 
 
 def _limit_params(scheme: Scheme, h: float) -> StepParams:
@@ -101,8 +91,8 @@ def limit_step(scheme: Scheme, p: Potential, state: PhaseState, h: float, noise)
 
     Every O piece there has eta = 0, so it sets v to its draw.  ``noise``
     holds the scheme's own ``noise_requirements(scheme)`` draws; bao's
-    "previous draw" (module docstring) is just the incoming v.  kinetic_em
-    and the overdamped schemes raise LimitError.
+    drift reads the previous step's draw, which is just the incoming v.
+    kinetic_em and the overdamped schemes raise LimitError.
     """
     scheme = Scheme(scheme)
     return step(scheme, p, state, _limit_params(scheme, h), noise)

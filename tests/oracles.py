@@ -2,9 +2,10 @@
 
 Each routine reads only the scheme's operator word or a closed form, never a
 float result of the library, so a test can check the library against it where
-float rounding decides: symbolic mode matrices on sympy symbols, and 50-digit
-mpmath searches for the monotone stability threshold and for the root of the
-"eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
+float rounding decides: symbolic mode matrices on sympy symbols, the
+stationary position law of a splitting's gamma = inf chain in closed form, and
+50-digit mpmath searches for the monotone stability threshold and for the root
+of the "eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
 """
 
 import mpmath as mp
@@ -31,6 +32,35 @@ def _word_columns(word, lam, h, g, exp, frac):
 def symbolic_word_P(word, lam, h, g):
     """P of the word's step core on sympy symbols."""
     return sp.Matrix(_word_columns(word, lam, h, g, sp.exp, sp.Rational)).T
+
+
+def symbolic_limit_law(word, lam, h):
+    """lam Var(x) under the stationary law of the word's gamma = inf mode chain,
+    in closed form on sympy symbols, or None where it has none.
+
+    At gamma = inf every O piece has eta = 0 and noise scale 1, so it sets v to
+    its draw.  The chain z' = P z + N xi is the step core on the mode
+    U(x) = lam x^2 / 2, and its stationary covariance S solves
+    S = P S P^T + N N^T.  None where that system has no unique solution, as
+    when P has the eigenvalue 1 (a random walk or a frozen x).
+    """
+    coefs, k = [], 0
+    for piece, f in SPLITTING_WORDS[word]:
+        coefs += (0, 1) if piece == "O" else (sp.Rational(f) * h,)
+        k += piece == "O"
+
+    def image(x, v, xi):
+        return _step_core(word, _Mode(lam), x, v, coefs, xi)[:2]
+
+    P = sp.Matrix([image(1, 0, [0] * k), image(0, 1, [0] * k)]).T
+    N = sp.Matrix([image(0, 0, [int(j == i) for j in range(k)]) for i in range(k)]).T
+    sxx, sxv, svv = sp.symbols("s_xx s_xv s_vv")
+    S = sp.Matrix([[sxx, sxv], [sxv, svv]])
+    solutions = sp.linsolve(list(S - P * S * P.T - N * N.T), [sxx, sxv, svv])
+    if not solutions or solutions.free_symbols & {sxx, sxv, svv}:
+        return None
+    ((law, _, _),) = solutions
+    return sp.simplify(lam * law)
 
 
 def _bisect(inside, lo, hi, steps=170):

@@ -16,7 +16,6 @@ from langevin_contract.certificates import (
     STEPSIZE_CAP,
     STEPSIZE_TOL,
     UnsupportedScheme,
-    _POINT_CACHE_SIZE,
     _affine_P,
     _grid_sums,
     _min_eig_H,
@@ -161,8 +160,8 @@ def test_min_eig_H_grid_matches_einsum_reference(scheme):
 
 
 def _reference_check_certificate(scheme, m, M, gamma, h, c=None):
-    # check_certificate before its c-free half was cached, kept as the
-    # reference the split version must reproduce bit for bit: every call
+    # check_certificate in one piece, kept as the reference that the split
+    # into a c-free point and a c half must reproduce bit for bit: every call
     # builds the rate, P0 and P1 (one block probe each), W, the grid and
     # the einsum oracle afresh
     scheme = Scheme(scheme)
@@ -263,7 +262,6 @@ def _reference_draws(scheme, rng):
 @pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
 def test_check_certificate_matches_the_uncached_reference(scheme):
     rng = np.random.default_rng(13)
-    _point.cache_clear()
     points = _reference_draws(scheme, rng)
     steep = points[-6:]
 
@@ -274,7 +272,7 @@ def test_check_certificate_matches_the_uncached_reference(scheme):
 
     zeroed = [0, 0, 0]
     for i, point in enumerate(points):
-        # one point at several c: a miss, then hits
+        # one point at several c
         for c in (None, float(rng.uniform(0.0, 1.0)), 0.0, 1.0, None, float(10 ** rng.uniform(-8.0, -1.0))):
             same(point, c)
         for k, entry in enumerate(((0, 0), (0, 1), (1, 1))):  # A0, B0 or C0 exactly 0.0
@@ -285,12 +283,8 @@ def test_check_certificate_matches_the_uncached_reference(scheme):
         if i >= 1:  # A, B, A interleaved
             same(points[i - 1], None)
             same(point, float(rng.uniform(0.0, 0.1)))
-        if i > _POINT_CACHE_SIZE:  # a point evicted since its last call: a miss again
-            misses = _point.cache_info().misses
-            same(points[i - _POINT_CACHE_SIZE - 1], float(rng.uniform(0.0, 0.1)))
-            assert _point.cache_info().misses == misses + 1
-    info = _point.cache_info()
-    assert info.hits > 0 and info.misses > _POINT_CACHE_SIZE
+        if i >= 2:
+            same(points[i - 2], float(rng.uniform(0.0, 0.1)))
     assert min(zeroed) > 0, zeroed
     params = [StepParams(h, gamma) for *_, gamma, h in steep]
     assert all(p.eta == 0.0 for p in params)
@@ -316,7 +310,6 @@ def test_search_probes_take_the_verdict_only(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(certificates, name, counting(name))
-    _point.cache_clear()
     certificates._lam_grid.cache_clear()
     scheme, m, M, gamma = Scheme.BAO, 1.0, 4.0, 26.0
 
@@ -339,9 +332,22 @@ def test_search_probes_take_the_verdict_only(monkeypatch):
     assert len(arrays) == 5  # W, P0, P1, lams and A's Horner tail
     for x in (*point.k0, *sum(point.lam_terms, ())):
         assert type(x) is float
-    for arr in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):  # the grid is shared by every point of (m, M)
+        point.lams[0] = 0.0
+
+
+def test_a_derivative_bound_beyond_the_float_range_raises():
+    # the guard's M^3 overflows past M ~ 5.6e102, where no check can be
+    # made: every route raises a CertificateError
+    args = (Scheme.BAO, 1.0, 1e103, 1e110)
+    for call in (
+        lambda: check_certificate(*args, 1e-120),
+        lambda: max_certified_rate(*args, 1e-120),
+        lambda: max_certified_stepsize(*args),
+    ):
+        with pytest.raises(CertificateError, match="overflows at M=1e"):
+            call()
+    assert check_certificate(Scheme.BAO, 1e103, 1e103, 1e110, 1e-120).grid_points == 1  # m = M: no guard
 
 
 def _verdict_passed(scheme, m, M, gamma, h, c=None):
@@ -361,7 +367,6 @@ def _passed(check, *args, **kwargs):
 @pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
 def test_verdict_matches_check_certificate(scheme):
     rng = np.random.default_rng(13)
-    _point.cache_clear()
     bad = [(scheme, 4.0, 1.0, 11.0, 0.05), (scheme, -1.0, 4.0, 11.0, 0.05), (Scheme.LM, 1.0, 4.0, 11.0, 0.05)]
     for point in _reference_draws(scheme, rng) + bad:
         for c in (None, 0.0, float(rng.uniform(0.0, 1.0))):
@@ -387,10 +392,7 @@ def _reference_stepsize(scheme, m, M, gamma):
     failing = []
 
     def passes(h):
-        try:
-            ok = check_certificate(scheme, m, M, gamma, h).passed
-        except OverflowError:
-            ok = False
+        ok = check_certificate(scheme, m, M, gamma, h).passed
         if not ok:
             failing.append(h)
         return ok

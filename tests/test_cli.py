@@ -243,21 +243,40 @@ def test_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "config error: 'params.h' entry must be finite, got 1000" in capsys.readouterr().err
 
 
+#: bao at an M whose certificate guard overflows the float range
+_M_BEYOND_A_CHECK = {
+    "schemes": ["bao"],
+    "potential": {"M": 1e103},
+    "params": {"h": [1e-120], "gamma": [1e110]},
+}
+
+
 @pytest.mark.parametrize(
-    "command, section, fields",
+    "command, patch",
     [
-        ("couple", "params", {"h": [-1.0]}),
-        ("certify", "params", {"h": [-1.0]}),
-        ("certify", "certify", {"mode": "grid"}),
-        ("gaussian-scan", "scan", {"h_grid": [-1.0]}),
-        ("glc-scan", "params", {"h": 0.1, "seeds": [2**64]}),
+        ("couple", {"params": {"h": [-1.0]}}),
+        ("certify", {"params": {"h": [-1.0]}}),
+        ("certify", {"certify": {"mode": "grid"}}),
+        ("gaussian-scan", {"scan": {"h_grid": [-1.0]}}),
+        ("glc-scan", {"params": {"h": 0.1, "seeds": [2**64]}}),
+        ("certify", _M_BEYOND_A_CHECK),
+        ("certify", {**_M_BEYOND_A_CHECK, "certify": {"mode": "table1"}}),
     ],
-    ids=["couple_h", "certify_h", "certify_mode", "gaussian_scan_h_grid", "glc_scan_seed"],
+    ids=[
+        "couple_h",
+        "certify_h",
+        "certify_mode",
+        "gaussian_scan_h_grid",
+        "glc_scan_seed",
+        "certify_check_M_overflow",
+        "certify_table1_M_overflow",
+    ],
 )
-def test_config_error_creates_no_output_directory(tmp_path, capsys, command, section, fields):
+def test_config_error_creates_no_output_directory(tmp_path, capsys, command, patch):
     cfg = couple_config(tmp_path / "out")
     cfg["scan"] = {"h_grid": [0.1]}
-    cfg[section] = {**cfg.get(section, {}), **fields}
+    for section, fields in patch.items():
+        cfg[section] = {**cfg.get(section, {}), **fields} if isinstance(fields, dict) else fields
     assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

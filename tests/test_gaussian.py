@@ -15,8 +15,9 @@ from langevin_contract.gaussian import (
     mode_eigenvalues,
     mode_report,
     stability_threshold,
+    stationary_covariance,
 )
-from langevin_contract.integrators import Scheme, StepParams
+from langevin_contract.integrators import Scheme, StepParams, affine_mode_map
 from oracles import mp_stability_threshold
 
 KINETIC = [
@@ -258,3 +259,33 @@ def test_bao_certified_rate_tightness():
         c = certified_rate(Scheme.BAO, 1.0, 1.0, gamma, h).c
         cN = bao_exact_rate(1.0, h, gamma)
         assert 8.0 * c <= cN <= 8.6 * c
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+def test_stationary_covariance_baoab_obabo_closed_forms(lam):
+    # Leimkuhler and Matthews (2013): baoab's x-law is exact and its
+    # Var(v) = 1 - h^2 lam / 4; obabo's v-law is exact and its
+    # lam Var(x) = 1 / (1 - h^2 lam / 4), at every friction
+    for gamma in (2.0, 11.0, 1e3):
+        for h in (0.05, 0.3):
+            shrink = 1.0 - h * h * lam / 4.0
+            S = stationary_covariance(Scheme.BAOAB, lam, StepParams(h, gamma))
+            assert lam * S[0, 0] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+            assert S[1, 1] == pytest.approx(shrink, rel=0.0, abs=1e-12)
+            S = stationary_covariance(Scheme.OBABO, lam, StepParams(h, gamma))
+            assert S[1, 1] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+            assert lam * S[0, 0] == pytest.approx(1.0 / shrink, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scheme", KINETIC)
+def test_stationary_covariance_is_the_fixed_point_or_raises(scheme):
+    for lam, h, gamma in ((1.0, 0.1, 4.0), (4.0, 0.3, 11.0), (4.0, 0.3, 40.0), (4.0, 3.0, 2.0)):
+        params = StepParams(h, gamma)
+        P, N = affine_mode_map(scheme, lam, params)
+        if max(abs(np.linalg.eigvals(P))) >= 1.0:
+            with pytest.raises(SpectralError):
+                stationary_covariance(scheme, lam, params)
+            continue
+        S = stationary_covariance(scheme, lam, params)
+        assert np.allclose(S, P @ S @ P.T + N @ N.T, rtol=1e-12, atol=1e-14)
+        assert S[0, 1] == pytest.approx(S[1, 0]) and np.all(np.linalg.eigvalsh(S) > 0.0)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from langevin_contract import glc
 from langevin_contract.coupling import (
@@ -13,7 +14,9 @@ from langevin_contract.coupling import (
     positive_prefix,
     run_synchronous_coupling,
 )
+from langevin_contract.gaussian import SpectralError, stationary_covariance
 from langevin_contract.glc import (
+    GLC_STEPS,
     CollapseRow,
     LimitError,
     classify_glc,
@@ -22,16 +25,18 @@ from langevin_contract.glc import (
     rate_collapse_scan,
 )
 from langevin_contract.integrators import (
+    KINETIC_SCHEMES,
+    SPLITTING_WORDS,
     IntegratorError,
     PhaseState,
     Scheme,
     StepParams,
     _coefficients,
-    _mode_map,
     noise_requirements,
     step,
 )
 from langevin_contract.potentials import PerturbedQuadratic, QuadraticPotential
+from oracles import symbolic_limit_law
 
 POT = PerturbedQuadratic(np.diag([2.0, 3.0]), 0.5)
 FIRST_ORDER_PERMUTATIONS = (Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
@@ -90,8 +95,7 @@ def test_first_order_permutations_have_limits():
         assert glc_deviation(scheme, POT, x, v, 0.1, 1e8, seed=3) <= 1e-6, scheme
         (row,) = rate_collapse_scan(scheme, 1.0, 1.0, 0.1, [1e2], n_steps=20)
         assert math.isfinite(row.deviation), scheme
-        with pytest.raises(LimitError):
-            classify_glc(scheme)  # a limit, but no GLC classification
+        assert classify_glc(scheme) is False  # a limit, but not a faithful one
 
 
 def test_ses_limit_constants_are_the_large_friction_limits():
@@ -116,10 +120,11 @@ def test_limit_step_consumes_the_scheme_noise():
 def test_classify_glc_table():
     assert classify_glc(Scheme.BAOAB) is True
     assert classify_glc(Scheme.OBABO) is True
-    for scheme in (Scheme.BAO, Scheme.OAB, Scheme.SES, Scheme.KINETIC_EM):
+    for scheme in (Scheme.BAO, Scheme.OAB, Scheme.SES, Scheme.KINETIC_EM, *FIRST_ORDER_PERMUTATIONS):
         assert classify_glc(scheme) is False
-    with pytest.raises(LimitError):
-        classify_glc(Scheme.ABO)
+    for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
+        with pytest.raises(LimitError):
+            classify_glc(scheme)
 
 
 def test_glc_deviation_vanishes_at_extreme_friction():
@@ -198,37 +203,45 @@ def test_obabo_limit_chain_equals_overdamped_em():
         assert np.abs(z.x - x_em).max() <= 1e-12
 
 
-def _limit_position_law(scheme, lam, h):
-    """lam * Var(x) of the gamma = inf mode chain's stationary law, or None
-    when the chain has no finite map or no stationary law."""
-    try:
-        P, N = _mode_map(scheme, lam, StepParams(h, math.inf), noise=True)
-    except IntegratorError:  # non-finite step constants
-        return None
-    if not np.isfinite(P).all() or max(abs(np.linalg.eigvals(P))) >= 1.0:
-        return None
-    # discrete Lyapunov equation S = P S P^T + N N^T, solved on vec(S)
-    S = np.linalg.solve(np.eye(4) - np.kron(P, P), (N @ N.T).ravel()).reshape(2, 2)
-    return lam * S[0, 0]
-
-
-@pytest.mark.parametrize(
-    "scheme", [Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO, Scheme.SES, Scheme.KINETIC_EM]
-)
+@pytest.mark.parametrize("scheme", KINETIC_SCHEMES)
 def test_glc_table_derived_from_the_limit_mode_chain(scheme):
-    # GLC: the limit chain samples N(0, 1/lam) as h -> 0
-    lam = 2.0
-    laws = {h: _limit_position_law(scheme, lam, h) for h in (1e-2, 1e-3)}
-    glc = all(law is not None and abs(law - 1.0) <= h for h, law in laws.items())
-    assert glc is classify_glc(scheme), laws
-    expected = {Scheme.BAO: 0.50005, Scheme.BAOAB: 1.0, Scheme.OBABO: 1.00005}
-    if scheme in expected:
-        assert laws[1e-2] == pytest.approx(expected[scheme], abs=1e-6)
-    elif scheme in (Scheme.OAB, Scheme.SES):
-        P, _ = _mode_map(scheme, lam, StepParams(1e-2, math.inf))
-        assert max(abs(np.linalg.eigvals(P))) == pytest.approx(1.0, abs=1e-15)
-    else:
-        assert laws == {1e-2: None, 1e-3: None}  # kinetic_em: no finite limit map
+    # GLC: the limit chain's stationary lam Var(x) tends to 1 as h -> 0, here
+    # in closed form from the splitting word, against the library's solve at
+    # h sqrt(lam) in GLC_STEPS and at a coarse step
+    lam, h = sp.symbols("lam h", positive=True)
+    law = symbolic_limit_law(scheme, lam, h) if scheme in SPLITTING_WORDS else None
+    assert classify_glc(scheme) is (law is not None and sp.limit(law, h, 0) == 1)
+    for scaled in (*GLC_STEPS, 0.5):
+        at = {lam: 2.0, h: scaled / math.sqrt(2.0)}
+        params = StepParams(at[h], math.inf)
+        if law is None:
+            # no stationary law: rho(P) = 1 exactly, or, for kinetic_em, no limit
+            with pytest.raises(IntegratorError if scheme is Scheme.KINETIC_EM else SpectralError):
+                stationary_covariance(scheme, at[lam], params)
+        else:
+            # the solve loses a factor of about 1/(h^2 lam), the chain's 1 - rho(P)^2
+            tol = 10 * np.finfo(float).eps / scaled**2
+            got = at[lam] * stationary_covariance(scheme, at[lam], params)[0, 0]
+            assert got == pytest.approx(float(law.subs(at)), rel=0.0, abs=tol), scaled
+
+
+def test_limit_position_laws_in_closed_form():
+    # the rescaled-potential class, Leimkuhler-Matthews' exact baoab limit, and
+    # obabo's overdamped EM at h^2/2
+    lam, h = sp.symbols("lam h", positive=True)
+    want = {
+        Scheme.BAO: 1 / (2 - h**2 * lam),
+        Scheme.OBA: 1 / (2 - h**2 * lam),
+        Scheme.AOB: 1 / (2 - h**2 * lam),
+        Scheme.BAOAB: sp.Integer(1),
+        Scheme.OBABO: 1 / (1 - h**2 * lam / 4),
+    }
+    for scheme in SPLITTING_WORDS:
+        law = symbolic_limit_law(scheme, lam, h)
+        if scheme in want:
+            assert sp.simplify(law - want[scheme]) == 0, scheme
+        else:
+            assert law is None, scheme
 
 
 def test_rate_collapse_baoab_approaches_quarter_h2m():
