@@ -254,16 +254,16 @@ def cmd_couple(cfg: dict, args) -> int:
     z1 = _phase_state(coupling_block, "z0_tilde", pot.dim)
     out = _out_dir(cfg, args)
 
-    # each scheme's grid points are one batch, stepped together
+    # the whole grid, every scheme, is one coupled run; points in (scheme, h, gamma, seed) order
     grid = [(h, g, seed) for h in hs for g in gammas for seed in seeds]
-    batches = [
-        [CouplingPoint(StepParams(h, g), seed, certified_rate(s, pot.m, pot.M, g, h)) for h, g, seed in grid]
+    points = [
+        CouplingPoint(StepParams(h, g), seed, certified_rate(s, pot.m, pot.M, g, h))
         for s in schemes
+        for h, g, seed in grid
     ]
     blocked = [
-        f"{s.value} h={p.params.h} gamma={p.params.gamma}: " + "; ".join(p.rate.violated())
-        for s, batch in zip(schemes, batches)
-        for p in batch
+        f"{p.rate.scheme.value} h={p.params.h} gamma={p.params.gamma}: " + "; ".join(p.rate.violated())
+        for p in points
         if not p.rate.admissible and not args.force
     ]
     if blocked:
@@ -271,40 +271,40 @@ def cmd_couple(cfg: dict, args) -> int:
             print(f"inadmissible without --force: {msg}", file=sys.stderr)
         raise DivergenceError(f"{len(blocked)} inadmissible grid points")
 
-    # every batch runs before the first write, so a step constant that breaks leaves no output
-    traces = [run_coupling_batch(s, pot, z0, z1, batch, n_steps) for s, batch in zip(schemes, batches)]
+    # the whole run ends before the first write, so a step constant that breaks leaves no output
     summary = []
-    for s, scheme_traces in zip(schemes, traces):
-        for trace in scheme_traces:
-            (params, seed, rate), distances = trace.point, trace.distances.tolist()
-            h, g = params.h, params.gamma
-            bound, ok, first_bad = None, None, None
-            if rate.admissible:
-                bound = rate.bound_sq_steps(trace.n_steps, distances[0])
-                ok, first_bad = verify_trace_bound(trace, bound)
-            try:
-                c_hat = empirical_rate(positive_prefix(trace))
-            except CouplingError:
-                c_hat = None
-            name = f"couple_{s.value}_h{h:g}_g{g:g}_s{seed}.csv"
-            _write_trace(out / name, ",".join(_fmt(x) for x in (s.value, h, g, seed)), distances, bound)
-            summary.append(
-                {
-                    "scheme": s.value,
-                    "h": h,
-                    "gamma": g,
-                    "seed": seed,
-                    "admissible": rate.admissible,
-                    "c_theoretical": rate.c,
-                    "prefactor": rate.prefactor,
-                    "c_empirical": c_hat,
-                    "bound_holds": ok,
-                    "first_violation": first_bad,
-                    "diverged": trace.diverged,
-                    "diverged_at": trace.diverged_at,
-                    "trace_file": name,
-                }
-            )
+    for trace in run_coupling_batch(pot, z0, z1, points, n_steps):
+        (params, seed, rate), distances = trace.point, trace.distances.tolist()
+        s, h, g = rate.scheme, params.h, params.gamma
+        bound, ok, first_bad = None, None, None
+        if rate.admissible:
+            bound = rate.bound_sq_steps(trace.n_steps, distances[0])
+            ok, first_bad = verify_trace_bound(trace, bound)
+        try:
+            c_hat = empirical_rate(positive_prefix(trace))
+        except CouplingError:
+            c_hat = None
+        fields = [_fmt(x) for x in (s.value, h, g, seed)]
+        # 17 significant digits, so distinct grid points never share a file
+        name = "couple_{}_h{}_g{}_s{}.csv".format(*fields)
+        _write_trace(out / name, ",".join(fields), distances, bound)
+        summary.append(
+            {
+                "scheme": s.value,
+                "h": h,
+                "gamma": g,
+                "seed": seed,
+                "admissible": rate.admissible,
+                "c_theoretical": rate.c,
+                "prefactor": rate.prefactor,
+                "c_empirical": c_hat,
+                "bound_holds": ok,
+                "first_violation": first_bad,
+                "diverged": trace.diverged,
+                "diverged_at": trace.diverged_at,
+                "trace_file": name,
+            }
+        )
     diverged = [r for r in summary if r["diverged"]]
     _write_json(out / "couple_summary.json", {"runs": summary})
     if diverged and not args.force:

@@ -8,14 +8,17 @@ gamma), seed and certified rate), fits empirical rates, and evaluates each
 scheme's certified (a, b, c(h)) triple with its hypotheses.
 
 Noise contract: draws come from counter-based Philox streams keyed on
-(seed, chain-pair id, sub-step index) with the step index as the counter
-position, so both chains of a pair consume byte-identical noise and sweeps
-are reproducible regardless of scheduling.  A run goes in blocks of steps:
-each block draws its rows of noise from one generator per substream, kept
-alive through the run (the same numbers as one draw of the whole run),
-steps, and reduces its states to distances, so a run's memory does not
-grow with its length.  Runs of one scheme at several (h, gamma, seed)
-points step together as one batch, each point on its own streams.
+(seed, substream), the substream being the draw's index within a step, with
+the step index as the counter position, so both chains of a pair consume
+byte-identical noise and sweeps are reproducible regardless of scheduling.
+One run holds any mix of (scheme, h, gamma, seed) points; the points of
+each scheme step together as one batch.  The run goes in blocks of steps:
+each block draws the rows of each distinct (seed, substream) once, in place,
+from one generator kept alive through the run (the same numbers as one draw
+of the whole run), and every point at that seed reads those rows; then each
+batch steps and reduces its states to distances, so a run's memory does not
+grow with its length.  Every batch's step constants are formed before any
+chain steps, so a broken one raises before the run starts.
 """
 
 from __future__ import annotations
@@ -291,85 +294,114 @@ def run_synchronous_coupling(
         raise InadmissibleParameters(
             f"{scheme.value} at h={params.h}, gamma={params.gamma}: " + "; ".join(rate.violated())
         )
-    return run_coupling_batch(scheme, potential, z0, z0_tilde, [CouplingPoint(params, seed, rate)], n_steps)[0]
+    return run_coupling_batch(potential, z0, z0_tilde, [CouplingPoint(params, seed, rate)], n_steps)[0]
+
+
+class _Batch:
+    """The points of one scheme in a run: their step constants, noise slots and chain states."""
+
+    def __init__(self, scheme, index, pts, z0, z0_tilde, slots):
+        self.scheme = scheme
+        self.index = index  # the points' positions in the run
+        self.coefs = tuple(np.array(col)[:, None, None] for col in zip(*(_coefficients(scheme, p.params) for p in pts)))
+        k = noise_requirements(scheme)
+        # (k, B): the noise buffer row of each point's j-th draw, one per distinct (seed, substream)
+        self.slots = np.array([[slots.setdefault((p.seed, j), len(slots)) for p in pts] for j in range(k)])
+        d = z0.dim
+        self.prev = np.stack([CounterStreams(p.seed).normals(k, 1, d) for p in pts]) if scheme is Scheme.LM else None
+        self.x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], len(pts), axis=0)
+        self.v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], len(pts), axis=0)
+        self.grad = None
+
+    def step(self, potential, noise, xs, vs):
+        """Step once per row of ``noise``, (slots, n, d), and store the states of
+        step i in xs[i] and vs[i]."""
+        block = noise[self.slots].transpose(2, 0, 1, 3)[..., None, :]  # (n, k, B, 1, d)
+        B = len(self.index)
+        xs, vs = xs[:, :B], vs[:, :B]
+        scheme, coefs = self.scheme, self.coefs
+        x, v, grad, prev = self.x, self.v, self.grad, self.prev
+        for i, xi in enumerate(block):
+            x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, prev, grad)
+            if prev is not None:
+                prev = xi[0]
+            xs[i] = x
+            vs[i] = v
+        # LM's prev is a view into this block's noise: a copy lets the block go
+        self.x, self.v, self.grad, self.prev = x, v, grad, None if prev is None else prev.copy()
 
 
 def run_coupling_batch(
-    scheme: Scheme,
     potential: Potential,
     z0: PhaseState,
     z0_tilde: PhaseState,
     points: list[CouplingPoint],
     n_steps: int,
 ) -> list[CouplingTrace]:
-    """One coupled pair per point, all stepped together; their traces in order.
+    """One coupled pair per point, all run together; their traces in order.
 
-    The chains carry a leading batch axis, (B, 2, d), so each step is one
-    call of the step core for the whole batch, with each point's step
-    constants as (B, 1, 1) columns.  Each point keeps its own noise streams
-    ``CounterStreams(seed)``, LM primer, divergence step and norm, its
-    rate's :attr:`CertifiedRate.norm`, so its trace equals its run alone.
-    Admissibility is the caller's.  The run goes in blocks of steps: each
-    block draws its noise, steps, and reduces its states to every point's
-    distances.  A point diverges at its first non-finite distance: its trace
-    ends there, the others run on, and the run stops early once every point
-    has diverged (checked as each block is reduced).
+    Each point runs its rate's scheme, ``point.rate.scheme``.  The points of
+    one scheme form one batch whose chains carry a leading batch axis, (B,
+    2, d), so each step is one call of the step core for the whole batch,
+    with each point's step constants as (B, 1, 1) columns.  Every batch's
+    constants are formed before any chain steps, so a broken one raises
+    first.  Each point keeps its own noise streams ``CounterStreams(seed)``,
+    LM primer, divergence step and norm, its rate's
+    :attr:`CertifiedRate.norm`, so its trace equals its run alone.
+    Admissibility is the caller's.  The run goes in blocks of steps, the
+    batches in lockstep: each block draws the rows of each distinct (seed,
+    substream) once, for every point that reads that stream, then steps each
+    batch and reduces its states to its points' distances.  A point diverges
+    at its first non-finite distance: its trace ends there and the others
+    run on.  A batch stops once all its points have diverged, and the run
+    once every point has (checked as each block is reduced).
     """
-    scheme = Scheme(scheme)
     if n_steps < 0:
         raise CouplingError(f"n_steps must be non-negative, got {n_steps}")
     if not points:
         return []
     d = potential.dim
-    B = len(points)
+    schemes = [p.rate.scheme for p in points]
+    slots: dict[tuple[int, int], int] = {}
+    batches = []
+    for s in dict.fromkeys(schemes):
+        index = [i for i, si in enumerate(schemes) if si is s]
+        batches.append(_Batch(s, index, [points[i] for i in index], z0, z0_tilde, slots))
+    B = max(len(b.index) for b in batches)
     rows = max(1, min(n_steps, _BLOCK_BYTES // (8 * d * B)))
-    k = noise_requirements(scheme)
-    streams = [CounterStreams(p.seed) for p in points]
-    norms = [p.rate.norm for p in points]
-    gens = [[st.generator(j) for j in range(k)] for st in streams]
-    prev = np.stack([st.normals(k, 1, d) for st in streams]) if scheme is Scheme.LM else None
-    coefs = [_coefficients(scheme, p.params) for p in points]
-    coefs = tuple(np.array(col)[:, None, None] for col in zip(*coefs))
-
-    x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], B, axis=0)
-    v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], B, axis=0)
-    grad = None
-    xs = np.empty((rows, B, 2, d))  # the states of one block's steps
+    gens = [CounterStreams(seed).generator(j) for seed, j in slots]
+    noise = np.empty((len(slots), rows, d))  # one block of every stream, drawn in place
+    xs = np.empty((rows, B, 2, d))  # the states of one batch's block of steps
     vs = np.empty((rows, B, 2, d))
-    distances = np.empty((B, n_steps + 1))
+    norms = [p.rate.norm for p in points]
+    distances = np.empty((len(points), n_steps + 1))
     # overflow on forced runs, or from far-apart starts, is an anticipated
     # outcome, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         distances[:, 0] = [norm.squared(z0.x - z0_tilde.x, z0.v - z0_tilde.v) for norm in norms]
         diverged_at = [None if math.isfinite(d0) else 0 for d0 in distances[:, 0]]
         for t in range(0, n_steps, rows):
-            if None not in diverged_at:
+            live = [b for b in batches if any(diverged_at[i] is None for i in b.index)]
+            if not live:
                 break
-            # steps t + 1 .. t + n, one draw of their noise per point and substream;
-            # a fresh array each block, as LM's prev is a view into the last one
+            # steps t + 1 .. t + n, one draw of their noise per stream that a live batch reads
             n = min(rows, n_steps - t)
-            noise = np.empty((n, k, B, 1, d))
-            for b in range(B):
-                for j in range(k):
-                    noise[:, j, b, 0] = gens[b][j].standard_normal((n, d))
-            for i, xi in enumerate(noise):
-                x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, prev, grad)
-                if prev is not None:
-                    prev = xi[0]
-                xs[i] = x
-                vs[i] = v
-            for b, norm in enumerate(norms):
-                xb, vb = xs[:n, b], vs[:n, b]
-                block = norm.squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
-                distances[b, t + 1 : t + n + 1] = block
-                if diverged_at[b] is None:
-                    bad = np.flatnonzero(~np.isfinite(block))
-                    if bad.size:
-                        diverged_at[b] = t + 1 + int(bad[0])
+            for j in {j for b in live for j in b.slots.flat}:
+                gens[j].standard_normal(out=noise[j, :n])
+            for b in live:
+                b.step(potential, noise[:, :n], xs, vs)
+                for col, i in enumerate(b.index):
+                    xb, vb = xs[:n, col], vs[:n, col]
+                    block = norms[i].squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+                    distances[i, t + 1 : t + n + 1] = block
+                    if diverged_at[i] is None:
+                        bad = np.flatnonzero(~np.isfinite(block))
+                        if bad.size:
+                            diverged_at[i] = t + 1 + int(bad[0])
     quadratic = isinstance(potential, QuadraticPotential)
     return [
-        CouplingTrace(p, distances[b, : (n_steps if div is None else div) + 1], quadratic, div)
-        for b, (p, div) in enumerate(zip(points, diverged_at))
+        CouplingTrace(p, distances[i, : (n_steps if div is None else div) + 1], quadratic, div)
+        for i, (p, div) in enumerate(zip(points, diverged_at))
     ]
 
 

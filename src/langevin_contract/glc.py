@@ -193,7 +193,7 @@ def rate_collapse_scan(
             except IntegratorError:
                 continue  # no run: c_empirical stays nan
             batched.append(len(rows) - 1)
-    for i, trace in zip(batched, run_coupling_batch(scheme, pot, z0, z1, points, n_steps)):
+    for i, trace in zip(batched, run_coupling_batch(pot, z0, z1, points, n_steps)):
         try:
             rows[i] = replace(rows[i], c_empirical=empirical_rate(positive_prefix(trace)))
         except CouplingError:

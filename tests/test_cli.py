@@ -60,10 +60,40 @@ def test_couple_deterministic_outputs(tmp_path):
     cfg2 = write_config(tmp_path / "c2.json", couple_config(tmp_path / "o2"))
     assert main(["couple", "--config", cfg1]) == 0
     assert main(["couple", "--config", cfg2]) == 0
-    for name in ["couple_summary.json", "couple_kinetic_em_h0.1_g4_s0.csv"]:
+    for name in ["couple_summary.json", "couple_kinetic_em_h0.10000000000000001_g4_s0.csv"]:
         a = (tmp_path / "o1" / name).read_bytes()
         b = (tmp_path / "o2" / name).read_bytes()
         assert a == b, name
+
+
+def test_couple_runs_its_whole_grid_as_one_coupled_run(tmp_path, monkeypatch):
+    calls = []
+    run_coupling_batch = cli.run_coupling_batch
+
+    def counting(potential, z0, z0_tilde, points, n_steps):
+        calls.append([p.rate.scheme for p in points])
+        return run_coupling_batch(potential, z0, z0_tilde, points, n_steps)
+
+    monkeypatch.setattr(cli, "run_coupling_batch", counting)
+    schemes = ("kinetic_em", "bao", "ses", "lm")
+    cfg = write_config(tmp_path / "cfg.json", couple_config(tmp_path / "out", gammas=(4.0, 11.0), schemes=schemes))
+    assert main(["couple", "--config", cfg, "--force"]) == 0
+    assert calls == [[Scheme(s) for s in schemes for _ in range(2)]]
+
+
+def test_couple_writes_one_trace_file_per_grid_point(tmp_path):
+    # the two h agree to 6 significant digits: each run still gets its own file
+    cfg = couple_config(tmp_path / "out")
+    cfg["params"]["h"] = [0.1, 0.1000001]
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    runs = json.loads((tmp_path / "out" / "couple_summary.json").read_text())["runs"]
+    assert [r["trace_file"] for r in runs] == [
+        "couple_kinetic_em_h0.10000000000000001_g4_s0.csv",
+        "couple_kinetic_em_h0.10000009999999999_g4_s0.csv",
+    ]
+    for r in runs:
+        rows = (tmp_path / "out" / r["trace_file"]).read_text().splitlines()[1:]
+        assert {float(row.split(",")[1]) for row in rows} == {r["h"]}
 
 
 def test_couple_zero_steps(tmp_path):

@@ -407,7 +407,7 @@ def test_trace_csv_export(tmp_path):
     tr = run_synchronous_coupling(
         Scheme.KINETIC_EM, ANISO, Z0, Z1, StepParams(0.1, 4.0), 10, seed=0
     )
-    path = tmp_path / "out" / "couple_kinetic_em_h0.1_g4_s0.csv"
+    path = tmp_path / "out" / "couple_kinetic_em_h0.10000000000000001_g4_s0.csv"
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "scheme,h,gamma,seed,k,distance_sq,bound_sq"
     assert len(lines) == 12
@@ -508,7 +508,7 @@ def test_batched_runner_equals_one_point_runs(scheme):
     for pot in (BATCH_TARGET, PerturbedQuadratic(BATCH_TARGET, 0.5)):
         points = [CouplingPoint(p, seed, certified_rate(scheme, pot.m, pot.M, p.gamma, p.h)) for p, seed in grid]
         for n in (410, 0):
-            traces = run_coupling_batch(scheme, pot, z0, z1, points, n)
+            traces = run_coupling_batch(pot, z0, z1, points, n)
             for p, tr in zip(points, traces):
                 one = run_synchronous_coupling(scheme, pot, z0, z1, p.params, n, p.seed, force=True)
                 assert np.array_equal(tr.distances, one.distances, equal_nan=True)
@@ -518,6 +518,86 @@ def test_batched_runner_equals_one_point_runs(scheme):
                 assert div is not None and div % rows  # diverged inside a block ...
                 assert [tr.diverged_at for tr in traces] == [None, div, None, None]
                 assert [len(tr.distances) for tr in traces] == [n + 1, div + 1, n + 1, n + 1]  # ... the others ran on
+
+
+def test_mixed_scheme_run_equals_one_point_runs():
+    rows = _BLOCK_BYTES // (8 * BATCH_D * 4)  # from the largest batch, 4 points
+    assert 410 > 2 * rows and 410 % rows  # n = 410 ends inside a block
+    rng = np.random.default_rng(9)
+    z0 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
+    z1 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
+    # every scheme reads seeds 4 and 7, and has one seed of its own (lm primes each
+    # point from its seed); the forced (1, 1) point overflows mid-block; ses's batch is
+    # that point alone, on streams no other point reads, so it stops while the rest run on
+    shared = [(StepParams(0.005, 30.0), 4), (StepParams(1.0, 1.0), 4), (StepParams(0.004, 20.0), 7)]
+    for pot in (BATCH_TARGET, PerturbedQuadratic(BATCH_TARGET, 0.5)):
+        points = []
+        for i, scheme in enumerate(Scheme):
+            own = [(StepParams(0.003, 40.0), 100 + i)]
+            grid = [(StepParams(1.0, 1.0), 99)] if scheme is Scheme.SES else shared + own
+            points += [CouplingPoint(p, seed, certified_rate(scheme, pot.m, pot.M, p.gamma, p.h)) for p, seed in grid]
+        points = [points[j] for j in rng.permutation(len(points))]  # the batches interleave
+        for n in (410, 0):
+            traces = run_coupling_batch(pot, z0, z1, points, n)
+            for p, tr in zip(points, traces):
+                one = run_synchronous_coupling(p.rate.scheme, pot, z0, z1, p.params, n, p.seed, force=True)
+                assert tr.point is p
+                assert np.array_equal(tr.distances, one.distances, equal_nan=True)
+                assert tr.diverged_at == one.diverged_at
+            if n:
+                forced = [tr for tr in traces if tr.point.params.h == 1.0]
+                assert len(forced) == len(Scheme) and all(tr.diverged_at % rows for tr in forced)
+                assert all(len(tr.distances) == n + 1 for tr in traces if tr.point.params.h < 1.0)
+
+
+def test_a_run_makes_one_generator_per_stream(monkeypatch):
+    made, primed = [], []
+    generator, normals = CounterStreams.generator, CounterStreams.normals
+
+    def counting_generator(self, substream):
+        made.append((self.seed, substream))
+        return generator(self, substream)
+
+    def counting_normals(self, substream, n, dim):
+        primed.append((self.seed, substream, n))
+        return normals(self, substream, n, dim)
+
+    monkeypatch.setattr(CounterStreams, "generator", counting_generator)
+    monkeypatch.setattr(CounterStreams, "normals", counting_normals)
+    # one and two draws per step, at seeds 3 (two points) and 8
+    grid = [(StepParams(0.01, 30.0), 3), (StepParams(0.02, 30.0), 3), (StepParams(0.01, 20.0), 8)]
+    schemes = (Scheme.KINETIC_EM, Scheme.OBABO, Scheme.SES, Scheme.LM)
+    points = [
+        CouplingPoint(p, seed, certified_rate(s, ANISO.m, ANISO.M, p.gamma, p.h)) for s in schemes for p, seed in grid
+    ]
+    traces = run_coupling_batch(ANISO, Z0, Z1, points, 3 * _BLOCK_BYTES // (8 * ANISO.dim * 3) + 5)
+    assert all(not tr.diverged for tr in traces)
+    # lm primes each point from row 0 of substream 1, through normals and its own generator
+    assert primed == [(3, 1, 1), (3, 1, 1), (8, 1, 1)]
+    assert sorted(made) == sorted([(3, 0), (3, 1), (8, 0), (8, 1)] + [(3, 1), (3, 1), (8, 1)])
+
+
+def test_a_mixed_run_keeps_one_set_of_block_buffers():
+    import tracemalloc
+
+    d = 512
+    pot = QuadraticPotential.diagonal(np.linspace(1.0, 4.0, d))
+    z0 = PhaseState(np.ones(d), np.zeros(d))
+    z1 = PhaseState(-np.ones(d), np.zeros(d))
+    schemes = (Scheme.KINETIC_EM, Scheme.BAO, Scheme.BAOAB, Scheme.OBABO, Scheme.SES, Scheme.LM)
+    points = [CouplingPoint(StepParams(0.05, 10.0), 0, certified_rate(s, pot.m, pot.M, 10.0, 0.05)) for s in schemes]
+
+    def peak(pts):
+        tracemalloc.start()
+        try:
+            run_coupling_batch(pot, z0, z1, pts, 200)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_coupling_batch(pot, z0, z1, points, 10)  # numpy's first-call allocations stay out of the peaks
+    # the batches share the noise buffer and the block's state buffers, sized for the largest batch
+    assert peak(points) <= 1.25 * max(peak([p]) for p in points)
 
 
 def test_batched_runner_stops_once_every_point_diverged(monkeypatch):
@@ -534,7 +614,7 @@ def test_batched_runner_stops_once_every_point_diverged(monkeypatch):
         return step_core(*args)
 
     monkeypatch.setattr(coupling, "_step_core", counting_step_core)
-    traces = run_coupling_batch(scheme, iso, Z0, Z1, points, 10 * rows)
+    traces = run_coupling_batch(iso, Z0, Z1, points, 10 * rows)
     assert len(calls) <= rows  # the first block, not the 10 * rows asked for
     for p, tr in zip(points, traces):
         assert tr.point is p
@@ -569,7 +649,7 @@ def test_symmetric_splittings_reuse_the_end_of_step_gradient(scheme):
     pot.calls = 0
     rate = certified_rate(scheme, pot.m, pot.M, params.gamma, params.h)
     points = [CouplingPoint(params, seed, rate) for seed in (0, 1, 2)]
-    run_coupling_batch(scheme, pot, Z0, Z1, points, n)
+    run_coupling_batch(pot, Z0, Z1, points, n)
     assert pot.calls == (n + 1 if kicks == 2 else n)
     # step() carries nothing from one call to the next: each call kicks afresh
     pot.calls = 0

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from langevin_contract.gaussian import (
     stationary_covariance,
 )
 from langevin_contract.integrators import Scheme, StepParams, affine_mode_map
-from oracles import mp_stability_threshold
+from oracles import _word_columns, mp_stability_threshold
 
 KINETIC = [
     Scheme.KINETIC_EM,
@@ -289,3 +290,21 @@ def test_stationary_covariance_is_the_fixed_point_or_raises(scheme):
         S = stationary_covariance(scheme, lam, params)
         assert np.allclose(S, P @ S @ P.T + N @ N.T, rtol=1e-12, atol=1e-14)
         assert S[0, 1] == pytest.approx(S[1, 0]) and np.all(np.linalg.eigvalsh(S) > 0.0)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.OAB, Scheme.ABO, Scheme.BOA], ids=lambda s: s.value)
+@pytest.mark.xfail(
+    strict=True,
+    raises=SpectralError,
+    reason="ROADMAP item 4(a): tr P rounds to 1 + det P once exp(-gamma h) < 1e-16; an exact det P decides",
+)
+def test_stationary_covariance_stability_is_decided_exactly_at_high_friction(scheme):
+    # gamma h = 300: the chain is stable, by a Jury margin 1 + det P - tr P = h^2 lam eta
+    # of ~1.9e-131 at 400 digits, while the float trace rounds to 1 + det P
+    lam, h, gamma = 4.0, 0.3, 1e3
+    with mp.workdps(400):
+        (p00, p10), (p01, p11) = _word_columns(scheme, mp.mpf(lam), mp.mpf(h), mp.mpf(gamma), mp.exp, mp.mpf)
+        trace, det = p00 + p11, p00 * p11 - p01 * p10
+        assert 0 < det < 1 and abs(trace) < 1 + det
+        assert 1 + det - trace == pytest.approx(h * h * lam * mp.exp(-gamma * h), rel=1e-30)
+    assert np.isfinite(stationary_covariance(scheme, lam, StepParams(h, gamma))).all()

@@ -303,9 +303,9 @@ def batch_calls(monkeypatch):
     calls = []
     run_coupling_batch = glc.run_coupling_batch
 
-    def counting(scheme, potential, z0, z0_tilde, points, n_steps):
-        calls.append((scheme, len(points)))
-        return run_coupling_batch(scheme, potential, z0, z0_tilde, points, n_steps)
+    def counting(potential, z0, z0_tilde, points, n_steps):
+        calls.append((points[0].rate.scheme, len(points)))
+        return run_coupling_batch(potential, z0, z0_tilde, points, n_steps)
 
     monkeypatch.setattr(glc, "run_coupling_batch", counting)
     return calls
