@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +78,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_trace(path: Path, prefix: str, distances: list[float], bound: list[float] | None) -> None:
-    """A couple trace CSV, one f-string per row after the constant
-    ``scheme,h,gamma,seed`` prefix: the bytes :func:`_write_csv` would write,
-    with an empty bound column when ``bound`` is None."""
-    if bound is None:
-        rows = [f"{prefix},{k},{dk:.17g},\n" for k, dk in enumerate(distances)]
-    else:
-        rows = [f"{prefix},{k},{dk:.17g},{b:.17g}\n" for k, (dk, b) in enumerate(zip(distances, bound))]
-    _atomic_write(path, "scheme,h,gamma,seed,k,distance_sq,bound_sq\n" + "".join(rows))
+    """A couple trace CSV, formatted with one ``%`` operation: a row template
+    after the constant ``scheme,h,gamma,seed`` prefix, repeated once per step.
+    ``%.17g`` prints :func:`_fmt`'s digits, so the file holds the bytes
+    :func:`_write_csv` would write, with an empty bound column when ``bound``
+    is None."""
+    row = prefix.replace("%", "%%") + (",%d,%.17g,\n" if bound is None else ",%d,%.17g,%.17g\n")
+    cols = (range(len(distances)), distances) if bound is None else (range(len(distances)), distances, bound)
+    text = row * len(distances) % tuple(chain.from_iterable(zip(*cols)))
+    _atomic_write(path, "scheme,h,gamma,seed,k,distance_sq,bound_sq\n" + text)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -136,15 +138,27 @@ def _numbers(raw, what: str) -> None:
             raise ConfigError(f"{what} must be an array of numbers: {e}") from None
 
 
+def _distinct(vals: list, what: str) -> list:
+    """``vals``, once no entry repeats: a repeated grid entry would run its points twice."""
+    seen = set()
+    for x in vals:
+        if x in seen:
+            raise ConfigError(f"{what} repeats the entry {x!r}")
+        seen.add(x)
+    return vals
+
+
 def _schemes(cfg: dict) -> list[Scheme]:
     names = cfg.get("schemes")
     if not names or not isinstance(names, list):
         raise ConfigError("config needs a non-empty 'schemes' list")
     try:
-        return [Scheme(name) for name in names]
+        schemes = [Scheme(name) for name in names]
     except ValueError as e:
         known = ", ".join(s.value for s in Scheme)
         raise ConfigError(f"{e}; known schemes: {known}")
+    _distinct([s.value for s in schemes], "'schemes'")
+    return schemes
 
 
 def make_potential(cfg: dict) -> Potential:
@@ -196,7 +210,7 @@ def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[floa
     for x in vals:
         if _number(x, f"'{section}.{key}' entry") <= 0.0:
             raise ConfigError(f"'{section}.{key}' entry must be positive, got {x!r}")
-    return [float(x) for x in vals]
+    return _distinct([float(x) for x in vals], f"'{section}.{key}'")
 
 
 def _seeds(cfg: dict) -> list[int]:
@@ -204,7 +218,7 @@ def _seeds(cfg: dict) -> list[int]:
     if not isinstance(seeds, list):
         raise ConfigError(f"'params.seeds' must be a list, got {seeds!r}")
     try:  # CounterStreams holds the rule for a seed: an integer that keys Philox
-        return [CounterStreams(s).seed for s in seeds]
+        return _distinct([CounterStreams(s).seed for s in seeds], "'params.seeds'")
     except CouplingError as e:
         raise ConfigError(f"'params.seeds': {e}")
 

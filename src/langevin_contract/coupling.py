@@ -297,17 +297,28 @@ def run_synchronous_coupling(
     return run_coupling_batch(potential, z0, z0_tilde, [CouplingPoint(params, seed, rate)], n_steps)[0]
 
 
+def _constant(col: tuple[float, ...], shape: tuple[int, int, int]) -> float | np.ndarray:
+    """One step constant of a batch, ``col`` its value at each point: a float when
+    every point has it bit for bit (0.0 and -0.0 differ), else one C-contiguous
+    array of the states' shape, so each step multiplies operands of equal shape
+    rather than broadcasting a column."""
+    if len({float(c).hex() for c in col}) == 1:
+        return float(col[0])
+    return np.broadcast_to(np.array(col)[:, None, None], shape).copy()
+
+
 class _Batch:
     """The points of one scheme in a run: their step constants, noise slots and chain states."""
 
     def __init__(self, scheme, index, pts, z0, z0_tilde, slots):
         self.scheme = scheme
         self.index = index  # the points' positions in the run
-        self.coefs = tuple(np.array(col)[:, None, None] for col in zip(*(_coefficients(scheme, p.params) for p in pts)))
+        d = z0.dim
+        cols = zip(*(_coefficients(scheme, p.params) for p in pts))
+        self.coefs = tuple(_constant(col, (len(pts), 2, d)) for col in cols)
         k = noise_requirements(scheme)
         # (k, B): the noise buffer row of each point's j-th draw, one per distinct (seed, substream)
         self.slots = np.array([[slots.setdefault((p.seed, j), len(slots)) for p in pts] for j in range(k)])
-        d = z0.dim
         self.prev = np.stack([CounterStreams(p.seed).normals(k, 1, d) for p in pts]) if scheme is Scheme.LM else None
         self.x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], len(pts), axis=0)
         self.v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], len(pts), axis=0)
@@ -342,13 +353,16 @@ def run_coupling_batch(
 
     Each point runs its rate's scheme, ``point.rate.scheme``.  The points of
     one scheme form one batch whose chains carry a leading batch axis, (B,
-    2, d), so each step is one call of the step core for the whole batch,
-    with each point's step constants as (B, 1, 1) columns.  Every batch's
-    constants are formed before any chain steps, so a broken one raises
-    first.  Each point keeps its own noise streams ``CounterStreams(seed)``,
-    LM primer, divergence step and norm, its rate's
-    :attr:`CertifiedRate.norm`, so its trace equals its run alone.
-    Admissibility is the caller's.  The run goes in blocks of steps, the
+    2, d), so each step is one call of the step core for the whole batch.
+    Each step constant is a float where every point of the batch shares it
+    bit for bit, otherwise one (B, 2, d) array of the states' shape: a
+    constant that varies across a batch costs one state-sized array, and no
+    step broadcasts it.  Both states must have the potential's shape (d,),
+    checked before any draw.  Every batch's constants are formed before any
+    chain steps, so a broken one raises first.  Each point keeps its own
+    noise streams ``CounterStreams(seed)``, LM primer, divergence step and
+    norm, its rate's :attr:`CertifiedRate.norm`, so its trace equals its run
+    alone.  Admissibility is the caller's.  The run goes in blocks of steps, the
     batches in lockstep: each block draws the rows of each distinct (seed,
     substream) once, for every point that reads that stream, then steps each
     batch and reduces its states to its points' distances.  A point diverges
@@ -358,9 +372,13 @@ def run_coupling_batch(
     """
     if n_steps < 0:
         raise CouplingError(f"n_steps must be non-negative, got {n_steps}")
+    d = potential.dim
+    if z0.x.shape != (d,) or z0_tilde.x.shape != (d,):
+        raise CouplingError(
+            f"both states must have the potential's shape ({d},), got {z0.x.shape} and {z0_tilde.x.shape}"
+        )
     if not points:
         return []
-    d = potential.dim
     schemes = [p.rate.scheme for p in points]
     slots: dict[tuple[int, int], int] = {}
     batches = []

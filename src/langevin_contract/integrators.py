@@ -197,10 +197,12 @@ def step(
 def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
     """The per-step constants of one (h, gamma) point, in the order the core reads them.
 
-    Scalar ``math`` calls, so a batch of points stacked into (B, 1, 1)
-    columns steps bit-identically to each point alone.  At gamma = inf every
-    eta is 0: the constants of the high-friction limit.  A non-finite
-    constant (kinetic_em's gamma h at gamma = inf) raises IntegratorError.
+    Scalar ``math`` calls, so a batch of points steps bit-identically to
+    each point alone, with each constant a float where the points share it
+    and otherwise an array of their states' shape (B, 2, d), one
+    state-sized array per such constant.  At gamma = inf every eta is 0:
+    the constants of the high-friction limit.  A non-finite constant
+    (kinetic_em's gamma h at gamma = inf) raises IntegratorError.
     """
     h, g = params.h, params.gamma
     word = SPLITTING_WORDS.get(scheme)
@@ -241,8 +243,9 @@ def _step_core(scheme, potential, x, v, coefs, xi, prev_noise=None, grad=None):
     """The array-level step from :func:`_coefficients`; returns (x, v, grad).
 
     Shared by :func:`step` and the coupling runner.  ``coefs`` entries are
-    floats or (B, 1, 1) columns of a batch of points; ``xi[j]`` is the j-th
-    draw, broadcast against x.  ``grad``, when given, is grad U(x): a
+    floats or, for a batch of points whose values differ, arrays of the
+    states' shape (B, 2, d); ``xi[j]`` is the j-th draw, broadcast against
+    x.  ``grad``, when given, is grad U(x): a
     splitting kicks with it until its first drift, and the returned grad is
     grad U at the new x, or None once a drift followed the last kick.  So
     BAOAB and OBABO reuse the end-of-step gradient (one evaluation per step).

@@ -154,6 +154,21 @@ def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     assert seen == {"inadmissible", "inf", "nan"}
 
 
+#: signed zeros, the least subnormal and normal floats, the largest float, and the
+#: inf and nan a diverged trace ends in
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan, 0.1]
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["bound", "no_bound"])
+def test_trace_writer_writes_the_csv_writers_bytes(tmp_path, bounded):
+    fields = ["b%ao", 0.1, 4.0, 7]  # a % in the prefix is text, not a conversion
+    bound = _EDGE_FLOATS[::-1] if bounded else None
+    cli._write_trace(tmp_path / "trace.csv", ",".join(map(cli._fmt, fields)), _EDGE_FLOATS, bound)
+    rows = [[*fields, k, dk, bound[k] if bounded else ""] for k, dk in enumerate(_EDGE_FLOATS)]
+    _write_csv(tmp_path / "ref.csv", ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"], rows)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_couple_from_far_apart_starts_diverges_at_step_0(tmp_path):
     # the start distance overflows to inf: an admissible run that diverges at
     # once, which exits 3 without --force and is recorded with it
@@ -235,6 +250,11 @@ MALFORMED = {
     "z0_strings": _replace("coupling", z0=[["-1", "-1"], [0, 0]]),
     "z0_tilde_boolean": _replace("coupling", z0_tilde=[[True, 1.0], [0.0, 0.0]]),
     "output_dir_not_a_string": _replace("output", dir=1),
+    # a repeated entry would run its points twice, into one trace file
+    "schemes_repeated": lambda cfg: {**cfg, "schemes": ["bao", "bao"]},
+    "h_repeated": _replace("params", h=[0.1, 0.1]),
+    "gamma_repeated": _replace("params", gamma=[4.0, 4]),  # one number, as JSON compares them
+    "seeds_repeated": _replace("params", seeds=[0, 0]),
     # admissible, but the SES noise variance underflows to 0 at gamma h ~ 1e-119
     "ses_h_1e-120": lambda cfg: {**_replace("params", h=[1e-120], gamma=[11.0])(cfg), "schemes": ["ses"]},
     # bao runs there, but every batch runs before the first write: no bao trace is left
@@ -291,6 +311,9 @@ _M_BEYOND_A_CHECK = {
         ("glc-scan", {"params": {"h": 0.1, "seeds": [2**64]}}),
         ("certify", _M_BEYOND_A_CHECK),
         ("certify", {**_M_BEYOND_A_CHECK, "certify": {"mode": "table1"}}),
+        ("gaussian-scan", {"scan": {"h_grid": [0.1, 0.2, 0.1]}}),
+        ("glc-scan", {"scan": {"gamma_grid": [10.0, 10.0]}}),
+        ("certify", {"schemes": ["bao", "kinetic_em", "bao"]}),
     ],
     ids=[
         "couple_h",
@@ -300,6 +323,9 @@ _M_BEYOND_A_CHECK = {
         "glc_scan_seed",
         "certify_check_M_overflow",
         "certify_table1_M_overflow",
+        "gaussian_scan_h_grid_repeated",
+        "glc_scan_gamma_grid_repeated",
+        "certify_schemes_repeated",
     ],
 )
 def test_config_error_creates_no_output_directory(tmp_path, capsys, command, patch):
@@ -310,6 +336,13 @@ def test_config_error_creates_no_output_directory(tmp_path, capsys, command, pat
     assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_repeated_grid_entry_is_named(tmp_path, capsys):
+    cfg = couple_config(tmp_path / "out")
+    cfg["params"]["h"] = [0.1, 0.2, 0.1]
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert "config error: 'params.h' repeats the entry 0.1" in capsys.readouterr().err
 
 
 def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):

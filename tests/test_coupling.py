@@ -25,6 +25,7 @@ from langevin_contract.integrators import (
     PhaseState,
     Scheme,
     StepParams,
+    _coefficients,
     noise_requirements,
     step,
 )
@@ -520,23 +521,51 @@ def test_batched_runner_equals_one_point_runs(scheme):
                 assert [len(tr.distances) for tr in traces] == [n + 1, div + 1, n + 1, n + 1]  # ... the others ran on
 
 
+def _assert_constant_layout(points, z0, z1) -> dict[Scheme, set[type]]:
+    """Check each batch's step constants: a float where the batch's points share it
+    bit for bit, else a C-contiguous array of the states' shape (B, 2, d) holding
+    each point's value.  Returns the kinds of constant each scheme's batch holds."""
+    kinds = {}
+    for scheme in dict.fromkeys(p.rate.scheme for p in points):
+        pts = [p for p in points if p.rate.scheme is scheme]
+        batch = coupling._Batch(scheme, range(len(pts)), pts, z0, z1, {})
+        cols = list(zip(*(_coefficients(scheme, p.params) for p in pts)))
+        assert len(batch.coefs) == len(cols)
+        for const, col in zip(batch.coefs, cols):
+            if len({c.hex() for c in col}) == 1:
+                assert type(const) is float and const.hex() == col[0].hex()
+            else:
+                assert const.shape == (len(pts), 2, z0.dim) and const.flags.c_contiguous
+                assert np.array_equal(const, np.broadcast_to(np.array(col)[:, None, None], const.shape))
+        kinds[scheme] = {type(c) for c in batch.coefs}
+    return kinds
+
+
 def test_mixed_scheme_run_equals_one_point_runs():
     rows = _BLOCK_BYTES // (8 * BATCH_D * 4)  # from the largest batch, 4 points
     assert 410 > 2 * rows and 410 % rows  # n = 410 ends inside a block
     rng = np.random.default_rng(9)
     z0 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
     z1 = PhaseState(rng.standard_normal(BATCH_D), rng.standard_normal(BATCH_D))
-    # every scheme reads seeds 4 and 7, and has one seed of its own (lm primes each
-    # point from its seed); the forced (1, 1) point overflows mid-block; ses's batch is
-    # that point alone, on streams no other point reads, so it stops while the rest run on
+    # every scheme but ses and baoab reads seeds 4 and 7 at four h values, and has one
+    # seed of its own (lm primes each point from its seed): every step constant varies,
+    # so each is an array; the forced (1, 1) point overflows mid-block.  ses's batch is
+    # two seeds at the forced (1, 1), on streams no other point reads, so every constant
+    # is a float and the batch stops while the rest run on.  baoab's batch is one h at
+    # two gammas: its drift and kick constants are floats, its O constants arrays
     shared = [(StepParams(0.005, 30.0), 4), (StepParams(1.0, 1.0), 4), (StepParams(0.004, 20.0), 7)]
     for pot in (BATCH_TARGET, PerturbedQuadratic(BATCH_TARGET, 0.5)):
         points = []
         for i, scheme in enumerate(Scheme):
-            own = [(StepParams(0.003, 40.0), 100 + i)]
-            grid = [(StepParams(1.0, 1.0), 99)] if scheme is Scheme.SES else shared + own
+            grid = {
+                Scheme.SES: [(StepParams(1.0, 1.0), 99), (StepParams(1.0, 1.0), 98)],
+                Scheme.BAOAB: [(StepParams(0.005, 30.0), 4), (StepParams(0.005, 40.0), 100 + i)],
+            }.get(scheme, shared + [(StepParams(0.003, 40.0), 100 + i)])
             points += [CouplingPoint(p, seed, certified_rate(scheme, pot.m, pot.M, p.gamma, p.h)) for p, seed in grid]
         points = [points[j] for j in rng.permutation(len(points))]  # the batches interleave
+        kinds = _assert_constant_layout(points, z0, z1)
+        assert kinds.pop(Scheme.SES) == {float} and kinds.pop(Scheme.BAOAB) == {float, np.ndarray}
+        assert all(k == {np.ndarray} for k in kinds.values())
         for n in (410, 0):
             traces = run_coupling_batch(pot, z0, z1, points, n)
             for p, tr in zip(points, traces):
@@ -548,6 +577,27 @@ def test_mixed_scheme_run_equals_one_point_runs():
                 forced = [tr for tr in traces if tr.point.params.h == 1.0]
                 assert len(forced) == len(Scheme) and all(tr.diverged_at % rows for tr in forced)
                 assert all(len(tr.distances) == n + 1 for tr in traces if tr.point.params.h < 1.0)
+
+
+def test_signed_zeros_are_different_step_constants():
+    # 0.0 == -0.0, but a step could keep the sign: only bit-equal values make one float
+    assert coupling._constant((0.0, 0.0), (2, 2, 3)) == 0.0
+    assert coupling._constant((0.0, -0.0), (2, 2, 3)).shape == (2, 2, 3)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_a_state_of_another_dimension_is_a_coupling_error(monkeypatch, scheme):
+    def no_draw(*args):
+        raise AssertionError("drew noise before checking the states")
+
+    monkeypatch.setattr(CounterStreams, "generator", no_draw)
+    monkeypatch.setattr(CounterStreams, "normals", no_draw)
+    pot = PerturbedQuadratic(QuadraticPotential.diagonal([1.0, 2.0, 3.0, 4.0]), 0.2)
+    z4, z3 = PhaseState(np.ones(4), np.zeros(4)), PhaseState(np.ones(3), np.zeros(3))
+    stacked = PhaseState(np.ones((2, 4)), np.zeros((2, 4)))  # a batch of states is not one state
+    for a, b in ((z3, z3), (z4, z3), (z3, z4), (stacked, stacked)):
+        with pytest.raises(CouplingError, match=r"potential's shape \(4,\)"):
+            run_synchronous_coupling(scheme, pot, a, b, StepParams(0.01, 20.0), 5, seed=0, force=True)
 
 
 def test_a_run_makes_one_generator_per_stream(monkeypatch):
