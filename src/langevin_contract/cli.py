@@ -7,10 +7,12 @@ Subcommands (all take a JSON config, see README for the format):
     langevin-contract gaussian-scan --config cfg.json [--out DIR]
     langevin-contract glc-scan     --config cfg.json [--out DIR]
 
-Exit codes: 0 success, 2 config error, 3 inadmissible parameters or
+Exit codes: 0 success, 2 config error (a key that config.schema.json does
+not list among its properties is one), 3 inadmissible parameters or
 numerical divergence without --force.  Outputs are deterministic functions
-of (config, seeds): floats are printed with 17 significant digits, files
-are written atomically, and grid order is the config order.
+of (config, seeds): every CSV is one :func:`_write_csv` call, whose ``%``
+row template prints floats with 17 significant digits; files are written
+atomically, and grid order is the config order.
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ class DivergenceError(RuntimeError):
     """Inadmissible parameters or divergence encountered without --force."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -70,23 +66,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Comma-joined :func:`_fmt` fields, unquoted: no field written contains a
-    comma, quote or newline."""
-    lines = [header] + [[_fmt(x) for x in row] for row in rows]
-    _atomic_write(path, "".join(",".join(line) + "\n" for line in lines))
-
-
-def _write_trace(path: Path, prefix: str, distances: list[float], bound: list[float] | None) -> None:
-    """A couple trace CSV, formatted with one ``%`` operation: a row template
-    after the constant ``scheme,h,gamma,seed`` prefix, repeated once per step.
-    ``%.17g`` prints :func:`_fmt`'s digits, so the file holds the bytes
-    :func:`_write_csv` would write, with an empty bound column when ``bound``
-    is None."""
-    row = prefix.replace("%", "%%") + (",%d,%.17g,\n" if bound is None else ",%d,%.17g,%.17g\n")
-    cols = (range(len(distances)), distances) if bound is None else (range(len(distances)), distances, bound)
-    text = row * len(distances) % tuple(chain.from_iterable(zip(*cols)))
-    _atomic_write(path, "scheme,h,gamma,seed,k,distance_sq,bound_sq\n" + text)
+def _write_csv(path: Path, header: str, row: str, rows: list[tuple]) -> None:
+    """The header line, then the ``%`` template ``row`` once per entry of
+    ``rows``, filled in one ``%`` operation.  Floats go through ``%.17g``;
+    no field written contains a comma, quote or newline, so none is quoted."""
+    _atomic_write(path, header + "\n" + row * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -103,7 +87,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
+    # the packaged schema's properties are the one list of keys the program reads
+    with open(Path(__file__).parent / "schemas" / "config.schema.json") as fh:
+        sections = json.load(fh)["properties"]
+    _known_keys(cfg, sections, "the config")
+    for name, spec in sections.items():
+        if "properties" in spec and isinstance(cfg.get(name), dict):
+            _known_keys(cfg[name], spec["properties"], f"'{name}'")
     return cfg
+
+
+def _known_keys(block: dict, known: dict, where: str) -> None:
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}; known keys: {', '.join(known)}")
 
 
 def _block(cfg: dict, section: str) -> dict:
@@ -298,10 +295,13 @@ def cmd_couple(cfg: dict, args) -> int:
             c_hat = empirical_rate(positive_prefix(trace))
         except CouplingError:
             c_hat = None
-        fields = [_fmt(x) for x in (s.value, h, g, seed)]
         # 17 significant digits, so distinct grid points never share a file
-        name = "couple_{}_h{}_g{}_s{}.csv".format(*fields)
-        _write_trace(out / name, ",".join(fields), distances, bound)
+        name = "couple_%s_h%.17g_g%.17g_s%d.csv" % (s.value, h, g, seed)
+        # the point's constant prefix goes into the row template as text: a scheme name and numbers hold no %
+        prefix = "%s,%.17g,%.17g,%d" % (s.value, h, g, seed)
+        row = prefix + (",%d,%.17g,\n" if bound is None else ",%d,%.17g,%.17g\n")
+        cols = (range(len(distances)), distances) if bound is None else (range(len(distances)), distances, bound)
+        _write_csv(out / name, "scheme,h,gamma,seed,k,distance_sq,bound_sq", row, list(zip(*cols)))
         summary.append(
             {
                 "scheme": s.value,
@@ -398,14 +398,14 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
                     thresholds[lam] = gaussian.stability_threshold(s, lam, g)
                 except gaussian.SpectralError:
                     thresholds[lam] = math.nan
-            for scan_row in gaussian.gaussian_scan(s, pot.m, pot.M, g, h_grid):
-                rows += [
-                    [s.value, scan_row.h, g, rep.lam, rep.spectral_radius, rep.contractive, thresholds[rep.lam]]
-                    for rep in scan_row.reports
-                ]
+            rows += [
+                (s.value, rep.h, g, rep.lam, rep.spectral_radius, rep.contractive, thresholds[rep.lam])
+                for rep in gaussian.gaussian_scan(s, pot.m, pot.M, g, h_grid)
+            ]
     _write_csv(
         out / "gaussian_scan.csv",
-        ["scheme", "h", "gamma", "lambda", "radius", "contractive", "stability_threshold"],
+        "scheme,h,gamma,lambda,radius,contractive,stability_threshold",
+        "%s,%.17g,%.17g,%.17g,%.17g,%s,%.17g\n",
         rows,
     )
     return 0
@@ -413,6 +413,8 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
 
 def cmd_glc_scan(cfg: dict, args) -> int:
     pot = make_potential(cfg)
+    if isinstance(pot, PerturbedQuadratic):
+        raise ConfigError("glc-scan sweeps the quadratic diag(m, M); a perturbed_quadratic target does not apply")
     schemes = _schemes(cfg)
     gammas = _grid(cfg, "scan", "gamma_grid", required=False) or list(glc.DEFAULT_GAMMA_GRID)
     hs = _grid(cfg, "params", "h", required=False) or [None]  # None: 80% of each threshold
@@ -425,12 +427,13 @@ def cmd_glc_scan(cfg: dict, args) -> int:
     for s in schemes:
         for h in hs:
             rows += [
-                [s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation]
+                (s.value, r.gamma, r.h, r.c_theoretical, r.c_empirical, r.admissible, r.deviation)
                 for r in glc.rate_collapse_scan(s, pot.m, pot.M, h, gammas, n_steps=n_steps, seeds=seeds)
             ]
     _write_csv(
         out / "glc_scan.csv",
-        ["scheme", "gamma", "h", "c_theoretical", "c_empirical", "admissible", "deviation"],
+        "scheme,gamma,h,c_theoretical,c_empirical,admissible,deviation",
+        "%s,%.17g,%.17g,%.17g,%.17g,%s,%.17g\n",
         rows,
     )
     return 0

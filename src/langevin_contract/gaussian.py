@@ -167,40 +167,10 @@ def stationary_covariance(scheme: Scheme, lam: float, params: StepParams) -> np.
     return np.linalg.solve(np.eye(4) - np.kron(P, P), (N @ N.T).ravel()).reshape(2, 2)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """Per-(h, gamma) scan entry over both extreme curvatures."""
-
-    scheme: Scheme
-    h: float
-    gamma: float
-    reports: tuple[SpectralReport, SpectralReport]
-    contractive: bool
-    worst_rate: float  # 1 - max mode radius
-
-
-def gaussian_scan(scheme: Scheme, m: float, M: float, gamma: float, h_grid) -> list[ScanRow]:
-    """Spectral reports over an h grid at both extreme curvatures.
-
-    A row is contractive only when both the m- and M-modes have spectral
-    radius below one; the reported rate is one minus the worst radius.
-    """
+def gaussian_scan(scheme: Scheme, m: float, M: float, gamma: float, h_grid) -> list[SpectralReport]:
+    """Spectral reports over an h grid at both extreme curvatures: for each h,
+    the m-mode's report and then the M-mode's, two reports even when m = M."""
     h_grid = list(h_grid)
     if not h_grid:
         raise SpectralError("h grid must be non-empty")
-    rows = []
-    for h in h_grid:
-        params = StepParams(h, gamma)
-        rep = (mode_report(scheme, m, params), mode_report(scheme, M, params))
-        radius = max(r.spectral_radius for r in rep)
-        rows.append(
-            ScanRow(
-                scheme=Scheme(scheme),
-                h=h,
-                gamma=gamma,
-                reports=rep,
-                contractive=all(r.contractive for r in rep),
-                worst_rate=1.0 - radius,
-            )
-        )
-    return rows
+    return [mode_report(scheme, lam, StepParams(h, gamma)) for h in h_grid for lam in (m, M)]

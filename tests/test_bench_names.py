@@ -1,15 +1,22 @@
-"""The traced benchmark wraps library functions by name (bench/child.py::install).
+"""The benchmark's boundary with the library, checked in the unit tests.
 
-A refactor that drops or renames a wrapped name, or changes a result type
-that a span note reads, fails here, in the unit tests, rather than in a
-traced benchmark run.  bench/ is only read.
+The traced benchmark wraps library functions by name (bench/child.py::install),
+and its workloads write configs the CLI must accept (bench/workloads.py::plan).
+A refactor that drops or renames a wrapped name, changes a result type that a
+span note reads, or narrows what a config may hold, fails here rather than in
+a benchmark run.  bench/ is only read.
 """
 
 import importlib.util
+import json
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
+import pytest
 
+from langevin_contract import cli
 from langevin_contract.coupling import CounterStreams
 from langevin_contract.integrators import PhaseState, Scheme, StepParams
 from langevin_contract.potentials import QuadraticPotential
@@ -54,11 +61,16 @@ class _CheckingTracer:
             self.notes.setdefault(name, []).append((getattr(owner, attr), note))
 
 
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_install_wraps_existing_names(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # child.py imports its sibling speed.py
-    spec = importlib.util.spec_from_file_location("bench_child", BENCH / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    child = _bench_module("child")
     tracer = _CheckingTracer()
     child.install(tracer)
     assert {"glc.glc_deviation", "glc.rate_collapse_scan", "coupling.run_synchronous_coupling"} <= set(tracer.names)
@@ -68,3 +80,23 @@ def test_bench_install_wraps_existing_names(monkeypatch):
         args, kwargs, want = NOTED_CALLS[name]
         for fn, note in wrapped:
             assert note(args, kwargs, fn(*args, **kwargs)) == want, name
+
+
+WORKLOADS = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_every_bench_input_config_is_accepted(tmp_path, workload):
+    # every variant's stage configs pass the config schema and the CLI's key check
+    with resources.files("langevin_contract.schemas").joinpath("config.schema.json").open() as fh:
+        schema = json.load(fh)
+    paths = [
+        stage["argv"][2]
+        for v in range(WORKLOADS.VARIANTS)
+        for stage in WORKLOADS.plan(workload, v, tmp_path / str(v), size="tiny")
+        if stage["kind"] == "cli"
+    ]
+    assert paths
+    for path in paths:
+        jsonschema.validate(json.loads(Path(path).read_text()), schema)
+        cli.load_config(path)

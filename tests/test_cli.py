@@ -119,12 +119,21 @@ def test_largest_seed_runs_and_the_next_exits_2(tmp_path, capsys, command):
     assert "config error: 'params.seeds': seed must be in [0, 2**64)" in capsys.readouterr().err
 
 
+def _render(header, rows) -> bytes:
+    """The CSV bytes of ``rows`` field by field: ``.17g`` digits for a float, ``str`` otherwise."""
+    lines = [header, *([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines).encode()
+
+
+_TRACE_HEADER = ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"]
+
+
 def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     # a forced grid with admissible points, an inadmissible point that stays
     # finite (empty bound column) and diverging points whose traces end at
     # an inf or (baoab at h = 1.5, where its certified b^2 >= a) a nan
-    # distance; each trace file equals the csv.writer + _fmt rendering of
-    # the point's one-point run, with its bound taken per int k
+    # distance; each trace file equals the field-by-field rendering of the
+    # point's one-point run, with its bound taken per int k
     cfg = couple_config(tmp_path / "out", n_steps=500, schemes=("lm", "kinetic_em", "baoab"))
     cfg["params"].update(h=[0.05, 0.2, 1.5], seeds=[0, 3])
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg), "--force"]) == 0
@@ -132,7 +141,6 @@ def test_trace_writer_matches_csv_writer_rendering(tmp_path):
     pot = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
     z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
     z1 = PhaseState(np.array([1.0, 1.0]), np.zeros(2))
-    header = ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"]
     seen = set()
     for run in runs:
         s, h, g, seed = Scheme(run["scheme"]), run["h"], run["gamma"], run["seed"]
@@ -145,9 +153,8 @@ def test_trace_writer_matches_csv_writer_rendering(tmp_path):
         ]
         if not rate.admissible:
             rows = [row[:-1] + [""] for row in rows]
-        _write_csv(tmp_path / "ref.csv", header, rows)
         got = (tmp_path / "out" / run["trace_file"]).read_bytes()
-        assert got == (tmp_path / "ref.csv").read_bytes(), run["trace_file"]
+        assert got == _render(_TRACE_HEADER, rows), run["trace_file"]
         if not run["admissible"] and not run["diverged"]:
             seen.add("inadmissible")
         seen.update(word for word in ("inf", "nan") if word.encode() in got)
@@ -161,12 +168,14 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e3
 
 @pytest.mark.parametrize("bounded", [True, False], ids=["bound", "no_bound"])
 def test_trace_writer_writes_the_csv_writers_bytes(tmp_path, bounded):
-    fields = ["b%ao", 0.1, 4.0, 7]  # a % in the prefix is text, not a conversion
+    # couple's row template: the point's prefix as text, then k, distance and bound
+    fields = ["bao", 0.1, 4.0, 7]
     bound = _EDGE_FLOATS[::-1] if bounded else None
-    cli._write_trace(tmp_path / "trace.csv", ",".join(map(cli._fmt, fields)), _EDGE_FLOATS, bound)
+    row = "bao,0.10000000000000001,4,7" + (",%d,%.17g,%.17g\n" if bounded else ",%d,%.17g,\n")
+    cols = (range(len(_EDGE_FLOATS)), _EDGE_FLOATS) + ((bound,) if bounded else ())
+    _write_csv(tmp_path / "trace.csv", ",".join(_TRACE_HEADER), row, list(zip(*cols)))
     rows = [[*fields, k, dk, bound[k] if bounded else ""] for k, dk in enumerate(_EDGE_FLOATS)]
-    _write_csv(tmp_path / "ref.csv", ["scheme", "h", "gamma", "seed", "k", "distance_sq", "bound_sq"], rows)
-    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "trace.csv").read_bytes() == _render(_TRACE_HEADER, rows)
 
 
 def test_couple_from_far_apart_starts_diverges_at_step_0(tmp_path):
@@ -262,6 +271,14 @@ MALFORMED = {
         **_replace("params", h=[1e-120], gamma=[11.0])(cfg),
         "schemes": ["bao", "ses"],
     },
+    # a key the program does not read: it would run as if the key were absent
+    "potential_key_misspelt": _replace("potential", name="perturbed_quadratic", epss=0.5),
+    "params_key_misspelt": _replace("params", n_step=100),
+    "coupling_key_misspelt": _replace("coupling", z0_tlide=[[1.0, 1.0], [0.0, 0.0]]),
+    "certify_key_misspelt": lambda cfg: {**cfg, "certify": {"mdoe": "table1"}},
+    "section_unknown": lambda cfg: {**cfg, "scann": {"h_grid": [0.1]}},
+    "top_level_key_unknown": lambda cfg: {**cfg, "n_steps": 100},
+    "scheme_unknown": lambda cfg: {**cfg, "schemes": ["nope"]},
 }
 #: well-formed configs whose step constant breaks only in the run
 RUN_ERRORS = {"ses_h_1e-120", "bao_then_ses_h_1e-120"}
@@ -284,6 +301,11 @@ def test_config_schema_rejects_malformed_configs(tmp_path, name):
     cfg = json.loads(json.dumps(cfg).replace("Infinity", "1e400"))
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(cfg, load_schema("config.schema.json"))
+
+
+def test_config_schema_lists_every_scheme():
+    items = load_schema("config.schema.json")["properties"]["schemes"]["items"]
+    assert set(items["enum"]) == {s.value for s in Scheme}
 
 
 def test_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
@@ -578,8 +600,27 @@ def test_certify_table1_below_the_friction_floor(tmp_path):
         ("certify", {"schemes": ["abo"], "params": {"gamma": [5.0]}}, "certifiable schemes: kinetic_em, bao, oab"),
         ("certify", {"params": {"gamma": [5.0]}, "certify": {"mode": "grid"}}, "'certify.mode' must be"),
         ("gaussian-scan", {"schemes": ["lm"], "params": {"gamma": [5.0]}, "scan": {"h_grid": [0.1]}}, "['lm']"),
+        (
+            "glc-scan",
+            {"potential": {"name": "perturbed_quadratic", "m": 1.0, "M": 1.0, "eps": 0.5}, "params": {"h": 0.1}},
+            "glc-scan sweeps the quadratic diag(m, M)",
+        ),
+        # a key the schema does not list is named together with the known ones
+        ("certify", {"certify": {"mdoe": "table1"}}, "unknown key 'mdoe' in 'certify'; known keys: mode"),
+        (
+            "couple",
+            {"scann": {"h_grid": [0.1]}},
+            "unknown key 'scann' in the config; known keys: potential, schemes, params, coupling, scan, certify, output",
+        ),
     ],
-    ids=["certify_abo", "certify_unknown_mode", "gaussian_scan_lm"],
+    ids=[
+        "certify_abo",
+        "certify_unknown_mode",
+        "gaussian_scan_lm",
+        "glc_scan_perturbed",
+        "certify_key_unknown",
+        "section_unknown",
+    ],
 )
 def test_command_rejects_what_it_does_not_cover(tmp_path, capsys, command, cfg, problem):
     cfg = {

@@ -192,30 +192,38 @@ def test_bao_exact_rate_is_twice_the_slow_mode_gap():
         assert bao_exact_rate(1.0, h, gamma) == pytest.approx(2 * (1 - lam_max), rel=1e-10)
 
 
+def _scan_rate(scheme, gamma, h):
+    """One minus the larger spectral radius of the scan's reports at h, on m = M = 1."""
+    return 1.0 - max(r.spectral_radius for r in gaussian_scan(scheme, 1.0, 1.0, gamma, [h]))
+
+
 def test_gaussian_scan_all_schemes_contract_at_moderate_friction():
-    # standard gaussian, gamma = 4 sqrt(M), h = 0.25
+    # standard gaussian, gamma = 4 sqrt(M), h = 0.25: every report of the h contracts
     for scheme in (Scheme.KINETIC_EM, Scheme.BAO, Scheme.BAOAB, Scheme.OBABO, Scheme.SES):
-        rows = gaussian_scan(scheme, 1.0, 1.0, 4.0, [0.25])
-        assert rows[0].contractive, scheme
-        assert rows[0].worst_rate > 0
+        reports = gaussian_scan(scheme, 1.0, 1.0, 4.0, [0.25])
+        assert [(r.h, r.lam) for r in reports] == [(0.25, 1.0), (0.25, 1.0)], scheme  # m = M: still two
+        assert all(r.contractive for r in reports), scheme
+        assert _scan_rate(scheme, 4.0, 0.25) > 0
+    # for each h in grid order, the m-mode's report and then the M-mode's
+    reports = gaussian_scan(Scheme.BAO, 1.0, 4.0, 8.0, [0.25, 0.1])
+    assert [(r.h, r.lam) for r in reports] == [(0.25, 1.0), (0.25, 4.0), (0.1, 1.0), (0.1, 4.0)]
+    assert all(r.scheme is Scheme.BAO and r.gamma == 8.0 for r in reports)
 
 
 def test_gaussian_scan_kinetic_em_unstable_at_high_friction():
-    rows = gaussian_scan(Scheme.KINETIC_EM, 1.0, 1.0, 1000.0, [0.25])
-    assert not rows[0].contractive
-    assert rows[0].reports[0].spectral_radius > 1.0
+    reports = gaussian_scan(Scheme.KINETIC_EM, 1.0, 1.0, 1000.0, [0.25])
+    assert not all(r.contractive for r in reports)
+    assert reports[0].spectral_radius > 1.0
 
 
 def test_gaussian_scan_rate_scaling_low_h():
     # fixed moderate friction: kinetic_em and ses rates scale linearly in h
     for scheme in (Scheme.KINETIC_EM, Scheme.SES):
-        r1 = gaussian_scan(scheme, 1.0, 1.0, 6.0, [1e-4])[0].worst_rate
-        r2 = gaussian_scan(scheme, 1.0, 1.0, 6.0, [2e-4])[0].worst_rate
+        r1, r2 = _scan_rate(scheme, 6.0, 1e-4), _scan_rate(scheme, 6.0, 2e-4)
         assert r2 / r1 == pytest.approx(2.0, rel=1e-2), scheme
     # splittings in the strongly damped regime (eta ~ 0): quadratic scaling
     for scheme in (Scheme.BAO, Scheme.BAOAB, Scheme.OBABO):
-        r1 = gaussian_scan(scheme, 1.0, 1.0, 400.0, [0.05])[0].worst_rate
-        r2 = gaussian_scan(scheme, 1.0, 1.0, 400.0, [0.1])[0].worst_rate
+        r1, r2 = _scan_rate(scheme, 400.0, 0.05), _scan_rate(scheme, 400.0, 0.1)
         assert r2 / r1 == pytest.approx(4.0, rel=5e-2), scheme
 
 
