@@ -3,7 +3,7 @@
 Library layout:
 
 - ``potentials``:   strongly convex targets with certified (m, M) constants
-- ``norms``:        weighted phase-space norms, Wasserstein bookkeeping
+- ``norms``:        weighted phase-space norms
 - ``integrators``:  one-step maps for every supported scheme
 - ``coupling``:     synchronously coupled pairs, certified rates, traces
 - ``certificates``: positive-definiteness contraction certificates
@@ -24,7 +24,7 @@ from .coupling import (
     run_synchronous_coupling,
     verify_trace_bound,
 )
-from .norms import WeightedNorm, gaussian_w2, wasserstein_decay_factor
+from .norms import WeightedNorm
 from .potentials import (
     PerturbedQuadratic,
     Potential,
@@ -33,7 +33,6 @@ from .potentials import (
 )
 from .certificates import (
     CertificateReport,
-    build_abc,
     check_certificate,
     composition_bound,
     max_certified_rate,
@@ -59,7 +58,6 @@ __all__ = [
     "StepParams",
     "WeightedNorm",
     "bao_exact_rate",
-    "build_abc",
     "certified_rate",
     "certified_stepsize_threshold",
     "check_certificate",
@@ -67,7 +65,6 @@ __all__ = [
     "composition_bound",
     "empirical_rate",
     "gaussian_scan",
-    "gaussian_w2",
     "glc_deviation",
     "limit_step",
     "max_certified_rate",
@@ -83,5 +80,4 @@ __all__ = [
     "step_matrix",
     "transition_matrix_P",
     "verify_trace_bound",
-    "wasserstein_decay_factor",
 ]

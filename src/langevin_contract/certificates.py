@@ -30,19 +30,28 @@ constant terms of A, B and C.  Everything else is one *point*
 (:func:`_point`), built once per check and once per rate search: the certified
 rate, W, P0 and P1, the entries of P0^T W P0, the lam^1 and lam^2
 coefficients of A, B and C as floats, the lam grid (one read-only array
-per (m, M), :func:`_lam_grid`) and A's Horner tail on it.  The c half is
-:func:`_verdict`: the constant terms, A on the grid (the tail plus one
-add), the quartic AC - B^2 and its grid values, the guards and the
-verdict.  The quartic is ``np.convolve(A, C) - np.convolve(B, B)`` of the
-untrimmed degree-2 lists, and :func:`_polyval` is ``npoly.polyval``'s
-Horner without its input checks.  For finite coefficients the trailing
-zeros that ``numpy.polynomial`` trims change only a list's length, never
-a value, so a report is bit-identical to one built afresh with
-``numpy.polynomial``.  :func:`check_certificate` adds to the verdict the
-eigenvalue oracle, H = (1-c) W - P^T W P from the point's P0, P1 and W
-with its minimum eigenvalue at every node, and the margins.  The
-searches decide on the verdict alone: they read only ``passed``, so no
-search probe runs the oracle, while every report carries it.
+per (m, M), :func:`_lam_grid`), A's Horner tail on it and the tail's
+minimum, and A's grid guard, which c does not move because the guard
+skips the constant term.  The c half is :func:`_verdict`, and a probe
+evaluates only what decides it: the constant terms, the quartic
+AC - B^2's coefficients and its guard (on every probe, so an M beyond
+the guard's float range raises on every route), then A as
+A[0] + min(tail) > guard_a, and only when the norm is valid and A
+passes, the quartic on the grid.  Deciding A from the tail's minimum is
+exact: adding a constant keeps order under round-to-nearest, so
+min(A[0] + tail) is A[0] + min(tail) bit for bit.  The quartic is
+``np.convolve(A, C) - np.convolve(B, B)`` of the untrimmed degree-2
+lists, and :func:`_polyval` is ``npoly.polyval``'s Horner in one array,
+bit for bit on the grid.  For finite coefficients the trailing zeros
+that ``numpy.polynomial`` trims change only a list's length, never a
+value, so a report is bit-identical to one built afresh with
+``numpy.polynomial``.  :func:`check_certificate` takes A on the grid
+(the tail plus one add) and the verdict's quartic values, evaluating
+them itself, once, where A failed, and adds the eigenvalue oracle,
+H = (1-c) W - P^T W P from the point's P0, P1 and W with its minimum
+eigenvalue at every node, and the margins.  The searches decide on the
+verdict alone: they read only ``passed``, so no search probe runs the
+oracle, while every report carries it.
 """
 
 from __future__ import annotations
@@ -133,35 +142,12 @@ def _affine_P(scheme: Scheme, params: StepParams) -> tuple[np.ndarray, np.ndarra
     return P0, transition_matrix_P(scheme, 1.0, params) - P0
 
 
-@dataclass(frozen=True)
-class AbcPolynomials:
-    """Entries of H as polynomials in lam (ascending coefficients, deg <= 2)."""
-
-    scheme: Scheme
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-
 def _h_blocks(P0: np.ndarray, P1: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, ...]:
     """The c-free blocks of H(lam) for P(lam) = P0 + lam P1: P0^T W P0,
     then the coefficient blocks of lam and lam^2."""
-    cross = P0.T @ W @ P1
-    return P0.T @ W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)
-
-
-def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) -> AbcPolynomials:
-    """Coefficient form of A, B, C for the certificate block of ``scheme``.
-
-    Derived from P(lam) = P0 + lam P1 (see the module docstring).  With the
-    scheme's certified (a, b) the constant term of B collapses to -b c,
-    which is what makes the m-independent stepsize thresholds work.
-    """
-    scheme = Scheme(scheme)
-    W = np.array([[1.0, b], [b, a]])
-    K0, H1, H2 = _h_blocks(*_affine_P(scheme, params), W)
-    H = np.stack([(1.0 - c) * W - K0, H1, H2])
-    return AbcPolynomials(scheme, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1])
+    P0W = P0.T @ W  # ``@`` groups from the left, so P0^T W P is (P0^T W) P
+    cross = P0W @ P1
+    return P0W @ P0, -(cross + cross.T), -(P1.T @ W @ P1)
 
 
 @dataclass(frozen=True)
@@ -196,19 +182,33 @@ class CertificateReport:
         return {**vars(self), "scheme": self.scheme.value}
 
 
-def _derivative_bound(coeffs: list[float], hi: float) -> float:
-    """sup |d/dlam p(lam)| on [0, hi] via the coarse coefficient bound; raises where hi^k overflows."""
+def _guard(lam_coeffs, m: float, M: float) -> float:
+    """The grid guard L dlam / 2 of a polynomial whose coefficients of
+    lam^1, lam^2, ... are ``lam_coeffs``, with L the coarse bound on
+    sup |p'| over [0, M]; 0.0 on the one-node grid of m = M.  The constant
+    term never enters, so c does not move A's guard.  Raises where M^k
+    overflows."""
+    if not M > m:
+        return 0.0
     try:
-        return float(sum(k * abs(ck) * hi ** (k - 1) for k, ck in enumerate(coeffs) if k > 0))
+        bound = float(sum([k * abs(ck) * M ** (k - 1) for k, ck in enumerate(lam_coeffs, 1)]))
     except OverflowError:
-        raise CertificateError(f"the grid guard overflows at M={hi:g}: a check needs M below about 5.6e102") from None
+        raise CertificateError(f"the grid guard overflows at M={M:g}: a check needs M below about 5.6e102") from None
+    return bound * ((M - m) / (GRID_POINTS - 1)) / 2.0
 
 
-def _polyval(x: np.ndarray, c: list[float]) -> np.ndarray:
-    """``npoly.polyval(x, c)``: Horner from ``c[-1] + x * 0``."""
-    p = c[-1] + x * 0
-    for ck in reversed(c[:-1]):
-        p = ck + p * x
+def _polyval(x: np.ndarray, c) -> np.ndarray:
+    """``npoly.polyval(x, c)`` bit for bit on finite x >= 0, such as the lam
+    grid, in one array.  polyval starts Horner from ``c[-1] + x * 0``; for
+    x >= 0 that is ``c[-1] + 0.0``, sign of zero included, so the first step
+    is ``(c[-1] + 0.0) * x`` and every later one runs in place."""
+    if len(c) == 1:
+        return c[0] + x * 0
+    p = (c[-1] + 0.0) * x
+    for ck in c[-2:0:-1]:
+        p += ck
+        p *= x
+    p += c[0]
     return p
 
 
@@ -263,6 +263,8 @@ class _Point(NamedTuple):
     lam_terms: tuple[tuple[float, float], ...]  # the lam^1, lam^2 coefficients of A, B, C
     lams: np.ndarray
     tail: np.ndarray  # A's Horner tail, so A(lams) = A[0] + tail
+    tail_min: float  # min(tail), so min A(lams) = A[0] + tail_min
+    guard_a: float  # A's grid guard, which c does not move
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -286,29 +288,28 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     abc = ((0, 0), (0, 1), (1, 1))  # the entries of H that are A, B and C
     lam_terms = tuple((H1[i][j], H2[i][j]) for i, j in abc)
     lams = _lam_grid(m, M)
-    tail = _polyval(lams, list(lam_terms[0])) * lams  # A(lams) is A[0] + tail, polyval's last step
+    tail = _polyval(lams, lam_terms[0])
+    tail *= lams  # A(lams) is A[0] + tail, polyval's last step
     k0 = tuple(K0[i][j] for i, j in abc)
-    return _Point(rate.a, rate.b, rate.c, rate.b * rate.b < rate.a, W, P0, P1, k0, lam_terms, lams, tail)
+    norm_valid = rate.b * rate.b < rate.a
+    guard_a = _guard(lam_terms[0], m, M)
+    return _Point(rate.a, rate.b, rate.c, norm_valid, W, P0, P1, k0, lam_terms, lams, tail, float(tail.min()), guard_a)
 
 
-def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The c half of a check up to its verdict: (A(lams), (AC - B^2)(lams),
-    passed).  Both searches decide on ``passed`` alone."""
+def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, list[float], np.ndarray | None]:
+    """The c half of a check up to its verdict: (passed, A[0], the quartic
+    AC - B^2's coefficients, its grid values or None).  Both searches decide
+    on ``passed`` alone; the quartic's grid is evaluated only once the norm
+    and A have passed, and is None otherwise."""
     # the constant terms, (1-c) W - P0^T W P0, are all that c moves
     A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, point.b, point.a), point.k0, point.lam_terms))
-
-    pa = A[0] + point.tail
     quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
+    guard_q = _guard(quartic[1:], m, M)  # on every probe, so a bad M raises wherever it is checked
+    # round-to-nearest keeps order under adding A[0], so this is min(A[0] + tail) > guard_a
+    if not (point.norm_valid and A[0] + point.tail_min > point.guard_a):
+        return False, A[0], quartic, None
     pq = _polyval(point.lams, quartic)
-
-    if M > m:
-        dlam = (M - m) / (GRID_POINTS - 1)
-        guard_a = _derivative_bound(A, M) * dlam / 2.0
-        guard_q = _derivative_bound(quartic, M) * dlam / 2.0
-    else:
-        guard_a = guard_q = 0.0
-    passed = bool(point.norm_valid and pa.min() > guard_a and pq.min() > guard_q)
-    return pa, pq, passed
+    return bool(pq.min() > guard_q), A[0], quartic, pq
 
 
 def check_certificate(
@@ -337,7 +338,10 @@ def check_certificate(
     point = _point(scheme, m, M, gamma, h)
     lams = point.lams
     c = point.c if c is None else c
-    pa, pq, passed = _verdict(point, m, M, c)
+    passed, a0, quartic, pq = _verdict(point, m, M, c)
+    pa = a0 + point.tail
+    if pq is None:
+        pq = _polyval(lams, quartic)
 
     eigs = _min_eig_H(_grid_sums(point.P0, point.P1, lams, point.W), point.W, c, lams.shape)
     poly_pd = (pa > 0.0) & (pq > 0.0)
@@ -417,7 +421,7 @@ def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: floa
     point = _point(scheme, m, M, gamma, h)
 
     def passes(c: float) -> bool:
-        return _verdict(point, m, M, c)[2]
+        return _verdict(point, m, M, c)[0]
 
     if not passes(0.0):
         raise CertificateError(
@@ -441,7 +445,7 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
 
     def passes(h: float) -> bool:
         point = _point(scheme, m, M, gamma, h)
-        return _verdict(point, m, M, point.c)[2]
+        return _verdict(point, m, M, point.c)[0]
 
     lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)
     if lo is None:

@@ -18,6 +18,7 @@ atomically, and grid order is the config order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,6 +44,11 @@ from .coupling import (
 )
 from .integrators import OVERDAMPED_SCHEMES, IntegratorError, PhaseState, Scheme, StepParams
 from .potentials import PerturbedQuadratic, Potential, QuadraticPotential
+
+
+#: the largest ``params.n_steps``: a run keeps n_steps + 1 float64 distances
+#: per grid point, 80 MB at the cap (config.schema.json states it as ``maximum``)
+N_STEPS_MAX = 10**7
 
 
 class ConfigError(ValueError):
@@ -77,6 +83,14 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache
+def _schema_sections() -> dict:
+    """The packaged schema's properties: the one list of keys the program reads.
+    Parsed once per process; every caller gets the same dict and only reads it."""
+    with open(Path(__file__).parent / "schemas" / "config.schema.json") as fh:
+        return json.load(fh)["properties"]
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -87,9 +101,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
-    # the packaged schema's properties are the one list of keys the program reads
-    with open(Path(__file__).parent / "schemas" / "config.schema.json") as fh:
-        sections = json.load(fh)["properties"]
+    sections = _schema_sections()
     _known_keys(cfg, sections, "the config")
     for name, spec in sections.items():
         if "properties" in spec and isinstance(cfg.get(name), dict):
@@ -195,6 +207,14 @@ def make_potential(cfg: dict) -> Potential:
         raise ConfigError(f"potential: {e}")
 
 
+def _quadratic_target(cfg: dict, command: str) -> Potential:
+    """The config's target for a command that reads only its m and M."""
+    pot = make_potential(cfg)
+    if isinstance(pot, PerturbedQuadratic):
+        raise ConfigError(f"{command} sweeps the quadratic diag(m, M); a perturbed_quadratic target does not apply")
+    return pot
+
+
 def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[float]:
     val = _block(cfg, section).get(key)
     if val is None:
@@ -225,6 +245,8 @@ def _n_steps(cfg: dict, default: int) -> int:
     n = _number(raw, "'params.n_steps'")
     if n < 0.0 or not n.is_integer():
         raise ConfigError(f"'params.n_steps' must be a non-negative whole number, got {raw!r}")
+    if n > N_STEPS_MAX:
+        raise ConfigError(f"'params.n_steps' must be at most {N_STEPS_MAX}, got {raw!r}")
     return int(raw)
 
 
@@ -378,7 +400,7 @@ def cmd_certify(cfg: dict, args) -> int:
 
 
 def cmd_gaussian_scan(cfg: dict, args) -> int:
-    pot = make_potential(cfg)
+    pot = _quadratic_target(cfg, "gaussian-scan")
     schemes = _schemes(cfg)
     overdamped = [s.value for s in schemes if s in OVERDAMPED_SCHEMES]
     if overdamped:
@@ -412,9 +434,7 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
 
 
 def cmd_glc_scan(cfg: dict, args) -> int:
-    pot = make_potential(cfg)
-    if isinstance(pot, PerturbedQuadratic):
-        raise ConfigError("glc-scan sweeps the quadratic diag(m, M); a perturbed_quadratic target does not apply")
+    pot = _quadratic_target(cfg, "glc-scan")
     schemes = _schemes(cfg)
     gammas = _grid(cfg, "scan", "gamma_grid", required=False) or list(glc.DEFAULT_GAMMA_GRID)
     hs = _grid(cfg, "params", "h", required=False) or [None]  # None: 80% of each threshold

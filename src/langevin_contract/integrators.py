@@ -60,7 +60,6 @@ class Scheme(str, enum.Enum):
 
 
 OVERDAMPED_SCHEMES = (Scheme.OVERDAMPED_EM, Scheme.LM)
-FIRST_ORDER_SPLITTINGS = (Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
 KINETIC_SCHEMES = tuple(s for s in Scheme if s not in OVERDAMPED_SCHEMES)
 
 #: operator word of each splitting: (piece, fraction of h), left to right

@@ -6,12 +6,22 @@ float rounding decides: symbolic mode matrices on sympy symbols, the
 stationary position law of a splitting's gamma = inf chain in closed form, and
 50-digit mpmath searches for the monotone stability threshold and for the root
 of the "eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
+
+The last section holds reference routines that only the tests call: the
+A/B/C coefficient form of a certificate block, the Gaussian 2-Wasserstein
+distance, the Wasserstein decay factor and the list of first-order
+splittings.
 """
 
+from dataclasses import dataclass
+
 import mpmath as mp
+import numpy as np
 import sympy as sp
 
-from langevin_contract.integrators import SPLITTING_WORDS, Scheme, _Mode, _step_core
+from langevin_contract.certificates import _affine_P, _h_blocks
+from langevin_contract.integrators import SPLITTING_WORDS, Scheme, StepParams, _Mode, _step_core
+from langevin_contract.norms import NormError
 
 #: working precision of the mp routines, in decimal digits
 DPS = 50
@@ -118,3 +128,77 @@ def mp_eta_root(gamma, s):
         r = gamma / mp.mpf(s)
         u = _bisect(lambda u: u + r * mp.expm1(-u) < 0, r - 1, r)
         return float(u / gamma)
+
+
+FIRST_ORDER_SPLITTINGS = (Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
+
+
+@dataclass(frozen=True)
+class AbcPolynomials:
+    """Entries of H as polynomials in lam (ascending coefficients, deg <= 2)."""
+
+    scheme: Scheme
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+
+def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) -> AbcPolynomials:
+    """Coefficient form of A, B, C for the certificate block of ``scheme``.
+
+    Derived from P(lam) = P0 + lam P1 (see the certificates module
+    docstring).  With the scheme's certified (a, b) the constant term of B
+    collapses to -b c, which is what makes the m-independent stepsize
+    thresholds work.
+    """
+    scheme = Scheme(scheme)
+    W = np.array([[1.0, b], [b, a]])
+    K0, H1, H2 = _h_blocks(*_affine_P(scheme, params), W)
+    H = np.stack([(1.0 - c) * W - K0, H1, H2])
+    return AbcPolynomials(scheme, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1])
+
+
+def wasserstein_decay_factor(C: float, a: float, c: float, n_steps: int) -> float:
+    """Squared-Wasserstein decay factor 3 C max(a, 1/a) (1 - c)^n.
+
+    Converts a per-step norm contraction (rate c, equivalence constant C)
+    into the worst-case multiplier on squared Wasserstein distance after
+    n steps.
+    """
+    if not 0.0 < c <= 1.0:
+        raise NormError(f"rate must satisfy 0 < c <= 1, got {c}")
+    if C < 1.0:
+        raise NormError(f"equivalence constant must be >= 1, got {C}")
+    if a <= 0.0:
+        raise NormError(f"a must be positive, got {a}")
+    if n_steps < 0:
+        raise NormError(f"n_steps must be non-negative, got {n_steps}")
+    return 3.0 * C * max(a, 1.0 / a) * (1.0 - c) ** n_steps
+
+
+# an eigenvalue below -_PSD_TOL * max(1, |largest|) is negative, not roundoff
+_PSD_TOL = 1e-10
+
+
+def _sqrtm_psd(S: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition."""
+    w, V = np.linalg.eigh(S)
+    if w.min() < -_PSD_TOL * max(1.0, abs(w).max()):
+        raise NormError(f"covariance is not positive semidefinite, min eig {w.min()}")
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
+    """2-Wasserstein distance between two Gaussians (Bures closed form).
+
+    W2^2 = |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}).
+    """
+    mu1 = np.atleast_1d(np.asarray(mean1, dtype=float))
+    mu2 = np.atleast_1d(np.asarray(mean2, dtype=float))
+    S1 = np.atleast_2d(np.asarray(cov1, dtype=float))
+    S2 = np.atleast_2d(np.asarray(cov2, dtype=float))
+    root2 = _sqrtm_psd(S2)
+    cross = _sqrtm_psd(root2 @ S1 @ root2)
+    sq = np.sum((mu1 - mu2) ** 2) + np.trace(S1) + np.trace(S2) - 2.0 * np.trace(cross)
+    # the exact value is >= 0; clamp roundoff
+    return float(np.sqrt(max(sq, 0.0)))

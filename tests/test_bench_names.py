@@ -4,7 +4,9 @@ The traced benchmark wraps library functions by name (bench/child.py::install),
 and its workloads write configs the CLI must accept (bench/workloads.py::plan).
 A refactor that drops or renames a wrapped name, changes a result type that a
 span note reads, or narrows what a config may hold, fails here rather than in
-a benchmark run.  bench/ is only read.
+a benchmark run.  So does a certificate search change that moves one byte of
+a certify-table1 output recorded in bench/references.json.  bench/ is only
+read.
 """
 
 import importlib.util
@@ -100,3 +102,22 @@ def test_every_bench_input_config_is_accepted(tmp_path, workload):
     for path in paths:
         jsonschema.validate(json.loads(Path(path).read_text()), schema)
         cli.load_config(path)
+
+
+CHECK = _bench_module("check")
+REFERENCES = json.loads((BENCH / "references.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "size, variant",
+    [("tiny", 0)] + [("full", v) for v in range(WORKLOADS.VARIANTS)],
+    ids=lambda x: str(x),
+)
+def test_certify_table1_output_is_byte_identical_to_its_reference(tmp_path, size, variant):
+    # the bench only counts identical outputs; here one moved byte of a
+    # stepsize or rate search fails the unit tests
+    (stage,) = WORKLOADS.plan("certify-table1", variant, tmp_path / "inputs", size=size)
+    out = tmp_path / "out"
+    assert cli.main(stage["argv"] + ["--out", str(out)]) == 0
+    want = REFERENCES[size]["certify-table1"][str(variant)][stage["name"]]["digests"]
+    assert [CHECK.digest(out / "certificates.json")] == want

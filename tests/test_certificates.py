@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from langevin_contract.certificates import (
     _verdict,
     bisect,
     bracket,
-    build_abc,
     check_certificate,
     composition_bound,
     max_certified_rate,
@@ -33,6 +34,7 @@ from langevin_contract.certificates import (
 )
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.integrators import Scheme, StepParams
+from oracles import build_abc
 
 
 def test_transition_matrix_identity_at_h_zero_limit():
@@ -159,11 +161,25 @@ def test_min_eig_H_grid_matches_einsum_reference(scheme):
                         np.testing.assert_allclose(got[k], ref, rtol=1e-10, atol=atol)
 
 
-def _reference_check_certificate(scheme, m, M, gamma, h, c=None):
-    # check_certificate in one piece, kept as the reference that the split
-    # into a c-free point and a c half must reproduce bit for bit: every call
-    # builds the rate, P0 and P1 (one block probe each), W, the grid and
-    # the einsum oracle afresh
+class _Grid(NamedTuple):
+    """Both polynomials of a check on the whole grid, and their guards."""
+
+    rate: object
+    c: float
+    P0: np.ndarray
+    P1: np.ndarray
+    W: np.ndarray
+    lams: np.ndarray
+    pa: np.ndarray
+    pq: np.ndarray
+    guard_a: float
+    guard_q: float
+
+
+def _reference_grid(scheme, m, M, gamma, h, c=None):
+    # the polynomial half of check_certificate in one piece, with
+    # numpy.polynomial: the rate, P0 and P1 (one block probe each), W, the
+    # grid, both polynomials on the whole grid and their guards, built afresh
     scheme = Scheme(scheme)
     if not (0.0 < m <= M):
         raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
@@ -191,14 +207,29 @@ def _reference_check_certificate(scheme, m, M, gamma, h, c=None):
         guard_q = derivative_bound(quartic, M) * dlam / 2.0
     else:
         guard_a = guard_q = 0.0
+    return _Grid(rate, c, P0, P1, W, lams, pa, pq, guard_a, guard_q)
+
+
+def _full_grid_passed(grid):
+    """The certificate's rule, read off both polynomials on the whole grid."""
+    return bool(grid.rate.b**2 < grid.rate.a and grid.pa.min() > grid.guard_a and grid.pq.min() > grid.guard_q)
+
+
+def _reference_check_certificate(scheme, m, M, gamma, h, c=None):
+    # check_certificate in one piece, kept as the reference that the split
+    # into a c-free point and a c half must reproduce bit for bit: every call
+    # builds the polynomial half (_reference_grid) and the einsum oracle afresh
+    grid = _reference_grid(scheme, m, M, gamma, h, c)
+    rate, c, P0, P1, W, lams, pa, pq = grid[:8]
+    a, b = rate.a, rate.b
     norm_valid = b * b < a
-    passed = bool(norm_valid and pa.min() > guard_a and pq.min() > guard_q)
+    passed = _full_grid_passed(grid)
     eigs = _einsum_min_eig_H_grid(P0, P1, lams, W, c)
     agrees = bool(np.array_equal((pa > 0.0) & (pq > 0.0), eigs > 0.0))
     margin_a, margin_q = pa / lams, pq / lams
     worst = int(np.argmin(np.minimum(margin_a, margin_q)))
     return CertificateReport(
-        scheme=scheme,
+        scheme=Scheme(scheme),
         m=m,
         M=M,
         gamma=gamma,
@@ -330,7 +361,7 @@ def test_search_probes_take_the_verdict_only(monkeypatch):
     assert np.array_equal(point.lams, np.linspace(m, M, GRID_POINTS))
     arrays = [x for x in point if isinstance(x, np.ndarray)]
     assert len(arrays) == 5  # W, P0, P1, lams and A's Horner tail
-    for x in (*point.k0, *sum(point.lam_terms, ())):
+    for x in (*point.k0, *sum(point.lam_terms, ()), point.tail_min, point.guard_a):
         assert type(x) is float
     with pytest.raises(ValueError, match="read-only"):  # the grid is shared by every point of (m, M)
         point.lams[0] = 0.0
@@ -353,7 +384,7 @@ def test_a_derivative_bound_beyond_the_float_range_raises():
 def _verdict_passed(scheme, m, M, gamma, h, c=None):
     """``check_certificate(...).passed`` from the verdict alone, as the searches take it."""
     point = _point(scheme, m, M, gamma, h)
-    return _verdict(point, m, M, point.c if c is None else c)[2]
+    return _verdict(point, m, M, point.c if c is None else c)[0]
 
 
 def _passed(check, *args, **kwargs):
@@ -372,6 +403,84 @@ def test_verdict_matches_check_certificate(scheme):
         for c in (None, 0.0, float(rng.uniform(0.0, 1.0))):
             want = _passed(lambda *args, c: check_certificate(*args, c=c).passed, *point, c=c)
             assert _passed(_verdict_passed, *point, c=c) == want, (point, c)
+
+
+@pytest.mark.parametrize("m, M", [(1.0, 4.0), (2.0, 2.0)], ids=["grid", "one_node"])
+def test_polyval_is_numpy_polyval_bit_for_bit(m, M):
+    # on the lam grid, the in-place Horner gives numpy's values and signs of
+    # zero: every pattern of 0.0, -0.0 and 1.5 up to degree 4, then draws
+    lams = certificates._lam_grid(m, M)
+    rng = np.random.default_rng(5)
+    patterns = [list(c) for n in range(1, 6) for c in itertools.product((0.0, -0.0, 1.5), repeat=n)]
+    draws = [[rng.choice([0.0, -0.0, rng.normal() * 10 ** rng.uniform(-8, 8)]) for _ in range(n)] for n in range(1, 6)]
+    for c in patterns + 50 * draws:
+        got, want = certificates._polyval(lams, [float(x) for x in c]), npoly.polyval(lams, c)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), c
+    # the patterns reach polyval's sign-of-zero rule: a Horner that started
+    # from c[-1] * x, without its + x * 0, would end on -0.0 for some
+    assert any(np.signbit(c[-2] + (c[-1] * lams) * lams).any() for c in patterns if len(c) == 2)
+
+
+@pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
+def test_verdict_is_the_full_grid_rule(scheme):
+    # deciding A from the point's tail minimum, and the quartic only where
+    # the norm and A pass, gives the rule on both full grids; the values
+    # the verdict hands on are the grid's, bit for bit
+    rng = np.random.default_rng(17)
+    seen = dict.fromkeys(("norm_invalid", "A_fails", "quartic_fails", "passes"), 0)
+    # gamma = 1 < sqrt(M): every certificate scheme's b is about 1/gamma, so b^2 >= a = 1/M
+    for scheme_, m, M, gamma, h in _reference_draws(scheme, rng) + [(scheme, 1.0, 4.0, 1.0, 0.01)]:
+        point = _point(scheme_, m, M, gamma, h)
+        cs = [point.c, 0.0, 0.5, 1.0, float(rng.uniform(0.0, 1.0)), float(10 ** rng.uniform(-8.0, -1.0))]
+        try:  # just past the largest rate, where a probe often fails on the quartic alone
+            cs.append(max_certified_rate(scheme_, m, M, gamma, h) + 2.0 * RATE_TOL)
+        except CertificateError:
+            pass
+        for c in cs:
+            grid = _reference_grid(scheme_, m, M, gamma, h, c)
+            passed, a0, quartic, pq = _verdict(point, m, M, c)
+            assert passed == _full_grid_passed(grid), (m, M, gamma, h, c)
+            assert np.array_equal(a0 + point.tail, grid.pa)
+            a_passes = point.norm_valid and grid.pa.min() > grid.guard_a
+            assert (pq is not None) == a_passes
+            if pq is not None:
+                assert np.array_equal(pq, grid.pq) and np.array_equal(certificates._polyval(grid.lams, quartic), pq)
+            key = "norm_invalid" if not point.norm_valid else "A_fails" if not a_passes else None
+            seen[key or ("passes" if passed else "quartic_fails")] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_rate_search_evaluates_only_what_decides_a_probe(monkeypatch):
+    # one point per rate search: A's tail, its minimum and its guard once;
+    # each probe the quartic's guard, and its grid only once A has passed
+    calls = {"tail": 0, "quartic": 0, "guard_a": 0, "guard_q": 0}
+    probes = []
+    polyval, guard, verdict = certificates._polyval, certificates._guard, certificates._verdict
+
+    def counted_polyval(x, c):
+        calls["tail" if len(c) == 2 else "quartic"] += 1
+        return polyval(x, c)
+
+    def counted_guard(lam_coeffs, m, M):
+        calls["guard_a" if len(lam_coeffs) == 2 else "guard_q"] += 1
+        return guard(lam_coeffs, m, M)
+
+    def recorded_verdict(point, m, M, c):
+        probes.append(c)
+        return verdict(point, m, M, c)
+
+    monkeypatch.setattr(certificates, "_polyval", counted_polyval)
+    monkeypatch.setattr(certificates, "_guard", counted_guard)
+    monkeypatch.setattr(certificates, "_verdict", recorded_verdict)
+    scheme, m, M, gamma = Scheme.BAO, 1.0, 4.0, 26.0
+    h = 0.8 * certified_stepsize_threshold(scheme, m, M, gamma)
+    max_certified_rate(scheme, m, M, gamma, h)
+    a_passes = [_reference_grid(scheme, m, M, gamma, h, c) for c in probes]
+    a_passes = [grid.pa.min() > grid.guard_a for grid in a_passes]
+    assert calls["tail"] == calls["guard_a"] == 1
+    assert calls["guard_q"] == len(probes) > math.log2(1.0 / RATE_TOL)
+    assert calls["quartic"] == sum(a_passes) and 0 < sum(a_passes) < len(probes)
 
 
 #: per scheme, the friction (a function of M) from which admissible draws

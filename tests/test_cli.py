@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from langevin_contract import cli
-from langevin_contract.cli import _write_csv, main
+from langevin_contract.cli import N_STEPS_MAX, _write_csv, main
 from langevin_contract.coupling import certified_rate, run_synchronous_coupling
 from langevin_contract.glc import rate_collapse_scan
 from langevin_contract.integrators import PhaseState, Scheme, StepParams
@@ -244,6 +244,9 @@ MALFORMED = {
     "top_level_array": lambda cfg: [cfg],
     "n_steps_1e400": _replace("params", n_steps=math.inf),
     "n_steps_fractional": _replace("params", n_steps=2.5),
+    # past the cap, a run would ask numpy for a (points, n_steps + 1) array
+    "n_steps_2_64_minus_1": _replace("params", n_steps=2**64 - 1),
+    "n_steps_cap_plus_1": _replace("params", n_steps=N_STEPS_MAX + 1),
     "seed_boolean": _replace("params", seeds=[True]),
     "seed_2_64": _replace("params", seeds=[2**64]),  # beyond the uint64 Philox key
     "seeds_scalar": _replace("params", seeds=3),  # a list, even of one seed
@@ -292,6 +295,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
     path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     assert main(["couple", "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["couple", "glc-scan"])
+def test_n_steps_cap_is_the_schemas_maximum(tmp_path, capsys, command):
+    # one cap, named in the message; no config at the cap is run, since it would allocate
+    n_steps = load_schema("config.schema.json")["properties"]["params"]["properties"]["n_steps"]
+    assert n_steps["maximum"] == N_STEPS_MAX
+    cfg = couple_config(tmp_path / "out", n_steps=N_STEPS_MAX + 1)
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert f"'params.n_steps' must be at most {N_STEPS_MAX}, got {N_STEPS_MAX + 1}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -605,6 +619,16 @@ def test_certify_table1_below_the_friction_floor(tmp_path):
             {"potential": {"name": "perturbed_quadratic", "m": 1.0, "M": 1.0, "eps": 0.5}, "params": {"h": 0.1}},
             "glc-scan sweeps the quadratic diag(m, M)",
         ),
+        # it would report the modes of diag(m - eps, M + eps), which belong to no mode of the target
+        (
+            "gaussian-scan",
+            {
+                "potential": {"name": "perturbed_quadratic", "m": 1.0, "M": 1.0, "eps": 0.5},
+                "params": {"gamma": [10.0]},
+                "scan": {"h_grid": [0.1]},
+            },
+            "gaussian-scan sweeps the quadratic diag(m, M)",
+        ),
         # a key the schema does not list is named together with the known ones
         ("certify", {"certify": {"mdoe": "table1"}}, "unknown key 'mdoe' in 'certify'; known keys: mode"),
         (
@@ -618,6 +642,7 @@ def test_certify_table1_below_the_friction_floor(tmp_path):
         "certify_unknown_mode",
         "gaussian_scan_lm",
         "glc_scan_perturbed",
+        "gaussian_scan_perturbed",
         "certify_key_unknown",
         "section_unknown",
     ],

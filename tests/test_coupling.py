@@ -21,7 +21,6 @@ from langevin_contract.coupling import (
     verify_trace_bound,
 )
 from langevin_contract.integrators import (
-    FIRST_ORDER_SPLITTINGS,
     PhaseState,
     Scheme,
     StepParams,
@@ -31,7 +30,7 @@ from langevin_contract.integrators import (
 )
 from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import PerturbedQuadratic, Potential, QuadraticPotential
-from oracles import mp_eta_root
+from oracles import FIRST_ORDER_SPLITTINGS, mp_eta_root
 
 ANISO = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
 Z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))

@@ -9,7 +9,6 @@ from langevin_contract.certificates import step_matrix, transition_matrix_P
 from langevin_contract.coupling import CounterStreams
 from langevin_contract.integrators import (
     _CHAIN_BLOCK,
-    FIRST_ORDER_SPLITTINGS,
     KINETIC_SCHEMES,
     SPLITTING_WORDS,
     IntegratorError,
@@ -23,7 +22,7 @@ from langevin_contract.integrators import (
     step,
 )
 from langevin_contract.potentials import Potential, QuadraticPotential
-from oracles import symbolic_word_P
+from oracles import FIRST_ORDER_SPLITTINGS, symbolic_word_P
 
 
 class ZeroForce(Potential):

@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from langevin_contract.coupling import certified_rate
 from langevin_contract.integrators import Scheme
-from langevin_contract.norms import (
-    NormError,
-    WeightedNorm,
-    gaussian_w2,
-    wasserstein_decay_factor,
-)
+from langevin_contract.norms import NormError, WeightedNorm
+from oracles import gaussian_w2, wasserstein_decay_factor
 
 
 def test_squared_example():
