@@ -114,9 +114,13 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
         return _mode_map(scheme, lam, params)[0]
     h, eta = params.h, params.eta
     if scheme is Scheme.BAOAB:
+        try:
+            h3 = h**3
+        except OverflowError:
+            raise CertificateError(f"baoab's certificate block leaves the float range at h={h}") from None
         return np.array(
             [
-                [1.0 - h * h * lam / 2.0, h - h**3 * lam / 4.0],
+                [1.0 - h * h * lam / 2.0, h - h3 * lam / 4.0],
                 [-h * eta * lam, eta - h * h * eta * lam / 2.0],
             ]
         )

@@ -7,8 +7,9 @@ Subcommands (all take a JSON config, see README for the format):
     langevin-contract gaussian-scan --config cfg.json [--out DIR]
     langevin-contract glc-scan     --config cfg.json [--out DIR]
 
-Exit codes: 0 success, 2 config error (a key that config.schema.json does
-not list among its properties is one), 3 inadmissible parameters or
+Exit codes: 0 success, 2 config error (a file that fails config.schema.json,
+or a rule the schema cannot state, such as m <= M, a command's required keys
+or a step constant that (h, gamma) breaks), 3 inadmissible parameters or
 numerical divergence without --force.  Outputs are deterministic functions
 of (config, seeds): every CSV is one :func:`_write_csv` call, whose ``%``
 row template prints floats with 17 significant digits; files are written
@@ -33,7 +34,6 @@ from . import certificates, gaussian, glc
 from .coupling import (
     CouplingError,
     CouplingPoint,
-    CounterStreams,
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
@@ -43,12 +43,7 @@ from .coupling import (
     verify_trace_bound,
 )
 from .integrators import OVERDAMPED_SCHEMES, IntegratorError, PhaseState, Scheme, StepParams
-from .potentials import PerturbedQuadratic, Potential, QuadraticPotential
-
-
-#: the largest ``params.n_steps``: a run keeps n_steps + 1 float64 distances
-#: per grid point, 80 MB at the cap (config.schema.json states it as ``maximum``)
-N_STEPS_MAX = 10**7
+from .potentials import PerturbedQuadratic, Potential, PotentialError, QuadraticPotential
 
 
 class ConfigError(ValueError):
@@ -83,127 +78,142 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+#: each schema ``type``: its noun in a message and the Python types JSON parses it to
+_TYPES = {
+    "object": ("an object", (dict,)), "array": ("an array", (list,)), "string": ("a string", (str,)),
+    "number": ("a finite number", (int, float)), "integer": ("a finite whole number", (int, float)),
+}
+
+
 @functools.cache
-def _schema_sections() -> dict:
-    """The packaged schema's properties: the one list of keys the program reads.
-    Parsed once per process; every caller gets the same dict and only reads it."""
-    with open(Path(__file__).parent / "schemas" / "config.schema.json") as fh:
-        return json.load(fh)["properties"]
+def _schema() -> dict:
+    """config.schema.json, the one statement of a valid config.  Parsed once per
+    process; every caller gets the same dict and only reads it."""
+    return json.loads((Path(__file__).parent / "schemas" / "config.schema.json").read_text())
 
 
 def load_config(path: str) -> dict:
+    """The config at ``path``, once it satisfies config.schema.json (:func:`_check`)."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: the top level must be a JSON object")
-    sections = _schema_sections()
-    _known_keys(cfg, sections, "the config")
-    for name, spec in sections.items():
-        if "properties" in spec and isinstance(cfg.get(name), dict):
-            _known_keys(cfg[name], spec["properties"], f"'{name}'")
+    except (ValueError, RecursionError) as e:  # not UTF-8, an integer beyond Python's digit limit, or too deep
+        raise ConfigError(f"{path}: {e}")
+    _check(cfg, _schema())
     return cfg
 
 
-def _known_keys(block: dict, known: dict, where: str) -> None:
-    for key in block:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where}; known keys: {', '.join(known)}")
-
-
-def _block(cfg: dict, section: str) -> dict:
-    block = cfg.get(section, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{section}' must be a mapping")
-    return block
-
-
-def _number(x, what: str) -> float:
-    """``x`` as a finite float; JSON strings, booleans and 1e400 are config errors."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {x!r}")
+def _finite(xs: list, whole: bool = False) -> bool:
+    """Whether every entry of ``xs`` is a finite number, and a whole one if ``whole``.  A sum with
+    an inf or nan term is not finite; one that overflows reads False, and the caller checks each entry."""
     try:
-        val = float(x)
+        return set(map(type, xs)) <= {int, float} and math.isfinite(sum(xs)) and (
+            not whole or all(float(x).is_integer() for x in xs)
+        )
     except OverflowError:  # an integer literal beyond the float range
-        val = math.inf
-    if not math.isfinite(val):
-        raise ConfigError(f"{what} must be finite, got {x!r}")
-    return val
+        return False
 
 
-def _numbers(raw, what: str) -> None:
-    """Hold every entry of ``raw``, a number or nested lists of them, to :func:`_number`'s rule."""
-    for x in raw if isinstance(raw, list) else [raw]:
-        if isinstance(x, list):
-            _numbers(x, what)
-            continue
-        try:
-            _number(x, "entry")
-        except ConfigError as e:
-            raise ConfigError(f"{what} must be an array of numbers: {e}") from None
+def _resolve(schema: dict) -> dict:
+    """``schema``, or the subschema of config.schema.json that its ``$ref`` points to."""
+    ref = schema.get("$ref")
+    return schema if ref is None else functools.reduce(dict.__getitem__, ref[2:].split("/"), _schema())
 
 
-def _distinct(vals: list, what: str) -> list:
-    """``vals``, once no entry repeats: a repeated grid entry would run its points twice."""
-    seen = set()
-    for x in vals:
-        if x in seen:
-            raise ConfigError(f"{what} repeats the entry {x!r}")
-        seen.add(x)
-    return vals
+def _got(x) -> str:
+    """``x`` in a message: an array or object by its size, never its repr."""
+    return f"{'an array' if type(x) is list else 'an object'} of {len(x)} entries" if type(x) in (list, dict) else repr(x)
 
 
-def _schemes(cfg: dict) -> list[Scheme]:
-    names = cfg.get("schemes")
-    if not names or not isinstance(names, list):
-        raise ConfigError("config needs a non-empty 'schemes' list")
+def _error(value, schema: dict, where: str) -> str | None:
+    """The message of the error :func:`_check` raises on ``value``, or None if it passes.
+    Only the text is kept: the error's traceback would hold the caller's frame in a cycle."""
     try:
-        schemes = [Scheme(name) for name in names]
-    except ValueError as e:
-        known = ", ".join(s.value for s in Scheme)
-        raise ConfigError(f"{e}; known schemes: {known}")
-    _distinct([s.value for s in schemes], "'schemes'")
-    return schemes
+        _check(value, schema, where)
+    except ConfigError as e:
+        return str(e)
+
+
+def _check(value, schema: dict, where: str = "") -> None:
+    """Raise ConfigError unless ``value`` satisfies ``schema``, a subschema of config.schema.json.
+
+    Reads the keywords the schema uses as Draft 2020-12 does, except that a ``number``
+    is finite and an ``integer`` is a finite number with no fractional part; a bool is
+    neither.  ``where`` is the JSON path of ``value``, '' for the whole config; each
+    message names it, the rule and the offending entry.
+    """
+    schema = _resolve(schema)
+    name = f"'{where}'" if where else "the config"
+    kind = schema.get("type")
+    if kind is not None:
+        noun, classes = _TYPES[kind]
+        if type(value) not in classes or int in classes and not _finite([value], whole=kind == "integer"):
+            raise ConfigError(f"{name} must be {noun}, got {_got(value)}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{name} must be one of {', '.join(map(repr, schema['enum']))}, got {_got(value)}")
+    if "const" in schema and value != schema["const"]:
+        raise ConfigError(f"{name} must be {schema['const']!r}, got {_got(value)}")
+    if type(value) in (int, float):
+        if value < schema.get("minimum", value):
+            raise ConfigError(f"{name} must be at least {schema['minimum']}, got {value!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise ConfigError(f"{name} must be greater than {schema['exclusiveMinimum']}, got {value!r}")
+        if value > schema.get("maximum", value):
+            raise ConfigError(f"{name} must be at most {schema['maximum']}, got {value!r}")
+    if type(value) is dict:
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{name} needs the key {key!r}")
+        known = schema.get("properties", {})
+        for key, item in value.items():
+            if key in known:
+                _check(item, known[key], f"{where}.{key}" if where else key)
+            elif schema.get("additionalProperties") is False:
+                raise ConfigError(f"unknown key {key!r} in {name}; known keys: {', '.join(known)}")
+        dependent = [(key, {"required": keys}) for key, keys in schema.get("dependentRequired", {}).items()]
+        for key, sub in dependent + list(schema.get("dependentSchemas", {}).items()):
+            if key in value and (e := _error(value, sub, where)):
+                raise ConfigError(f"{name} holds {key!r}, so {e}")
+    if type(value) is list:
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{name} must hold {schema['minItems']} or more entries, got {len(value)}")
+        items = schema.get("items")
+        if items is not None and not (items == {"type": "number"} and _finite(value)):
+            for i, x in enumerate(value):
+                _check(x, items, f"{where}[{i}]")
+        if schema.get("uniqueItems"):
+            seen = set()
+            for x in value:  # hashable: every array the schema holds unique has scalar items
+                if x in seen:
+                    raise ConfigError(f"{name} repeats the entry {x!r}")
+                seen.add(x)
+    if "anyOf" in schema and all(errors := [_error(value, alt, where) for alt in schema["anyOf"]]):
+        # the message of each alternative of the value's type, so a bad entry of an array is named
+        kinds = [_resolve(alt).get("type") for alt in schema["anyOf"]]
+        fitting = [e for k, e in zip(kinds, errors) if k is None or type(value) in _TYPES[k][1]]
+        raise ConfigError(" or ".join(fitting or errors))
+    if "not" in schema and not _error(value, schema["not"], where):  # the schema negates only key sets
+        named = {key for sub in (schema["not"], *schema["not"].get("anyOf", ())) for key in sub.get("required", ())}
+        raise ConfigError(f"{name} must not hold {', '.join(repr(key) for key in value if key in named)}")
 
 
 def make_potential(cfg: dict) -> Potential:
-    """The target of the config's ``potential`` mapping: ``quadratic`` with exactly one of
-    ``matrix`` | ``diag`` | ``m`` and ``M`` (the 2-d anisotropic Gaussian), or
-    ``perturbed_quadratic`` with the same keys plus ``eps``.  Every number is checked before
-    the name and the keys."""
-    spec = cfg.get("potential")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs a 'potential' mapping")
+    """The target of the config's ``potential`` mapping, whose keys :func:`load_config` has
+    checked: ``quadratic`` with one of ``matrix`` | ``diag`` | ``m`` and ``M`` (the 2-d
+    anisotropic Gaussian), or ``perturbed_quadratic`` with the same keys plus ``eps``."""
+    spec = cfg["potential"]
     try:
-        num = {key: _number(spec[key], f"'{key}'") for key in ("m", "M", "eps") if key in spec}
-        for key in ("diag", "matrix"):
-            if key in spec:
-                _numbers(spec[key], f"'{key}'")
-        kind = spec.get("name")
-        if kind not in ("quadratic", "perturbed_quadratic"):
-            raise ConfigError(f"unknown potential name: {kind!r}")
-        given = [key for key in ("matrix", "diag", "m", "M") if key in spec]
-        if len({"m" if key == "M" else key for key in given}) > 1:
-            keys = ", ".join(map(repr, given))
-            raise ConfigError(f"give one of 'matrix', 'diag', or 'm' and 'M', got {keys}")
-        if kind == "quadratic" and "eps" in spec:
-            raise ConfigError("'eps' applies only to 'perturbed_quadratic'")
         if "matrix" in spec:
             base = QuadraticPotential(spec["matrix"])
         elif "diag" in spec:
             base = QuadraticPotential.diagonal(spec["diag"])
-        elif "m" in num and "M" in num:
-            base = QuadraticPotential.anisotropic_gaussian(num["m"], num["M"])
         else:
-            raise ConfigError("potential spec needs 'matrix', 'diag', or 'm' and 'M'")
-        if kind == "quadratic":
-            return base
-        return PerturbedQuadratic(base, num.get("eps", 0.0))
-    except (TypeError, ValueError) as e:  # ConfigError and PotentialError are ValueErrors
+            base = QuadraticPotential.anisotropic_gaussian(float(spec["m"]), float(spec["M"]))
+        return base if spec["name"] == "quadratic" else PerturbedQuadratic(base, float(spec.get("eps", 0.0)))
+    except PotentialError as e:
         raise ConfigError(f"potential: {e}")
 
 
@@ -216,58 +226,26 @@ def _quadratic_target(cfg: dict, command: str) -> Potential:
 
 
 def _grid(cfg: dict, section: str, key: str, required: bool = True) -> list[float]:
-    val = _block(cfg, section).get(key)
+    val = cfg.get(section, {}).get(key, None if required else [])
     if val is None:
-        if required:
-            raise ConfigError(f"config needs '{section}.{key}'")
-        return []
-    vals = val if isinstance(val, list) else [val]
-    if not vals:
-        raise ConfigError(f"'{section}.{key}' must be non-empty")
-    for x in vals:
-        if _number(x, f"'{section}.{key}' entry") <= 0.0:
-            raise ConfigError(f"'{section}.{key}' entry must be positive, got {x!r}")
-    return _distinct([float(x) for x in vals], f"'{section}.{key}'")
-
-
-def _seeds(cfg: dict) -> list[int]:
-    seeds = _block(cfg, "params").get("seeds", [0])
-    if not isinstance(seeds, list):
-        raise ConfigError(f"'params.seeds' must be a list, got {seeds!r}")
-    try:  # CounterStreams holds the rule for a seed: an integer that keys Philox
-        return _distinct([CounterStreams(s).seed for s in seeds], "'params.seeds'")
-    except CouplingError as e:
-        raise ConfigError(f"'params.seeds': {e}")
-
-
-def _n_steps(cfg: dict, default: int) -> int:
-    raw = _block(cfg, "params").get("n_steps", default)
-    n = _number(raw, "'params.n_steps'")
-    if n < 0.0 or not n.is_integer():
-        raise ConfigError(f"'params.n_steps' must be a non-negative whole number, got {raw!r}")
-    if n > N_STEPS_MAX:
-        raise ConfigError(f"'params.n_steps' must be at most {N_STEPS_MAX}, got {raw!r}")
-    return int(raw)
+        raise ConfigError(f"config needs '{section}.{key}'")
+    return [float(x) for x in (val if isinstance(val, list) else [val])]
 
 
 def _out_dir(cfg: dict, args) -> Path:
     """The output directory; :func:`_atomic_write` creates it with its first file,
     so a run that fails before it writes leaves nothing behind."""
-    out_dir = _block(cfg, "output").get("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"'output.dir' must be a string, got {out_dir!r}")
-    return Path(args.out or out_dir)
+    return Path(args.out or cfg.get("output", {}).get("dir", "out"))
 
 
-def _phase_state(block, key: str, dim: int) -> PhaseState:
-    raw = block.get(key)
+def _phase_state(cfg: dict, key: str, dim: int) -> PhaseState:
+    raw = cfg.get("coupling", {}).get(key)
     if raw is None:
         raise ConfigError(f"config needs 'coupling.{key}'")
-    _numbers(raw, f"'coupling.{key}'")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'coupling.{key}' must be numeric [x, v] arrays")
+    except ValueError:  # ragged: rows of different lengths
+        raise ConfigError(f"'coupling.{key}' must be [x, v] arrays of one length")
     if arr.shape == (dim,):
         arr = np.stack([arr, np.zeros(dim)])
     if arr.shape != (2, dim):
@@ -277,14 +255,13 @@ def _phase_state(block, key: str, dim: int) -> PhaseState:
 
 def cmd_couple(cfg: dict, args) -> int:
     pot = make_potential(cfg)
-    schemes = _schemes(cfg)
+    schemes = [Scheme(name) for name in cfg["schemes"]]
     hs = _grid(cfg, "params", "h")
     gammas = _grid(cfg, "params", "gamma")
-    seeds = _seeds(cfg)
-    n_steps = _n_steps(cfg, 1000)
-    coupling_block = _block(cfg, "coupling")
-    z0 = _phase_state(coupling_block, "z0", pot.dim)
-    z1 = _phase_state(coupling_block, "z0_tilde", pot.dim)
+    seeds = [int(seed) for seed in cfg.get("params", {}).get("seeds", [0])]
+    n_steps = int(cfg.get("params", {}).get("n_steps", 1000))
+    z0 = _phase_state(cfg, "z0", pot.dim)
+    z1 = _phase_state(cfg, "z0_tilde", pot.dim)
     out = _out_dir(cfg, args)
 
     # the whole grid, every scheme, is one coupled run; points in (scheme, h, gamma, seed) order
@@ -350,7 +327,7 @@ def cmd_couple(cfg: dict, args) -> int:
 
 def cmd_certify(cfg: dict, args) -> int:
     pot = make_potential(cfg)
-    schemes = _schemes(cfg)
+    schemes = [Scheme(name) for name in cfg["schemes"]]
     bad = [s.value for s in schemes if s not in certificates.CERTIFICATE_SCHEMES]
     if bad:
         ok = ", ".join(s.value for s in certificates.CERTIFICATE_SCHEMES)
@@ -359,9 +336,7 @@ def cmd_certify(cfg: dict, args) -> int:
             f"bao/oab (certified_rate); certifiable schemes: {ok}"
         )
     gammas = _grid(cfg, "params", "gamma")
-    mode = _block(cfg, "certify").get("mode", "check")
-    if mode not in ("check", "table1"):
-        raise ConfigError(f"'certify.mode' must be 'check' or 'table1', got {mode!r}")
+    mode = cfg.get("certify", {}).get("mode", "check")
     hs = _grid(cfg, "params", "h") if mode == "check" else []
     out = _out_dir(cfg, args)
 
@@ -401,7 +376,7 @@ def cmd_certify(cfg: dict, args) -> int:
 
 def cmd_gaussian_scan(cfg: dict, args) -> int:
     pot = _quadratic_target(cfg, "gaussian-scan")
-    schemes = _schemes(cfg)
+    schemes = [Scheme(name) for name in cfg["schemes"]]
     overdamped = [s.value for s in schemes if s in OVERDAMPED_SCHEMES]
     if overdamped:
         raise ConfigError(
@@ -435,11 +410,11 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
 
 def cmd_glc_scan(cfg: dict, args) -> int:
     pot = _quadratic_target(cfg, "glc-scan")
-    schemes = _schemes(cfg)
+    schemes = [Scheme(name) for name in cfg["schemes"]]
     gammas = _grid(cfg, "scan", "gamma_grid", required=False) or list(glc.DEFAULT_GAMMA_GRID)
     hs = _grid(cfg, "params", "h", required=False) or [None]  # None: 80% of each threshold
-    n_steps = _n_steps(cfg, 2000)
-    seeds = _seeds(cfg)
+    n_steps = int(cfg.get("params", {}).get("n_steps", 2000))
+    seeds = [int(seed) for seed in cfg.get("params", {}).get("seeds", [0])]
     out = _out_dir(cfg, args)
 
     # each (scheme, h) sweep, every (seed, gamma) point, is one batch

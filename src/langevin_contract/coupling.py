@@ -31,10 +31,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrators import (
+    IntegratorError,
     PhaseState,
     Scheme,
     StepParams,
     _coefficients,
+    _square,
     _step_core,
     noise_requirements,
 )
@@ -196,7 +198,7 @@ _RECORDS = {
     Scheme.LM: _OVERDAMPED,
     Scheme.KINETIC_EM: _Record(
         lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (2.0 * g)),
-        (_Hypothesis("floor", "gamma^2 >= 4M", lambda M, g: (g**2, 4 * M)), _1_OVER_2_GAMMA),
+        (_Hypothesis("floor", "gamma^2 >= 4M", lambda M, g: (_square(g), 4 * M)), _1_OVER_2_GAMMA),
     ),
     Scheme.SES: _Record(
         lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (4.0 * g)),
@@ -229,7 +231,10 @@ def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -
         raise CouplingError(f"need h > 0, got h={h}")
     eta = math.exp(-gamma * h)
     one_minus_eta = -math.expm1(-gamma * h)  # cancellation-free 1 - eta
-    a, b, c = record.abc(m, M, gamma, h, eta, one_minus_eta)
+    try:
+        a, b, c = record.abc(m, M, gamma, h, eta, one_minus_eta)
+    except ZeroDivisionError:  # bao's and oab's records divide by 1 - eta, which gamma h can round to 0
+        raise IntegratorError(f"{scheme.value}: 1 - exp(-gamma h) is 0 at h={h}, gamma={gamma}") from None
     checks = [hyp.check(M, gamma, h, one_minus_eta) for hyp in record.hypotheses]
     checks.append(_fmt(f"0 < c <= 1: c={c}", 0.0 < c <= 1.0))
     checks.append(_fmt(f"b^2 < a: b={b}, a={a}", b * b < a))

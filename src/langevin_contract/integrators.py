@@ -129,6 +129,14 @@ def noise_requirements(scheme: Scheme) -> int:
     return 2 if scheme is Scheme.SES else 1
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where it leaves the float range."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _ses_g(u: float) -> float:
     """u - 2(1 - e^-u) + (1 - e^-2u)/2, series-protected for small u."""
     if u < 1e-2:
@@ -146,14 +154,16 @@ def ses_covariance(params: StepParams) -> tuple[float, float, float]:
         var(omega) = 1 - eta^2
         cov        = (1 - eta)^2 / gamma
 
-    with eta = exp(-gamma h).  An infinite gamma raises IntegratorError: the
-    formulas give 0/0 there (SES's limit constants are in :func:`_coefficients`).
+    with eta = exp(-gamma h).  A gamma whose square is 0 or beyond the float
+    range raises IntegratorError; at an infinite gamma the formulas give 0/0
+    (SES's limit constants are in :func:`_coefficients`).
     """
     g, h = params.gamma, params.h
-    if not math.isfinite(g):
-        raise IntegratorError(f"SES noise covariance needs a finite gamma, got {g}")
+    g2 = _square(g)
+    if not 0.0 < g2 < math.inf:
+        raise IntegratorError(f"SES noise covariance needs gamma^2 in the float range, got gamma={g}")
     u = g * h
-    var_pos = 2.0 * _ses_g(u) / g**2
+    var_pos = 2.0 * _ses_g(u) / g2
     var_vel = -math.expm1(-2.0 * u)
     cov = math.expm1(-u) ** 2 / g
     return var_pos, var_vel, cov
@@ -221,10 +231,11 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
     elif scheme is Scheme.SES and math.isinf(g):  # the formulas below give 0/0; these are their limits
         coefs = 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
     elif scheme is Scheme.SES:
+        # the noise pair's lower-triangular Cholesky factor, position component first;
+        # ses_covariance also checks that gamma^2 is in the float range
+        var_pos, var_vel, cov = ses_covariance(params)
         alpha = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
         beta = (g * h + math.expm1(-g * h)) / g**2  # (gamma h + eta - 1)/gamma^2
-        # the noise pair's lower-triangular Cholesky factor, position component first
-        var_pos, var_vel, cov = ses_covariance(params)
         # var_pos ~ 2 (gamma h)^3 / (3 gamma^2) underflows to 0.0 at tiny gamma h: test before dividing
         schur = var_vel - cov * cov / var_pos if var_pos > 0.0 else 0.0
         if schur <= 0.0:

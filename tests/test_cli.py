@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from langevin_contract import cli
-from langevin_contract.cli import N_STEPS_MAX, _write_csv, main
+from langevin_contract.cli import _write_csv, main
 from langevin_contract.coupling import certified_rate, run_synchronous_coupling
 from langevin_contract.glc import rate_collapse_scan
 from langevin_contract.integrators import PhaseState, Scheme, StepParams
@@ -36,6 +36,10 @@ def couple_config(out_dir, n_steps=50, gammas=(4.0,), schemes=("kinetic_em",), h
 def load_schema(name):
     with resources.files("langevin_contract.schemas").joinpath(name).open() as fh:
         return json.load(fh)
+
+
+#: the one cap on params.n_steps: a run keeps n_steps + 1 float64 distances per grid point
+N_STEPS_MAX = load_schema("config.schema.json")["properties"]["params"]["properties"]["n_steps"]["maximum"]
 
 
 def test_couple_smoke_and_schema(tmp_path):
@@ -116,7 +120,9 @@ def test_largest_seed_runs_and_the_next_exits_2(tmp_path, capsys, command):
         cfg["params"]["seeds"] = [seed]
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path)]) == code
-    assert "config error: 'params.seeds': seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert "config error: 'params.seeds[0]' must be at most 18446744073709551615, got 18446744073709551616" in (
+        capsys.readouterr().err
+    )
 
 
 def _render(header, rows) -> bytes:
@@ -219,6 +225,10 @@ def test_config_errors_exit_2(tmp_path):
     bad.write_text("{ not json")
     assert main(["couple", "--config", str(bad)]) == 2
     assert main(["couple", "--config", str(tmp_path / "missing.json")]) == 2
+    # text that is not UTF-8, an integer past Python's 4300-digit limit, and nesting past the recursion limit
+    for text in (b"\xff{", b'{"schemes": ' + b"1" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(text)
+        assert main(["couple", "--config", str(bad)]) == 2
     cfg = write_config(tmp_path / "cfg.json", {"potential": {"name": "quadratic", "m": 1, "M": 4}})
     assert main(["couple", "--config", cfg]) == 2  # no schemes
     cfg2 = write_config(
@@ -301,8 +311,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
 @pytest.mark.parametrize("command", ["couple", "glc-scan"])
 def test_n_steps_cap_is_the_schemas_maximum(tmp_path, capsys, command):
     # one cap, named in the message; no config at the cap is run, since it would allocate
-    n_steps = load_schema("config.schema.json")["properties"]["params"]["properties"]["n_steps"]
-    assert n_steps["maximum"] == N_STEPS_MAX
+    assert N_STEPS_MAX == 10**7  # 80 MB of distances per grid point
     cfg = couple_config(tmp_path / "out", n_steps=N_STEPS_MAX + 1)
     assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert f"'params.n_steps' must be at most {N_STEPS_MAX}, got {N_STEPS_MAX + 1}" in capsys.readouterr().err
@@ -326,7 +335,7 @@ def test_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     cfg = couple_config(tmp_path / "out")
     cfg["params"]["h"] = [10**400]
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
-    assert "config error: 'params.h' entry must be finite, got 1000" in capsys.readouterr().err
+    assert "config error: 'params.h[0]' must be a finite number, got 1000" in capsys.readouterr().err
 
 
 #: bao at an M whose certificate guard overflows the float range
@@ -379,6 +388,34 @@ def test_a_repeated_grid_entry_is_named(tmp_path, capsys):
     cfg["params"]["h"] = [0.1, 0.2, 0.1]
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert "config error: 'params.h' repeats the entry 0.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, scheme, grid, code",
+    [
+        # 1 - exp(-gamma h) rounds to 0: bao's and oab's records divide by it, and SES by gamma^2
+        ("couple", "bao", {"params": {"h": [0.05], "gamma": [5e-324]}}, 2),
+        ("couple", "oab", {"params": {"h": [0.05], "gamma": [5e-324]}}, 2),
+        ("couple", "baoab", {"params": {"h": [0.05], "gamma": [5e-324]}}, 2),
+        ("couple", "ses", {"params": {"h": [0.05], "gamma": [5e-324]}}, 2),
+        # gamma^2 beyond the float range: kinetic_em's friction floor holds, SES's constants overflow
+        ("couple", "kinetic_em", {"params": {"h": [1e-160], "gamma": [1e160]}}, 0),
+        ("glc-scan", "kinetic_em", {"scan": {"gamma_grid": [1e160]}}, 0),
+        ("couple", "ses", {"params": {"h": [1e-300], "gamma": [1e300]}}, 2),
+        ("gaussian-scan", "ses", {"params": {"gamma": [1e300]}, "scan": {"h_grid": [0.1]}}, 2),
+        # h^3 beyond the float range in baoab's certificate block
+        ("certify", "baoab", {"params": {"h": [1e154], "gamma": [5.0]}}, 2),
+        ("gaussian-scan", "baoab", {"params": {"gamma": [5.0]}, "scan": {"h_grid": [1e154]}}, 2),
+    ],
+)
+def test_a_constant_beyond_the_float_range_is_no_traceback(tmp_path, capsys, command, scheme, grid, code):
+    cfg = couple_config(tmp_path / "out", n_steps=5, schemes=(scheme,))
+    cfg["params"] = {"n_steps": 5}
+    for section, fields in grid.items():
+        cfg[section] = {**cfg.get(section, {}), **fields}
+    force = ["--force"] if command == "couple" else []
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg), *force]) == code
+    assert ("config error:" in capsys.readouterr().err) == (code == 2)
 
 
 def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):
@@ -474,26 +511,35 @@ def test_glc_scan_and_couple_force_agree_where_the_norm_degenerates(tmp_path):
         assert row.c_empirical == run["c_empirical"] == pytest.approx(want, abs=1e-4)
 
 
-# malformed potential specs: each exits 2 with a message naming the problem
+# malformed potential specs: each exits 2 with a message naming the key or entry and the problem
 MALFORMED_POTENTIALS = {
-    "diag_2d": ({"diag": [[1.0, 2.0]]}, "1-d array"),
-    "diag_nan": ({"diag": [1.0, math.nan]}, "finite"),
-    "diag_inf": ({"diag": [1.0, math.inf]}, "finite"),
-    "diag_empty": ({"diag": []}, "non-empty"),
-    "diag_not_numeric": ({"diag": ["x", 1.0]}, "array of numbers"),
-    "matrix_1d": ({"matrix": [1.0, 2.0]}, "2-d array"),
-    "matrix_not_square": ({"matrix": [[1.0, 0.0]]}, "square"),
-    "matrix_ragged": ({"matrix": [[1.0, 0.0], [0.0]]}, "array of numbers"),
-    "matrix_nan": ({"matrix": [[1.0, math.nan], [math.nan, 1.0]]}, "finite"),
-    "m_above_M": ({"m": 4.0, "M": 1.0}, "m=4.0, M=1.0"),
+    "diag_2d": ({"diag": [[1.0, 2.0]]}, "'potential.diag[0]' must be a finite number, got an array of 2 entries"),
+    "diag_nan": ({"diag": [1.0, math.nan]}, "'potential.diag[1]' must be a finite number, got nan"),
+    "diag_inf": ({"diag": [1.0, math.inf]}, "'potential.diag[1]' must be a finite number, got inf"),
+    "diag_empty": ({"diag": []}, "'potential.diag' must hold 1 or more entries, got 0"),
+    "diag_not_numeric": ({"diag": ["x", 1.0]}, "'potential.diag[0]' must be a finite number, got 'x'"),
+    "matrix_1d": ({"matrix": [1.0, 2.0]}, "'potential.matrix[0]' must be an array, got 1.0"),
+    "matrix_not_square": ({"matrix": [[1.0, 0.0]]}, "potential: matrix must be square"),
+    "matrix_ragged": ({"matrix": [[1.0, 0.0], [0.0]]}, "potential: matrix must be an array of numbers"),
+    "matrix_nan": ({"matrix": [[1.0, math.nan], [math.nan, 1.0]]}, "'potential.matrix[0][1]' must be a finite number"),
+    "m_above_M": ({"m": 4.0, "M": 1.0}, "potential: need m <= M, got m=4.0, M=1.0"),
     # keys that do not apply: eps would be dropped, and diag would override M = 4
-    "quadratic_with_eps": ({"m": 1, "M": 4, "eps": 0.5}, "'eps' applies only to 'perturbed_quadratic'"),
-    "diag_and_m_M": ({"diag": [1, 9], "m": 1, "M": 4}, "got 'diag', 'm', 'M'"),
-    "matrix_and_diag": ({"matrix": [[1.0, 0.0], [0.0, 4.0]], "diag": [1.0, 4.0]}, "got 'matrix', 'diag'"),
+    "quadratic_with_eps": (
+        {"m": 1, "M": 4, "eps": 0.5},
+        "'potential' holds 'eps', so 'potential.name' must be 'perturbed_quadratic', got 'quadratic'",
+    ),
+    "diag_and_m_M": ({"diag": [1, 9], "m": 1, "M": 4}, "'potential' holds 'diag', so 'potential' must not hold 'm', 'M'"),
+    "matrix_and_diag": (
+        {"matrix": [[1.0, 0.0], [0.0, 4.0]], "diag": [1.0, 4.0]},
+        "'potential' holds 'matrix', so 'potential' must not hold 'diag'",
+    ),
     # no complete target
-    "m_without_M": ({"m": 1.0}, "needs 'matrix', 'diag', or 'm' and 'M'"),
-    "no_target": ({}, "needs 'matrix', 'diag', or 'm' and 'M'"),
-    "matrix_empty": ({"matrix": []}, "non-empty"),
+    "m_without_M": ({"m": 1.0}, "'potential' holds 'm', so 'potential' needs the key 'M'"),
+    "no_target": (
+        {},
+        "'potential' needs the key 'matrix' or 'potential' needs the key 'diag' or 'potential' needs the key 'm'",
+    ),
+    "matrix_empty": ({"matrix": []}, "'potential.matrix' must hold 1 or more entries, got 0"),
 }
 
 
@@ -506,10 +552,11 @@ def test_malformed_potential_exits_2(tmp_path, capsys, name):
     path.write_text(json.dumps(cfg))  # NaN and Infinity literals parse back
     assert main(["couple", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error: potential:" in err and problem in err, err
+    assert err.startswith(f"config error: {problem}"), err
 
 
-# what a JSON schema cannot express: finiteness, a square or unragged matrix, m <= M
+# what config.schema.json does not state: finiteness (a number, to cli._check, is finite),
+# a square or unragged matrix, m <= M
 SCHEMA_CANNOT = {"diag_nan", "diag_inf", "matrix_nan", "matrix_not_square", "matrix_ragged", "m_above_M"}
 
 
@@ -531,6 +578,42 @@ def test_whole_float_n_steps_accepted(tmp_path):
     summary = json.loads((tmp_path / "out" / "couple_summary.json").read_text())
     trace = (tmp_path / "out" / summary["runs"][0]["trace_file"]).read_text().splitlines()
     assert len(trace) == 7  # header + n_steps + 1
+    # a whole float is an integer, as Draft 2020-12 reads one: seed 3.0 runs as seed 3
+    outputs = []
+    for seed in (3, 3.0):
+        cfg = couple_config(tmp_path / f"seed_{seed}", n_steps=5)
+        cfg["params"]["seeds"] = [seed]
+        assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / f"seed_{seed}").iterdir()})
+    assert outputs[0] == outputs[1] and "couple_kinetic_em_h0.10000000000000001_g4_s3.csv" in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "command, patch, problem",
+    [
+        ("certify", {"params": {"seeds": 0}}, "'params.seeds' must be an array, got 0"),
+        (
+            "gaussian-scan",
+            {"params": {"seeds": [[-1, 0], [0, 1]]}},
+            "'params.seeds[0]' must be a finite whole number, got an array of 2 entries",
+        ),
+        ("glc-scan", {"certify": {"mode": True}}, "'certify.mode' must be one of 'check', 'table1', got True"),
+        ("couple", {"scan": {"gamma_grid": []}}, "'scan.gamma_grid' must hold 1 or more entries, got 0"),
+    ],
+    ids=["certify_seeds_scalar", "gaussian_scan_seeds_nested", "glc_scan_mode_bool", "couple_gamma_grid_empty"],
+)
+def test_every_command_checks_the_whole_file(tmp_path, capsys, command, patch, problem):
+    # the schema describes one file: a broken section fails every command, also
+    # one that does not read it
+    cfg = couple_config(tmp_path / "out", n_steps=5)
+    cfg["scan"] = {"h_grid": [0.1]}
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    for section, fields in patch.items():
+        cfg[section] = {**cfg.get(section, {}), **fields}
+    cfg["output"]["dir"] = str(tmp_path / "broken")
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "broken").exists()
 
 
 def test_glc_scan_rejects_a_non_positive_h(tmp_path, capsys):

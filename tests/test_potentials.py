@@ -1,7 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from langevin_contract.cli import ConfigError, make_potential
+from langevin_contract.cli import ConfigError, load_config, make_potential
 from langevin_contract.potentials import (
     _GL_NODES,
     PerturbedQuadratic,
@@ -187,10 +190,22 @@ def test_make_potential_from_config():
     assert p.dim == 3
     p = make_potential({"potential": {"name": "perturbed_quadratic", "diag": [2.0, 4.0], "eps": 0.5}})
     assert (p.m, p.M) == (1.5, 4.5)
-    with pytest.raises(ConfigError, match="potential: unknown potential name: 'bogus'"):
-        make_potential({"potential": {"name": "bogus"}})
-    with pytest.raises(ConfigError, match="needs 'matrix', 'diag', or 'm' and 'M'"):
-        make_potential({"potential": {"name": "quadratic"}})
+
+
+
+@pytest.mark.parametrize(
+    "spec, problem",
+    [
+        ({"name": "bogus"}, "'potential.name' must be one of 'quadratic', 'perturbed_quadratic', got 'bogus'"),
+        ({"name": "quadratic"}, "'potential' needs the key 'matrix' or 'potential' needs the key 'diag'"),
+    ],
+)
+def test_load_config_checks_the_potential_name_and_keys(tmp_path, spec, problem):
+    # make_potential reads a config that load_config has held to config.schema.json
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": spec, "schemes": ["bao"]}))
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
