@@ -80,8 +80,11 @@ def _write_json(path: Path, obj) -> None:
 
 #: each schema ``type``: its noun in a message and the Python types JSON parses it to
 _TYPES = {
-    "object": ("an object", (dict,)), "array": ("an array", (list,)), "string": ("a string", (str,)),
-    "number": ("a finite number", (int, float)), "integer": ("a finite whole number", (int, float)),
+    "object": ("an object", (dict,)),
+    "array": ("an array", (list,)),
+    "string": ("a string", (str,)),
+    "number": ("a finite number", (int, float)),
+    "integer": ("a finite whole number", (int, float)),
 }
 
 
@@ -107,25 +110,32 @@ def load_config(path: str) -> dict:
 
 
 def _finite(xs: list, whole: bool = False) -> bool:
-    """Whether every entry of ``xs`` is a finite number, and a whole one if ``whole``.  A sum with
-    an inf or nan term is not finite; one that overflows reads False, and the caller checks each entry."""
-    try:
-        return set(map(type, xs)) <= {int, float} and math.isfinite(sum(xs)) and (
-            not whole or all(float(x).is_integer() for x in xs)
-        )
-    except OverflowError:  # an integer literal beyond the float range
+    """Whether every entry of ``xs`` is a finite number, and a whole one if ``whole``: a sum
+    with an inf or nan term is not finite."""
+    if not set(map(type, xs)) <= {int, float}:
         return False
+    try:
+        total = sum(xs, 0.0)  # from a float, so that an integer beyond the float range overflows
+    except OverflowError:
+        return False
+    return math.isfinite(total) and (not whole or all(float(x).is_integer() for x in xs))
 
 
 def _resolve(schema: dict) -> dict:
     """``schema``, or the subschema of config.schema.json that its ``$ref`` points to."""
     ref = schema.get("$ref")
-    return schema if ref is None else functools.reduce(dict.__getitem__, ref[2:].split("/"), _schema())
+    if ref is None:
+        return schema
+    return functools.reduce(dict.__getitem__, ref[2:].split("/"), _schema())
 
 
 def _got(x) -> str:
     """``x`` in a message: an array or object by its size, never its repr."""
-    return f"{'an array' if type(x) is list else 'an object'} of {len(x)} entries" if type(x) in (list, dict) else repr(x)
+    if type(x) is list:
+        return f"an array of {len(x)} entries"
+    if type(x) is dict:
+        return f"an object of {len(x)} entries"
+    return repr(x)
 
 
 def _error(value, schema: dict, where: str) -> str | None:
@@ -141,16 +151,18 @@ def _check(value, schema: dict, where: str = "") -> None:
     """Raise ConfigError unless ``value`` satisfies ``schema``, a subschema of config.schema.json.
 
     Reads the keywords the schema uses as Draft 2020-12 does, except that a ``number``
-    is finite and an ``integer`` is a finite number with no fractional part; a bool is
-    neither.  ``where`` is the JSON path of ``value``, '' for the whole config; each
-    message names it, the rule and the offending entry.
+    is finite, an ``integer`` is a finite number with no fractional part, and a bool is
+    neither; distinct numbers are distinct floats.  ``where`` is the JSON path of
+    ``value``, '' for the whole config; each message names it, the rule and the
+    offending entry.
     """
     schema = _resolve(schema)
     name = f"'{where}'" if where else "the config"
     kind = schema.get("type")
     if kind is not None:
         noun, classes = _TYPES[kind]
-        if type(value) not in classes or int in classes and not _finite([value], whole=kind == "integer"):
+        finite = int not in classes or _finite([value], whole=kind == "integer")
+        if type(value) not in classes or not finite:
             raise ConfigError(f"{name} must be {noun}, got {_got(value)}")
     if "enum" in schema and value not in schema["enum"]:
         raise ConfigError(f"{name} must be one of {', '.join(map(repr, schema['enum']))}, got {_got(value)}")
@@ -181,22 +193,32 @@ def _check(value, schema: dict, where: str = "") -> None:
         if len(value) < schema.get("minItems", 0):
             raise ConfigError(f"{name} must hold {schema['minItems']} or more entries, got {len(value)}")
         items = schema.get("items")
+        # an array of numbers is checked in one pass, and entry by entry only if that fails
         if items is not None and not (items == {"type": "number"} and _finite(value)):
             for i, x in enumerate(value):
                 _check(x, items, f"{where}[{i}]")
         if schema.get("uniqueItems"):
+            # the program reads a number as a float, so two integers that round to one float repeat
+            as_float = items is not None and _resolve(items).get("type") == "number"
             seen = set()
             for x in value:  # hashable: every array the schema holds unique has scalar items
-                if x in seen:
+                key = float(x) if as_float else x
+                if key in seen:
                     raise ConfigError(f"{name} repeats the entry {x!r}")
-                seen.add(x)
-    if "anyOf" in schema and all(errors := [_error(value, alt, where) for alt in schema["anyOf"]]):
-        # the message of each alternative of the value's type, so a bad entry of an array is named
-        kinds = [_resolve(alt).get("type") for alt in schema["anyOf"]]
-        fitting = [e for k, e in zip(kinds, errors) if k is None or type(value) in _TYPES[k][1]]
-        raise ConfigError(" or ".join(fitting or errors))
-    if "not" in schema and not _error(value, schema["not"], where):  # the schema negates only key sets
-        named = {key for sub in (schema["not"], *schema["not"].get("anyOf", ())) for key in sub.get("required", ())}
+                seen.add(key)
+    if "anyOf" in schema:
+        errors = [_error(value, alt, where) for alt in schema["anyOf"]]
+        if all(errors):
+            # the message of each alternative of the value's type, so a bad entry of an array is named
+            kinds = [_resolve(alt).get("type") for alt in schema["anyOf"]]
+            fitting = [e for k, e in zip(kinds, errors) if k is None or type(value) in _TYPES[k][1]]
+            raise ConfigError(" or ".join(fitting or errors))
+    negated = schema.get("not")
+    if negated is not None and not _error(value, negated, where):
+        # the schema negates only key sets: one "required" list, or an "anyOf" of them
+        named = set(negated.get("required", ()))
+        for alt in negated.get("anyOf", ()):
+            named.update(alt["required"])
         raise ConfigError(f"{name} must not hold {', '.join(repr(key) for key in value if key in named)}")
 
 
@@ -212,7 +234,9 @@ def make_potential(cfg: dict) -> Potential:
             base = QuadraticPotential.diagonal(spec["diag"])
         else:
             base = QuadraticPotential.anisotropic_gaussian(float(spec["m"]), float(spec["M"]))
-        return base if spec["name"] == "quadratic" else PerturbedQuadratic(base, float(spec.get("eps", 0.0)))
+        if spec["name"] == "quadratic":
+            return base
+        return PerturbedQuadratic(base, float(spec.get("eps", 0.0)))
     except PotentialError as e:
         raise ConfigError(f"potential: {e}")
 

@@ -338,6 +338,26 @@ def test_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "config error: 'params.h[0]' must be a finite number, got 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, path",
+    [
+        ("potential", "diag", [10**400, -(10**400)], "potential.diag[0]"),
+        ("potential", "diag", [10**400, -(10**400), 1.0], "potential.diag[0]"),
+        ("coupling", "z0", [[10**400, -(10**400)], [0.0, 0.0]], "coupling.z0[0][0]"),
+    ],
+    ids=["diag_pair", "diag_pair_and_one", "z0_row_pair"],
+)
+def test_json_integers_beyond_the_float_range_that_cancel_exit_2(tmp_path, capsys, section, key, value, path):
+    # their sum is finite, but neither entry is a float
+    cfg = couple_config(tmp_path / "out")
+    if section == "potential":
+        cfg["potential"] = {"name": "quadratic"}
+    cfg[section][key] = value
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert f"config error: '{path}' must be a finite number, got 1000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 #: bao at an M whose certificate guard overflows the float range
 _M_BEYOND_A_CHECK = {
     "schemes": ["bao"],
@@ -388,6 +408,23 @@ def test_a_repeated_grid_entry_is_named(tmp_path, capsys):
     cfg["params"]["h"] = [0.1, 0.2, 0.1]
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert "config error: 'params.h' repeats the entry 0.1" in capsys.readouterr().err
+
+
+def test_grid_integers_that_round_to_one_float_repeat(tmp_path, capsys):
+    # they would run one grid point twice, into one trace file; JSON Schema holds them
+    # distinct, so the schema's own validator accepts them
+    cfg = couple_config(tmp_path / "out")
+    cfg["scan"] = {"gamma_grid": [100000000000000000, 100000000000000001]}
+    assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert "config error: 'scan.gamma_grid' repeats the entry 100000000000000001" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seeds_are_compared_as_integers(tmp_path):
+    # a seed is read as an integer, so two seeds that round to one float are distinct seeds
+    cfg = couple_config(tmp_path / "out")
+    cfg["params"]["seeds"] = [2**64 - 2, 2**64 - 1]
+    assert cli.load_config(write_config(tmp_path / "cfg.json", cfg))["params"]["seeds"] == [2**64 - 2, 2**64 - 1]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import copy
 import inspect
 import json
 import math
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -69,7 +70,7 @@ def _base(potential: dict, schemes: list[str], mode: str) -> dict:
 
 
 #: what replaces a value: boundary numbers, and values of the wrong type
-BOUNDARY = [0, -1, 1e-320, 1e308, 2**64 - 1, 2**64, math.inf, True, [], 5.0, 0.5]
+BOUNDARY = [0, -1, 1e-320, 1e308, 2**64 - 1, 2**64, math.inf, True, [], 5.0, 0.5, [10**400, -(10**400), 1.0]]
 WRONG_TYPE = ["x", None, {}, [[]], [0.1, "x"]]
 #: keys a mutation may add: every key the schema lists, and some it does not
 NEW_KEYS = ["potential", "scan", "certify", "extra", "eps", "diag", "m", "M", "h", "seeds", "mode", "dir", "z0"]
@@ -113,11 +114,14 @@ def configs(draw):
 
 
 def _non_finite(node) -> bool:
-    """Whether a number in ``node`` is inf or nan: the schema's ``number`` admits it, cli's does not."""
+    """Whether a number in ``node`` is inf, nan or an integer beyond the float range: the
+    schema's ``number`` admits it, cli's does not."""
     if isinstance(node, dict):
         return any(map(_non_finite, node.values()))
     if isinstance(node, list):
         return any(map(_non_finite, node))
+    if type(node) is int:
+        return abs(node) > sys.float_info.max
     return isinstance(node, float) and not math.isfinite(node)
 
 
