@@ -121,10 +121,11 @@ class CertifiedRate:
     def violated(self) -> tuple[str, ...]:
         return tuple(s for s in self.constraints if s.endswith("(violated)"))
 
-    def bound_sq_steps(self, n_steps: int, d0: float) -> list[float]:
+    def bound_sq_steps(self, n_steps: int, d0: float) -> np.ndarray:
         """Certified squared-distance bounds prefactor^2 (1 - c)^(k - shift) d0 at steps
         k = 0..n_steps, a float power on each int k (numpy's vector power can round differently)."""
-        return [self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0 for k in range(n_steps + 1)]
+        terms = (self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0 for k in range(n_steps + 1))
+        return np.fromiter(terms, float, n_steps + 1)
 
 
 def _fmt(name: str, ok: bool) -> str:

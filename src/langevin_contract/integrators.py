@@ -343,6 +343,8 @@ def affine_mode_map(scheme: Scheme, lam: float, params: StepParams) -> tuple[np.
 
 #: steps per block of :func:`simulate_mode_chain`
 _CHAIN_BLOCK = 32
+#: block rows per chunk of :func:`simulate_mode_chain`: a chunk's block states are 2**17 bytes
+_CHAIN_CHUNK = 2**17 // (16 * _CHAIN_BLOCK)
 
 
 def simulate_mode_chain(
@@ -360,10 +362,13 @@ def simulate_mode_chain(
     solved in blocks of B = :data:`_CHAIN_BLOCK` steps: a product with the
     block-Toeplitz matrix of P^0 N .. P^(B-1) N gives every block's
     zero-start states, and a loop of n/B steps carries the block starts by
-    P^B.  So long chains (10^6 steps) stay cheap.  The summation order
-    differs from stepping, so positions are not bit-identical to
-    :func:`step`: they agree with it to rounding.  Raises IntegratorError
-    exactly when the final state z_n is non-finite; n = 0 gives [x0].
+    P^B.  So long chains (10^6 steps) stay cheap.  The blocks are walked in
+    chunks of :data:`_CHAIN_CHUNK` block rows that reuse one set of buffers,
+    so the working memory is one chunk and only the output is O(n).  The
+    summation order differs from stepping, so positions are not
+    bit-identical to :func:`step`: they agree with it to rounding.  Raises
+    IntegratorError exactly when the final state z_n is non-finite; n = 0
+    gives [x0].
     """
     P, N = affine_mode_map(scheme, lam, params)
     noise = np.asarray(noise, dtype=float)
@@ -371,6 +376,9 @@ def simulate_mode_chain(
         raise IntegratorError(f"noise must have shape (n, {N.shape[1]}), got {noise.shape}")
     (n, k), B = noise.shape, _CHAIN_BLOCK
     R = max(1, -(-n // B))  # blocks; steps past n see zero noise and are dropped
+    C = min(R, _CHAIN_CHUNK)
+    xs = np.empty(n + 1)
+    xs[0] = x0
     # a diverging chain overflows in the dropped tail or at its end: only z_n is judged
     with np.errstate(over="ignore", invalid="ignore"):
         # P^0 .. P^B, in extended precision where numpy has one: the carry repeats
@@ -380,36 +388,36 @@ def simulate_mode_chain(
         for _ in range(B):
             powers.append(P.astype(np.longdouble) @ powers[-1])
         powers = np.array(powers, dtype=float)
-        xi = np.zeros((R, B * k))
-        xi.reshape(-1, k)[:n] = noise
         # T[(i, c), (j, d)] = (P^(j-i) N)[d, c] for i <= j, so Y[r, j] = sum_{i<=j} P^(j-i) N xi[rB + i]
         # is the state after j + 1 steps of block r from zero
         lag = np.arange(B)[None, :] - np.arange(B)[:, None]
         T = np.where((lag >= 0)[:, :, None, None], (powers[:B] @ N)[np.maximum(lag, 0)], 0.0)
         T = T.transpose(0, 3, 1, 2).reshape(B * k, B * 2)
-        Y = np.empty((R, B * 2))
-        # B rows a call keeps OpenBLAS on the calling thread: one threaded gemm over
-        # all rows left its workers spinning and slowed the next 0.2 s of work by ~30%
-        # (2-vCPU VM)
-        for r in range(0, R, B):
-            np.matmul(xi[r : r + B], T, out=Y[r : r + B])
-        del xi
-        Y = Y.reshape(R, B, 2)
         (a00, a01), (a10, a11) = powers[B].tolist()
+        xi, Y, X = np.empty((C, B * k)), np.empty((C, B, 2)), np.empty((C, B))
         x, v = float(x0), float(v0)
-        starts = [(x, v)]
-        for ex, ev in Y[:-1, -1].tolist():
-            x, v = a00 * x + a01 * v + ex, a10 * x + a11 * v + ev
-            starts.append((x, v))
-        starts = np.array(starts)  # z at steps 0, B, 2B, ...
-        X = starts[:, :1] * powers[1:, 0, 0]  # x of P^(j+1) z_rB, elementwise for the same reason
-        X += starts[:, 1:] * powers[1:, 0, 1]
-        X += Y[:, :, 0]
+        for r0 in range(0, R, C):
+            rows, s0 = min(C, R - r0), r0 * B
+            steps = min(n - s0, rows * B)
+            xc, yc, Xc = xi[:rows], Y[:rows], X[:rows]
+            xc.reshape(-1, k)[:steps] = noise[s0 : s0 + steps]
+            xc.reshape(-1, k)[steps:] = 0.0
+            # B rows a call keeps OpenBLAS on the calling thread: one threaded gemm over
+            # all rows left its workers spinning and slowed the next 0.2 s of work by ~30%
+            # (2-vCPU VM); C is a multiple of B, so the calls split the rows at multiples of B
+            for r in range(0, rows, B):
+                np.matmul(xc[r : r + B], T, out=yc.reshape(rows, 2 * B)[r : r + B])
+            starts = []
+            for ex, ev in yc[:, -1].tolist():
+                starts.append((x, v))
+                x, v = a00 * x + a01 * v + ex, a10 * x + a11 * v + ev
+            starts = np.array(starts)  # z at steps s0, s0 + B, s0 + 2B, ...
+            np.multiply(starts[:, :1], powers[1:, 0, 0], out=Xc)  # x of P^(j+1) z_rB, elementwise for the same reason
+            Xc += starts[:, 1:] * powers[1:, 0, 1]
+            Xc += yc[:, :, 0]
+            xs[1 + s0 : 1 + s0 + steps] = Xc.reshape(-1)[:steps]
         last = n - (R - 1) * B  # steps taken in the last block
-        z_n = powers[last] @ starts[-1] + (Y[-1, last - 1] if last else 0.0)
+        z_n = powers[last] @ starts[-1] + (yc[-1, last - 1] if last else 0.0)
     if not np.isfinite(z_n).all():
         raise IntegratorError("chain diverged to non-finite state")
-    xs = np.empty(n + 1)
-    xs[0] = x0
-    xs[1:] = X.reshape(-1)[:n]
     return xs

@@ -9,8 +9,8 @@ of the "eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
 
 The last section holds reference routines that only the tests call: the
 A/B/C coefficient form of a certificate block, the Gaussian 2-Wasserstein
-distance, the Wasserstein decay factor and the list of first-order
-splittings.
+distance, the Wasserstein decay factor, the list of first-order
+splittings and the whole-array mode chain.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,16 @@ import numpy as np
 import sympy as sp
 
 from langevin_contract.certificates import _affine_P, _h_blocks
-from langevin_contract.integrators import SPLITTING_WORDS, Scheme, StepParams, _Mode, _step_core
+from langevin_contract.integrators import (
+    _CHAIN_BLOCK,
+    SPLITTING_WORDS,
+    IntegratorError,
+    Scheme,
+    StepParams,
+    _Mode,
+    _step_core,
+    affine_mode_map,
+)
 from langevin_contract.norms import NormError
 
 #: working precision of the mp routines, in decimal digits
@@ -202,3 +211,48 @@ def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
     sq = np.sum((mu1 - mu2) ** 2) + np.trace(S1) + np.trace(S2) - 2.0 * np.trace(cross)
     # the exact value is >= 0; clamp roundoff
     return float(np.sqrt(max(sq, 0.0)))
+
+
+def whole_array_mode_chain(scheme, lam, params, x0, v0, noise):
+    """The blocked arithmetic of :func:`langevin_contract.integrators.simulate_mode_chain`
+    with every temporary (padded noise, block states, block starts, positions)
+    held for the whole chain at once: the chain, walked in chunks, equals it bit
+    for bit."""
+    P, N = affine_mode_map(scheme, lam, params)
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2 or noise.shape[1] != N.shape[1]:
+        raise IntegratorError(f"noise must have shape (n, {N.shape[1]}), got {noise.shape}")
+    (n, k), B = noise.shape, _CHAIN_BLOCK
+    R = max(1, -(-n // B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [np.eye(2, dtype=np.longdouble)]
+        for _ in range(B):
+            powers.append(P.astype(np.longdouble) @ powers[-1])
+        powers = np.array(powers, dtype=float)
+        xi = np.zeros((R, B * k))
+        xi.reshape(-1, k)[:n] = noise
+        lag = np.arange(B)[None, :] - np.arange(B)[:, None]
+        T = np.where((lag >= 0)[:, :, None, None], (powers[:B] @ N)[np.maximum(lag, 0)], 0.0)
+        T = T.transpose(0, 3, 1, 2).reshape(B * k, B * 2)
+        Y = np.empty((R, B * 2))
+        for r in range(0, R, B):
+            np.matmul(xi[r : r + B], T, out=Y[r : r + B])
+        Y = Y.reshape(R, B, 2)
+        (a00, a01), (a10, a11) = powers[B].tolist()
+        x, v = float(x0), float(v0)
+        starts = [(x, v)]
+        for ex, ev in Y[:-1, -1].tolist():
+            x, v = a00 * x + a01 * v + ex, a10 * x + a11 * v + ev
+            starts.append((x, v))
+        starts = np.array(starts)
+        X = starts[:, :1] * powers[1:, 0, 0]
+        X += starts[:, 1:] * powers[1:, 0, 1]
+        X += Y[:, :, 0]
+        last = n - (R - 1) * B
+        z_n = powers[last] @ starts[-1] + (Y[-1, last - 1] if last else 0.0)
+    if not np.isfinite(z_n).all():
+        raise IntegratorError("chain diverged to non-finite state")
+    xs = np.empty(n + 1)
+    xs[0] = x0
+    xs[1:] = X.reshape(-1)[:n]
+    return xs

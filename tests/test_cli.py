@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from importlib import resources
+from itertools import chain, count
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from langevin_contract import cli
-from langevin_contract.cli import _write_csv, main
+from langevin_contract.cli import _CHUNK, _floats, _write_csv, _write_json, main
 from langevin_contract.coupling import certified_rate, run_synchronous_coupling
 from langevin_contract.glc import rate_collapse_scan
 from langevin_contract.integrators import PhaseState, Scheme, StepParams
@@ -184,6 +185,46 @@ def test_trace_writer_writes_the_csv_writers_bytes(tmp_path, bounded):
     assert (tmp_path / "trace.csv").read_bytes() == _render(_TRACE_HEADER, rows)
 
 
+@pytest.mark.parametrize("n", [0, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_csv_writer_chunks_write_the_whole_string_bytes(tmp_path, n):
+    # one % operation per chunk of rows writes what one % operation over all rows wrote
+    row = "bao,0.10000000000000001,4,7,%d,%.17g,%.17g\n"
+    d = np.resize(_EDGE_FLOATS, n)
+    rows = list(zip(range(n), d.tolist(), d[::-1].tolist()))
+    _write_csv(tmp_path / "trace.csv", ",".join(_TRACE_HEADER), row, zip(count(), _floats(d), _floats(d[::-1])))
+    whole = ",".join(_TRACE_HEADER) + "\n" + row * len(rows) % tuple(chain.from_iterable(rows))
+    assert (tmp_path / "trace.csv").read_bytes() == whole.encode()
+
+
+def test_json_writer_writes_the_json_dumps_bytes(tmp_path):
+    obj = {"runs": [{"z": -0.0, "a": math.inf, "n": math.nan, "m": -math.inf, "x": _EDGE_FLOATS, "s": None}], "b": True}
+    _write_json(tmp_path / "out.json", obj)
+    assert (tmp_path / "out.json").read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_a_write_that_fails_after_its_first_chunk_leaves_no_file(tmp_path):
+    def chunks():
+        yield "scheme,h\n"
+        raise ValueError("row 2")
+
+    with pytest.raises(ValueError, match="row 2"):
+        cli._atomic_write(tmp_path / "out.csv", chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_writer_memory_does_not_grow_with_the_row_count(tmp_path, traced_peak):
+    # couple's rows from a trace's distance and bound arrays; the whole text of
+    # 2 * 10^5 rows is ~16 MB, its rows list and cell tuple ~40 MB more
+    row = "bao,0.10000000000000001,4,7,%d,%.17g,%.17g\n"
+
+    def peak(n):
+        d = np.linspace(0.0, 1.0, n)
+        rows = zip(count(), *map(_floats, (d, d[::-1])))
+        return traced_peak(_write_csv, tmp_path / "trace.csv", ",".join(_TRACE_HEADER), row, rows)[1]
+
+    assert peak(200_000) <= 1.25 * peak(2 * _CHUNK)
+
+
 def test_couple_from_far_apart_starts_diverges_at_step_0(tmp_path):
     # the start distance overflows to inf: an admissible run that diverges at
     # once, which exits 3 without --force and is recorded with it
@@ -335,7 +376,20 @@ def test_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     cfg = couple_config(tmp_path / "out")
     cfg["params"]["h"] = [10**400]
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
-    assert "config error: 'params.h[0]' must be a finite number, got 1000" in capsys.readouterr().err
+    assert "config error: 'params.h[0]' must be a finite number, got an integer of 401 digits" in capsys.readouterr().err
+
+
+def test_an_integer_beyond_the_float_range_is_named_by_its_digit_count(tmp_path, capsys):
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": ["bao"],
+        "params": {"h": [10**4000], "gamma": [5.0]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["certify", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: 'params.h[0]' must be a finite number")
+    assert line.endswith("got an integer of 4001 digits") and len(line) < 100
 
 
 @pytest.mark.parametrize(
@@ -354,7 +408,7 @@ def test_json_integers_beyond_the_float_range_that_cancel_exit_2(tmp_path, capsy
         cfg["potential"] = {"name": "quadratic"}
     cfg[section][key] = value
     assert main(["couple", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
-    assert f"config error: '{path}' must be a finite number, got 1000" in capsys.readouterr().err
+    assert f"config error: '{path}' must be a finite number, got an integer of 401 digits" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -469,19 +469,12 @@ def test_block_streamed_runner_matches_one_draw(scheme):
             assert ref_div is not None and ref_div > 2 * rows
 
 
-def test_coupling_memory_does_not_grow_with_run_length():
-    import tracemalloc
-
+def test_coupling_memory_does_not_grow_with_run_length(traced_peak):
     d = 512
     pot = QuadraticPotential.diagonal(np.linspace(1.0, 4.0, d))
     z0 = PhaseState(np.ones(d), np.zeros(d))
     z1 = PhaseState(-np.ones(d), np.zeros(d))
-    tracemalloc.start()
-    try:
-        tr = run_synchronous_coupling(Scheme.SES, pot, z0, z1, StepParams(0.05, 10.0), 2000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    tr, peak = traced_peak(run_synchronous_coupling, Scheme.SES, pot, z0, z1, StepParams(0.05, 10.0), 2000, 0)
     assert len(tr.distances) == 2001 and not tr.diverged
     assert peak < 8_000_000  # the whole run's noise alone is 16 MB
 
@@ -626,9 +619,7 @@ def test_a_run_makes_one_generator_per_stream(monkeypatch):
     assert sorted(made) == sorted([(3, 0), (3, 1), (8, 0), (8, 1)] + [(3, 1), (3, 1), (8, 1)])
 
 
-def test_a_mixed_run_keeps_one_set_of_block_buffers():
-    import tracemalloc
-
+def test_a_mixed_run_keeps_one_set_of_block_buffers(traced_peak):
     d = 512
     pot = QuadraticPotential.diagonal(np.linspace(1.0, 4.0, d))
     z0 = PhaseState(np.ones(d), np.zeros(d))
@@ -637,12 +628,7 @@ def test_a_mixed_run_keeps_one_set_of_block_buffers():
     points = [CouplingPoint(StepParams(0.05, 10.0), 0, certified_rate(s, pot.m, pot.M, 10.0, 0.05)) for s in schemes]
 
     def peak(pts):
-        tracemalloc.start()
-        try:
-            run_coupling_batch(pot, z0, z1, pts, 200)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(run_coupling_batch, pot, z0, z1, pts, 200)[1]
 
     run_coupling_batch(pot, z0, z1, points, 10)  # numpy's first-call allocations stay out of the peaks
     # the batches share the noise buffer and the block's state buffers, sized for the largest batch

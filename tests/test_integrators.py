@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +8,7 @@ from langevin_contract.certificates import step_matrix, transition_matrix_P
 from langevin_contract.coupling import CounterStreams
 from langevin_contract.integrators import (
     _CHAIN_BLOCK,
+    _CHAIN_CHUNK,
     KINETIC_SCHEMES,
     SPLITTING_WORDS,
     IntegratorError,
@@ -22,7 +22,7 @@ from langevin_contract.integrators import (
     step,
 )
 from langevin_contract.potentials import Potential, QuadraticPotential
-from oracles import FIRST_ORDER_SPLITTINGS, symbolic_word_P
+from oracles import FIRST_ORDER_SPLITTINGS, symbolic_word_P, whole_array_mode_chain
 
 
 class ZeroForce(Potential):
@@ -440,6 +440,22 @@ def test_simulate_mode_chain_matches_the_loop_reference(scheme):
             assert np.max(np.abs(xs - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, n)
 
 
+@pytest.mark.parametrize("scheme", CHAIN_SCHEMES, ids=lambda s: s.value)
+def test_simulate_mode_chain_equals_the_whole_array_chain(scheme):
+    # walking the blocks in chunks changes no arithmetic: bit-identical at
+    # both sides of every block edge and chunk edge, near rho(P) = 1 and damped
+    rng = np.random.default_rng(100 + CHAIN_SCHEMES.index(scheme))
+    k = noise_requirements(scheme)
+    lam = rng.uniform(0.5, 4.0)
+    B, C = _CHAIN_BLOCK, _CHAIN_CHUNK * _CHAIN_BLOCK
+    for p in (StepParams(5e-4 / lam, 0.01), StepParams(rng.uniform(0.01, 0.1) / lam, rng.uniform(0.5, 5.0))):
+        for n in (0, 1, B - 1, B, B + 1, C - 1, C, C + 1, 2 * C + 1, 100_003):
+            x0, v0 = rng.normal(size=2)
+            noise = rng.standard_normal((n, k))
+            xs = simulate_mode_chain(scheme, lam, p, x0, v0, noise)
+            assert np.array_equal(xs, whole_array_mode_chain(scheme, lam, p, x0, v0, noise)), (p, n)
+
+
 def test_simulate_mode_chain_raises_where_it_diverges():
     # BAOAB is unstable at h = 2.5 on a unit mode; the overflow warns nowhere
     noise = CounterStreams(13).normals(0, 100_000, 1)
@@ -467,18 +483,13 @@ def test_simulate_mode_chain_start_and_non_finite_start():
                 simulate_mode_chain(Scheme.BAOAB, 1.0, params(), x0, v0, np.zeros((n, 1)))
 
 
-def test_simulate_mode_chain_peak_memory_per_step():
-    # a few float64 buffers per step; a Python object per step (a row of
-    # noise.tolist(), as the loop reference makes) costs ~136 bytes a step
-    n = 100_000
-    noise = CounterStreams(7).normals(0, n, 2)
-    tracemalloc.start()
-    try:
-        simulate_mode_chain(Scheme.OBABO, 1.0, StepParams(0.1, 2.0), 0.0, 0.0, noise)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 80 * n
+def test_simulate_mode_chain_peak_memory_per_step(traced_peak):
+    # the output's 8 (n + 1) bytes and one chunk's buffers (about 0.6 MB at
+    # any n); the whole-array chain held ~25 bytes a step more, 2.7 MB at n = 10^5
+    for n in (100_000, 1_000_000):
+        noise = CounterStreams(7).normals(0, n, 2)
+        _, peak = traced_peak(simulate_mode_chain, Scheme.OBABO, 1.0, StepParams(0.1, 2.0), 0.0, 0.0, noise)
+        assert peak <= 8 * (n + 1) + 2**20, n
 
 
 def test_simulate_mode_chain_matches_stepping():

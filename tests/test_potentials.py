@@ -268,15 +268,8 @@ def test_malformed_targets_rejected(build):
         build()
 
 
-def test_diag_spec_setup_memory_is_linear():
-    import tracemalloc
-
+def test_diag_spec_setup_memory_is_linear(traced_peak):
     cfg = {"potential": {"name": "quadratic", "diag": np.linspace(1.0, 4.0, 4096).tolist()}}
-    tracemalloc.start()
-    try:
-        p = make_potential(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    p, peak = traced_peak(make_potential, cfg)
     assert (p.dim, p.m, p.M) == (4096, 1.0, 4.0)
     assert peak < 1_000_000  # a dense 4096 x 4096 matrix is 134 MB
