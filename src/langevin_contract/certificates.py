@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import certified_rate
+from .coupling import CertifiedRate, certified_rate
 from .integrators import Scheme, StepParams, _mode_map
 
 
@@ -256,10 +256,7 @@ def _min_eig_H(sums: list[list], W: np.ndarray, c: float, shape: tuple[int, ...]
 class _Point(NamedTuple):
     """The c-free half of a check at one (scheme, m, M, gamma, h)."""
 
-    a: float
-    b: float
-    c: float  # the certified rate, the default c of a check
-    norm_valid: bool  # b^2 < a
+    rate: CertifiedRate  # its c is the default c of a check
     W: np.ndarray
     P0: np.ndarray  # P(lam) = P0 + lam P1, for the eigenvalue oracle
     P1: np.ndarray
@@ -295,9 +292,7 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     tail = _polyval(lams, lam_terms[0])
     tail *= lams  # A(lams) is A[0] + tail, polyval's last step
     k0 = tuple(K0[i][j] for i, j in abc)
-    norm_valid = rate.b * rate.b < rate.a
-    guard_a = _guard(lam_terms[0], m, M)
-    return _Point(rate.a, rate.b, rate.c, norm_valid, W, P0, P1, k0, lam_terms, lams, tail, float(tail.min()), guard_a)
+    return _Point(rate, W, P0, P1, k0, lam_terms, lams, tail, float(tail.min()), _guard(lam_terms[0], m, M))
 
 
 def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, list[float], np.ndarray | None]:
@@ -306,16 +301,19 @@ def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, 
     on ``passed`` alone; the quartic's grid is evaluated only once the norm
     and A have passed, and is None otherwise."""
     # the constant terms, (1-c) W - P0^T W P0, are all that c moves
-    A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, point.b, point.a), point.k0, point.lam_terms))
+    rate = point.rate
+    A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, rate.b, rate.a), point.k0, point.lam_terms))
     quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
     guard_q = _guard(quartic[1:], m, M)  # on every probe, so a bad M raises wherever it is checked
     # round-to-nearest keeps order under adding A[0], so this is min(A[0] + tail) > guard_a
-    if not (point.norm_valid and A[0] + point.tail_min > point.guard_a):
+    if not (rate.norm_valid and A[0] + point.tail_min > point.guard_a):
         return False, A[0], quartic, None
     pq = _polyval(point.lams, quartic)
     return bool(pq.min() > guard_q), A[0], quartic, pq
 
 
+# far past stability the blocks and polynomials overflow to inf or nan, and the report fails on them
+@np.errstate(over="ignore", invalid="ignore")
 def check_certificate(
     scheme: Scheme,
     m: float,
@@ -341,7 +339,7 @@ def check_certificate(
     """
     point = _point(scheme, m, M, gamma, h)
     lams = point.lams
-    c = point.c if c is None else c
+    c = point.rate.c if c is None else c
     passed, a0, quartic, pq = _verdict(point, m, M, c)
     pa = a0 + point.tail
     if pq is None:
@@ -360,8 +358,8 @@ def check_certificate(
         M=M,
         gamma=gamma,
         h=h,
-        a=point.a,
-        b=point.b,
+        a=point.rate.a,
+        b=point.rate.b,
         c=c,
         passed=passed,
         min_margin_A=float(margin_a.min()),
@@ -369,7 +367,7 @@ def check_certificate(
         worst_lambda=float(lams[worst]),
         oracle_min_eig=float(eigs.min()),
         oracle_agrees=agrees,
-        norm_valid=point.norm_valid,
+        norm_valid=point.rate.norm_valid,
         grid_points=len(lams),
     )
 
@@ -449,7 +447,7 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
 
     def passes(h: float) -> bool:
         point = _point(scheme, m, M, gamma, h)
-        return _verdict(point, m, M, point.c)[0]
+        return _verdict(point, m, M, point.rate.c)[0]
 
     lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)
     if lo is None:

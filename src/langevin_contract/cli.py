@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from itertools import chain, count, islice
 from pathlib import Path
 
@@ -64,9 +63,11 @@ _CHUNK = 128
 def _atomic_write(path: Path, chunks) -> None:
     """Write ``chunks``, a string or an iterable of strings, to ``path`` through a
     temporary file in its directory: ``path`` appears whole or not at all, and an
-    error while a chunk is made or written leaves neither file behind."""
+    error while a chunk is made or written leaves neither file behind.  The file gets
+    the mode a plain ``open`` would give it, 0o666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}{os.urandom(8).hex()}.tmp"  # 64 random bits; O_EXCL takes no name that exists
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines([chunks] if isinstance(chunks, str) else chunks)
@@ -98,9 +99,24 @@ def _floats(a: np.ndarray):
     return chain.from_iterable(a[i : i + _CHUNK].tolist() for i in range(0, len(a), _CHUNK))
 
 
+def _finite_or_none(obj):
+    """``obj``, a tree of dicts, lists and scalars, with each float that is not finite made None.
+    A dict or list that holds no such float is returned itself, so a finite tree is not copied."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        new = {key: _finite_or_none(value) for key, value in obj.items()}
+    elif isinstance(obj, (list, tuple)):
+        new = [_finite_or_none(value) for value in obj]
+    else:
+        return obj
+    return obj if new == obj else new  # equal only where no entry changed: None equals no float
+
+
 def _write_json(path: Path, obj) -> None:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written as it is encoded."""
-    parts = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written as it is encoded,
+    with each float that is not finite written as null, so the file is strict JSON."""
+    parts = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(_finite_or_none(obj))
     _atomic_write(path, chain(map("".join, _batches(parts)), "\n"))
 
 
@@ -325,7 +341,7 @@ def cmd_couple(cfg: dict, args) -> int:
         for h, g, seed in grid
     ]
     blocked = [
-        f"{p.rate.scheme.value} h={p.params.h} gamma={p.params.gamma}: " + "; ".join(p.rate.violated())
+        f"{p.rate.scheme.value} h={p.params.h} gamma={p.params.gamma}: " + "; ".join(p.rate.violated)
         for p in points
         if not p.rate.admissible and not args.force
     ]

@@ -97,9 +97,8 @@ class CertifiedRate:
 
     ``c`` is the rate in the squared-norm convention: admissible parameters
     guarantee d_k <= prefactor^2 (1 - c)^(k - shift) d_0 for the coupled
-    squared distance d_k.  ``constraints`` lists every checked hypothesis
-    with its outcome; ``admissible`` is their conjunction (plus b^2 < a and
-    0 < c <= 1).
+    squared distance d_k.  ``violated`` holds each failing hypothesis with its
+    numbers, 0 < c <= 1 and b^2 < a among them; admissible means none fails.
     """
 
     scheme: Scheme
@@ -108,28 +107,28 @@ class CertifiedRate:
     c: float
     prefactor: float
     shift: int
-    admissible: bool
-    constraints: tuple[str, ...]
+    violated: tuple[str, ...]
+
+    @property
+    def admissible(self) -> bool:
+        return not self.violated
+
+    @property
+    def norm_valid(self) -> bool:  # b^2 < a: the certified form is a norm
+        return self.b * self.b < self.a
 
     @property
     def norm(self) -> WeightedNorm:
         """The norm a run at these parameters is measured in: |x|^2 + 2b<x,v> +
         a|v|^2, or the cross-term-free |x|^2 + a|v|^2 where b^2 >= a (forced
         parameters, where the certified form is not a norm)."""
-        return WeightedNorm(self.a, self.b if self.b * self.b < self.a else 0.0)
-
-    def violated(self) -> tuple[str, ...]:
-        return tuple(s for s in self.constraints if s.endswith("(violated)"))
+        return WeightedNorm(self.a, self.b if self.norm_valid else 0.0)
 
     def bound_sq_steps(self, n_steps: int, d0: float) -> np.ndarray:
         """Certified squared-distance bounds prefactor^2 (1 - c)^(k - shift) d0 at steps
         k = 0..n_steps, a float power on each int k (numpy's vector power can round differently)."""
         terms = (self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0 for k in range(n_steps + 1))
         return np.fromiter(terms, float, n_steps + 1)
-
-
-def _fmt(name: str, ok: bool) -> str:
-    return f"{name} ({'ok' if ok else 'violated'})"
 
 
 class _Hypothesis(NamedTuple):
@@ -145,12 +144,14 @@ class _Hypothesis(NamedTuple):
     f: Callable
     op: str = "<"
 
-    def check(self, M: float, gamma: float, h: float, one_minus_eta: float) -> str:
+    def check(self, M: float, gamma: float, h: float, one_minus_eta: float) -> str | None:
+        """None where the hypothesis holds at h, else its text with its numbers."""
         if self.kind == "floor":
             lhs, rhs = self.f(M, gamma)
-            return _fmt(f"{self.label}: {lhs} >= {rhs}", lhs >= rhs)
+            return None if lhs >= rhs else f"{self.label}: {lhs} >= {rhs}"
         lim = one_minus_eta / self.f(M) if self.kind == "eta" else self.f(M, gamma)
-        return _fmt(f"h {self.op} {self.label}: {h} {self.op} {lim}", h < lim if self.op == "<" else h <= lim)
+        holds = h < lim if self.op == "<" else h <= lim
+        return None if holds else f"h {self.op} {self.label}: {h} {self.op} {lim}"
 
     def root(self, M: float, gamma: float) -> float:
         if self.kind == "floor":
@@ -236,11 +237,14 @@ def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -
         a, b, c = record.abc(m, M, gamma, h, eta, one_minus_eta)
     except ZeroDivisionError:  # bao's and oab's records divide by 1 - eta, which gamma h can round to 0
         raise IntegratorError(f"{scheme.value}: 1 - exp(-gamma h) is 0 at h={h}, gamma={gamma}") from None
-    checks = [hyp.check(M, gamma, h, one_minus_eta) for hyp in record.hypotheses]
-    checks.append(_fmt(f"0 < c <= 1: c={c}", 0.0 < c <= 1.0))
-    checks.append(_fmt(f"b^2 < a: b={b}, a={a}", b * b < a))
-    admissible = all(s.endswith("(ok)") for s in checks)
-    return CertifiedRate(scheme, a, b, c, record.prefactor, record.shift, admissible, tuple(checks))
+    fields = (scheme, a, b, c, record.prefactor, record.shift)
+    rate = CertifiedRate(*fields, ())
+    failing = [v for hyp in record.hypotheses if (v := hyp.check(M, gamma, h, one_minus_eta)) is not None]
+    if not 0.0 < c <= 1.0:
+        failing.append(f"0 < c <= 1: c={c}")
+    if not rate.norm_valid:
+        failing.append(f"b^2 < a: b={b}, a={a}")
+    return CertifiedRate(*fields, tuple(failing)) if failing else rate
 
 
 def certified_stepsize_threshold(scheme: Scheme, m: float, M: float, gamma: float) -> float:
@@ -298,7 +302,7 @@ def run_synchronous_coupling(
     rate = certified_rate(scheme, potential.m, potential.M, params.gamma, params.h)
     if not rate.admissible and not force:
         raise InadmissibleParameters(
-            f"{scheme.value} at h={params.h}, gamma={params.gamma}: " + "; ".join(rate.violated())
+            f"{scheme.value} at h={params.h}, gamma={params.gamma}: " + "; ".join(rate.violated)
         )
     return run_coupling_batch(potential, z0, z0_tilde, [CouplingPoint(params, seed, rate)], n_steps)[0]
 

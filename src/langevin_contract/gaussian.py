@@ -167,6 +167,7 @@ def stationary_covariance(scheme: Scheme, lam: float, params: StepParams) -> np.
     return np.linalg.solve(np.eye(4) - np.kron(P, P), (N @ N.T).ravel()).reshape(2, 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # far past stability a mode's radius reads inf or nan
 def gaussian_scan(scheme: Scheme, m: float, M: float, gamma: float, h_grid) -> list[SpectralReport]:
     """Spectral reports over an h grid at both extreme curvatures: for each h,
     the m-mode's report and then the M-mode's, two reports even when m = M."""

@@ -384,7 +384,7 @@ def test_a_derivative_bound_beyond_the_float_range_raises():
 def _verdict_passed(scheme, m, M, gamma, h, c=None):
     """``check_certificate(...).passed`` from the verdict alone, as the searches take it."""
     point = _point(scheme, m, M, gamma, h)
-    return _verdict(point, m, M, point.c if c is None else c)[0]
+    return _verdict(point, m, M, point.rate.c if c is None else c)[0]
 
 
 def _passed(check, *args, **kwargs):
@@ -432,7 +432,7 @@ def test_verdict_is_the_full_grid_rule(scheme):
     # gamma = 1 < sqrt(M): every certificate scheme's b is about 1/gamma, so b^2 >= a = 1/M
     for scheme_, m, M, gamma, h in _reference_draws(scheme, rng) + [(scheme, 1.0, 4.0, 1.0, 0.01)]:
         point = _point(scheme_, m, M, gamma, h)
-        cs = [point.c, 0.0, 0.5, 1.0, float(rng.uniform(0.0, 1.0)), float(10 ** rng.uniform(-8.0, -1.0))]
+        cs = [point.rate.c, 0.0, 0.5, 1.0, float(rng.uniform(0.0, 1.0)), float(10 ** rng.uniform(-8.0, -1.0))]
         try:  # just past the largest rate, where a probe often fails on the quartic alone
             cs.append(max_certified_rate(scheme_, m, M, gamma, h) + 2.0 * RATE_TOL)
         except CertificateError:
@@ -442,11 +442,11 @@ def test_verdict_is_the_full_grid_rule(scheme):
             passed, a0, quartic, pq = _verdict(point, m, M, c)
             assert passed == _full_grid_passed(grid), (m, M, gamma, h, c)
             assert np.array_equal(a0 + point.tail, grid.pa)
-            a_passes = point.norm_valid and grid.pa.min() > grid.guard_a
+            a_passes = point.rate.norm_valid and grid.pa.min() > grid.guard_a
             assert (pq is not None) == a_passes
             if pq is not None:
                 assert np.array_equal(pq, grid.pq) and np.array_equal(certificates._polyval(grid.lams, quartic), pq)
-            key = "norm_invalid" if not point.norm_valid else "A_fails" if not a_passes else None
+            key = "norm_invalid" if not point.rate.norm_valid else "A_fails" if not a_passes else None
             seen[key or ("passes" if passed else "quartic_fails")] += 1
     assert min(seen.values()) > 0, seen
 

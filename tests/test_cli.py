@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 from importlib import resources
 from itertools import chain, count
 from pathlib import Path
@@ -197,9 +201,13 @@ def test_csv_writer_chunks_write_the_whole_string_bytes(tmp_path, n):
 
 
 def test_json_writer_writes_the_json_dumps_bytes(tmp_path):
+    # a float that is not finite is written as null, which strict JSON has
     obj = {"runs": [{"z": -0.0, "a": math.inf, "n": math.nan, "m": -math.inf, "x": _EDGE_FLOATS, "s": None}], "b": True}
+    finite = [x if math.isfinite(x) else None for x in _EDGE_FLOATS]
+    want = {"runs": [{"z": -0.0, "a": None, "n": None, "m": None, "x": finite, "s": None}], "b": True}
     _write_json(tmp_path / "out.json", obj)
-    assert (tmp_path / "out.json").read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert (tmp_path / "out.json").read_bytes() == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
+    assert cli._finite_or_none(want) is want  # a finite tree is written as it is, not copied
 
 
 def test_a_write_that_fails_after_its_first_chunk_leaves_no_file(tmp_path):
@@ -782,6 +790,43 @@ def test_certify_table1_below_the_friction_floor(tmp_path):
         assert row["hypothesis_rate_at_08h"] is None and row["certified_rate_at_08h"] is None, row
 
 
+def _strict_json(path: Path):
+    """The JSON file at ``path``, parsed as strict JSON: NaN and Infinity are errors."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_certify_far_past_stability_writes_strict_json_without_warnings(tmp_path):
+    # at h = 1e200 bao's c is inf and the blocks of H overflow: the report fails,
+    # with null where a number is not finite, and numpy warns of nothing
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": ["bao"],
+        "params": {"h": [1e200], "gamma": [10.0]},
+        "certify": {"mode": "check"},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["certify", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    doc = _strict_json(tmp_path / "out" / "certificates.json")
+    jsonschema.validate(doc, load_schema("certificates.schema.json"))
+    (rep,) = doc["reports"]
+    assert not rep["passed"] and not rep["norm_valid"]
+    assert rep["c"] is rep["min_margin_A"] is rep["oracle_min_eig"] is None
+
+
+def test_couple_force_far_past_stability_writes_strict_json(tmp_path):
+    # at h = 1e200 the certified c of bao, and of obabo, which shares its triple, is inf
+    cfg = couple_config(tmp_path / "out", n_steps=5, schemes=("bao", "obabo"), h=1e200)
+    assert main(["couple", "--force", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    doc = _strict_json(tmp_path / "out" / "couple_summary.json")
+    jsonschema.validate(doc, load_schema("couple_summary.schema.json"))
+    assert [run["c_theoretical"] for run in doc["runs"]] == [None, None]
+    assert not any(run["admissible"] for run in doc["runs"])
+
+
 @pytest.mark.parametrize(
     "command, cfg, problem",
     [
@@ -879,6 +924,24 @@ def test_gaussian_scan_writes_nan_where_the_threshold_search_fails(tmp_path):
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert len(rows) == 2  # one per extreme curvature, here both lambda = 1
     assert all(row["stability_threshold"] == "nan" for row in rows), rows
+
+
+def test_gaussian_scan_far_past_stability_runs_without_warnings(tmp_path):
+    # at h = 1e200 the mode matrices overflow: every mode reads non-contractive, and numpy warns of nothing
+    schemes = ["kinetic_em", "bao", "oab", "abo", "boa", "oba", "aob", "obabo", "ses"]
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
+        "schemes": schemes,
+        "params": {"gamma": [10.0]},
+        "scan": {"h_grid": [1e200]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["gaussian-scan", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    header, *lines = (tmp_path / "out" / "gaussian_scan.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [row["scheme"] for row in rows] == [s for s in schemes for _ in range(2)]
+    assert all(row["contractive"] == "False" and not float(row["radius"]) < 1.0 for row in rows), rows
+    assert {row["radius"] for row in rows if row["scheme"] == "ses"} == {"inf"}
 
 
 def test_glc_scan_cmd(tmp_path):
@@ -992,3 +1055,17 @@ def test_shipped_config_runs(tmp_path, name):
     jsonschema.validate(doc, load_schema(schema))
     for run in doc.get("runs", []):
         assert (tmp_path / run["trace_file"]).is_file()
+
+
+def test_the_cli_entry_point_writes_the_shipped_certificates_readable_by_all(tmp_path):
+    # the installed command's module, run as its own process under umask 022: an
+    # output gets the mode a plain open() gives it, -rw-r--r--
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["certify", "--config", str(CONFIGS / "certify_check.json"), "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "langevin_contract.cli", *argv], env=env, capture_output=True, umask=0o022, timeout=120
+    )
+    assert done.returncode == 0 and done.stderr == b"", done.stderr.decode()
+    assert _outputs_sha256(tmp_path) == SHIPPED_SHA256["certify_check"]
+    assert stat.S_IMODE((tmp_path / "certificates.json").stat().st_mode) == 0o644

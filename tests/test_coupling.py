@@ -170,7 +170,7 @@ def test_certified_rate_bao_example():
     # forced: at h = 1, gamma = 1 the certified b = 1/(1 - 1/e) has b^2 >= a = 1/M,
     # so a run there is measured without the cross term
     forced = certified_rate(Scheme.BAO, 1.0, 4.0, 1.0, 1.0)
-    assert not forced.admissible and "b^2 < a" in forced.violated()[-1]
+    assert not forced.admissible and "b^2 < a" in forced.violated[-1]
     assert forced.norm == WeightedNorm(0.25, 0.0)
 
 
@@ -178,7 +178,7 @@ def test_certified_rate_ses_gamma_floor():
     r = certified_rate(Scheme.SES, 1.0, 4.0, 9.0, 0.05)
     assert r.c == pytest.approx(0.05 / 36.0)
     assert not r.admissible  # gamma = 9 < 5 sqrt(M) = 10
-    assert any("5 sqrt(M)" in v for v in r.violated())
+    assert any("5 sqrt(M)" in v for v in r.violated)
 
 
 def test_certified_rate_overdamped():
@@ -188,12 +188,38 @@ def test_certified_rate_overdamped():
     assert not r_bad.admissible  # h > 2/M
 
 
+def test_a_rate_keeps_only_its_failing_hypotheses_with_their_numbers():
+    # admissible exactly when nothing fails, on a grid around each scheme's
+    # threshold, below its friction floor, far past it and at nan
+    seen = {True: 0, False: 0}
+    for scheme in Scheme:
+        for M in (1.0, 4.0):
+            for gamma in (0.5, 3.0, 11.0, 1e3):
+                h_max = certified_stepsize_threshold(scheme, 1.0, M, gamma)
+                hs = [0.01, 0.3, 1.0, 1e3, math.nan] + [t * h_max for t in (0.5, 0.999, 1.0, 1.5) if h_max > 0.0]
+                for h in hs:
+                    r = certified_rate(scheme, 1.0, M, gamma, h)
+                    assert type(r.violated) is tuple and all(type(v) is str for v in r.violated)
+                    assert r.admissible == (not r.violated) == (r.violated == ()), (scheme, M, gamma, h, r)
+                    assert r.norm_valid == (r.b * r.b < r.a)
+                    assert ("b^2 < a: b=" in " ".join(r.violated)) != r.norm_valid
+                    seen[r.admissible] += 1
+    assert min(seen.values()) > 0, seen
+    # kinetic_em below its floor gamma^2 >= 4M: gamma^2 = 9 against 4M = 16
+    below = certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 3.0, 0.01)
+    assert below.violated == ("gamma^2 >= 4M: 9.0 >= 16.0",)
+    # bao at h = 1, gamma = 1: b = 1/(1 - 1/e) with b^2 >= a = 1/M
+    forced = certified_rate(Scheme.BAO, 1.0, 4.0, 1.0, 1.0)
+    assert f"b^2 < a: b={forced.b}, a={forced.a}" in forced.violated
+    assert not forced.admissible and not forced.norm_valid
+
+
 def test_exact_one_step_contraction_is_admissible():
     # m = M = 1, h = 1: c = h m (2 - h M) = 1, and one step maps both chains
     # to the same point
     for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
         r = certified_rate(scheme, 1.0, 1.0, 1.0, 1.0)
-        assert r.admissible and r.c == 1.0, r.constraints
+        assert r.admissible and r.c == 1.0, r.violated
         assert r.bound_sq_steps(1, 3.0)[1] == 0.0
     pot = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
     tr = run_synchronous_coupling(Scheme.LM, pot, Z0, Z1, StepParams(1.0, 1.0), 20, seed=0)
@@ -205,7 +231,7 @@ def test_threshold_and_rate_read_the_same_friction_floor():
     m, M, gamma = 1.0, 233.79025282939912, 30.580402406076942
     h_max = certified_stepsize_threshold(Scheme.KINETIC_EM, m, M, gamma)
     r = certified_rate(Scheme.KINETIC_EM, m, M, gamma, 0.5 * (h_max or 0.5 / gamma))
-    assert r.admissible == (h_max > 0.0), (h_max, r.constraints)
+    assert r.admissible == (h_max > 0.0), (h_max, r.violated)
 
 
 def test_certified_rate_prefactors_for_permutations():
@@ -277,7 +303,7 @@ def test_certified_norm_weights_always_equivalent(draws):
         hmax = certified_stepsize_threshold(scheme, m, M, gamma)
         assert hmax > 0, (scheme, m, M, gamma)  # every draw clears its friction floor
         r = certified_rate(scheme, m, M, gamma, theta * hmax)
-        assert r.admissible, (scheme, theta, r.constraints)
+        assert r.admissible, (scheme, theta, r.violated)
         assert r.b**2 < r.a and r.norm == WeightedNorm(r.a, r.b)
         assert 2 * r.b <= math.sqrt(r.a) * (1 + 1e-12)
 
