@@ -39,19 +39,14 @@ the guard's float range raises on every route), then A as
 A[0] + min(tail) > guard_a, and only when the norm is valid and A
 passes, the quartic on the grid.  Deciding A from the tail's minimum is
 exact: adding a constant keeps order under round-to-nearest, so
-min(A[0] + tail) is A[0] + min(tail) bit for bit.  The quartic is
-``np.convolve(A, C) - np.convolve(B, B)`` of the untrimmed degree-2
-lists, and :func:`_polyval` is ``npoly.polyval``'s Horner in one array,
-bit for bit on the grid.  For finite coefficients the trailing zeros
-that ``numpy.polynomial`` trims change only a list's length, never a
-value, so a report is bit-identical to one built afresh with
-``numpy.polynomial``.  :func:`check_certificate` takes A on the grid
-(the tail plus one add) and the verdict's quartic values, evaluating
-them itself, once, where A failed, and adds the eigenvalue oracle,
-H = (1-c) W - P^T W P from the point's P0, P1 and W with its minimum
-eigenvalue at every node, and the margins.  The searches decide on the
-verdict alone: they read only ``passed``, so no search probe runs the
-oracle, while every report carries it.
+min(A[0] + tail) is A[0] + min(tail) bit for bit.
+:func:`check_certificate` takes A on the grid (the tail plus one add)
+and the verdict's quartic values, evaluating them itself, once, where A
+failed, and adds the eigenvalue oracle, H = (1-c) W - P^T W P from the
+point's P0, P1 and W with its minimum eigenvalue at every node, and the
+margins.  The searches decide on the verdict alone: they read only
+``passed``, so no search probe runs the oracle, while every report
+carries it.
 """
 
 from __future__ import annotations
@@ -372,29 +367,6 @@ def check_certificate(
     )
 
 
-def bracket(passes, start: float, cap: float, halvings: int) -> tuple[float | None, float | None]:
-    """Bracket the edge of a pass region (0, x*), trying each point once.
-
-    From ``start`` (at most ``cap``) doubles upward, clamped at ``cap``,
-    while ``passes`` holds, or halves downward, at most ``halvings`` times,
-    while it fails.  Returns (lo, hi) with lo passing and hi failing; hi is
-    None when ``cap`` passes and lo is None when no tried point passes.
-    """
-    x = start
-    if passes(x):
-        while x < cap:
-            nxt = min(2.0 * x, cap)
-            if not passes(nxt):
-                return x, nxt
-            x = nxt
-        return x, None
-    for _ in range(halvings):
-        hi, x = x, x / 2.0
-        if passes(x):
-            return x, hi
-    return None, x
-
-
 def bisect(passes, lo: float, hi: float, tol: float) -> float:
     """Shrink a bracket (lo passing, hi failing) to width ``tol``; return lo.
 
@@ -412,49 +384,66 @@ def bisect(passes, lo: float, hi: float, tol: float) -> float:
     return lo
 
 
+def search(passes, start: float, cap: float, halvings: int, tol: float) -> float:
+    """The edge of a pass region (0, x*), trying each point once.
+
+    From ``start`` (at most ``cap``) doubles upward, clamped at ``cap``,
+    while ``passes`` holds, or halves downward, at most ``halvings`` times,
+    while it fails; the bracket found is shrunk by :func:`bisect`.  Returns
+    ``cap`` when ``cap`` passes and 0.0 when no point tried passes.
+    """
+    x = start
+    if passes(x):
+        while x < cap:
+            nxt = min(2.0 * x, cap)
+            if not passes(nxt):
+                return bisect(passes, x, nxt, tol)
+            x = nxt
+        return cap
+    for _ in range(halvings):
+        hi, x = x, x / 2.0
+        if passes(x):
+            return bisect(passes, x, hi, tol)
+    return 0.0
+
+
+# as in check_certificate: a probe far past stability fails on overflowed blocks and polynomials
+@np.errstate(over="ignore", invalid="ignore")
 def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> float:
     """Largest c in (0, 1) passing the certificate with the scheme's (a, b).
 
     H is monotone decreasing in c, so bisection on [0, 1] applies, to width
     :data:`RATE_TOL`, on one point; a probe is the check's verdict alone.
-    Raises when even c = 0 fails (no contraction certified at these
-    parameters), and for bad input as :func:`check_certificate`.
+    Returns 0.0 when even c = 0 fails (no contraction certified at these
+    parameters); bad input raises as :func:`max_certified_stepsize`.
     """
     point = _point(scheme, m, M, gamma, h)
 
     def passes(c: float) -> bool:
         return _verdict(point, m, M, c)[0]
 
-    if not passes(0.0):
-        raise CertificateError(
-            f"{Scheme(scheme).value} certifies no contraction at h={h}, gamma={gamma}"
-        )
-    return bisect(passes, 0.0, 1.0, RATE_TOL)
+    return bisect(passes, 0.0, 1.0, RATE_TOL) if passes(0.0) else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> float:
     """Largest h whose certificate passes with the certified (a, b, c)(h).
 
-    The pass region is taken to be an interval (0, h*): halving from
-    :data:`STEPSIZE_CAP` brackets h*, then bisection resolves it to
-    :data:`STEPSIZE_TOL`; a probe builds its point and takes the check's
-    verdict alone, no oracle.  Returns the cap when the cap passes and 0.0
-    when no stepsize passes (friction below the scheme's implicit floor).
-    Bad input raises as :func:`max_certified_rate` does: a scheme outside
-    :data:`CERTIFICATE_SCHEMES`, m, M outside 0 < m <= M, or M > m beyond
-    the range of the derivative bound (about 5.6e102).
+    The pass region is taken to be an interval (0, h*): :func:`search`
+    halves from :data:`STEPSIZE_CAP` and bisects to :data:`STEPSIZE_TOL`;
+    a probe builds its point and takes the check's verdict alone, no
+    oracle.  Returns the cap when the cap passes and 0.0 when no stepsize
+    passes (friction below the scheme's implicit floor).  Bad input
+    raises: a scheme outside :data:`CERTIFICATE_SCHEMES`, m, M outside
+    0 < m <= M, or M > m beyond the range of the derivative bound (about
+    5.6e102).
     """
 
     def passes(h: float) -> bool:
         point = _point(scheme, m, M, gamma, h)
         return _verdict(point, m, M, point.rate.c)[0]
 
-    lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)
-    if lo is None:
-        return 0.0
-    if hi is None:
-        return lo
-    return bisect(passes, lo, hi, STEPSIZE_TOL)
+    return search(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
 
 
 # boundary-operator amplification templates: per operator word, the

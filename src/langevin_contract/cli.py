@@ -458,12 +458,7 @@ def cmd_gaussian_scan(cfg: dict, args) -> int:
     rows = []
     for s in schemes:
         for g in gammas:
-            thresholds = {}
-            for lam in (pot.m, pot.M):
-                try:
-                    thresholds[lam] = gaussian.stability_threshold(s, lam, g)
-                except gaussian.SpectralError:
-                    thresholds[lam] = math.nan
+            thresholds = {lam: gaussian.stability_threshold(s, lam, g) for lam in (pot.m, pot.M)}
             rows += [
                 (s.value, rep.h, g, rep.lam, rep.spectral_radius, rep.contractive, thresholds[rep.lam])
                 for rep in gaussian.gaussian_scan(s, pot.m, pot.M, g, h_grid)

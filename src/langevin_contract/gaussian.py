@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CERTIFICATE_SCHEMES, bisect, bracket, step_matrix, transition_matrix_P
+from .certificates import CERTIFICATE_SCHEMES, search, step_matrix, transition_matrix_P
 from .integrators import KINETIC_SCHEMES, Scheme, StepParams, affine_mode_map
 
 
@@ -42,7 +42,10 @@ class SpectralReport:
 
 def _eig_pair(trace: float, det: float) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 from trace and determinant, small root via
-    det / big root so it never cancels to zero spuriously."""
+    det / big root so it never cancels to zero spuriously; infinite when
+    the trace or determinant is not finite (an entry overflowed)."""
+    if not (math.isfinite(trace) and math.isfinite(det)):
+        return (complex(math.inf), complex(math.inf))
     disc = trace * trace - 4.0 * det
     if disc < 0.0:
         r = math.sqrt(-disc)
@@ -76,8 +79,8 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
     if scheme is Scheme.BAO:
         return _eig_pair(1.0 + params.eta - h * h * lam, params.eta)
     matrix = transition_matrix_P if scheme in CERTIFICATE_SCHEMES else step_matrix
-    P = matrix(scheme, lam, params)
-    return _eig_pair(P[0, 0] + P[1, 1], P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0])
+    (p00, p01), (p10, p11) = matrix(scheme, lam, params).tolist()  # Python floats overflow without a warning
+    return _eig_pair(p00 + p11, p00 * p11 - p01 * p10)
 
 
 def mode_report(scheme: Scheme, lam: float, params: StepParams) -> SpectralReport:
@@ -115,24 +118,19 @@ STABILITY_TOL = 1e-10
 def stability_threshold(scheme: Scheme, lam: float, gamma: float) -> float:
     """Largest monotonically stable h, located by bisection.
 
-    The search starts at min(1/sqrt(lam), :data:`STABILITY_CAP`), doubles
-    or halves to bracket the threshold, then bisects to
-    :data:`STABILITY_TOL` or to adjacent floats.  Raises when nothing
-    stable is found by halving, or when the cap is still stable.
+    :func:`~langevin_contract.certificates.search` starts at
+    min(1/sqrt(lam), :data:`STABILITY_CAP`), doubles or halves to bracket
+    the threshold, then bisects to :data:`STABILITY_TOL` or to adjacent
+    floats.  Returns the cap when the cap is stable and 0.0 when no h that
+    halving reaches is; a scheme without a 2x2 mode matrix raises, as does
+    lam <= 0.
     """
     scheme = Scheme(scheme)
 
     def stable(h: float) -> bool:
         return _monotone_stable(scheme, lam, gamma, h)
 
-    lo, hi = bracket(stable, min(1.0 / math.sqrt(lam), STABILITY_CAP), STABILITY_CAP, 79)
-    if lo is None:
-        raise SpectralError(
-            f"no stable stepsize found for {scheme.value} below cap at gamma={gamma}, lam={lam}"
-        )
-    if hi is None:
-        raise SpectralError(f"still stable at the search cap h={STABILITY_CAP}")
-    return bisect(stable, lo, hi, STABILITY_TOL)
+    return search(stable, min(1.0 / math.sqrt(lam), STABILITY_CAP), STABILITY_CAP, 79, STABILITY_TOL)
 
 
 def bao_exact_rate(m: float, h: float, gamma: float) -> float:
@@ -161,13 +159,13 @@ def stationary_covariance(scheme: Scheme, lam: float, params: StepParams) -> np.
     disk), so rho(P) = 1, as at gamma = inf for oab, abo, boa and ses, fails exactly."""
     scheme = Scheme(scheme)
     P, N = affine_mode_map(scheme, lam, params)
-    trace, det = P[0, 0] + P[1, 1], P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
+    (p00, p01), (p10, p11) = P.tolist()
+    trace, det = p00 + p11, p00 * p11 - p01 * p10
     if not (abs(det) < 1.0 and abs(trace) < 1.0 + det):
         raise SpectralError(f"{scheme.value}'s mode chain is not stable at lam={lam}, {params}")
     return np.linalg.solve(np.eye(4) - np.kron(P, P), (N @ N.T).ravel()).reshape(2, 2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # far past stability a mode's radius reads inf or nan
 def gaussian_scan(scheme: Scheme, m: float, M: float, gamma: float, h_grid) -> list[SpectralReport]:
     """Spectral reports over an h grid at both extreme curvatures: for each h,
     the m-mode's report and then the M-mode's, two reports even when m = M."""

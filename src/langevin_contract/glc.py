@@ -98,6 +98,8 @@ def limit_step(scheme: Scheme, p: Potential, state: PhaseState, h: float, noise)
     return step(scheme, p, state, _limit_params(scheme, h), noise)
 
 
+# far past stability a step overflows to inf or nan, and the gap reads inf or nan
+@np.errstate(over="ignore", invalid="ignore")
 def glc_deviation(
     scheme: Scheme,
     p: Potential,

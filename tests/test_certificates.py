@@ -24,11 +24,11 @@ from langevin_contract.certificates import (
     _point,
     _verdict,
     bisect,
-    bracket,
     check_certificate,
     composition_bound,
     max_certified_rate,
     max_certified_stepsize,
+    search,
     step_matrix,
     transition_matrix_P,
 )
@@ -497,7 +497,7 @@ _FLOORS = {
 
 def _reference_stepsize(scheme, m, M, gamma):
     """max_certified_stepsize with every probe a full check, and the failing
-    end of its last bracket (None when the cap passes or nothing does)."""
+    end of its last bracket (None when the cap passes)."""
     failing = []
 
     def passes(h):
@@ -506,16 +506,13 @@ def _reference_stepsize(scheme, m, M, gamma):
             failing.append(h)
         return ok
 
-    lo, hi = bracket(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59)
-    if lo is None or hi is None:
-        return (0.0 if lo is None else lo), None
-    lo = bisect(passes, lo, hi, STEPSIZE_TOL)
-    return lo, min(x for x in failing if x > lo)
+    lo = search(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
+    return lo, min((x for x in failing if x > lo), default=None)
 
 
 def _reference_rate(scheme, m, M, gamma, h):
     """max_certified_rate with every probe a full check, and the failing end
-    of its last bracket; (None, None) when c = 0 fails."""
+    of its last bracket; (0.0, 0.0) when c = 0 fails."""
     failing = [1.0]  # the bisection's upper end, never probed
 
     def passes(c):
@@ -525,7 +522,7 @@ def _reference_rate(scheme, m, M, gamma, h):
         return ok
 
     if not passes(0.0):
-        return None, None
+        return 0.0, 0.0
     lo = bisect(passes, 0.0, 1.0, RATE_TOL)
     return lo, min(x for x in failing if x > lo)
 
@@ -555,14 +552,11 @@ def test_searches_match_full_check_searches(scheme):
 
         h_use = 0.8 * h if h > 0.0 else h_draw
         c, c_fail = _reference_rate(scheme, m, M, gamma, h_use)
-        if c is None:
-            with pytest.raises(CertificateError, match="certifies no contraction"):
-                max_certified_rate(scheme, m, M, gamma, h_use)
-            continue
         got = max_certified_rate(scheme, m, M, gamma, h_use)
         assert type(got) is float and got == c, (m, M, gamma, h_use)
-        rep = check_certificate(scheme, m, M, gamma, h_use, c=c)
-        assert rep.passed and rep.oracle_agrees, rep
+        if c_fail > 0.0:  # c_fail = 0.0: c = 0 fails, nothing is certified and the rate reads 0.0
+            rep = check_certificate(scheme, m, M, gamma, h_use, c=c)
+            assert rep.passed and rep.oracle_agrees, rep
         assert not check_certificate(scheme, m, M, gamma, h_use, c=c_fail).passed
     assert 0.0 in answers
     if scheme is Scheme.SES:
@@ -643,9 +637,11 @@ def test_max_certified_rate_dominates_certified_rate():
         assert c_max >= r.c
 
 
-def test_max_certified_rate_errors_when_nothing_certifiable():
-    with pytest.raises(CertificateError):
-        max_certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 5.0)
+def test_max_certified_rate_is_zero_when_nothing_certifiable():
+    assert not check_certificate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 5.0, c=0.0).passed
+    assert max_certified_rate(Scheme.KINETIC_EM, 1.0, 4.0, 4.0, 5.0) == 0.0
+    # at h = 1e200 the blocks of H overflow: c = 0 fails on them, and numpy warns of nothing
+    assert max_certified_rate(Scheme.BAO, 1.0, 4.0, 10.0, 1e200) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -716,17 +712,21 @@ def _threshold(t):
 @pytest.mark.parametrize(
     "t, start, cap, want",
     [
-        (0.3, 10.0, 10.0, (0.15625, 0.3125)),  # found by halving
-        (7.0, 1.0, 100.0, (4.0, 8.0)),  # found by doubling
-        (50.0, 1.0, 40.0, (40.0, None)),  # doubling reaches a passing cap
-        (20.0, 10.0, 10.0, (10.0, None)),  # start is a passing cap
-        (1e-30, 1.0, 1.0, (None, 2.0**-10)),  # nothing passes in 10 halvings
+        # (edge, probes): halving brackets 0.3 in [5/32, 10/32] after 7 probes, and
+        # 8 bisections leave steps of 5/8192: the edge is 5/32 + 235 * 5/8192
+        (0.3, 10.0, 10.0, (0.2996826171875, 15)),
+        # doubling brackets 7 in [4, 8] after 4 probes; 12 bisections, steps of 2**-10
+        (7.0, 1.0, 100.0, (6.9990234375, 16)),
+        (50.0, 1.0, 40.0, (40.0, 7)),  # doubling reaches a passing cap: the cap
+        (20.0, 10.0, 10.0, (10.0, 1)),  # start is a passing cap
+        (1e-30, 1.0, 1.0, (0.0, 11)),  # nothing passes in 10 halvings: 0.0
     ],
 )
 def test_bracket(t, start, cap, want):
+    # search brackets the edge, then bisects it to the width 1e-3
     passes, seen = _threshold(t)
-    assert bracket(passes, start, cap, 10) == want
-    assert len(seen) == len(set(seen))  # no point is tried twice
+    assert search(passes, start, cap, 10, 1e-3) == want[0]
+    assert len(seen) == len(set(seen)) == want[1]  # no point is tried twice
 
 
 def test_bisect_stops_at_tol():

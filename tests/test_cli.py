@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from itertools import chain, count
 from pathlib import Path
@@ -12,12 +13,15 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langevin_contract import cli
+from langevin_contract.certificates import CERTIFICATE_SCHEMES
 from langevin_contract.cli import _CHUNK, _floats, _write_csv, _write_json, main
 from langevin_contract.coupling import certified_rate, run_synchronous_coupling
 from langevin_contract.glc import rate_collapse_scan
-from langevin_contract.integrators import PhaseState, Scheme, StepParams
+from langevin_contract.integrators import KINETIC_SCHEMES, PhaseState, Scheme, StepParams
 from langevin_contract.potentials import QuadraticPotential
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -341,9 +345,19 @@ MALFORMED = {
     "section_unknown": lambda cfg: {**cfg, "scann": {"h_grid": [0.1]}},
     "top_level_key_unknown": lambda cfg: {**cfg, "n_steps": 100},
     "scheme_unknown": lambda cfg: {**cfg, "schemes": ["nope"]},
+    # start states the schema admits and couple cannot run
+    "z0_tilde_missing": lambda cfg: {**cfg, "coupling": {"z0": cfg["coupling"]["z0"]}},
+    "z0_ragged": _replace("coupling", z0=[[1, 1], [0]]),
+    "z0_dim_3_on_a_2d_target": _replace("coupling", z0=[[1, 1, 1], [0, 0, 0]]),
 }
 #: well-formed configs whose step constant breaks only in the run
 RUN_ERRORS = {"ses_h_1e-120", "bao_then_ses_h_1e-120"}
+#: the message of each start state that the schema admits and the command refuses
+STATE_ERRORS = {
+    "z0_tilde_missing": "config needs 'coupling.z0_tilde'",
+    "z0_ragged": "'coupling.z0' must be [x, v] arrays of one length",
+    "z0_dim_3_on_a_2d_target": "'coupling.z0' must be [x, v] with dim 2, got shape (2, 3)",
+}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -353,7 +367,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, name):
     # json writes math.inf as Infinity; the literal 1e400 also parses to inf
     path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     assert main(["couple", "--config", str(path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert f"config error: {STATE_ERRORS.get(name, '')}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -367,7 +381,7 @@ def test_n_steps_cap_is_the_schemas_maximum(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", sorted(set(MALFORMED) - RUN_ERRORS))
+@pytest.mark.parametrize("name", sorted(set(MALFORMED) - RUN_ERRORS - set(STATE_ERRORS)))
 def test_config_schema_rejects_malformed_configs(tmp_path, name):
     cfg = MALFORMED[name](couple_config(tmp_path / "out"))
     cfg = json.loads(json.dumps(cfg).replace("Infinity", "1e400"))
@@ -827,6 +841,80 @@ def test_couple_force_far_past_stability_writes_strict_json(tmp_path):
     assert not any(run["admissible"] for run in doc["runs"])
 
 
+@pytest.mark.parametrize("gamma, hypothesis", [(1e300, (5e-301, 0.0, 0.0)), (1e-300, (0.0, None, None))])
+def test_certify_table1_at_the_ends_of_the_float_range_runs_without_warnings(tmp_path, gamma, hypothesis):
+    # kinetic_em at m = M = 1: at gamma = 1e300 nothing is certified at 80% of the hypothesis
+    # threshold 1/(2 gamma), so the certified rate reads 0.0; at gamma = 1e-300 no stepsize is
+    # admissible.  The blocks and polynomials of the probes overflow, and numpy warns of nothing
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 1.0},
+        "schemes": ["kinetic_em"],
+        "params": {"gamma": [gamma]},
+        "certify": {"mode": "table1"},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["certify", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    (row,) = _strict_json(tmp_path / "out" / "certificates.json")["rows"]
+    assert row["certified_h_max"] == 0.0
+    assert (row["hypothesis_h_max"], row["hypothesis_rate_at_08h"], row["certified_rate_at_08h"]) == hypothesis
+
+
+def test_glc_scan_far_past_stability_runs_without_warnings(tmp_path):
+    # bao at h = 1e200, gamma = 1e-300: the step overflows, so the gap to the limit step is nan
+    cfg = {
+        "potential": {"name": "quadratic", "m": 1.0, "M": 1.0},
+        "schemes": ["bao"],
+        "params": {"h": [1e200], "n_steps": 20},
+        "scan": {"gamma_grid": [1e-300]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["glc-scan", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    lines = (tmp_path / "out" / "glc_scan.csv").read_text().splitlines()
+    assert lines[1:] == ["bao,1e-300,9.9999999999999997e+199,inf,nan,False,nan"]
+
+
+#: the schemes each command covers; certify's two modes count as two commands
+EDGE_COMMANDS = {
+    "couple": list(Scheme),
+    "certify check": list(CERTIFICATE_SCHEMES),
+    "certify table1": list(CERTIFICATE_SCHEMES),
+    "gaussian-scan": list(KINETIC_SCHEMES),
+    "glc-scan": list(Scheme),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(sorted(EDGE_COMMANDS)),
+    h=st.sampled_from([1e-300, 1e-8, 0.1, 10.0, 1e200]),
+    gamma=st.sampled_from([1e-300, 1e-3, 1.0, 1e8, 1e300]),
+    target=st.sampled_from([(1.0, 1.0), (1.0, 4.0), (1e-300, 1.0), (1.0, 1e300)]),
+    n_steps=st.integers(0, 20),
+)
+def test_every_command_at_the_float_range_edges_exits_0_or_2_without_warnings(data, command, h, gamma, target, n_steps):
+    # a traceback or a numpy warning fails the test (filterwarnings = error); every JSON output is strict
+    scheme = data.draw(st.sampled_from(EDGE_COMMANDS[command]), label="scheme")
+    command, _, mode = command.partition(" ")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = {
+            "potential": {"name": "quadratic", "m": target[0], "M": target[1]},
+            "schemes": [scheme.value],
+            "params": {"h": [h], "gamma": [gamma], "n_steps": n_steps},
+            "coupling": {"z0": [[-1.0, -1.0], [0.0, 0.0]], "z0_tilde": [[1.0, 1.0], [0.0, 0.0]]},
+            "scan": {"h_grid": [h], "gamma_grid": [gamma]},
+            "certify": {"mode": mode or "check"},
+            "output": {"dir": str(out)},
+        }
+        argv = [command, "--config", write_config(Path(tmp) / "cfg.json", cfg)]
+        code = main(argv + (["--force"] if command == "couple" else []))
+        assert code in (0, 2)
+        if code == 0:
+            for path in out.glob("*.json"):
+                _strict_json(path)
+
+
 @pytest.mark.parametrize(
     "command, cfg, problem",
     [
@@ -910,8 +998,8 @@ def test_gaussian_scan_cmd(tmp_path):
     assert float(row["stability_threshold"]) == pytest.approx(expect, abs=1e-6)
 
 
-def test_gaussian_scan_writes_nan_where_the_threshold_search_fails(tmp_path):
-    # ses at gamma = 1e8 is still stable at the search cap, so it has no threshold
+def test_gaussian_scan_writes_the_cap_where_the_threshold_search_reaches_it(tmp_path):
+    # ses at gamma = 1e8 is still stable at the search cap, STABILITY_CAP = 1e6
     cfg = {
         "potential": {"name": "quadratic", "m": 1.0, "M": 1.0},
         "schemes": ["ses"],
@@ -923,7 +1011,7 @@ def test_gaussian_scan_writes_nan_where_the_threshold_search_fails(tmp_path):
     header, *lines = (tmp_path / "out" / "gaussian_scan.csv").read_text().splitlines()
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert len(rows) == 2  # one per extreme curvature, here both lambda = 1
-    assert all(row["stability_threshold"] == "nan" for row in rows), rows
+    assert all(row["stability_threshold"] == "1000000" for row in rows), rows
 
 
 def test_gaussian_scan_far_past_stability_runs_without_warnings(tmp_path):

@@ -5,9 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from langevin_contract.certificates import step_matrix
+from langevin_contract.certificates import CertificateError, step_matrix
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.gaussian import (
+    STABILITY_CAP,
     STABILITY_TOL,
     SpectralError,
     _monotone_stable,
@@ -18,7 +19,7 @@ from langevin_contract.gaussian import (
     stability_threshold,
     stationary_covariance,
 )
-from langevin_contract.integrators import Scheme, StepParams, affine_mode_map
+from langevin_contract.integrators import KINETIC_SCHEMES, Scheme, StepParams, affine_mode_map
 from oracles import _word_columns, mp_stability_threshold
 
 KINETIC = [
@@ -127,13 +128,11 @@ def test_stability_threshold_ends_on_adjacent_floats():
     assert not _monotone_stable(Scheme.BAO, 3e-12, 1e-4, math.nextafter(h, math.inf))
 
 
-def test_stability_threshold_errors_at_the_ends_of_its_search():
+def test_stability_threshold_is_a_value_at_the_ends_of_its_search():
     # kinetic_em at lam = 1e13 and gamma = 0.01 is unstable at every h that
-    # halving from 1/sqrt(lam) reaches; ses at gamma = 1e8 is stable up to the cap
-    with pytest.raises(SpectralError, match="no stable stepsize found for kinetic_em below cap"):
-        stability_threshold(Scheme.KINETIC_EM, 1e13, 0.01)
-    with pytest.raises(SpectralError, match=r"still stable at the search cap h=1000000.0"):
-        stability_threshold(Scheme.SES, 1.0, 1e8)
+    # halving from 1/sqrt(lam) reaches: 0.0; ses at gamma = 1e8 is stable up to the cap: the cap
+    assert stability_threshold(Scheme.KINETIC_EM, 1e13, 0.01) == 0.0
+    assert stability_threshold(Scheme.SES, 1.0, 1e8) == STABILITY_CAP
 
 
 def _roadmap_xfail(item, why):
@@ -248,6 +247,21 @@ def test_certified_rate_lower_bounds_mode_decay(scheme):
         mode_report(scheme, lam, StepParams(h, gamma)).spectral_radius for lam in (m, M)
     )
     assert 1.0 - radius**2 >= r.c - 1e-12
+
+
+def test_a_mode_far_past_stability_reads_an_infinite_radius_without_warnings():
+    # at h = 1e200 the trace or determinant of the mode matrix overflows: both eigenvalues read
+    # inf, not nan, on Python floats that warn of nothing (pytest turns a numpy warning into an error)
+    rep = mode_report(Scheme.SES, 1.0, StepParams(1e200, 10.0))
+    assert rep.spectral_radius == math.inf and not rep.contractive
+    for scheme in KINETIC_SCHEMES:
+        if scheme is Scheme.BAOAB:  # its certificate block takes h^3, which leaves the float range
+            with pytest.raises(CertificateError, match="leaves the float range at h=1e[+]200"):
+                gaussian_scan(scheme, 1.0, 4.0, 10.0, [1e200])
+            continue
+        # at eta = 0, oab and boa set v to 0 and leave x as it is: eigenvalues 1 and 0
+        want = 1.0 if scheme in (Scheme.OAB, Scheme.BOA) else math.inf
+        assert [r.spectral_radius for r in gaussian_scan(scheme, 1.0, 4.0, 10.0, [1e200])] == [want, want], scheme
 
 
 def test_mode_report_fields():
