@@ -127,9 +127,11 @@ def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
     """Exact one-step difference map of the integrator on a scalar mode.
 
     Read off the step core on Python floats (the P of
-    :func:`langevin_contract.integrators.affine_mode_map`); for LM the
-    previous draw is 0.0, and the overdamped velocity passes through.  For
-    baoab/obabo it is the full symmetric step, not the certificate block.
+    :func:`langevin_contract.integrators.affine_mode_map`).  An overdamped
+    step's v' is its draw, so its second row is 0: [[1 - h lam, 0], [0, 0]]
+    for overdamped_em and [[1 - h lam, sqrt(2h)/2], [0, 0]] for LM, whose v
+    is the previous draw.  For baoab/obabo it is the full symmetric step,
+    not the certificate block.
     """
     return _mode_map(Scheme(scheme), lam, params)[0]
 

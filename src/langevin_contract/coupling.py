@@ -329,9 +329,11 @@ class _Batch:
         k = noise_requirements(scheme)
         # (k, B): the noise buffer row of each point's j-th draw, one per distinct (seed, substream)
         self.slots = np.array([[slots.setdefault((p.seed, j), len(slots)) for p in pts] for j in range(k)])
-        self.prev = np.stack([CounterStreams(p.seed).normals(k, 1, d) for p in pts]) if scheme is Scheme.LM else None
         self.x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], len(pts), axis=0)
-        self.v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], len(pts), axis=0)
+        if scheme is Scheme.LM:  # both chains' v is the primer, the draw before step 0
+            self.v = np.stack([CounterStreams(p.seed).normals(k, 1, d) for p in pts])
+        else:
+            self.v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], len(pts), axis=0)
         self.grad = None
 
     def step(self, potential, noise, xs, vs):
@@ -341,15 +343,13 @@ class _Batch:
         B = len(self.index)
         xs, vs = xs[:, :B], vs[:, :B]
         scheme, coefs = self.scheme, self.coefs
-        x, v, grad, prev = self.x, self.v, self.grad, self.prev
+        x, v, grad = self.x, self.v, self.grad
         for i, xi in enumerate(block):
-            x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, prev, grad)
-            if prev is not None:
-                prev = xi[0]
+            x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, grad)
             xs[i] = x
             vs[i] = v
-        # LM's prev is a view into this block's noise: a copy lets the block go
-        self.x, self.v, self.grad, self.prev = x, v, grad, None if prev is None else prev.copy()
+        # an overdamped v is a view into this block's noise: a copy lets the block go
+        self.x, self.v, self.grad = x, v.copy() if np.may_share_memory(v, block) else v, grad
 
 
 def run_coupling_batch(

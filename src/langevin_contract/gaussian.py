@@ -69,10 +69,10 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
     and any other scheme the step core's own map, :func:`~langevin_contract.certificates.step_matrix`.
     """
     scheme = Scheme(scheme)
-    if lam <= 0.0:
+    if not lam > 0.0:  # NaN too
         raise SpectralError(f"lam must be positive, got {lam}")
     if scheme not in KINETIC_SCHEMES:
-        raise SpectralError(f"{scheme.value} has no 2x2 mode matrix; its mode factor is 1 - h lam")
+        raise SpectralError(f"{scheme.value} is overdamped: its mode contracts by 1 - h lam")
     h, g = params.h, params.gamma
     if scheme is Scheme.KINETIC_EM:
         return _eig_pair(2.0 - g * h, 1.0 - g * h + h * h * lam)
@@ -122,10 +122,12 @@ def stability_threshold(scheme: Scheme, lam: float, gamma: float) -> float:
     min(1/sqrt(lam), :data:`STABILITY_CAP`), doubles or halves to bracket
     the threshold, then bisects to :data:`STABILITY_TOL` or to adjacent
     floats.  Returns the cap when the cap is stable and 0.0 when no h that
-    halving reaches is; a scheme without a 2x2 mode matrix raises, as does
-    lam <= 0.
+    halving reaches is; an overdamped scheme raises, as does
+    a lam that is not positive, before the start value 1/sqrt(lam).
     """
     scheme = Scheme(scheme)
+    if not lam > 0.0:  # NaN too
+        raise SpectralError(f"lam must be positive, got {lam}")
 
     def stable(h: float) -> bool:
         return _monotone_stable(scheme, lam, gamma, h)

@@ -77,7 +77,12 @@ SPLITTING_WORDS = {
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position-velocity pair z = (x, v); arrays share shape (..., d)."""
+    """Position-velocity pair z = (x, v); arrays share shape (..., d).
+
+    In an overdamped chain v is the last standard-normal draw: EM ignores
+    it and LM averages it with the next one, so every scheme is a
+    memoryless map of (x, v).
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -181,26 +186,18 @@ def _as_noise(scheme: Scheme, noise, dim: int) -> np.ndarray:
     return arr
 
 
-def step(
-    scheme: Scheme,
-    potential: Potential,
-    state: PhaseState,
-    params: StepParams,
-    noise,
-    prev_noise: np.ndarray | None = None,
-) -> PhaseState:
+def step(scheme: Scheme, potential: Potential, state: PhaseState, params: StepParams, noise) -> PhaseState:
     """Advance one step of the given scheme.
 
     ``noise`` holds ``noise_requirements(scheme)`` standard-normal draws of
-    shape (d,) (stacked along the first axis).  LM additionally needs
-    ``prev_noise``, the draw consumed at the previous step; the chain
-    runner threads it (seeded with a primer draw at chain start).
+    shape (d,) (stacked along the first axis).  An overdamped scheme
+    returns its draw as v (broadcast to x's shape), and LM reads the
+    incoming v as the previous step's draw.
     """
     scheme = Scheme(scheme)
     xi = _as_noise(scheme, noise, state.dim)
-    prev = None if prev_noise is None else np.asarray(prev_noise, dtype=float)
-    x, v, _ = _step_core(scheme, potential, state.x, state.v, _coefficients(scheme, params), xi, prev)
-    return PhaseState(x, v)
+    x, v, _ = _step_core(scheme, potential, state.x, state.v, _coefficients(scheme, params), xi)
+    return PhaseState(x, np.broadcast_to(v, x.shape).copy())
 
 
 def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
@@ -228,10 +225,9 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
         coefs = h, math.sqrt(2.0 * h)
     elif scheme is Scheme.KINETIC_EM:
         coefs = h, g * h, math.sqrt(2.0 * g * h)
-    elif scheme is Scheme.SES and math.isinf(g):  # the formulas below give 0/0; these are their limits
+    elif math.isinf(g):  # SES at gamma = inf, where the formulas below give 0/0: their limits
         coefs = 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
-    elif scheme is Scheme.SES:
-        # the noise pair's lower-triangular Cholesky factor, position component first;
+    else:  # SES: the noise pair's lower-triangular Cholesky factor, position component first;
         # ses_covariance also checks that gamma^2 is in the float range
         var_pos, var_vel, cov = ses_covariance(params)
         alpha = -math.expm1(-g * h) / g  # (1 - eta)/gamma without cancellation
@@ -242,14 +238,12 @@ def _coefficients(scheme: Scheme, params: StepParams) -> tuple[float, ...]:
             raise IntegratorError(f"SES noise covariance not positive definite at h={h}, gamma={g}")
         l11 = math.sqrt(var_pos)
         coefs = alpha, beta, params.eta, l11, cov / l11, math.sqrt(schur)
-    else:
-        raise IntegratorError(f"unknown scheme {scheme!r}")
     if not all(map(math.isfinite, coefs)):
         raise IntegratorError(f"{scheme.value} has non-finite step constants at h={h}, gamma={g}")
     return tuple(coefs)
 
 
-def _step_core(scheme, potential, x, v, coefs, xi, prev_noise=None, grad=None):
+def _step_core(scheme, potential, x, v, coefs, xi, grad=None):
     """The array-level step from :func:`_coefficients`; returns (x, v, grad).
 
     Shared by :func:`step` and the coupling runner.  ``coefs`` entries are
@@ -280,12 +274,10 @@ def _step_core(scheme, potential, x, v, coefs, xi, prev_noise=None, grad=None):
     grad = potential.gradient(x)
     if scheme is Scheme.OVERDAMPED_EM:
         h, s = coefs
-        return x - h * grad + s * xi[0], v, None
-    if scheme is Scheme.LM:
-        if prev_noise is None:
-            raise IntegratorError("LM needs prev_noise (the previous step's draw)")
+        return x - h * grad + s * xi[0], xi[0], None
+    if scheme is Scheme.LM:  # v is the previous step's draw
         h, s = coefs
-        return x - h * grad + s * (0.5 * (xi[0] + prev_noise)), v, None
+        return x - h * grad + s * (0.5 * (xi[0] + v)), xi[0], None
     if scheme is Scheme.KINETIC_EM:
         h, gh, s = coefs
         return x + h * v, v - h * grad - gh * v + s * xi[0], None
@@ -312,14 +304,13 @@ def _mode_map(
     at zero noise for the columns of P and, when ``noise``, from z = 0 with
     one unit draw for each column of N (else N is None).  So every mode
     matrix of a scheme is its step's own arithmetic, rounding included.
-    LM's previous draw is 0.0.
     """
     coefs = _coefficients(scheme, params)
     mode = _Mode(float(lam))
 
     # the default zero noise covers every scheme: none draws more than two
     def image(x: float, v: float, xi=(0.0, 0.0)) -> tuple[float, float]:
-        return _step_core(scheme, mode, x, v, coefs, xi, 0.0)[:2]
+        return _step_core(scheme, mode, x, v, coefs, xi)[:2]
 
     (p00, p10), (p01, p11) = image(1.0, 0.0), image(0.0, 1.0)
     P = np.array([[p00, p01], [p10, p11]])
@@ -333,12 +324,10 @@ def affine_mode_map(scheme: Scheme, lam: float, params: StepParams) -> tuple[np.
     """(P, N) of the exact one-step affine map z' = P z + N xi on a 1-d
     quadratic mode of curvature lam, read off the step core.
 
-    Not defined for LM (carries cross-step noise state).
+    Every scheme has one: an overdamped scheme's v' is its draw, so P's
+    second row is 0 and N's is 1 (LM reads v as the previous draw).
     """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.LM:
-        raise IntegratorError("LM carries cached noise; no memoryless affine map")
-    return _mode_map(scheme, lam, params, noise=True)
+    return _mode_map(Scheme(scheme), lam, params, noise=True)
 
 
 #: steps per block of :func:`simulate_mode_chain`

@@ -177,16 +177,13 @@ def test_criterion_5_glc_limit_equivalence():
     # baoab against the averaged-noise overdamped scheme at h^2/2
     xi = CounterStreams(50).normals(0, n + 1, 2)
     z = PhaseState(np.array([0.4, -0.6]), np.array([0.3, 0.1]))
-    x_lm = z.x.copy()
-    prev = z.v + 0.5 * h * pot.gradient(z.x)  # velocity plays the cached draw
+    lm = PhaseState(z.x, z.v + 0.5 * h * pot.gradient(z.x))  # LM's v is its previous draw
     delta = StepParams(h * h / 2.0, 1.0)
     worst = 0.0
     for k in range(1, n + 1):
         z = step(Scheme.BAOAB, pot, z, params, xi[k][np.newaxis])
-        lm = step(Scheme.LM, pot, PhaseState(x_lm, np.zeros(2)), delta, xi[k][np.newaxis], prev_noise=prev)
-        x_lm = lm.x
-        prev = xi[k]
-        worst = max(worst, np.abs(z.x - x_lm).max())
+        lm = step(Scheme.LM, pot, lm, delta, xi[k][np.newaxis])
+        worst = max(worst, np.abs(z.x - lm.x).max())
     checks["baoab=lm(h^2/2)"] = worst
 
     # obabo against overdamped EM at h^2/2 on the first refresh draw
@@ -302,11 +299,10 @@ def test_criterion_7_norm_property_suites():
     agree_ok = True
     for scheme in Scheme:
         xi = rng.standard_normal((noise_requirements(scheme), 1))
-        prev = rng.standard_normal(1) if scheme is Scheme.LM else None
         za = PhaseState(np.array([0.4]), np.array([-0.3]))
         zb = PhaseState(np.array([-1.1]), np.array([0.9]))
-        fa = step(scheme, pot, za, params, xi, prev_noise=prev)
-        fb = step(scheme, pot, zb, params, xi, prev_noise=prev)
+        fa = step(scheme, pot, za, params, xi)
+        fb = step(scheme, pot, zb, params, xi)
         got = np.array([fa.x[0] - fb.x[0], fa.v[0] - fb.v[0]])
         want = step_matrix(scheme, lam, params) @ np.array([1.5, -1.2])
         agree_ok &= bool(np.abs(got - want).max() <= 1e-12)

@@ -747,13 +747,14 @@ def test_bisect_tol_below_float_spacing_terminates():
 
 def test_step_matrix_overdamped():
     P = step_matrix(Scheme.OVERDAMPED_EM, 2.0, StepParams(0.1, 1.0))
-    assert np.allclose(P, [[0.8, 0.0], [0.0, 1.0]])
-    # exactly the position factor 1 - h lam with the velocity passing
-    # through; LM's previous draw enters only its noise
+    assert np.allclose(P, [[0.8, 0.0], [0.0, 0.0]])
+    # exactly the position factor 1 - h lam; v' is the step's draw, and LM's
+    # v, the previous draw, enters x at sqrt(2h)/2
     for scheme in (Scheme.OVERDAMPED_EM, Scheme.LM):
         for h, lam in ((0.1, 2.0), (0.37, 5.3), (1e-6, 1e3)):
             P = step_matrix(scheme, lam, StepParams(h, 1.0))
-            assert np.array_equal(P, [[1.0 - h * lam, 0.0], [0.0, 1.0]])
+            p01 = math.sqrt(2.0 * h) * 0.5 if scheme is Scheme.LM else 0.0
+            assert np.array_equal(P, [[1.0 - h * lam, p01], [0.0, 0.0]])
 
 
 def test_composition_bound_values():

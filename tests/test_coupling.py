@@ -420,6 +420,20 @@ def test_lm_coupling_contracts():
     assert ok, bad
 
 
+@pytest.mark.parametrize("scheme", [Scheme.OVERDAMPED_EM, Scheme.LM], ids=lambda s: s.value)
+def test_an_overdamped_velocity_gap_closes_in_one_step(scheme):
+    # an overdamped step sets v to the shared draw, so a start velocity gap
+    # counts in d_0 only; it once stalled the a = 1 distance at |vbar_0|^2 = 1
+    # and broke the bound at k = 56
+    pot = PerturbedQuadratic(np.diag([1.0, 1.1, 1.5, 2.3]), 0.25)
+    z0 = PhaseState(np.ones(4), np.zeros(4))
+    z1 = PhaseState(-np.ones(4), np.full(4, 0.5))
+    tr = run_synchronous_coupling(scheme, pot, z0, z1, StepParams(0.03, 11.0), 200, seed=1)
+    assert tr.distances[0] == 16.0 + 1.0
+    assert verify_trace_bound(tr) == (True, None)
+    assert tr.distances[-1] < 1e-3
+
+
 def test_trace_csv_export(tmp_path):
     cfg = {
         "potential": {"name": "quadratic", "m": 1.0, "M": 4.0},
@@ -450,15 +464,14 @@ def _reference_coupling(scheme, pot, z0, z1, params, n_steps, seed, norm):
     streams = CounterStreams(seed)
     k = noise_requirements(scheme)
     noise = np.stack([streams.normals(j, n_steps, d) for j in range(k)], axis=1)
-    prev = streams.normals(k, 1, d)[0] if scheme is Scheme.LM else None
     x, v = np.stack([z0.x, z1.x]), np.stack([z0.v, z1.v])
     xbar, vbar = [x[0] - x[1]], [v[0] - v[1]]
+    if scheme is Scheme.LM:  # both chains' v is the primer, the draw before step 0
+        v = np.repeat(streams.normals(k, 1, d), 2, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            z = step(scheme, pot, PhaseState(x, v), params, noise[i], prev)
+            z = step(scheme, pot, PhaseState(x, v), params, noise[i])
             x, v = z.x, z.v
-            if scheme is Scheme.LM:
-                prev = noise[i, 0]
             xbar.append(x[0] - x[1])
             vbar.append(v[0] - v[1])
         d = norm.squared(np.array(xbar), np.array(vbar))
@@ -715,8 +728,7 @@ def test_symmetric_splittings_reuse_the_end_of_step_gradient(scheme):
     # step() carries nothing from one call to the next: each call kicks afresh
     pot.calls = 0
     xi = np.ones((noise_requirements(scheme), 2))
-    prev = np.ones(2) if scheme is Scheme.LM else None
-    a = step(scheme, pot, Z0, params, xi, prev)
-    b = step(scheme, pot, Z0, params, xi, prev)
+    a = step(scheme, pot, Z0, params, xi)
+    b = step(scheme, pot, Z0, params, xi)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
     assert pot.calls == 2 * kicks

@@ -102,6 +102,16 @@ def test_mode_eigenvalues_rejects_overdamped():
         mode_eigenvalues(Scheme.OVERDAMPED_EM, 1.0, StepParams(0.1, 1.0))
 
 
+@pytest.mark.parametrize("lam", [-1.0, -0.0, 0.0, math.nan])
+def test_a_curvature_that_is_not_positive_raises(lam):
+    # before stability_threshold's start value 1/sqrt(lam), which raised ValueError,
+    # ZeroDivisionError or a nan stepsize; nan passed lam <= 0 and gave (inf, inf)
+    with pytest.raises(SpectralError, match="lam must be positive"):
+        stability_threshold(Scheme.BAO, lam, 10.0)
+    with pytest.raises(SpectralError, match="lam must be positive"):
+        mode_eigenvalues(Scheme.BAO, lam, StepParams(0.1, 10.0))
+
+
 def test_stability_threshold_kinetic_em_closed_form():
     got = stability_threshold(Scheme.KINETIC_EM, 1.0, 4.0)
     assert got == pytest.approx(2.0 / (4.0 + math.sqrt(12.0)), abs=1e-8)

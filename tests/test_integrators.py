@@ -6,6 +6,7 @@ import pytest
 
 from langevin_contract.certificates import step_matrix, transition_matrix_P
 from langevin_contract.coupling import CounterStreams
+from langevin_contract.gaussian import stationary_covariance
 from langevin_contract.integrators import (
     _CHAIN_BLOCK,
     _CHAIN_CHUNK,
@@ -133,20 +134,19 @@ def test_ses_zero_force_zero_noise():
     assert np.allclose(z.v, eta * state().v)
 
 
-def test_lm_requires_and_uses_prev_noise():
+@pytest.mark.parametrize("scheme", [Scheme.OVERDAMPED_EM, Scheme.LM], ids=lambda s: s.value)
+def test_overdamped_v_is_the_last_draw(scheme):
+    # EM ignores v, LM averages it (the previous draw) with this step's draw,
+    # and both return the draw as v, broadcast to x's shape
     pot = QuadraticPotential.diagonal([1.0, 2.0])
-    with pytest.raises(IntegratorError):
-        step(Scheme.LM, pot, state(), params(), zero_noise(Scheme.LM))
     xi = np.array([[1.0, 0.0]])
-    prev = np.array([0.5, -0.5])
-    z = step(Scheme.LM, pot, state(), params(), xi, prev_noise=prev)
-    expected = (
-        state().x
-        - 0.1 * pot.gradient(state().x)
-        + math.sqrt(0.2) * 0.5 * (xi[0] + prev)
-    )
+    z = step(scheme, pot, state(v=(0.5, -0.5)), params(), xi)
+    noise = 0.5 * (xi[0] + np.array([0.5, -0.5])) if scheme is Scheme.LM else xi[0]
+    expected = state().x - 0.1 * pot.gradient(state().x) + math.sqrt(0.2) * noise
     assert np.allclose(z.x, expected, atol=1e-15)
-    assert np.array_equal(z.v, state().v)
+    assert np.array_equal(z.v, xi[0])
+    batch = PhaseState(np.zeros((3, 2)), np.zeros((3, 2)))
+    assert np.array_equal(step(scheme, pot, batch, params(), xi).v, np.repeat(xi, 3, axis=0))
 
 
 def test_wrong_noise_arity_rejected():
@@ -167,7 +167,7 @@ def test_determinism():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
 
 
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.LM])
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_noise_cancellation_under_shared_draws(scheme):
     # the difference of two states stepped on common noise does not depend
     # on the noise values: the synchronous-coupling cornerstone
@@ -192,11 +192,10 @@ def test_difference_process_matches_step_matrix(scheme):
     p = StepParams(0.17, 1.9)
     rng = np.random.default_rng(1)
     xi = rng.standard_normal((noise_requirements(scheme), 1))
-    prev = rng.standard_normal(1) if scheme is Scheme.LM else None
     za = PhaseState(np.array([0.4]), np.array([-0.3]))
     zb = PhaseState(np.array([-1.1]), np.array([0.9]))
-    fa = step(scheme, pot, za, p, xi, prev_noise=prev)
-    fb = step(scheme, pot, zb, p, xi, prev_noise=prev)
+    fa = step(scheme, pot, za, p, xi)
+    fb = step(scheme, pot, zb, p, xi)
     got = np.array([fa.x[0] - fb.x[0], fa.v[0] - fb.v[0]])
     want = step_matrix(scheme, lam, p) @ np.array([za.x[0] - zb.x[0], za.v[0] - zb.v[0]])
     assert np.abs(got - want).max() <= 1e-12
@@ -378,8 +377,8 @@ def test_ses_noise_monte_carlo_covariance():
     assert abs(np.mean(z * w) - cov) <= 3 * se_cov
 
 
-#: every scheme with a memoryless affine mode map
-CHAIN_SCHEMES = (*KINETIC_SCHEMES, Scheme.OVERDAMPED_EM)
+#: every scheme: each has a memoryless affine mode map
+CHAIN_SCHEMES = (*KINETIC_SCHEMES, Scheme.OVERDAMPED_EM, Scheme.LM)
 
 
 def _reference_simulate_mode_chain(scheme, lam, params, x0, v0, noise):
@@ -409,13 +408,6 @@ def _reference_simulate_mode_chain(scheme, lam, params, x0, v0, noise):
     return xs
 
 
-def _spectral_radius(scheme, P):
-    # overdamped_em carries v unchanged, so the eigenvalue 1 of its P says nothing
-    if scheme is Scheme.OVERDAMPED_EM:
-        return abs(P[0, 0])
-    return max(abs(np.linalg.eigvals(P)))
-
-
 @pytest.mark.parametrize("scheme", CHAIN_SCHEMES, ids=lambda s: s.value)
 def test_simulate_mode_chain_matches_the_loop_reference(scheme):
     # blocked and looped arithmetic round differently: agreement to 1e-12 of
@@ -426,8 +418,8 @@ def test_simulate_mode_chain_matches_the_loop_reference(scheme):
     lam = rng.uniform(0.5, 4.0)
     near_unit = StepParams(5e-4 / lam, 0.01)
     P, _ = affine_mode_map(scheme, lam, near_unit)
-    assert 1.0 - 1e-3 <= _spectral_radius(scheme, P) < 1.0
-    # h lam <= 0.1 < gamma keeps kinetic_em and overdamped_em stable too
+    assert 1.0 - 1e-3 <= max(abs(np.linalg.eigvals(P))) < 1.0
+    # h lam <= 0.1 < gamma keeps kinetic_em and the overdamped schemes stable too
     damped = StepParams(rng.uniform(0.01, 0.1) / lam, rng.uniform(0.5, 5.0))
     B = _CHAIN_BLOCK
     for p in (near_unit, damped):
@@ -584,35 +576,17 @@ def test_simulate_mode_chain_matches_stationary_covariance():
 
 
 def test_overdamped_em_variance_closed_form():
-    # AR(1): var = 2h / (1 - (1 - h)^2) = 2 / (2 - h) for the unit target
-    h = 0.2
-    pot = QuadraticPotential(np.array([[1.0]]))
-    p = StepParams(h, 1.0)
-    rng = np.random.default_rng(3)
-    n = 200_000
-    draws = rng.standard_normal(n)
-    x = 0.0
-    acc = np.empty(n)
-    z = PhaseState(np.array([0.0]), np.array([0.0]))
-    for i in range(n):
-        z = step(Scheme.OVERDAMPED_EM, pot, z, p, draws[i].reshape(1, 1))
-        acc[i] = z.x[0]
-    var = np.var(acc[2000:])
-    assert var == pytest.approx(2.0 / (2.0 - h), rel=0.03)
+    # AR(1) x' = (1 - h lam) x + sqrt(2h) xi: lam var = 1 / (1 - h lam / 2) for every h lam < 2
+    for lam in (0.3, 1.0, 7.0):
+        for hl in (1e-3, 0.1, 0.5, 1.0, 1.5, 1.99):
+            S = stationary_covariance(Scheme.OVERDAMPED_EM, lam, StepParams(hl / lam, 1.0))
+            assert lam * S[0, 0] == pytest.approx(1.0 / (1.0 - hl / 2.0), rel=1e-12)
 
 
 def test_lm_exact_unit_variance_on_quadratic():
     # averaged consecutive noises cancel the AR(1) variance bias exactly:
-    # var = (h/2) [1 + (1+a)^2/(1-a^2)] = 1 with a = 1 - h, for every h < 2
-    h = 0.5
-    pot = QuadraticPotential(np.array([[1.0]]))
-    p = StepParams(h, 1.0)
-    rng = np.random.default_rng(4)
-    n = 200_000
-    draws = rng.standard_normal(n + 1)
-    acc = np.empty(n)
-    z = PhaseState(np.array([0.0]), np.array([0.0]))
-    for i in range(n):
-        z = step(Scheme.LM, pot, z, p, draws[i + 1].reshape(1, 1), prev_noise=draws[i : i + 1])
-        acc[i] = z.x[0]
-    assert np.var(acc[2000:]) == pytest.approx(1.0, rel=0.02)
+    # lam var = (h lam/2) [1 + (1+a)^2/(1-a^2)] = 1 with a = 1 - h lam, for every h lam < 2
+    for lam in (0.3, 1.0, 7.0):
+        for hl in (1e-3, 0.1, 0.5, 1.0, 1.5, 1.99):
+            S = stationary_covariance(Scheme.LM, lam, StepParams(hl / lam, 1.0))
+            assert lam * S[0, 0] == pytest.approx(1.0, abs=1e-12)
