@@ -34,7 +34,6 @@ from .potentials import (
 from .certificates import (
     CertificateReport,
     check_certificate,
-    composition_bound,
     max_certified_rate,
     max_certified_stepsize,
     step_matrix,
@@ -62,7 +61,6 @@ __all__ = [
     "certified_stepsize_threshold",
     "check_certificate",
     "classify_glc",
-    "composition_bound",
     "empirical_rate",
     "gaussian_scan",
     "glc_deviation",

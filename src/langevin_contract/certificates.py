@@ -102,8 +102,10 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
     """
     scheme = Scheme(scheme)
     if scheme not in CERTIFICATE_SCHEMES:
+        ok = ", ".join(s.value for s in CERTIFICATE_SCHEMES)
         raise UnsupportedScheme(
-            f"{scheme.value} has no certificate block; permuted splittings route through bao/oab"
+            f"{scheme.value} has no certificate block; permuted splittings route through "
+            f"bao/oab (certified_rate); certifiable schemes: {ok}"
         )
     if scheme not in (Scheme.BAOAB, Scheme.OBABO):
         return _mode_map(scheme, lam, params)[0]
@@ -447,51 +449,3 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
 
     return search(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
 
-
-# boundary-operator amplification templates: per operator word, the
-# coefficient pair (c1, c2) such that the squared norm of the mapped
-# difference is at most 3 (c1 |xbar|^2 + c2 |vbar|^2); the bound constant
-# is then 3 max(c1, c2 / a).  Words use full-step A/B unless noted.
-def _pair_coeffs(op: str, a: float, h: float, M: float) -> tuple[float, float]:
-    hM2 = h * h * M * M
-    if op == "A":
-        return 1.0, h * h + a / 2.0
-    if op == "B":
-        return 0.5 + a * hM2, a
-    if op == "O":
-        return 0.5, a / 2.0
-    if op == "AB":
-        return 1.0 + 2.0 * hM2 * a, h * h + a + 2.0 * h * h * hM2 * a
-    if op == "BA":
-        return 1.0 + a * hM2, h * h + a
-    if op == "OB":  # half-step B
-        return 0.5 + a * hM2 / 4.0, a
-    if op == "BAO":  # half-step B and A, full O
-        return 1.0 + a * hM2 / 4.0 + h * h * hM2 / 8.0, h * h / 2.0 + a
-    if op == "ABO":  # full A, half-step B and O
-        return 1.0 + a * hM2 / 2.0, a + h * h + a * h * h * hM2 / 2.0
-    raise CertificateError(f"unsupported boundary operator {op!r}")
-
-
-#: constants the amplification bounds must stay below at a = 1/M,
-#: h <= 1/(2 sqrt(M)); the chain entry covers ["AB", "O"] compositions
-REFERENCE_BOUND_CONSTANTS = {"AB": 7.0, "BAO": 7.0, "ABO": 8.0, "OB": 6.0, "AB,O": 27.0}
-
-
-def composition_bound(ops, a: float, h: float, M: float) -> float:
-    """Squared-norm amplification constant of a boundary-operator word list.
-
-    Each word contributes 3 max(c1, c2 / a) from its coefficient template;
-    a list multiplies the per-word constants (the decomposition argument
-    that reduces permuted splittings to the bao/oab certificates).  At
-    h = 0 a single word degenerates to the pure norm-equivalence factor 3.
-    """
-    if isinstance(ops, str):
-        ops = [ops]
-    if not ops:
-        raise CertificateError("empty operator list")
-    total = 1.0
-    for op in ops:
-        c1, c2 = _pair_coeffs(op, a, h, M)
-        total *= 3.0 * max(c1, c2 / a)
-    return total

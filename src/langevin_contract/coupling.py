@@ -220,7 +220,7 @@ def _record(scheme: Scheme, m: float, M: float, gamma: float) -> _Record:
     """The scheme's record, once 0 < m <= M and gamma > 0 hold."""
     if not (0.0 < m <= M):
         raise CouplingError(f"need 0 < m <= M, got m={m}, M={M}")
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # NaN too
         raise CouplingError(f"need gamma > 0, got gamma={gamma}")
     return _RECORDS[scheme]
 
@@ -229,7 +229,7 @@ def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -
     """Certified (a, b, c) and admissibility: the scheme's record, then 0 < c <= 1 and b^2 < a."""
     scheme = Scheme(scheme)
     record = _record(scheme, m, M, gamma)
-    if h <= 0.0:
+    if not h > 0.0:  # NaN too
         raise CouplingError(f"need h > 0, got h={h}")
     eta = math.exp(-gamma * h)
     one_minus_eta = -math.expm1(-gamma * h)  # cancellation-free 1 - eta

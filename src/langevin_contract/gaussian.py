@@ -144,7 +144,7 @@ def bao_exact_rate(m: float, h: float, gamma: float) -> float:
     pair of modulus sqrt(eta) and the modulus-based squared rate
     1 - eta is returned instead.
     """
-    if m <= 0.0 or h <= 0.0 or gamma <= 0.0:
+    if not (m > 0.0 and h > 0.0 and gamma > 0.0):  # NaN too
         raise SpectralError("m, h, gamma must be positive")
     eta = math.exp(-gamma * h)
     s0 = 1.0 - eta + h * h * m

@@ -8,9 +8,10 @@ stationary position law of a splitting's gamma = inf chain in closed form, and
 of the "eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
 
 The last section holds reference routines that only the tests call: the
-A/B/C coefficient form of a certificate block, the Gaussian 2-Wasserstein
-distance, the Wasserstein decay factor, the list of first-order
-splittings and the whole-array mode chain.
+A/B/C coefficient form of a certificate block, the boundary-operator
+amplification bounds behind the coupling records' prefactors, the Gaussian
+2-Wasserstein distance, the Wasserstein decay factor, the list of
+first-order splittings and the whole-array mode chain.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import mpmath as mp
 import numpy as np
 import sympy as sp
 
-from langevin_contract.certificates import _affine_P, _h_blocks
+from langevin_contract.certificates import CertificateError, _affine_P, _h_blocks
 from langevin_contract.integrators import (
     _CHAIN_BLOCK,
     SPLITTING_WORDS,
@@ -165,6 +166,57 @@ def build_abc(scheme: Scheme, params: StepParams, a: float, b: float, c: float) 
     K0, H1, H2 = _h_blocks(*_affine_P(scheme, params), W)
     H = np.stack([(1.0 - c) * W - K0, H1, H2])
     return AbcPolynomials(scheme, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1])
+
+
+# boundary-operator amplification templates: per operator word, the
+# coefficient pair (c1, c2) such that the squared norm of the mapped
+# difference is at most 3 (c1 |xbar|^2 + c2 |vbar|^2); the bound constant
+# is then 3 max(c1, c2 / a).  Words use full-step A/B unless noted.
+def _pair_coeffs(op: str, a: float, h: float, M: float) -> tuple[float, float]:
+    hM2 = h * h * M * M
+    if op == "A":
+        return 1.0, h * h + a / 2.0
+    if op == "B":
+        return 0.5 + a * hM2, a
+    if op == "O":
+        return 0.5, a / 2.0
+    if op == "AB":
+        return 1.0 + 2.0 * hM2 * a, h * h + a + 2.0 * h * h * hM2 * a
+    if op == "BA":
+        return 1.0 + a * hM2, h * h + a
+    if op == "OB":  # half-step B
+        return 0.5 + a * hM2 / 4.0, a
+    if op == "BAO":  # half-step B and A, full O
+        return 1.0 + a * hM2 / 4.0 + h * h * hM2 / 8.0, h * h / 2.0 + a
+    if op == "ABO":  # full A, half-step B and O
+        return 1.0 + a * hM2 / 2.0, a + h * h + a * h * h * hM2 / 2.0
+    raise CertificateError(f"unsupported boundary operator {op!r}")
+
+
+#: constants the amplification bounds must stay below at a = 1/M,
+#: h <= 1/(2 sqrt(M)); the chain entry covers ["AB", "O"] compositions.
+#: The coupling records' prefactors state 7 (baoab, obabo) and 27 (the
+#: permuted splittings) themselves; the tests hold them equal to these.
+REFERENCE_BOUND_CONSTANTS = {"AB": 7.0, "BAO": 7.0, "ABO": 8.0, "OB": 6.0, "AB,O": 27.0}
+
+
+def composition_bound(ops, a: float, h: float, M: float) -> float:
+    """Squared-norm amplification constant of a boundary-operator word list.
+
+    Each word contributes 3 max(c1, c2 / a) from its coefficient template;
+    a list multiplies the per-word constants (the decomposition argument
+    that reduces permuted splittings to the bao/oab certificates).  At
+    h = 0 a single word degenerates to the pure norm-equivalence factor 3.
+    """
+    if isinstance(ops, str):
+        ops = [ops]
+    if not ops:
+        raise CertificateError("empty operator list")
+    total = 1.0
+    for op in ops:
+        c1, c2 = _pair_coeffs(op, a, h, M)
+        total *= 3.0 * max(c1, c2 / a)
+    return total
 
 
 def wasserstein_decay_factor(C: float, a: float, c: float, n_steps: int) -> float:

@@ -10,11 +10,7 @@ import time
 
 import numpy as np
 
-from langevin_contract.certificates import (
-    check_certificate,
-    composition_bound,
-    step_matrix,
-)
+from langevin_contract.certificates import check_certificate, step_matrix
 from langevin_contract.coupling import (
     CounterStreams,
     certified_rate,
@@ -34,6 +30,7 @@ from langevin_contract.integrators import (
     step,
 )
 from langevin_contract.potentials import QuadraticPotential
+from oracles import composition_bound
 
 RATE_SCHEMES = (Scheme.KINETIC_EM, Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO, Scheme.SES)
 

@@ -14,7 +14,6 @@ from langevin_contract.certificates import (
     CertificateReport,
     GRID_POINTS,
     RATE_TOL,
-    REFERENCE_BOUND_CONSTANTS,
     STEPSIZE_CAP,
     STEPSIZE_TOL,
     UnsupportedScheme,
@@ -25,7 +24,6 @@ from langevin_contract.certificates import (
     _verdict,
     bisect,
     check_certificate,
-    composition_bound,
     max_certified_rate,
     max_certified_stepsize,
     search,
@@ -34,7 +32,7 @@ from langevin_contract.certificates import (
 )
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.integrators import Scheme, StepParams
-from oracles import build_abc
+from oracles import REFERENCE_BOUND_CONSTANTS, build_abc, composition_bound
 
 
 def test_transition_matrix_identity_at_h_zero_limit():

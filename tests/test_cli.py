@@ -918,9 +918,15 @@ def test_every_command_at_the_float_range_edges_exits_0_or_2_without_warnings(da
 @pytest.mark.parametrize(
     "command, cfg, problem",
     [
-        ("certify", {"schemes": ["abo"], "params": {"gamma": [5.0]}}, "certifiable schemes: kinetic_em, bao, oab"),
+        ("certify", {"schemes": ["abo"], "params": {"gamma": [5.0], "h": [0.1]}}, "certifiable schemes: kinetic_em, bao, oab"),
+        ("certify", {"schemes": ["lm"], "params": {"gamma": [5.0], "h": [0.1]}}, "lm has no certificate block"),
         ("certify", {"params": {"gamma": [5.0]}, "certify": {"mode": "grid"}}, "'certify.mode' must be"),
-        ("gaussian-scan", {"schemes": ["lm"], "params": {"gamma": [5.0]}, "scan": {"h_grid": [0.1]}}, "['lm']"),
+        ("gaussian-scan", {"schemes": ["lm"], "params": {"gamma": [5.0]}, "scan": {"h_grid": [0.1]}}, "lm is overdamped"),
+        (
+            "gaussian-scan",
+            {"schemes": ["bao", "overdamped_em"], "params": {"gamma": [5.0]}, "scan": {"h_grid": [0.1]}},
+            "overdamped_em is overdamped",
+        ),
         (
             "glc-scan",
             {"potential": {"name": "perturbed_quadratic", "m": 1.0, "M": 1.0, "eps": 0.5}, "params": {"h": 0.1}},
@@ -946,8 +952,10 @@ def test_every_command_at_the_float_range_edges_exits_0_or_2_without_warnings(da
     ],
     ids=[
         "certify_abo",
+        "certify_lm",
         "certify_unknown_mode",
         "gaussian_scan_lm",
+        "gaussian_scan_overdamped_em",
         "glc_scan_perturbed",
         "gaussian_scan_perturbed",
         "certify_key_unknown",
@@ -964,6 +972,7 @@ def test_command_rejects_what_it_does_not_cover(tmp_path, capsys, command, cfg, 
     assert main([command, "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and problem in err, err
+    assert not (tmp_path / "out").exists()  # the library raises before the first write
 
 
 def test_bare_position_start_gets_zero_velocity(tmp_path):

@@ -30,7 +30,7 @@ from langevin_contract.integrators import (
 )
 from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import PerturbedQuadratic, Potential, QuadraticPotential
-from oracles import FIRST_ORDER_SPLITTINGS, mp_eta_root
+from oracles import FIRST_ORDER_SPLITTINGS, REFERENCE_BOUND_CONSTANTS, mp_eta_root
 
 ANISO = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
 Z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
@@ -190,13 +190,15 @@ def test_certified_rate_overdamped():
 
 def test_a_rate_keeps_only_its_failing_hypotheses_with_their_numbers():
     # admissible exactly when nothing fails, on a grid around each scheme's
-    # threshold, below its friction floor, far past it and at nan
+    # threshold, below its friction floor and far past it; nan is outside the domain
     seen = {True: 0, False: 0}
     for scheme in Scheme:
         for M in (1.0, 4.0):
             for gamma in (0.5, 3.0, 11.0, 1e3):
                 h_max = certified_stepsize_threshold(scheme, 1.0, M, gamma)
-                hs = [0.01, 0.3, 1.0, 1e3, math.nan] + [t * h_max for t in (0.5, 0.999, 1.0, 1.5) if h_max > 0.0]
+                with pytest.raises(CouplingError, match="need h > 0"):
+                    certified_rate(scheme, 1.0, M, gamma, math.nan)
+                hs = [0.01, 0.3, 1.0, 1e3] + [t * h_max for t in (0.5, 0.999, 1.0, 1.5) if h_max > 0.0]
                 for h in hs:
                     r = certified_rate(scheme, 1.0, M, gamma, h)
                     assert type(r.violated) is tuple and all(type(v) is str for v in r.violated)
@@ -249,6 +251,15 @@ def test_certified_rate_prefactors_for_permutations():
     eta = math.exp(-8.0 * 0.05)
     assert certified_rate(Scheme.ABO, 1, 1, 8.0, 0.05).b == pytest.approx(eta * 0.05 / (1 - eta))
     assert certified_rate(Scheme.OBA, 1, 1, 8.0, 0.05).b == pytest.approx(0.05 / (1 - eta))
+
+
+def test_record_prefactors_are_the_oracle_constants():
+    # the records are the library's one statement of 7 and 27; each equals the
+    # boundary-operator constant that the oracle states for its decomposition
+    for s in (Scheme.BAOAB, Scheme.OBABO):
+        assert coupling._RECORDS[s].prefactor == REFERENCE_BOUND_CONSTANTS["AB"] == REFERENCE_BOUND_CONSTANTS["BAO"]
+    for s in FIRST_ORDER_SPLITTINGS[2:]:  # abo, boa, oba, aob
+        assert coupling._RECORDS[s].prefactor == REFERENCE_BOUND_CONSTANTS["AB,O"]
 
 
 #: the friction each scheme's hypotheses are scaled by: a floor on gamma, or

@@ -1,7 +1,8 @@
 """Each input guard of the library raises its own error on a bad input.
 
-One row per guard that no other test reaches: the call, the error class
-and a fragment of its message (None where the message says nothing).
+One row per guard that no other test reaches, and one per guard written as
+``not x > 0.0`` so that NaN fails it too: the call, the error class and a
+fragment of its message (None where the message says nothing).
 """
 
 import math
@@ -14,6 +15,7 @@ from langevin_contract.coupling import (
     CouplingPoint,
     CouplingTrace,
     certified_rate,
+    certified_stepsize_threshold,
     empirical_rate,
     run_coupling_batch,
     verify_trace_bound,
@@ -44,6 +46,14 @@ GUARDS = {
     "rate of a diverged trace": (lambda: empirical_rate(_trace(0.05, [1.0, math.inf], 1)), CouplingError, "diverged"),
     "bound at an inadmissible rate": (lambda: verify_trace_bound(_trace(1.0, [1.0, 0.5])), CouplingError, "admissible"),
     "bao rate at m = 0": (lambda: bao_exact_rate(0.0, 0.1, 1.0), SpectralError, "positive"),
+    "bao rate at m = nan": (lambda: bao_exact_rate(math.nan, 0.1, 1.0), SpectralError, "positive"),
+    "threshold at gamma = nan": (
+        lambda: certified_stepsize_threshold(Scheme.BAO, 1.0, 4.0, math.nan),
+        CouplingError,
+        "gamma > 0, got gamma=nan",
+    ),
+    "rate at gamma = nan": (lambda: certified_rate(Scheme.BAO, 1.0, 4.0, math.nan, 0.1), CouplingError, "gamma=nan"),
+    "rate at h = nan": (lambda: certified_rate(Scheme.BAO, 1.0, 4.0, 11.0, math.nan), CouplingError, "h=nan"),
     "x and v shapes differ": (lambda: PhaseState(np.zeros(2), np.zeros(3)), IntegratorError, "share a shape"),
     "mode chain noise of the wrong width": (
         lambda: simulate_mode_chain(Scheme.OBABO, 1.0, StepParams(0.1, 1.0), 0.0, 0.0, np.zeros((5, 1))),
