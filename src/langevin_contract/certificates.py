@@ -44,14 +44,18 @@ min(A[0] + tail) is A[0] + min(tail) bit for bit.
 and the verdict's quartic values, evaluating them itself, once, where A
 failed, and adds the eigenvalue oracle, H = (1-c) W - P^T W P from the
 point's P0, P1 and W with its minimum eigenvalue at every node, and the
-margins.  The searches decide on the verdict alone: they read only
-``passed``, so no search probe runs the oracle, while every report
-carries it.
+margins.  The searches decide on the verdict alone, so no search probe
+runs the oracle, while every report carries it.  A search probe returns
+the verdict's signed margin, whose sign is ``passed``: :func:`bisect`
+narrows its bracket by regula falsi on the margins, then replays the
+plain bisection, probing only the midpoints the narrowing did not decide,
+so a search returns the bisection's float from fewer probes.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -294,21 +298,29 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     return _Point(rate, W, P0, P1, k0, lam_terms, lams, tail, float(tail.min()), _guard(lam_terms[0], m, M))
 
 
-def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, list[float], np.ndarray | None]:
-    """The c half of a check up to its verdict: (passed, A[0], the quartic
-    AC - B^2's coefficients, its grid values or None).  Both searches decide
-    on ``passed`` alone; the quartic's grid is evaluated only once the norm
-    and A have passed, and is None otherwise."""
+def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, float, list[float], np.ndarray | None]:
+    """The c half of a check up to its verdict: (passed, margin, A[0], the
+    quartic AC - B^2's coefficients, its grid values or None).  The margin
+    is the signed distance of the deciding test, a Python float: the norm's
+    a - b^2 where the norm is invalid, A's A[0] + min(tail) - guard_a where
+    A fails, and otherwise the quartic's min(pq) - guard_q.  ``margin > 0``
+    is ``passed`` bit for bit, since x - g > 0 exactly when x > g, NaN and
+    infinities included.  The quartic's grid is evaluated only once the
+    norm and A have passed, and is None otherwise."""
     # the constant terms, (1-c) W - P0^T W P0, are all that c moves
     rate = point.rate
     A, B, C = ([(1.0 - c) * w - k, *hi] for w, k, hi in zip((1.0, rate.b, rate.a), point.k0, point.lam_terms))
     quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
     guard_q = _guard(quartic[1:], m, M)  # on every probe, so a bad M raises wherever it is checked
-    # round-to-nearest keeps order under adding A[0], so this is min(A[0] + tail) > guard_a
-    if not (rate.norm_valid and A[0] + point.tail_min > point.guard_a):
-        return False, A[0], quartic, None
+    if not rate.norm_valid:
+        return False, float(rate.a - rate.b * rate.b), A[0], quartic, None
+    # round-to-nearest keeps order under adding A[0], so this is min(A[0] + tail) - guard_a
+    margin = float(A[0] + point.tail_min - point.guard_a)
+    if not margin > 0.0:
+        return False, margin, A[0], quartic, None
     pq = _polyval(point.lams, quartic)
-    return bool(pq.min() > guard_q), A[0], quartic, pq
+    margin = float(pq.min() - guard_q)
+    return margin > 0.0, margin, A[0], quartic, pq
 
 
 # far past stability the blocks and polynomials overflow to inf or nan, and the report fails on them
@@ -339,7 +351,7 @@ def check_certificate(
     point = _point(scheme, m, M, gamma, h)
     lams = point.lams
     c = point.rate.c if c is None else c
-    passed, a0, quartic, pq = _verdict(point, m, M, c)
+    passed, _, a0, quartic, pq = _verdict(point, m, M, c)
     pa = a0 + point.tail
     if pq is None:
         pq = _polyval(lams, quartic)
@@ -371,12 +383,19 @@ def check_certificate(
     )
 
 
-def bisect(passes, lo: float, hi: float, tol: float) -> float:
+def bisect(passes, lo: float, hi: float, tol: float, f_lo=None, f_hi=math.nan) -> float:
     """Shrink a bracket (lo passing, hi failing) to width ``tol``; return lo.
 
     Also stops when the midpoint rounds onto an endpoint, so a ``tol``
-    below the float spacing of the bracket cannot loop forever.
+    below the float spacing of the bracket cannot loop forever.  Given
+    ``f_lo``, the margin of lo as a float, ``passes`` returns a signed
+    margin too, a float that passes when it is > 0, and ``f_hi`` is the
+    margin of hi (NaN where hi was not probed): the bisection is then
+    replayed with fewer probes by :func:`_narrowed_bisect`.  Without it
+    ``passes`` returns a bool, which carries no margin.
     """
+    if isinstance(f_lo, float):
+        return _narrowed_bisect(passes, lo, hi, tol, f_lo, f_hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -388,26 +407,84 @@ def bisect(passes, lo: float, hi: float, tol: float) -> float:
     return lo
 
 
+def _narrowed_bisect(passes, lo: float, hi: float, tol: float, f_lo: float, f_hi: float) -> float:
+    """:func:`bisect`'s float from margins, in fewer probes.
+
+    The bisection keeps L, the largest point known to pass, and U, the
+    smallest known to fail, so a midpoint <= L passes and one >= U fails
+    without a probe.  Before it probes a midpoint inside (L, U), it narrows
+    (L, U) by Anderson-Bjorck regula falsi on the margins (Anderson and
+    Bjorck, BIT 13, 1973), while both are finite and U - L > ``tol``, with
+    at most as many secant probes as the bisection has steps.  A secant
+    point is kept ``tol``/4 inside (L, U), and an end whose nudge did not
+    cross the edge gets no more nudges, so a flat margin falls back to the
+    bisection's own midpoints.  Where the pass set is an interval on the
+    bracket, the answer is the bisection's float, and no point is probed
+    twice.
+    """
+    L, U, moved, blocked = lo, hi, 0, set()  # moved: +1 when L moved last, -1 when U did
+    secants, width = 0, hi - lo
+    while max(tol, 2.0 * math.ulp(max(abs(lo), abs(hi)))) < width < math.inf:  # the bisection's steps
+        width *= 0.5
+        secants += 1
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if not L < mid < U:
+            lo, hi = (mid, hi) if mid <= L else (lo, mid)
+            continue
+        x, side = mid, 0  # side: +1 where x was nudged up from L, -1 down from U
+        if secants and U - L > tol and math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
+            secant = L + (U - L) * (f_lo / (f_lo - f_hi))  # f_lo >= 0 >= f_hi: a positive divisor
+            nudge = 0.25 * tol
+            side = 1 if secant < L + nudge else -1 if secant > U - nudge else 0
+            secant = min(max(secant, L + nudge), U - nudge)
+            if side in blocked or not L < secant < U:
+                side = 0
+            else:
+                x, secants = secant, secants - 1
+        f = passes(x)
+        if f > 0:
+            if moved > 0:  # L moved twice: scale U's margin so the next secant reaches past the edge
+                k = 1.0 - f / f_lo if f_lo else 0.5
+                f_hi *= k if k > 0.0 else 0.5
+            L, f_lo, moved = x, f, 1
+        else:
+            if moved < 0:
+                k = 1.0 - f / f_hi if f_hi else 0.5
+                f_lo *= k if k > 0.0 else 0.5
+            U, f_hi, moved = x, f, -1
+        if side == moved:  # the nudge stayed on its own side of the edge
+            blocked.add(side)
+    return lo
+
+
 def search(passes, start: float, cap: float, halvings: int, tol: float) -> float:
     """The edge of a pass region (0, x*), trying each point once.
 
     From ``start`` (at most ``cap``) doubles upward, clamped at ``cap``,
     while ``passes`` holds, or halves downward, at most ``halvings`` times,
-    while it fails; the bracket found is shrunk by :func:`bisect`.  Returns
-    ``cap`` when ``cap`` passes and 0.0 when no point tried passes.
+    while it fails; the bracket found, with the verdicts of its ends, is
+    shrunk by :func:`bisect`.  ``passes`` returns a bool, or a margin that
+    passes when it is > 0.  Returns ``cap`` when ``cap`` passes and 0.0
+    when no point tried passes.
     """
-    x = start
-    if passes(x):
+    x, fx = start, passes(start)
+    if fx > 0:
         while x < cap:
             nxt = min(2.0 * x, cap)
-            if not passes(nxt):
-                return bisect(passes, x, nxt, tol)
-            x = nxt
+            f = passes(nxt)
+            if not f > 0:
+                return bisect(passes, x, nxt, tol, fx, f)
+            x, fx = nxt, f
         return cap
     for _ in range(halvings):
-        hi, x = x, x / 2.0
-        if passes(x):
-            return bisect(passes, x, hi, tol)
+        hi, f_hi = x, fx
+        x = x / 2.0
+        fx = passes(x)
+        if fx > 0:
+            return bisect(passes, x, hi, tol, fx, f_hi)
     return 0.0
 
 
@@ -417,16 +494,18 @@ def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: floa
     """Largest c in (0, 1) passing the certificate with the scheme's (a, b).
 
     H is monotone decreasing in c, so bisection on [0, 1] applies, to width
-    :data:`RATE_TOL`, on one point; a probe is the check's verdict alone.
+    :data:`RATE_TOL`, on one point; a probe is the check's verdict alone,
+    as its margin (see :func:`bisect`), and c = 1 is never probed.
     Returns 0.0 when even c = 0 fails (no contraction certified at these
     parameters); bad input raises as :func:`max_certified_stepsize`.
     """
     point = _point(scheme, m, M, gamma, h)
 
-    def passes(c: float) -> bool:
-        return _verdict(point, m, M, c)[0]
+    def margin(c: float) -> float:
+        return _verdict(point, m, M, c)[1]
 
-    return bisect(passes, 0.0, 1.0, RATE_TOL) if passes(0.0) else 0.0
+    f0 = margin(0.0)
+    return bisect(margin, 0.0, 1.0, RATE_TOL, f0) if f0 > 0.0 else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -435,17 +514,17 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
 
     The pass region is taken to be an interval (0, h*): :func:`search`
     halves from :data:`STEPSIZE_CAP` and bisects to :data:`STEPSIZE_TOL`;
-    a probe builds its point and takes the check's verdict alone, no
-    oracle.  Returns the cap when the cap passes and 0.0 when no stepsize
-    passes (friction below the scheme's implicit floor).  Bad input
+    a probe builds its point and takes the check's verdict alone, as its
+    margin, no oracle.  Returns the cap when the cap passes and 0.0 when
+    no stepsize passes (friction below the scheme's implicit floor).  Bad input
     raises: a scheme outside :data:`CERTIFICATE_SCHEMES`, m, M outside
     0 < m <= M, or M > m beyond the range of the derivative bound (about
     5.6e102).
     """
 
-    def passes(h: float) -> bool:
+    def margin(h: float) -> float:
         point = _point(scheme, m, M, gamma, h)
-        return _verdict(point, m, M, point.rate.c)[0]
+        return _verdict(point, m, M, point.rate.c)[1]
 
-    return search(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
+    return search(margin, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
 

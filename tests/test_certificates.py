@@ -1,13 +1,16 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from langevin_contract import certificates
+from langevin_contract import certificates, cli
 from langevin_contract.certificates import (
     CERTIFICATE_SCHEMES,
     CertificateError,
@@ -31,8 +34,10 @@ from langevin_contract.certificates import (
     transition_matrix_P,
 )
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
-from langevin_contract.integrators import Scheme, StepParams
+from langevin_contract.integrators import IntegratorError, Scheme, StepParams
 from oracles import REFERENCE_BOUND_CONSTANTS, build_abc, composition_bound
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_transition_matrix_identity_at_h_zero_limit():
@@ -323,7 +328,7 @@ def test_check_certificate_matches_the_uncached_reference(scheme):
         assert all(z > z1 for z, z1 in zip(zeros, moderate))
 
 
-def test_search_probes_take_the_verdict_only(monkeypatch):
+def test_search_probes_take_the_verdict_only(monkeypatch, tmp_path):
     # neither search runs the eigenvalue oracle; a stepsize probe builds one
     # point, a rate search one in all, and every probe shares one lam grid
     calls = dict.fromkeys(("_verdict", "_grid_sums", "_min_eig_H", "certified_rate"), 0)
@@ -344,12 +349,12 @@ def test_search_probes_take_the_verdict_only(monkeypatch):
 
     h = max_certified_stepsize(scheme, m, M, gamma)
     n_step = calls["_verdict"]
-    assert n_step > 20 and calls["certified_rate"] == n_step  # every probe a new point
+    assert calls["certified_rate"] == n_step  # every probe a new point
     assert certificates._lam_grid.cache_info().misses == 1
 
     calls.update(_verdict=0, certified_rate=0)
     max_certified_rate(scheme, m, M, gamma, 0.8 * h)
-    assert calls["_verdict"] > math.log2(1.0 / RATE_TOL) and calls["certified_rate"] == 1
+    assert calls["_verdict"] <= 14 and calls["certified_rate"] == 1
     assert calls["_grid_sums"] == calls["_min_eig_H"] == 0
 
     rep = check_certificate(scheme, m, M, gamma, 0.8 * h)  # a report runs the oracle once
@@ -363,6 +368,11 @@ def test_search_probes_take_the_verdict_only(monkeypatch):
         assert type(x) is float
     with pytest.raises(ValueError, match="read-only"):  # the grid is shared by every point of (m, M)
         point.lams[0] = 0.0
+
+    # the shipped table1 config: two searches a row, 1128 verdicts when every probe was a bisection's
+    calls["_verdict"] = 0
+    assert cli.main(["certify", "--config", str(CONFIGS / "certify_table1.json"), "--out", str(tmp_path)]) == 0
+    assert 0 < calls["_verdict"] <= 540 and calls["_grid_sums"] == calls["_min_eig_H"] == 1
 
 
 def test_a_derivative_bound_beyond_the_float_range_raises():
@@ -437,8 +447,9 @@ def test_verdict_is_the_full_grid_rule(scheme):
             pass
         for c in cs:
             grid = _reference_grid(scheme_, m, M, gamma, h, c)
-            passed, a0, quartic, pq = _verdict(point, m, M, c)
+            passed, margin, a0, quartic, pq = _verdict(point, m, M, c)
             assert passed == _full_grid_passed(grid), (m, M, gamma, h, c)
+            assert type(margin) is float and passed == (margin > 0), (m, M, gamma, h, c, margin)
             assert np.array_equal(a0 + point.tail, grid.pa)
             a_passes = point.rate.norm_valid and grid.pa.min() > grid.guard_a
             assert (pq is not None) == a_passes
@@ -447,6 +458,39 @@ def test_verdict_is_the_full_grid_rule(scheme):
             key = "norm_invalid" if not point.rate.norm_valid else "A_fails" if not a_passes else None
             seen[key or ("passes" if passed else "quartic_fails")] += 1
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("scheme", CERTIFICATE_SCHEMES, ids=lambda s: s.value)
+def test_the_margin_is_the_verdict_where_a_probe_fails(scheme):
+    # a probe that fails on the norm, on A, or on blocks that overflowed:
+    # the margin is a Python float whose sign is the verdict, inf and NaN too
+    probes = [
+        (1.0, 4.0, 1.0, 0.01, None),  # gamma < sqrt(M): b^2 >= a
+        (1.0, 4.0, 11.0, 0.05, 1.0),  # c = 1: A = -(P^T W P)_00 <= 0
+        (1.0, 4.0, 11.0, 0.05, 0.9),
+        (1.0, 4.0, 1e-300, 0.01, None),  # b ~ 1/gamma: b^2 overflows
+        (1.0, 4.0, 10.0, 1e154, 0.0),  # P^T W P overflows
+        (1.0, 4.0, 10.0, 1e157, 0.0),
+        (1.0, 4.0, 10.0, 10.0, -1e300),  # (1 - c) W overflows: inf - inf in the quartic
+    ]
+    seen = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, M, gamma, h, c in probes:
+            try:
+                point = _point(scheme, m, M, gamma, h)
+            except (CertificateError, IntegratorError):  # baoab's h^3 or ses's gamma^2 leaves the float range
+                continue
+            c = point.rate.c if c is None else c
+            passed, margin, *_, pq = _verdict(point, m, M, c)
+            assert type(margin) is float and passed == (margin > 0), (m, M, gamma, h, c, margin)
+            assert passed == check_certificate(scheme, m, M, gamma, h, c=c).passed
+            seen.add(
+                "nan" if math.isnan(margin) else "inf" if math.isinf(margin)
+                else "norm" if not point.rate.norm_valid else "A" if pq is None else "quartic"
+            )
+    assert {"norm", "A", "inf"} <= seen, seen  # -inf: the margin of a probe far past stability
+    if scheme in (Scheme.KINETIC_EM, Scheme.OAB, Scheme.SES):
+        assert "nan" in seen, seen
 
 
 def test_rate_search_evaluates_only_what_decides_a_probe(monkeypatch):
@@ -477,7 +521,7 @@ def test_rate_search_evaluates_only_what_decides_a_probe(monkeypatch):
     a_passes = [_reference_grid(scheme, m, M, gamma, h, c) for c in probes]
     a_passes = [grid.pa.min() > grid.guard_a for grid in a_passes]
     assert calls["tail"] == calls["guard_a"] == 1
-    assert calls["guard_q"] == len(probes) > math.log2(1.0 / RATE_TOL)
+    assert calls["guard_q"] == len(probes) <= 14  # a bisection to RATE_TOL alone makes 34
     assert calls["quartic"] == sum(a_passes) and 0 < sum(a_passes) < len(probes)
 
 
@@ -559,6 +603,49 @@ def test_searches_match_full_check_searches(scheme):
     assert 0.0 in answers
     if scheme is Scheme.SES:
         assert STEPSIZE_CAP in answers
+
+
+def _boolean_searches(scheme, m, M, gamma, h):
+    """Both searches bisected on the verdict's bool alone, as before margins:
+    (the largest stepsize, the largest rate at ``h``)."""
+
+    def step_passes(x):
+        point = _point(scheme, m, M, gamma, x)
+        return _verdict(point, m, M, point.rate.c)[0]
+
+    point = _point(scheme, m, M, gamma, h)
+
+    def rate_passes(c):
+        return _verdict(point, m, M, c)[0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_max = search(step_passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
+        return h_max, bisect(rate_passes, 0.0, 1.0, RATE_TOL) if rate_passes(0.0) else 0.0
+
+
+def test_searches_are_the_boolean_bisections_at_the_edges():
+    # where the margins are least like a line: friction just above sqrt(M),
+    # gamma up to 1e8, m = M, and oab at 1.01 sqrt(M) (item 13's cases)
+    rng = np.random.default_rng(31)
+    regions = {
+        "sqrt_M_band": lambda M: math.sqrt(M) * rng.uniform(1.0, 2.5),
+        "high_friction": lambda M: 10 ** rng.uniform(4.0, 8.0),
+        "m_equals_M": lambda M: math.sqrt(M) * 10 ** rng.uniform(0.0, 3.0),
+        "oab_above_sqrt_M": lambda M: 1.01 * math.sqrt(M),
+    }
+    passed = dict.fromkeys(regions, 0)
+    for i in range(200):
+        region = list(regions)[i % 4]
+        scheme = Scheme.OAB if region == "oab_above_sqrt_M" else CERTIFICATE_SCHEMES[(i // 4) % 6]
+        m = 10 ** rng.uniform(-1.0, 1.0)
+        M = m if region == "m_equals_M" else m * 10 ** rng.uniform(0.0, 2.0)
+        gamma = regions[region](M)
+        h_max = max_certified_stepsize(scheme, m, M, gamma)
+        h = 0.8 * h_max if h_max > 0.0 else 10 ** rng.uniform(-4.0, 0.0)
+        got = (h_max, max_certified_rate(scheme, m, M, gamma, h))
+        assert got == _boolean_searches(scheme, m, M, gamma, h), (scheme, m, M, gamma, h)
+        passed[region] += h_max > 0.0 and got[1] > 0.0
+    assert min(passed.values()) > 0, passed
 
 
 @pytest.mark.xfail(
@@ -741,6 +828,89 @@ def test_bisect_tol_below_float_spacing_terminates():
     lo = bisect(passes, 2.0**18, 2.0**19, 1e-12)
     assert passes(lo)
     assert not passes(math.nextafter(lo, math.inf))
+
+
+def _synthetic_margin(kind, t, scale, scale2, offset):
+    """A margin that decreases through 0 at about t, of one of five shapes:
+    affine; the minimum of two lines of different scales through 0 at t
+    and t + offset, kinked where they cross (as where A and the quartic
+    swap); inf on the passing side and NaN or -inf on the failing side,
+    both offset from t; and a flat -1e-300 on the failing side."""
+
+    def line(x):
+        return scale * (t - x)
+
+    if kind == "affine":
+        return line
+    if kind == "kinked":
+        return lambda x: min(line(x), scale2 * (t + offset - x))
+    if kind in ("inf_nan", "inf_neg_inf"):
+        beyond = math.nan if kind == "inf_nan" else -math.inf
+        return lambda x: math.inf if x < t - offset else beyond if x > t + offset else line(x)
+    return lambda x: line(x) if x < t else -1e-300
+
+
+def _recorded(margin, boolean):
+    """``margin`` as a probe that records every point it is asked about,
+    returning the margin, or its bool when ``boolean``."""
+    seen = []
+
+    def probe(x):
+        seen.append(x)
+        f = margin(x)
+        return f > 0 if boolean else f
+
+    return probe, seen
+
+
+_KINDS = ("affine", "kinked", "inf_nan", "inf_neg_inf", "flat")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(_KINDS),
+    u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    log_scale=st.floats(-12.0, 12.0),
+    log_scale2=st.floats(-12.0, 12.0),
+    offset=st.floats(0.0, 0.5),
+    tol=st.sampled_from([1e-3, 1e-8, 1e-10, 1e-17]),
+    known=st.booleans(),
+)
+def test_margin_bisection_is_the_boolean_bisection(kind, u, log_scale, log_scale2, offset, tol, known):
+    # narrowing on the margins and replaying gives the boolean bisection's
+    # float, never probes a point twice, and at most doubles the probes
+    lo, hi = 0.5, 1.5
+    margin = _synthetic_margin(kind, lo + u, 10.0**log_scale, 10.0**log_scale2, offset)
+    assume(margin(lo) > 0 and not margin(hi) > 0)
+    passes, seen = _recorded(margin, boolean=False)
+    ends = (margin(lo), margin(hi)) if known else (margin(lo),)  # hi unprobed, as in the rate search
+    got = bisect(passes, lo, hi, tol, *ends)
+    boolean, seen_bool = _recorded(margin, boolean=True)
+    assert got == bisect(boolean, lo, hi, tol)
+    assert len(seen) == len(set(seen)) and all(lo < x < hi for x in seen)
+    assert len(seen) <= 2 * len(seen_bool) + 2, (len(seen), len(seen_bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(_KINDS),
+    log_t=st.floats(-7.0, 2.5),
+    log_scale=st.floats(-12.0, 12.0),
+    log_scale2=st.floats(-12.0, 12.0),
+    offset=st.floats(0.0, 1.0),
+    start=st.sampled_from([(10.0, 10.0), (1.0, 100.0)]),
+)
+def test_margin_search_is_the_boolean_search(kind, log_t, log_scale, log_scale2, offset, start):
+    # as above, through search: the doubling or halving hands the margins
+    # of its bracket's ends to bisect
+    t = 10.0**log_t
+    margin = _synthetic_margin(kind, t, 10.0**log_scale, 10.0**log_scale2, offset * t)
+    passes, seen = _recorded(margin, boolean=False)
+    got = search(passes, *start, 59, STEPSIZE_TOL)
+    boolean, seen_bool = _recorded(margin, boolean=True)
+    assert got == search(boolean, *start, 59, STEPSIZE_TOL)
+    assert len(seen) == len(set(seen))
+    assert len(seen) <= 2 * len(seen_bool) + 2, (len(seen), len(seen_bool))
 
 
 def test_step_matrix_overdamped():

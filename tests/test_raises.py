@@ -6,10 +6,19 @@ fragment of its message (None where the message says nothing).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from langevin_contract.certificates import (
+    CERTIFICATE_SCHEMES,
+    CertificateError,
+    max_certified_rate,
+    max_certified_stepsize,
+)
 from langevin_contract.coupling import (
     CouplingError,
     CouplingPoint,
@@ -20,7 +29,7 @@ from langevin_contract.coupling import (
     run_coupling_batch,
     verify_trace_bound,
 )
-from langevin_contract.gaussian import SpectralError, bao_exact_rate
+from langevin_contract.gaussian import SpectralError, bao_exact_rate, stability_threshold
 from langevin_contract.integrators import IntegratorError, PhaseState, Scheme, StepParams, simulate_mode_chain, step
 from langevin_contract.potentials import (
     PerturbedQuadratic,
@@ -88,3 +97,37 @@ def test_guard_raises(guard):
     call, error, match = GUARDS[guard]
     with pytest.raises(error, match=match):
         call()
+
+
+#: the errors a search may raise on bad input: its own module's, and those of
+#: the records (coupling) and the step core (integrators) it builds on
+DOMAIN_ERRORS = (CertificateError, CouplingError, IntegratorError, SpectralError)
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, math.nan])
+ORDINARY = st.sampled_from([0.05, 1.0, 4.0, 11.0]) | st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(CERTIFICATE_SCHEMES),
+    m=EDGES | ORDINARY,
+    M=EDGES | ORDINARY,
+    gamma=EDGES | ORDINARY,
+    h=EDGES | ORDINARY,
+)
+def test_searches_return_a_float_or_raise_a_domain_error(scheme, m, M, gamma, h):
+    # at the float range's edges each search returns a float or raises a
+    # library error with a message: never ZeroDivisionError, OverflowError
+    # or a warning, although a margin search divides by margins
+    for call in (
+        lambda: max_certified_stepsize(scheme, m, M, gamma),
+        lambda: max_certified_rate(scheme, m, M, gamma, h),
+        lambda: stability_threshold(scheme, M, gamma),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call()
+            except DOMAIN_ERRORS as exc:
+                assert str(exc)
+            else:
+                assert type(result) is float
