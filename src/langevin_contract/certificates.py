@@ -45,11 +45,12 @@ and the verdict's quartic values, evaluating them itself, once, where A
 failed, and adds the eigenvalue oracle, H = (1-c) W - P^T W P from the
 point's P0, P1 and W with its minimum eigenvalue at every node, and the
 margins.  The searches decide on the verdict alone, so no search probe
-runs the oracle, while every report carries it.  A search probe returns
-the verdict's signed margin, whose sign is ``passed``: :func:`bisect`
-narrows its bracket by regula falsi on the margins, then replays the
-plain bisection, probing only the midpoints the narrowing did not decide,
-so a search returns the bisection's float from fewer probes.
+runs the oracle, while every report carries it.  Every search probe
+returns a float margin that passes when it is > 0: here the verdict's,
+and +-inf, a verdict with no distance, in the stability search.
+:func:`bisect` narrows its bracket by regula falsi on finite margins,
+then replays the plain bisection, so a search returns the bisection's
+float from fewer probes.
 """
 
 from __future__ import annotations
@@ -298,13 +299,13 @@ def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point
     return _Point(rate, W, P0, P1, k0, lam_terms, lams, tail, float(tail.min()), _guard(lam_terms[0], m, M))
 
 
-def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, float, list[float], np.ndarray | None]:
-    """The c half of a check up to its verdict: (passed, margin, A[0], the
-    quartic AC - B^2's coefficients, its grid values or None).  The margin
-    is the signed distance of the deciding test, a Python float: the norm's
+def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[float, float, list[float], np.ndarray | None]:
+    """The c half of a check up to its verdict: (margin, A[0], the quartic
+    AC - B^2's coefficients, its grid values or None).  The margin is the
+    signed distance of the deciding test, a Python float: the norm's
     a - b^2 where the norm is invalid, A's A[0] + min(tail) - guard_a where
-    A fails, and otherwise the quartic's min(pq) - guard_q.  ``margin > 0``
-    is ``passed`` bit for bit, since x - g > 0 exactly when x > g, NaN and
+    A fails, and otherwise the quartic's min(pq) - guard_q.  The check
+    passes when ``margin > 0``, since x - g > 0 exactly when x > g, NaN and
     infinities included.  The quartic's grid is evaluated only once the
     norm and A have passed, and is None otherwise."""
     # the constant terms, (1-c) W - P0^T W P0, are all that c moves
@@ -313,14 +314,13 @@ def _verdict(point: _Point, m: float, M: float, c: float) -> tuple[bool, float, 
     quartic = (np.convolve(A, C) - np.convolve(B, B)).tolist()
     guard_q = _guard(quartic[1:], m, M)  # on every probe, so a bad M raises wherever it is checked
     if not rate.norm_valid:
-        return False, float(rate.a - rate.b * rate.b), A[0], quartic, None
+        return float(rate.a - rate.b * rate.b), A[0], quartic, None
     # round-to-nearest keeps order under adding A[0], so this is min(A[0] + tail) - guard_a
     margin = float(A[0] + point.tail_min - point.guard_a)
     if not margin > 0.0:
-        return False, margin, A[0], quartic, None
+        return margin, A[0], quartic, None
     pq = _polyval(point.lams, quartic)
-    margin = float(pq.min() - guard_q)
-    return margin > 0.0, margin, A[0], quartic, pq
+    return float(pq.min() - guard_q), A[0], quartic, pq
 
 
 # far past stability the blocks and polynomials overflow to inf or nan, and the report fails on them
@@ -351,7 +351,7 @@ def check_certificate(
     point = _point(scheme, m, M, gamma, h)
     lams = point.lams
     c = point.rate.c if c is None else c
-    passed, _, a0, quartic, pq = _verdict(point, m, M, c)
+    margin, a0, quartic, pq = _verdict(point, m, M, c)
     pa = a0 + point.tail
     if pq is None:
         pq = _polyval(lams, quartic)
@@ -372,7 +372,7 @@ def check_certificate(
         a=point.rate.a,
         b=point.rate.b,
         c=c,
-        passed=passed,
+        passed=margin > 0.0,
         min_margin_A=float(margin_a.min()),
         min_margin_ACB2=float(margin_q.min()),
         worst_lambda=float(lams[worst]),
@@ -383,49 +383,31 @@ def check_certificate(
     )
 
 
-def bisect(passes, lo: float, hi: float, tol: float, f_lo=None, f_hi=math.nan) -> float:
+def bisect(passes, lo: float, hi: float, tol: float, f_lo: float, f_hi: float = math.nan) -> float:
     """Shrink a bracket (lo passing, hi failing) to width ``tol``; return lo.
 
-    Also stops when the midpoint rounds onto an endpoint, so a ``tol``
-    below the float spacing of the bracket cannot loop forever.  Given
-    ``f_lo``, the margin of lo as a float, ``passes`` returns a signed
-    margin too, a float that passes when it is > 0, and ``f_hi`` is the
-    margin of hi (NaN where hi was not probed): the bisection is then
-    replayed with fewer probes by :func:`_narrowed_bisect`.  Without it
-    ``passes`` returns a bool, which carries no margin.
-    """
-    if isinstance(f_lo, float):
-        return _narrowed_bisect(passes, lo, hi, tol, f_lo, f_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _narrowed_bisect(passes, lo: float, hi: float, tol: float, f_lo: float, f_hi: float) -> float:
-    """:func:`bisect`'s float from margins, in fewer probes.
-
+    ``passes`` returns a margin, a float that passes when it is > 0, and
+    ``f_lo``, ``f_hi`` are lo's and hi's (NaN where hi was not probed).
     The bisection keeps L, the largest point known to pass, and U, the
     smallest known to fail, so a midpoint <= L passes and one >= U fails
-    without a probe.  Before it probes a midpoint inside (L, U), it narrows
-    (L, U) by Anderson-Bjorck regula falsi on the margins (Anderson and
-    Bjorck, BIT 13, 1973), while both are finite and U - L > ``tol``, with
-    at most as many secant probes as the bisection has steps.  A secant
-    point is kept ``tol``/4 inside (L, U), and an end whose nudge did not
-    cross the edge gets no more nudges, so a flat margin falls back to the
-    bisection's own midpoints.  Where the pass set is an interval on the
-    bracket, the answer is the bisection's float, and no point is probed
-    twice.
+    without a probe; it stops when the midpoint rounds onto an endpoint,
+    so a ``tol`` below the bracket's float spacing cannot loop forever.
+    Before it probes a midpoint inside (L, U), it narrows (L, U) by
+    Anderson-Bjorck regula falsi on the margins (Anderson and Bjorck,
+    BIT 13, 1973), while both are finite and U - L > ``tol``, with at most
+    as many secant probes as the bisection has steps (none when ``f_lo``
+    is not finite).  A secant point is kept ``tol``/4 inside (L, U), and
+    an end whose nudge did not cross the edge gets no more nudges, so a
+    flat margin falls back to the bisection's own midpoints.  A margin of
+    +-inf, a verdict with no distance, is never interpolated: a probe that
+    returns only +-inf is bisected probe for probe.  Where the pass set is
+    an interval on the bracket, the answer is the bisection's float, and
+    no point is probed twice.
     """
     L, U, moved, blocked = lo, hi, 0, set()  # moved: +1 when L moved last, -1 when U did
     secants, width = 0, hi - lo
-    while max(tol, 2.0 * math.ulp(max(abs(lo), abs(hi)))) < width < math.inf:  # the bisection's steps
-        width *= 0.5
+    while math.isfinite(f_lo) and max(tol, 2.0 * math.ulp(max(abs(lo), abs(hi)))) < width < math.inf:
+        width *= 0.5  # one of the bisection's steps
         secants += 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -466,9 +448,9 @@ def search(passes, start: float, cap: float, halvings: int, tol: float) -> float
     From ``start`` (at most ``cap``) doubles upward, clamped at ``cap``,
     while ``passes`` holds, or halves downward, at most ``halvings`` times,
     while it fails; the bracket found, with the verdicts of its ends, is
-    shrunk by :func:`bisect`.  ``passes`` returns a bool, or a margin that
-    passes when it is > 0.  Returns ``cap`` when ``cap`` passes and 0.0
-    when no point tried passes.
+    shrunk by :func:`bisect`.  ``passes`` returns a margin, a float that
+    passes when it is > 0; +-inf is a verdict with no distance.  Returns
+    ``cap`` when ``cap`` passes and 0.0 when no point tried passes.
     """
     x, fx = start, passes(start)
     if fx > 0:
@@ -502,7 +484,7 @@ def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: floa
     point = _point(scheme, m, M, gamma, h)
 
     def margin(c: float) -> float:
-        return _verdict(point, m, M, c)[1]
+        return _verdict(point, m, M, c)[0]
 
     f0 = margin(0.0)
     return bisect(margin, 0.0, 1.0, RATE_TOL, f0) if f0 > 0.0 else 0.0
@@ -524,7 +506,7 @@ def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> 
 
     def margin(h: float) -> float:
         point = _point(scheme, m, M, gamma, h)
-        return _verdict(point, m, M, point.rate.c)[1]
+        return _verdict(point, m, M, point.rate.c)[0]
 
     return search(margin, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
 

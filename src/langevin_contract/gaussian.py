@@ -57,6 +57,11 @@ def _eig_pair(trace: float, det: float) -> tuple[complex, complex]:
     return (complex(big), complex(det / big))
 
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 < lam < math.inf:  # NaN too
+        raise SpectralError(f"lam must be positive and finite, got {lam}")
+
+
 def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[complex, complex]:
     """Both eigenvalues of the mode transition matrix.
 
@@ -69,8 +74,7 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
     and any other scheme the step core's own map, :func:`~langevin_contract.certificates.step_matrix`.
     """
     scheme = Scheme(scheme)
-    if not lam > 0.0:  # NaN too
-        raise SpectralError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     if scheme not in KINETIC_SCHEMES:
         raise SpectralError(f"{scheme.value} is overdamped: its mode contracts by 1 - h lam")
     h, g = params.h, params.gamma
@@ -121,16 +125,17 @@ def stability_threshold(scheme: Scheme, lam: float, gamma: float) -> float:
     :func:`~langevin_contract.certificates.search` starts at
     min(1/sqrt(lam), :data:`STABILITY_CAP`), doubles or halves to bracket
     the threshold, then bisects to :data:`STABILITY_TOL` or to adjacent
-    floats.  Returns the cap when the cap is stable and 0.0 when no h that
-    halving reaches is; an overdamped scheme raises, as does
-    a lam that is not positive, before the start value 1/sqrt(lam).
+    floats.  A probe's margin is +inf where h is stable and -inf where it
+    is not: a verdict with no distance, never interpolated, so the search
+    bisects probe for probe.  Returns the cap when the cap is stable and
+    0.0 when no h that halving reaches is; an overdamped scheme raises, as
+    does a lam that is not positive and finite, before any probe.
     """
     scheme = Scheme(scheme)
-    if not lam > 0.0:  # NaN too
-        raise SpectralError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
 
-    def stable(h: float) -> bool:
-        return _monotone_stable(scheme, lam, gamma, h)
+    def stable(h: float) -> float:
+        return math.inf if _monotone_stable(scheme, lam, gamma, h) else -math.inf
 
     return search(stable, min(1.0 / math.sqrt(lam), STABILITY_CAP), STABILITY_CAP, 79, STABILITY_TOL)
 
@@ -142,10 +147,11 @@ def bao_exact_rate(m: float, h: float, gamma: float) -> float:
         c_N = 1 - eta + h^2 m - sqrt((1 - eta + h^2 m)^2 - 4 h^2 m).
     When the discriminant is negative the eigenvalues form a conjugate
     pair of modulus sqrt(eta) and the modulus-based squared rate
-    1 - eta is returned instead.
+    1 - eta is returned instead.  m and h must be finite; gamma = inf is
+    the eta = 0 limit.
     """
-    if not (m > 0.0 and h > 0.0 and gamma > 0.0):  # NaN too
-        raise SpectralError("m, h, gamma must be positive")
+    if not (0.0 < m < math.inf and 0.0 < h < math.inf and gamma > 0.0):  # NaN too
+        raise SpectralError(f"m, h must be positive and finite, gamma positive; got m={m}, h={h}, gamma={gamma}")
     eta = math.exp(-gamma * h)
     s0 = 1.0 - eta + h * h * m
     disc = s0 * s0 - 4.0 * h * h * m

@@ -8,7 +8,8 @@ stationary position law of a splitting's gamma = inf chain in closed form, and
 of the "eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
 
 The last section holds reference routines that only the tests call: the
-A/B/C coefficient form of a certificate block, the boundary-operator
+plain bisection on a pass/fail predicate, the A/B/C coefficient form of a
+certificate block, the boundary-operator
 amplification bounds behind the coupling records' prefactors, the Gaussian
 2-Wasserstein distance, the Wasserstein decay factor, the list of
 first-order splittings and the whole-array mode chain.
@@ -140,7 +141,23 @@ def mp_eta_root(gamma, s):
         return float(u / gamma)
 
 
-FIRST_ORDER_SPLITTINGS = (Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
+def plain_bisect(passes, lo, hi, tol):
+    """Shrink a bracket (lo passing, hi failing) to width ``tol`` on the
+    bool ``passes``, probing every midpoint, and return lo; it stops where
+    the midpoint rounds onto an endpoint.  The reference for
+    :func:`langevin_contract.certificates.bisect`, which returns its float."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+FIRST_ORDER_SPLITTINGS =(Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from langevin_contract.certificates import (
 )
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.integrators import IntegratorError, Scheme, StepParams
-from oracles import REFERENCE_BOUND_CONSTANTS, build_abc, composition_bound
+from oracles import REFERENCE_BOUND_CONSTANTS, build_abc, composition_bound, plain_bisect
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -392,7 +392,7 @@ def test_a_derivative_bound_beyond_the_float_range_raises():
 def _verdict_passed(scheme, m, M, gamma, h, c=None):
     """``check_certificate(...).passed`` from the verdict alone, as the searches take it."""
     point = _point(scheme, m, M, gamma, h)
-    return _verdict(point, m, M, point.rate.c if c is None else c)[0]
+    return _verdict(point, m, M, point.rate.c if c is None else c)[0] > 0
 
 
 def _passed(check, *args, **kwargs):
@@ -447,9 +447,9 @@ def test_verdict_is_the_full_grid_rule(scheme):
             pass
         for c in cs:
             grid = _reference_grid(scheme_, m, M, gamma, h, c)
-            passed, margin, a0, quartic, pq = _verdict(point, m, M, c)
-            assert passed == _full_grid_passed(grid), (m, M, gamma, h, c)
-            assert type(margin) is float and passed == (margin > 0), (m, M, gamma, h, c, margin)
+            margin, a0, quartic, pq = _verdict(point, m, M, c)
+            passed = margin > 0
+            assert type(margin) is float and passed == _full_grid_passed(grid), (m, M, gamma, h, c, margin)
             assert np.array_equal(a0 + point.tail, grid.pa)
             a_passes = point.rate.norm_valid and grid.pa.min() > grid.guard_a
             assert (pq is not None) == a_passes
@@ -481,9 +481,9 @@ def test_the_margin_is_the_verdict_where_a_probe_fails(scheme):
             except (CertificateError, IntegratorError):  # baoab's h^3 or ses's gamma^2 leaves the float range
                 continue
             c = point.rate.c if c is None else c
-            passed, margin, *_, pq = _verdict(point, m, M, c)
-            assert type(margin) is float and passed == (margin > 0), (m, M, gamma, h, c, margin)
-            assert passed == check_certificate(scheme, m, M, gamma, h, c=c).passed
+            margin, *_, pq = _verdict(point, m, M, c)
+            assert type(margin) is float, (m, M, gamma, h, c, margin)
+            assert (margin > 0) == check_certificate(scheme, m, M, gamma, h, c=c).passed
             seen.add(
                 "nan" if math.isnan(margin) else "inf" if math.isinf(margin)
                 else "norm" if not point.rate.norm_valid else "A" if pq is None else "quartic"
@@ -537,16 +537,21 @@ _FLOORS = {
 }
 
 
+def _verdict_only(ok):
+    """A pass/fail as a margin with no distance: +inf or -inf."""
+    return math.inf if ok else -math.inf
+
+
 def _reference_stepsize(scheme, m, M, gamma):
-    """max_certified_stepsize with every probe a full check, and the failing
-    end of its last bracket (None when the cap passes)."""
+    """max_certified_stepsize with every probe a full check's verdict, and
+    the failing end of its last bracket (None when the cap passes)."""
     failing = []
 
     def passes(h):
         ok = check_certificate(scheme, m, M, gamma, h).passed
         if not ok:
             failing.append(h)
-        return ok
+        return _verdict_only(ok)
 
     lo = search(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
     return lo, min((x for x in failing if x > lo), default=None)
@@ -565,7 +570,7 @@ def _reference_rate(scheme, m, M, gamma, h):
 
     if not passes(0.0):
         return 0.0, 0.0
-    lo = bisect(passes, 0.0, 1.0, RATE_TOL)
+    lo = plain_bisect(passes, 0.0, 1.0, RATE_TOL)
     return lo, min(x for x in failing if x > lo)
 
 
@@ -611,16 +616,16 @@ def _boolean_searches(scheme, m, M, gamma, h):
 
     def step_passes(x):
         point = _point(scheme, m, M, gamma, x)
-        return _verdict(point, m, M, point.rate.c)[0]
+        return _verdict_only(_verdict(point, m, M, point.rate.c)[0] > 0)
 
     point = _point(scheme, m, M, gamma, h)
 
     def rate_passes(c):
-        return _verdict(point, m, M, c)[0]
+        return _verdict(point, m, M, c)[0] > 0
 
     with np.errstate(over="ignore", invalid="ignore"):
         h_max = search(step_passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
-        return h_max, bisect(rate_passes, 0.0, 1.0, RATE_TOL) if rate_passes(0.0) else 0.0
+        return h_max, plain_bisect(rate_passes, 0.0, 1.0, RATE_TOL) if rate_passes(0.0) else 0.0
 
 
 def test_searches_are_the_boolean_bisections_at_the_edges():
@@ -784,12 +789,13 @@ def test_certificate_searches_stop_at_the_pass_boundary(scheme, gamma):
 
 
 def _threshold(t):
-    """The predicate x < t, recording every point it is asked about."""
+    """The verdict of x < t as a margin with no distance, recording every
+    point it is asked about."""
     seen = []
 
     def passes(x):
         seen.append(x)
-        return x < t
+        return _verdict_only(x < t)
 
     return passes, seen
 
@@ -816,7 +822,7 @@ def test_bracket(t, start, cap, want):
 
 def test_bisect_stops_at_tol():
     passes, seen = _threshold(0.3)
-    lo = bisect(passes, 0.0, 1.0, 1e-6)
+    lo = bisect(passes, 0.0, 1.0, 1e-6, math.inf)
     assert lo < 0.3 <= lo + 1e-6
     assert len(seen) == 20  # 2**-20 is the first width below 1e-6
 
@@ -825,17 +831,19 @@ def test_bisect_tol_below_float_spacing_terminates():
     # float spacing in [2**18, 2**19) is 2**-34 ~ 5.8e-11, above tol, so the
     # search has to end on adjacent floats
     passes, _ = _threshold(3.0e5 + 0.1)
-    lo = bisect(passes, 2.0**18, 2.0**19, 1e-12)
-    assert passes(lo)
-    assert not passes(math.nextafter(lo, math.inf))
+    lo = bisect(passes, 2.0**18, 2.0**19, 1e-12, math.inf)
+    assert passes(lo) > 0
+    assert not passes(math.nextafter(lo, math.inf)) > 0
 
 
 def _synthetic_margin(kind, t, scale, scale2, offset):
-    """A margin that decreases through 0 at about t, of one of five shapes:
+    """A margin that decreases through 0 at about t, of one of six shapes:
     affine; the minimum of two lines of different scales through 0 at t
     and t + offset, kinked where they cross (as where A and the quartic
     swap); inf on the passing side and NaN or -inf on the failing side,
-    both offset from t; and a flat -1e-300 on the failing side."""
+    both offset from t; a flat -1e-300 on the failing side; and +inf
+    before t and -inf from it, a verdict with no distance (as the
+    stability search's)."""
 
     def line(x):
         return scale * (t - x)
@@ -847,23 +855,23 @@ def _synthetic_margin(kind, t, scale, scale2, offset):
     if kind in ("inf_nan", "inf_neg_inf"):
         beyond = math.nan if kind == "inf_nan" else -math.inf
         return lambda x: math.inf if x < t - offset else beyond if x > t + offset else line(x)
+    if kind == "verdict_only":
+        return lambda x: _verdict_only(x < t)
     return lambda x: line(x) if x < t else -1e-300
 
 
-def _recorded(margin, boolean):
-    """``margin`` as a probe that records every point it is asked about,
-    returning the margin, or its bool when ``boolean``."""
+def _recorded(probe):
+    """``probe``, recording every point it is asked about."""
     seen = []
 
-    def probe(x):
+    def recorded(x):
         seen.append(x)
-        f = margin(x)
-        return f > 0 if boolean else f
+        return probe(x)
 
-    return probe, seen
+    return recorded, seen
 
 
-_KINDS = ("affine", "kinked", "inf_nan", "inf_neg_inf", "flat")
+_KINDS = ("affine", "kinked", "inf_nan", "inf_neg_inf", "flat", "verdict_only")
 
 
 @settings(max_examples=300, deadline=None)
@@ -877,16 +885,20 @@ _KINDS = ("affine", "kinked", "inf_nan", "inf_neg_inf", "flat")
     known=st.booleans(),
 )
 def test_margin_bisection_is_the_boolean_bisection(kind, u, log_scale, log_scale2, offset, tol, known):
-    # narrowing on the margins and replaying gives the boolean bisection's
-    # float, never probes a point twice, and at most doubles the probes
+    # narrowing on the margins and replaying gives the plain bisection's
+    # float, never probes a point twice, and at most doubles the probes;
+    # a margin of +-inf alone is never interpolated, so its probes are the
+    # plain bisection's, in its order
     lo, hi = 0.5, 1.5
     margin = _synthetic_margin(kind, lo + u, 10.0**log_scale, 10.0**log_scale2, offset)
     assume(margin(lo) > 0 and not margin(hi) > 0)
-    passes, seen = _recorded(margin, boolean=False)
+    passes, seen = _recorded(margin)
     ends = (margin(lo), margin(hi)) if known else (margin(lo),)  # hi unprobed, as in the rate search
     got = bisect(passes, lo, hi, tol, *ends)
-    boolean, seen_bool = _recorded(margin, boolean=True)
-    assert got == bisect(boolean, lo, hi, tol)
+    boolean, seen_bool = _recorded(lambda x: margin(x) > 0)
+    assert got == plain_bisect(boolean, lo, hi, tol)
+    if kind == "verdict_only":
+        assert seen == seen_bool
     assert len(seen) == len(set(seen)) and all(lo < x < hi for x in seen)
     assert len(seen) <= 2 * len(seen_bool) + 2, (len(seen), len(seen_bool))
 
@@ -902,12 +914,14 @@ def test_margin_bisection_is_the_boolean_bisection(kind, u, log_scale, log_scale
 )
 def test_margin_search_is_the_boolean_search(kind, log_t, log_scale, log_scale2, offset, start):
     # as above, through search: the doubling or halving hands the margins
-    # of its bracket's ends to bisect
+    # of its bracket's ends to bisect; the reference is the search on the
+    # margin's verdicts alone, which the property above holds to the plain
+    # bisection
     t = 10.0**log_t
     margin = _synthetic_margin(kind, t, 10.0**log_scale, 10.0**log_scale2, offset * t)
-    passes, seen = _recorded(margin, boolean=False)
+    passes, seen = _recorded(margin)
     got = search(passes, *start, 59, STEPSIZE_TOL)
-    boolean, seen_bool = _recorded(margin, boolean=True)
+    boolean, seen_bool = _recorded(lambda x: _verdict_only(margin(x) > 0))
     assert got == search(boolean, *start, 59, STEPSIZE_TOL)
     assert len(seen) == len(set(seen))
     assert len(seen) <= 2 * len(seen_bool) + 2, (len(seen), len(seen_bool))

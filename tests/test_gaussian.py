@@ -1,10 +1,12 @@
 import cmath
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from langevin_contract import cli, gaussian
 from langevin_contract.certificates import CertificateError, step_matrix
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.gaussian import (
@@ -22,6 +24,7 @@ from langevin_contract.gaussian import (
 from langevin_contract.integrators import KINETIC_SCHEMES, Scheme, StepParams, affine_mode_map
 from oracles import _word_columns, mp_stability_threshold
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 KINETIC = [
     Scheme.KINETIC_EM,
     Scheme.BAO,
@@ -102,10 +105,11 @@ def test_mode_eigenvalues_rejects_overdamped():
         mode_eigenvalues(Scheme.OVERDAMPED_EM, 1.0, StepParams(0.1, 1.0))
 
 
-@pytest.mark.parametrize("lam", [-1.0, -0.0, 0.0, math.nan])
+@pytest.mark.parametrize("lam", [-1.0, -0.0, 0.0, math.nan, math.inf])
 def test_a_curvature_that_is_not_positive_raises(lam):
     # before stability_threshold's start value 1/sqrt(lam), which raised ValueError,
-    # ZeroDivisionError or a nan stepsize; nan passed lam <= 0 and gave (inf, inf)
+    # ZeroDivisionError or a nan stepsize; nan passed lam <= 0 and gave (inf, inf),
+    # and inf started the search at h = 0.0, where the step core raised
     with pytest.raises(SpectralError, match="lam must be positive"):
         stability_threshold(Scheme.BAO, lam, 10.0)
     with pytest.raises(SpectralError, match="lam must be positive"):
@@ -172,6 +176,36 @@ def test_stability_threshold_matches_the_mp_oracle(scheme, gamma):
     assert got == pytest.approx(want, rel=1e-6)
 
 
+@_roadmap_xfail(
+    "4(a)",
+    "obabo's stable set at lam = 6, gamma = 200 is not an interval: once exp(-gamma h) < 1e-16 the rounded "
+    "det decides, and h is stable again 1e-10 past the returned threshold",
+)
+def test_stability_threshold_is_the_edge_of_an_interval():
+    # the README's known-issue example, and why the stability probe is a
+    # verdict with no margin: a secant on a margin assumes an interval
+    h = stability_threshold(Scheme.OBABO, 6.0, 200.0)
+    assert _monotone_stable(Scheme.OBABO, 6.0, 200.0, h)
+    assert not _monotone_stable(Scheme.OBABO, 6.0, 200.0, h + 1e-10)
+
+
+def test_the_shipped_scan_makes_2222_stability_probes(monkeypatch, tmp_path):
+    # +-inf margins are never interpolated, so every search probes as the
+    # plain bisection did (2222 probes on the shipped config); a probe runs
+    # on Python floats, not BLAS, so the count is the same on every build
+    calls = 0
+    probe = gaussian._monotone_stable
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return probe(*args)
+
+    monkeypatch.setattr(gaussian, "_monotone_stable", counted)
+    assert cli.main(["gaussian-scan", "--config", str(CONFIGS / "gaussian_scan.json"), "--out", str(tmp_path)]) == 0
+    assert calls == 2222
+
+
 def test_bao_exact_rate_examples():
     # h -> 0 gives no contraction
     assert bao_exact_rate(1.0, 1e-9, 5.0) == pytest.approx(0.0, abs=1e-8)
@@ -181,6 +215,8 @@ def test_bao_exact_rate_examples():
     expect = s0 - math.sqrt(s0 * s0 - 0.04)
     assert bao_exact_rate(1.0, 0.1, 5.0) == pytest.approx(expect, rel=1e-14)
     assert expect == pytest.approx(0.05305885449688286, rel=1e-12)
+    # gamma = inf is eta = 0: the discriminant is (1 - h^2 m)^2, so c_N = 2 h^2 m
+    assert bao_exact_rate(1.0, 0.1, math.inf) == pytest.approx(0.02, rel=1e-12)
 
 
 def test_bao_exact_rate_on_a_complex_pair_is_one_minus_eta():

@@ -56,6 +56,8 @@ GUARDS = {
     "bound at an inadmissible rate": (lambda: verify_trace_bound(_trace(1.0, [1.0, 0.5])), CouplingError, "admissible"),
     "bao rate at m = 0": (lambda: bao_exact_rate(0.0, 0.1, 1.0), SpectralError, "positive"),
     "bao rate at m = nan": (lambda: bao_exact_rate(math.nan, 0.1, 1.0), SpectralError, "positive"),
+    "bao rate at m = inf": (lambda: bao_exact_rate(math.inf, 0.1, 4.0), SpectralError, "finite"),
+    "bao rate at h = inf": (lambda: bao_exact_rate(1.0, math.inf, 4.0), SpectralError, "finite"),
     "threshold at gamma = nan": (
         lambda: certified_stepsize_threshold(Scheme.BAO, 1.0, 4.0, math.nan),
         CouplingError,
