@@ -45,7 +45,9 @@ and the verdict's quartic values, evaluating them itself, once, where A
 failed, and adds the eigenvalue oracle, H = (1-c) W - P^T W P from the
 point's P0, P1 and W with its minimum eigenvalue at every node, and the
 margins.  The searches decide on the verdict alone, so no search probe
-runs the oracle, while every report carries it.  Every search probe
+runs the oracle, while every report carries it.  A stepsize probe whose
+certified norm is invalid builds no point at all: its verdict is the
+norm's, decided by the rate.  Every search probe
 returns a float margin that passes when it is > 0: here the verdict's,
 and +-inf, a verdict with no distance, in the stability search.
 :func:`bisect` narrows its bracket by regula falsi on finite margins,
@@ -57,13 +59,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CertifiedRate, certified_rate
-from .integrators import Scheme, StepParams, _mode_map
+from .coupling import CertifiedRate, certified_rate, certified_stepsize_threshold
+from .integrators import Scheme, StepParams, _coefficients, _mode_map, _mode_rows
 
 
 class CertificateError(ValueError):
@@ -93,6 +96,38 @@ STEPSIZE_TOL = 1e-8
 RATE_TOL = 1e-10
 
 
+def _certifiable(scheme: Scheme) -> Scheme:
+    """The scheme, once it has a certificate block; UnsupportedScheme otherwise."""
+    scheme = Scheme(scheme)
+    if scheme not in CERTIFICATE_SCHEMES:
+        ok = ", ".join(s.value for s in CERTIFICATE_SCHEMES)
+        raise UnsupportedScheme(
+            f"{scheme.value} has no certificate block; permuted splittings route through "
+            f"bao/oab (certified_rate); certifiable schemes: {ok}"
+        )
+    return scheme
+
+
+def _block(scheme: Scheme, params: StepParams) -> Callable[[float], tuple[tuple[float, float], ...]]:
+    """The rows of :func:`transition_matrix_P` as a function of lam, Python
+    floats in and out; what lam does not move is computed once, here."""
+    scheme = _certifiable(scheme)
+    if scheme not in (Scheme.BAOAB, Scheme.OBABO):
+        return functools.partial(_mode_rows, scheme, _coefficients(scheme, params))
+    h, eta = params.h, params.eta
+    if scheme is Scheme.BAOAB:
+        try:
+            h3 = h**3
+        except OverflowError:
+            raise CertificateError(f"baoab's certificate block leaves the float range at h={h}") from None
+        return lambda lam: (
+            (1.0 - h * h * lam / 2.0, h - h3 * lam / 4.0),
+            (-h * eta * lam, eta - h * h * eta * lam / 2.0),
+        )
+    half = 0.5 * h * (1.0 + eta)
+    return lambda lam: ((1.0, h), (-half * lam, eta - h * half * lam))
+
+
 def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
     """Difference-process one-step matrix certified for a scalar mode Q = lam.
 
@@ -105,29 +140,7 @@ def transition_matrix_P(scheme: Scheme, lam: float, params: StepParams) -> np.nd
     obabo's stability thresholds in the zone where exp(-gamma h) is below
     ~1e-16.  eta = exp(-gamma h) in both.
     """
-    scheme = Scheme(scheme)
-    if scheme not in CERTIFICATE_SCHEMES:
-        ok = ", ".join(s.value for s in CERTIFICATE_SCHEMES)
-        raise UnsupportedScheme(
-            f"{scheme.value} has no certificate block; permuted splittings route through "
-            f"bao/oab (certified_rate); certifiable schemes: {ok}"
-        )
-    if scheme not in (Scheme.BAOAB, Scheme.OBABO):
-        return _mode_map(scheme, lam, params)[0]
-    h, eta = params.h, params.eta
-    if scheme is Scheme.BAOAB:
-        try:
-            h3 = h**3
-        except OverflowError:
-            raise CertificateError(f"baoab's certificate block leaves the float range at h={h}") from None
-        return np.array(
-            [
-                [1.0 - h * h * lam / 2.0, h - h3 * lam / 4.0],
-                [-h * eta * lam, eta - h * h * eta * lam / 2.0],
-            ]
-        )
-    half = 0.5 * h * (1.0 + eta)
-    return np.array([[1.0, h], [-half * lam, eta - h * half * lam]])
+    return np.array(_block(scheme, params)(lam))
 
 
 def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
@@ -145,9 +158,11 @@ def step_matrix(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:
 
 def _affine_P(scheme: Scheme, params: StepParams) -> tuple[np.ndarray, np.ndarray]:
     """(P0, P1) with P(lam) = P0 + lam P1; exact because every certificate
-    block applies the kick operator once."""
-    P0 = transition_matrix_P(scheme, 0.0, params)
-    return P0, transition_matrix_P(scheme, 1.0, params) - P0
+    block applies the kick operator once.  The block's constants are
+    computed once for both lam."""
+    rows = _block(scheme, params)
+    P0 = np.array(rows(0.0))
+    return P0, np.array(rows(1.0)) - P0
 
 
 def _h_blocks(P0: np.ndarray, P1: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -280,12 +295,18 @@ def _lam_grid(m: float, M: float) -> np.ndarray:
     return lams
 
 
-def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> _Point:
-    """Check the arguments, then build the c-free half of a check (module docstring)."""
-    scheme = Scheme(scheme)
+def _rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> CertifiedRate:
+    """Check 0 < m <= M, then the certified rate at h: the first steps of every check."""
     if not (0.0 < m <= M):
         raise CertificateError(f"need 0 < m <= M, got m={m}, M={M}")
-    rate = certified_rate(scheme, m, M, gamma, h)
+    return certified_rate(scheme, m, M, gamma, h)
+
+
+def _point(scheme: Scheme, m: float, M: float, gamma: float, h: float, rate: CertifiedRate | None = None) -> _Point:
+    """Check the arguments, then build the c-free half of a check (module
+    docstring); ``rate``, where given, is :func:`_rate`'s at these arguments."""
+    scheme = Scheme(scheme)
+    rate = _rate(scheme, m, M, gamma, h) if rate is None else rate
     # one (P0, P1) for both the polynomial route and the eigenvalue oracle
     P0, P1 = _affine_P(scheme, StepParams(h, gamma))
     W = np.array([[1.0, rate.b], [rate.b, rate.a]])
@@ -490,23 +511,53 @@ def max_certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: floa
     return bisect(margin, 0.0, 1.0, RATE_TOL, f0) if f0 > 0.0 else 0.0
 
 
+def _stepsize_margin(scheme: Scheme, m: float, M: float, gamma: float, h: float, rate: CertifiedRate) -> float:
+    """A stepsize probe's margin, the verdict's at ``rate``, the :func:`_rate`
+    at h.  Where the norm is invalid (b^2 >= a) the margin is a - b^2 and
+    no point is built; the step constants still are, so the probe raises
+    what building P would."""
+    if rate.norm_valid:
+        return _verdict(_point(scheme, m, M, gamma, h, rate), m, M, rate.c)[0]
+    _coefficients(scheme, StepParams(h, gamma))
+    return float(rate.a - rate.b * rate.b)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def max_certified_stepsize(scheme: Scheme, m: float, M: float, gamma: float) -> float:
     """Largest h whose certificate passes with the certified (a, b, c)(h).
 
-    The pass region is taken to be an interval (0, h*): :func:`search`
-    halves from :data:`STEPSIZE_CAP` and bisects to :data:`STEPSIZE_TOL`;
-    a probe builds its point and takes the check's verdict alone, as its
-    margin, no oracle.  Returns the cap when the cap passes and 0.0 when
-    no stepsize passes (friction below the scheme's implicit floor).  Bad input
-    raises: a scheme outside :data:`CERTIFICATE_SCHEMES`, m, M outside
+    The pass region is taken to be an interval (0, h*).  The cap,
+    :data:`STEPSIZE_CAP`, is probed first; where it fails, :func:`search`
+    starts from the largest cap / 2**k (1 <= k <= 59) at or below the
+    hypotheses' threshold (:func:`~langevin_contract.coupling.certified_stepsize_threshold`;
+    cap / 2 where that is 0.0), with 59 - k halvings left, and bisects to
+    :data:`STEPSIZE_TOL`.  Doubling a power-of-two fraction of the cap is
+    exact, so every probe is one that halving from the cap would make, and
+    where the pass set is an interval the bracket, its margins and the
+    answer are the halving's.  No h is probed twice.  A probe takes the
+    check's verdict alone, as its margin, no oracle, and decides an invalid
+    norm from the rate alone (:func:`_stepsize_margin`).  Returns the cap
+    when the cap passes and 0.0 when no stepsize passes (friction below the
+    scheme's implicit floor).  Bad input raises, as a check at the cap
+    would: a scheme outside :data:`CERTIFICATE_SCHEMES`, m, M outside
     0 < m <= M, or M > m beyond the range of the derivative bound (about
     5.6e102).
     """
+    scheme = Scheme(scheme)
+    rate = _rate(scheme, m, M, gamma, STEPSIZE_CAP)
+    _certifiable(scheme)  # after the rate, as in a check; no later probe needs it
+    margins = {STEPSIZE_CAP: _stepsize_margin(scheme, m, M, gamma, STEPSIZE_CAP, rate)}
+    _guard((0.0,) * 4, m, M)  # the quartic's guard raises on M alone, so a rate-only probe may skip it
+    if margins[STEPSIZE_CAP] > 0.0:
+        return STEPSIZE_CAP
 
     def margin(h: float) -> float:
-        point = _point(scheme, m, M, gamma, h)
-        return _verdict(point, m, M, point.rate.c)[0]
+        if h not in margins:
+            margins[h] = _stepsize_margin(scheme, m, M, gamma, h, _rate(scheme, m, M, gamma, h))
+        return margins[h]
 
-    return search(margin, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
-
+    start, halvings = 0.5 * STEPSIZE_CAP, 58
+    threshold = certified_stepsize_threshold(scheme, m, M, gamma)
+    while start > threshold > 0.0 and halvings:
+        start, halvings = 0.5 * start, halvings - 1
+    return search(margin, start, STEPSIZE_CAP, halvings, STEPSIZE_TOL)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -126,9 +127,11 @@ class CertifiedRate:
 
     def bound_sq_steps(self, n_steps: int, d0: float) -> np.ndarray:
         """Certified squared-distance bounds prefactor^2 (1 - c)^(k - shift) d0 at steps
-        k = 0..n_steps, a float power on each int k (numpy's vector power can round differently)."""
-        terms = (self.prefactor**2 * (1.0 - self.c) ** (k - self.shift) * d0 for k in range(n_steps + 1))
-        return np.fromiter(terms, float, n_steps + 1)
+        k = 0..n_steps, a float power on each int k (numpy's vector power can round
+        differently), then the two products left to right, as Python floats would."""
+        powers = map(pow, repeat(1.0 - self.c), range(-self.shift, n_steps + 1 - self.shift))
+        with np.errstate(over="ignore", invalid="ignore"):  # a float product overflows to inf silently
+            return self.prefactor**2 * np.fromiter(powers, float, n_steps + 1) * d0
 
 
 class _Hypothesis(NamedTuple):

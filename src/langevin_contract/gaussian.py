@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CERTIFICATE_SCHEMES, search, step_matrix, transition_matrix_P
-from .integrators import KINETIC_SCHEMES, Scheme, StepParams, affine_mode_map
+from .certificates import CERTIFICATE_SCHEMES, _block, search
+from .integrators import KINETIC_SCHEMES, Scheme, StepParams, _coefficients, _mode_rows, affine_mode_map
 
 
 class SpectralError(ValueError):
@@ -71,7 +71,8 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
     Other schemes use the trace and determinant of the 2x2 mode matrix: a
     member of ``CERTIFICATE_SCHEMES`` its certificate block (same spectrum
     as the full step), :func:`~langevin_contract.certificates.transition_matrix_P`,
-    and any other scheme the step core's own map, :func:`~langevin_contract.certificates.step_matrix`.
+    and any other scheme the step core's own map, :func:`~langevin_contract.certificates.step_matrix`,
+    each read as its rows of Python floats, with no array built.
     """
     scheme = Scheme(scheme)
     _check_lam(lam)
@@ -82,8 +83,11 @@ def mode_eigenvalues(scheme: Scheme, lam: float, params: StepParams) -> tuple[co
         return _eig_pair(2.0 - g * h, 1.0 - g * h + h * h * lam)
     if scheme is Scheme.BAO:
         return _eig_pair(1.0 + params.eta - h * h * lam, params.eta)
-    matrix = transition_matrix_P if scheme in CERTIFICATE_SCHEMES else step_matrix
-    (p00, p01), (p10, p11) = matrix(scheme, lam, params).tolist()  # Python floats overflow without a warning
+    if scheme in CERTIFICATE_SCHEMES:
+        rows = _block(scheme, params)(lam)
+    else:
+        rows = _mode_rows(scheme, _coefficients(scheme, params), lam)
+    (p00, p01), (p10, p11) = rows  # Python floats, which overflow without a warning
     return _eig_pair(p00 + p11, p00 * p11 - p01 * p10)
 
 
@@ -148,16 +152,24 @@ def bao_exact_rate(m: float, h: float, gamma: float) -> float:
     When the discriminant is negative the eigenvalues form a conjugate
     pair of modulus sqrt(eta) and the modulus-based squared rate
     1 - eta is returned instead.  m and h must be finite; gamma = inf is
-    the eta = 0 limit.
+    the eta = 0 limit.  Where h^2 m, 4 h^2 m or the square of
+    s0 = 1 - eta + h^2 m overflows, both branches are taken in the
+    overflow-free form 4 h^2 m / (s0 + sqrt(disc)) divided through by h^2 m,
+    which tends to 2.
     """
     if not (0.0 < m < math.inf and 0.0 < h < math.inf and gamma > 0.0):  # NaN too
         raise SpectralError(f"m, h must be positive and finite, gamma positive; got m={m}, h={h}, gamma={gamma}")
     eta = math.exp(-gamma * h)
     s0 = 1.0 - eta + h * h * m
     disc = s0 * s0 - 4.0 * h * h * m
-    if disc < 0.0:
-        return 1.0 - eta
-    return s0 - math.sqrt(disc)
+    if math.isfinite(disc):  # nothing overflowed
+        return 1.0 - eta if disc < 0.0 else s0 - math.sqrt(disc)
+    # u = 1/(h sqrt(m)), s = s0/(h^2 m) and disc/(h^2 m)^2 = (s - 2u)(s + 2u); h > 6.7e153 or
+    # s0 > 1.3e154 here, so u < 6.8e7 and nothing below overflows
+    u = 1.0 / (h * math.sqrt(m))
+    s = (1.0 - eta) * u * u + 1.0
+    disc = (s - 2.0 * u) * (s + 2.0 * u)
+    return 1.0 - eta if disc < 0.0 else 4.0 / (s + math.sqrt(disc))
 
 
 def stationary_covariance(scheme: Scheme, lam: float, params: StepParams) -> np.ndarray:

@@ -295,29 +295,33 @@ class _Mode(NamedTuple):
         return self.lam * x
 
 
+def _mode_rows(scheme: Scheme, coefs: tuple[float, ...], lam: float) -> tuple[tuple[float, float], ...]:
+    """The rows ((p00, p01), (p10, p11)) of P on a mode of curvature lam, as
+    Python floats: the step core's images of the basis states (1, 0) and
+    (0, 1) at zero noise, which covers every scheme (none draws more than
+    two), from one :func:`_coefficients` tuple."""
+    mode, zero = _Mode(float(lam)), (0.0, 0.0)
+    p00, p10 = _step_core(scheme, mode, 1.0, 0.0, coefs, zero)[:2]
+    p01, p11 = _step_core(scheme, mode, 0.0, 1.0, coefs, zero)[:2]
+    return (p00, p01), (p10, p11)
+
+
 def _mode_map(
     scheme: Scheme, lam: float, params: StepParams, noise: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(P, N) of the step core on a 1-d mode of curvature lam: z' = P z + N xi.
 
-    The core runs on Python floats, from the basis states (1, 0) and (0, 1)
-    at zero noise for the columns of P and, when ``noise``, from z = 0 with
-    one unit draw for each column of N (else N is None).  So every mode
-    matrix of a scheme is its step's own arithmetic, rounding included.
+    P is :func:`_mode_rows`; when ``noise``, each column of N is the image
+    of z = 0 under one unit draw (else N is None).  So every mode matrix of
+    a scheme is its step's own arithmetic, rounding included.
     """
     coefs = _coefficients(scheme, params)
-    mode = _Mode(float(lam))
-
-    # the default zero noise covers every scheme: none draws more than two
-    def image(x: float, v: float, xi=(0.0, 0.0)) -> tuple[float, float]:
-        return _step_core(scheme, mode, x, v, coefs, xi)[:2]
-
-    (p00, p10), (p01, p11) = image(1.0, 0.0), image(0.0, 1.0)
-    P = np.array([[p00, p01], [p10, p11]])
+    P = np.array(_mode_rows(scheme, coefs, lam))
     if not noise:
         return P, None
-    k = noise_requirements(scheme)
-    return P, np.array([image(0.0, 0.0, [float(j == i) for j in range(k)]) for i in range(k)]).T
+    mode, k = _Mode(float(lam)), noise_requirements(scheme)
+    draws = ([float(j == i) for j in range(k)] for i in range(k))
+    return P, np.array([_step_core(scheme, mode, 0.0, 0.0, coefs, xi)[:2] for xi in draws]).T
 
 
 def affine_mode_map(scheme: Scheme, lam: float, params: StepParams) -> tuple[np.ndarray, np.ndarray]:

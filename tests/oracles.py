@@ -8,7 +8,8 @@ stationary position law of a splitting's gamma = inf chain in closed form, and
 of the "eta" stepsize hypothesis h < (1 - exp(-gamma h))/s.
 
 The last section holds reference routines that only the tests call: the
-plain bisection on a pass/fail predicate, the A/B/C coefficient form of a
+plain bisection on a pass/fail predicate and the stepsize search that
+halves from its cap, the A/B/C coefficient form of a
 certificate block, the boundary-operator
 amplification bounds behind the coupling records' prefactors, the Gaussian
 2-Wasserstein distance, the Wasserstein decay factor, the list of
@@ -155,6 +156,23 @@ def plain_bisect(passes, lo, hi, tol):
         else:
             hi = mid
     return lo
+
+
+def halving_search(passes, cap, halvings, tol):
+    """The edge of a pass region (0, x*) on the bool ``passes``: ``cap`` when
+    it passes, else the first of ``halvings`` halvings of it that passes,
+    with the failing point above it, shrunk by :func:`plain_bisect`; 0.0
+    when none passes.  The reference for
+    :func:`langevin_contract.certificates.max_certified_stepsize`, which
+    starts from the hypotheses' threshold instead and returns this float."""
+    if passes(cap):
+        return cap
+    x = cap
+    for _ in range(halvings):
+        hi, x = x, x / 2.0
+        if passes(x):
+            return plain_bisect(passes, x, hi, tol)
+    return 0.0
 
 
 FIRST_ORDER_SPLITTINGS =(Scheme.BAO, Scheme.OAB, Scheme.ABO, Scheme.BOA, Scheme.OBA, Scheme.AOB)

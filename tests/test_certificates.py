@@ -35,7 +35,7 @@ from langevin_contract.certificates import (
 )
 from langevin_contract.coupling import certified_rate, certified_stepsize_threshold
 from langevin_contract.integrators import IntegratorError, Scheme, StepParams
-from oracles import REFERENCE_BOUND_CONSTANTS, build_abc, composition_bound, plain_bisect
+from oracles import REFERENCE_BOUND_CONSTANTS, build_abc, composition_bound, halving_search, plain_bisect
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -330,15 +330,20 @@ def test_check_certificate_matches_the_uncached_reference(scheme):
 
 def test_search_probes_take_the_verdict_only(monkeypatch, tmp_path):
     # neither search runs the eigenvalue oracle; a stepsize probe builds one
-    # point, a rate search one in all, and every probe shares one lam grid
+    # rate, and one point where the rate's norm is valid, a rate search one
+    # point in all, and every probe shares one lam grid
     calls = dict.fromkeys(("_verdict", "_grid_sums", "_min_eig_H", "certified_rate"), 0)
+    rates = []
 
     def counting(name):
         fn = getattr(certificates, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "certified_rate":
+                rates.append(out)
+            return out
 
         return counted
 
@@ -349,7 +354,7 @@ def test_search_probes_take_the_verdict_only(monkeypatch, tmp_path):
 
     h = max_certified_stepsize(scheme, m, M, gamma)
     n_step = calls["_verdict"]
-    assert calls["certified_rate"] == n_step  # every probe a new point
+    assert len(rates) > n_step == sum(r.norm_valid for r in rates)  # a point only where the norm is valid
     assert certificates._lam_grid.cache_info().misses == 1
 
     calls.update(_verdict=0, certified_rate=0)
@@ -543,17 +548,18 @@ def _verdict_only(ok):
 
 
 def _reference_stepsize(scheme, m, M, gamma):
-    """max_certified_stepsize with every probe a full check's verdict, and
-    the failing end of its last bracket (None when the cap passes)."""
+    """max_certified_stepsize as the halving from the cap (oracles.halving_search)
+    with every probe a full check's verdict, and the failing end of its last
+    bracket (None when the cap passes)."""
     failing = []
 
     def passes(h):
         ok = check_certificate(scheme, m, M, gamma, h).passed
         if not ok:
             failing.append(h)
-        return _verdict_only(ok)
+        return ok
 
-    lo = search(passes, STEPSIZE_CAP, STEPSIZE_CAP, 59, STEPSIZE_TOL)
+    lo = halving_search(passes, STEPSIZE_CAP, 59, STEPSIZE_TOL)
     return lo, min((x for x in failing if x > lo), default=None)
 
 
@@ -651,6 +657,149 @@ def test_searches_are_the_boolean_bisections_at_the_edges():
         assert got == _boolean_searches(scheme, m, M, gamma, h), (scheme, m, M, gamma, h)
         passed[region] += h_max > 0.0 and got[1] > 0.0
     assert min(passed.values()) > 0, passed
+
+
+def _halving_stepsize(scheme, m, M, gamma):
+    """max_certified_stepsize as it halved from the cap, each probe a built
+    point and its verdict (oracles.halving_search), or the type and text of
+    the error raised."""
+
+    def passes(h):
+        point = _point(scheme, m, M, gamma, h)
+        return _verdict(point, m, M, point.rate.c)[0] > 0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _passed(halving_search, passes, STEPSIZE_CAP, 59, STEPSIZE_TOL)
+
+
+def _rates_by_h(monkeypatch):
+    """Record the h of every rate that certificates builds, and return the list."""
+    built, rate = [], certificates.certified_rate
+
+    def recorded(scheme, m, M, gamma, h):
+        built.append(h)
+        return rate(scheme, m, M, gamma, h)
+
+    monkeypatch.setattr(certificates, "certified_rate", recorded)
+    return built
+
+
+def test_the_stepsize_search_start_does_not_move_the_answer(monkeypatch):
+    # the search starts from the hypotheses' threshold; wherever that puts the
+    # start, it returns the float that halving from the cap returns, and it
+    # builds no rate twice at one h
+    zero = (Scheme.KINETIC_EM, 1.0, 4.0, 3.9)  # gamma^2 < 4M: the hypotheses admit no h
+    at_cap = (Scheme.SES, 1.0, 4.0, 44.0)  # passes at the cap
+    tiny = (Scheme.KINETIC_EM, 1.2e-6, 1.2e-6, 0.0022)  # threshold ~227, above the cap, which passes
+    bao, obabo, oab = (Scheme.BAO, 1.0, 4.0, 26.0), (Scheme.OBABO, 1.0, 4.0, 15.0), (Scheme.OAB, 1.0, 4.0, 15.0)
+    assert certified_stepsize_threshold(*zero) == 0.0 < _halving_stepsize(*zero)
+    assert _halving_stepsize(*at_cap) == _halving_stepsize(*tiny) == STEPSIZE_CAP
+    assert certified_stepsize_threshold(*tiny) > STEPSIZE_CAP
+    h_bao = _halving_stepsize(*bao)
+    assert 0.0 < certified_stepsize_threshold(*bao) < h_bao < STEPSIZE_CAP / 16
+    # 4 h_bao puts the start at the largest cap / 2**k below it, above the edge: it fails
+    assert not _verdict_passed(*bao, STEPSIZE_CAP / 2 ** math.floor(math.log2(STEPSIZE_CAP / (4.0 * h_bao))))
+    cases = [(zero, None), (at_cap, None), (tiny, None), (bao, None), (bao, 4.0 * h_bao)]
+    cases += [(obabo, STEPSIZE_CAP), (oab, math.inf), (oab, math.nan)]  # each starts at cap / 2
+    threshold = certificates.certified_stepsize_threshold
+    built = _rates_by_h(monkeypatch)
+    for case, fixed in cases:
+        want = _halving_stepsize(*case)
+        monkeypatch.setattr(
+            certificates, "certified_stepsize_threshold", threshold if fixed is None else lambda *args: fixed
+        )
+        built.clear()
+        assert _passed(max_certified_stepsize, *case) == want, (case, fixed)
+        assert len(built) == len(set(built)) > 0, (case, fixed)
+
+
+def test_every_start_gives_the_halving_answer(monkeypatch):
+    # a start at every cap / 2**k, the edge's neighbours included, and none
+    # builds a rate twice at one h; where nothing passes, a start at
+    # cap / 2**k probes the cap, then halves from the start to cap / 2**59,
+    # the halving's last point
+    case, nothing = (Scheme.BAO, 1.0, 4.0, 26.0), (Scheme.KINETIC_EM, 1.0, 4.0, 1.6)
+    want = _halving_stepsize(*case)
+    built = _rates_by_h(monkeypatch)
+    for k in range(1, 61):
+        monkeypatch.setattr(certificates, "certified_stepsize_threshold", lambda *args: STEPSIZE_CAP / 2**k)
+        built.clear()
+        assert max_certified_stepsize(*case) == want, k
+        assert len(built) == len(set(built)), k
+        built.clear()
+        assert max_certified_stepsize(*nothing) == 0.0
+        assert sorted(built) == [STEPSIZE_CAP / 2**j for j in range(59, min(k, 59) - 1, -1)] + [STEPSIZE_CAP], k
+
+
+def test_the_stepsize_search_raises_and_answers_as_halving_did():
+    # random and edge inputs over every scheme: the float, or the error type
+    # and text, of halving from the cap with a built point on every probe
+    rng = np.random.default_rng(35)
+    edges = [0.0, -0.0, 5e-324, 1e-300, 1.0, 4.0, 11.0, 1e150, 1e308, math.inf, math.nan]
+    outcomes = set()
+    for i in range(240):
+        scheme = list(Scheme)[i % len(Scheme)] if i % 3 == 0 else CERTIFICATE_SCHEMES[i % 6]
+        if i % 2:
+            m, M, gamma = (float(rng.choice(edges)) for _ in range(3))
+        else:
+            m = 10 ** rng.uniform(-1.0, 1.0)
+            M = m if i % 8 == 0 else m * 10 ** rng.uniform(0.0, 2.0)
+            gamma = math.sqrt(M) * 10 ** rng.uniform(-0.2, 3.0)
+        want = _halving_stepsize(scheme, m, M, gamma)
+        assert _passed(max_certified_stepsize, scheme, m, M, gamma) == want, (scheme, m, M, gamma)
+        outcomes.add(want[0].__name__ if isinstance(want, tuple) else "zero" if want == 0.0 else "float")
+    assert {"zero", "float", "CertificateError", "UnsupportedScheme", "CouplingError"} <= outcomes, outcomes
+    # the errors of the checks a rate-only probe skips or makes once: the
+    # gamma check before the scheme's, the guard's M range behind an invalid
+    # norm at the cap, and the step constants, at the cap and at a later
+    # probe (SES at gamma = 1e-100 fails at h = 10 / 2**29)
+    for case in [
+        (Scheme.ABO, 1.0, 4.0, 0.0),
+        (Scheme.OBA, 1.0, 4.0, 1.0),  # bao's record with gamma^2 < M: no probe's norm is valid
+        (Scheme.LM, 1.0, 4.0, 11.0),
+        (Scheme.BAO, 1.0, 1e103, 1e110),
+        (Scheme.SES, 1.0, 4.0, 5e-324),
+        (Scheme.SES, 1.0, 4.0, 1e-100),
+        (Scheme.KINETIC_EM, 1.0, 4.0, math.inf),
+        (Scheme.BAO, 1.0, 4.0, 5e-324),
+    ]:
+        want = _halving_stepsize(*case)
+        assert isinstance(want, tuple) and _passed(max_certified_stepsize, *case) == want, case
+
+
+def _verdict_count(monkeypatch, run) -> int:
+    """The number of ``_verdict`` calls that ``run()`` makes."""
+    calls, verdict = [0], certificates._verdict
+
+    def counted(*args):
+        calls[0] += 1
+        return verdict(*args)
+
+    monkeypatch.setattr(certificates, "_verdict", counted)
+    run()
+    monkeypatch.setattr(certificates, "_verdict", verdict)
+    return calls[0]
+
+
+def test_the_searches_cost_what_they_cost(monkeypatch, tmp_path):
+    # x86-64, numpy 2.4 with OpenBLAS: 395 verdicts on the shipped table1
+    # config (465 when the stepsize search halved from the cap, 1128 before
+    # margins) and 188 on six schemes at gamma = 1e4, 1e6, 1e8 (358 halving);
+    # loose bounds, since the margins pass through the BLAS build's FMA
+    argv = ["certify", "--config", str(CONFIGS / "certify_table1.json"), "--out", str(tmp_path)]
+    n_table1 = _verdict_count(monkeypatch, lambda: cli.main(argv))
+    assert 380 <= n_table1 <= 410, n_table1
+    built = _rates_by_h(monkeypatch)
+
+    def high_friction():  # no search builds a rate twice at one h
+        for gamma in (1e4, 1e6, 1e8):
+            for scheme in CERTIFICATE_SCHEMES:
+                built.clear()
+                max_certified_stepsize(scheme, 1.0, 4.0, gamma)
+                assert len(built) == len(set(built)), (scheme, gamma)
+
+    n_high = _verdict_count(monkeypatch, high_friction)
+    assert 180 <= n_high <= 200, n_high
 
 
 @pytest.mark.xfail(

@@ -8,6 +8,7 @@ from langevin_contract import coupling
 from langevin_contract.cli import main
 from langevin_contract.coupling import (
     _BLOCK_BYTES,
+    CertifiedRate,
     CouplingError,
     CouplingPoint,
     CounterStreams,
@@ -226,6 +227,34 @@ def test_exact_one_step_contraction_is_admissible():
     pot = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
     tr = run_synchronous_coupling(Scheme.LM, pot, Z0, Z1, StepParams(1.0, 1.0), 20, seed=0)
     assert verify_trace_bound(tr) == (True, None)
+
+
+def _generator_bounds(rate, n_steps, d0):
+    """The bounds as one Python float expression per step, or the error type and text."""
+    try:
+        terms = (rate.prefactor**2 * (1.0 - rate.c) ** (k - rate.shift) * d0 for k in range(n_steps + 1))
+        return [x.hex() if x == x else "nan" for x in terms]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_bound_sq_steps_is_the_float_expression_bit_for_bit():
+    rng = np.random.default_rng(35)
+    cs = [1e-300, 5e-324, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2**-53, 1.0]
+    seen = set()
+    for i in range(400):
+        c = cs[i % len(cs)] if i % 2 else float(rng.uniform(0.0, 1.0))
+        d0 = [0.0, math.inf, 1e-300, 1e300][i % 4] if i % 3 == 0 else float(10 ** rng.uniform(-20.0, 20.0))
+        prefactor, shift, n = float(rng.choice([1.0, 7.0, 27.0])), int(rng.integers(0, 2)), int(rng.integers(0, 300))
+        rate = CertifiedRate(Scheme.BAO, 0.25, 0.5, c, prefactor, shift, ())
+        want = _generator_bounds(rate, n, d0)
+        try:
+            got = [x.hex() if x == x else "nan" for x in rate.bound_sq_steps(n, d0).tolist()]
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == want, (c, prefactor, shift, d0, n)
+        seen.add(want[0].__name__ if isinstance(want, tuple) else "nan" if "nan" in want else "float")
+    assert seen == {"float", "nan", "ZeroDivisionError"}, seen
 
 
 def test_threshold_and_rate_read_the_same_friction_floor():

@@ -237,6 +237,42 @@ def test_bao_exact_rate_is_twice_the_slow_mode_gap():
         assert bao_exact_rate(1.0, h, gamma) == pytest.approx(2 * (1 - lam_max), rel=1e-10)
 
 
+def _mp_bao_rate(m, h, gamma):
+    """bao_exact_rate's real branch as 4 h^2 m / (s0 + sqrt(disc)), or 1 - eta
+    where disc < 0, at 60 digits on the float inputs."""
+    with mp.workdps(60):
+        m, h, gamma = mp.mpf(m), mp.mpf(h), mp.mpf(gamma)
+        eta = mp.exp(-gamma * h)
+        q = h * h * m
+        s0 = 1 - eta + q
+        disc = s0 * s0 - 4 * q
+        return float(1 - eta) if disc < 0 else float(4 * q / (s0 + mp.sqrt(disc)))
+
+
+def test_bao_exact_rate_where_its_terms_overflow():
+    # h^2 m overflows at (1, 1e160), s0^2 at (1e160, 1): the real branch
+    # tends to 2 as h^2 m grows, where the direct form gave nan and -inf
+    assert bao_exact_rate(1.0, 1e160, 4.0) == 2.0
+    assert bao_exact_rate(1e160, 1.0, 4.0) == 2.0
+    # h^2 overflows on a subnormal m whose h^2 m is small or moderate, and
+    # 4 h^2 m overflows where h^2 m does not; both branches, against 60 digits
+    for m, h, gamma in [(3e-309, 1e155, 1e-155), (5e-324, 1e160, 4.0), (1e-300, 1e154, 1e-154), (1e-300, 1e155, 1e-155)]:
+        assert bao_exact_rate(m, h, gamma) == pytest.approx(_mp_bao_rate(m, h, gamma), rel=1e-14), (m, h, gamma)
+    assert bao_exact_rate(5e-324, 1e160, 4.0) < 1.0 < 2.0 < bao_exact_rate(3e-309, 1e155, 1e-155)
+
+
+def test_bao_exact_rate_where_nothing_overflows_is_the_direct_form():
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        m, h, gamma = (float(10 ** rng.uniform(-150.0, 150.0)) for _ in range(3))
+        eta = math.exp(-gamma * h)
+        s0 = 1.0 - eta + h * h * m
+        disc = s0 * s0 - 4.0 * h * h * m
+        if math.isfinite(disc):
+            want = 1.0 - eta if disc < 0.0 else s0 - math.sqrt(disc)
+            assert bao_exact_rate(m, h, gamma) == want, (m, h, gamma)
+
+
 def _scan_rate(scheme, gamma, h):
     """One minus the larger spectral radius of the scan's reports at h, on m = M = 1."""
     return 1.0 - max(r.spectral_radius for r in gaussian_scan(scheme, 1.0, 1.0, gamma, [h]))

@@ -29,7 +29,7 @@ from langevin_contract.coupling import (
     run_coupling_batch,
     verify_trace_bound,
 )
-from langevin_contract.gaussian import SpectralError, bao_exact_rate, stability_threshold
+from langevin_contract.gaussian import SpectralError, bao_exact_rate, mode_eigenvalues, stability_threshold
 from langevin_contract.integrators import IntegratorError, PhaseState, Scheme, StepParams, simulate_mode_chain, step
 from langevin_contract.potentials import (
     PerturbedQuadratic,
@@ -133,3 +133,39 @@ def test_searches_return_a_float_or_raise_a_domain_error(scheme, m, M, gamma, h)
                 assert str(exc)
             else:
                 assert type(result) is float
+
+
+#: the edges of the float range, each sign of zero and nan, beside ordinary values
+FLOAT_EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]) | ORDINARY
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    m=FLOAT_EDGES,
+    M=FLOAT_EDGES,
+    gamma=FLOAT_EDGES,
+    h=FLOAT_EDGES,
+)
+def test_searches_spectra_and_the_bao_rate_keep_to_their_domain(scheme, m, M, gamma, h):
+    # every scheme, overdamped ones too: each call returns its value, a float
+    # neither negative nor inf nor nan for all but the eigenvalues, or raises
+    # a library error with a message, never ZeroDivisionError, OverflowError,
+    # a math domain error (a bare ValueError) or a warning
+    calls = {
+        "max_certified_stepsize": (lambda: max_certified_stepsize(scheme, m, M, gamma), float),
+        "max_certified_rate": (lambda: max_certified_rate(scheme, m, M, gamma, h), float),
+        "stability_threshold": (lambda: stability_threshold(scheme, m, gamma), float),
+        "mode_eigenvalues": (lambda: mode_eigenvalues(scheme, M, StepParams(h, gamma)), tuple),
+        "bao_exact_rate": (lambda: bao_exact_rate(m, h, gamma), float),
+    }
+    for name, (call, kind) in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call()
+            except DOMAIN_ERRORS as exc:
+                assert str(exc), name
+            else:
+                assert type(result) is kind, name
+                assert kind is tuple or 0.0 <= result < math.inf, (name, result)
