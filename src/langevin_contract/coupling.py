@@ -19,6 +19,13 @@ of the whole run), and every point at that seed reads those rows; then each
 batch steps and reduces its states to distances, so a run's memory does not
 grow with its length.  Every batch's step constants are formed before any
 chain steps, so a broken one raises before the run starts.
+
+On a quadratic target every step is affine in (x, v, xi), so the pair's
+difference obeys the noise-free step map exactly in real arithmetic: there
+the runner steps that one difference per point, draws nothing, and a trace
+does not depend on its seed (the seed is still checked).  Its distances are
+those of the difference itself, free of the rounding floor that two O(1)
+states put under their difference.
 """
 
 from __future__ import annotations
@@ -175,7 +182,11 @@ class _Hypothesis(NamedTuple):
 
 
 class _Record(NamedTuple):
-    """A scheme's (a, b, c) = abc(m, M, gamma, h, eta, 1 - eta), bound shape and hypotheses."""
+    """A scheme's (a, b, c) = abc(m, M, gamma, h, eta, 1 - eta), bound shape and hypotheses.
+
+    ``abc`` combines its arguments with int constants only, so floats give the
+    float expression bit for bit and decimals stay decimals (:func:`_wide_abc`).
+    """
 
     abc: Callable[..., tuple[float, float, float]]
     hypotheses: tuple[_Hypothesis, ...]
@@ -187,10 +198,10 @@ _2_OVER_M = _Hypothesis("h", "2/M", lambda M, g: 2.0 / M, "<=")
 _1_OVER_2_GAMMA = _Hypothesis("h", "1/(2 gamma)", lambda M, g: 0.5 / g)
 _SQRT_6M = _Hypothesis("eta", "(1-eta)/sqrt(6M)", lambda M: math.sqrt(6.0 * M))
 _2_SQRT_M = _Hypothesis("eta", "(1-eta)/(2 sqrt(M))", lambda M: 2.0 * math.sqrt(M), "<=")
-_OVERDAMPED = _Record(lambda m, M, g, h, eta, ome: (1.0, 0.0, h * m * (2.0 - h * M)), (_2_OVER_M,))
-_BAO = _Record(lambda m, M, g, h, eta, ome: (1.0 / M, h / ome, h * h * m / (4.0 * ome)), (_SQRT_6M,))
+_OVERDAMPED = _Record(lambda m, M, g, h, eta, ome: (1.0, 0.0, h * m * (2 - h * M)), (_2_OVER_M,))
+_BAO = _Record(lambda m, M, g, h, eta, ome: (1 / M, h / ome, h * h * m / (4 * ome)), (_SQRT_6M,))
 _OAB = _Record(
-    lambda m, M, g, h, eta, ome: (1.0 / M, eta * h / ome, eta * h * h * m / (4.0 * ome)),
+    lambda m, M, g, h, eta, ome: (1 / M, eta * h / ome, eta * h * h * m / (4 * ome)),
     (_Hypothesis("h", "1/(4 gamma)", lambda M, g: 0.25 / g), _SQRT_6M),
 )
 
@@ -202,11 +213,11 @@ _RECORDS = {
     Scheme.OVERDAMPED_EM: _OVERDAMPED,
     Scheme.LM: _OVERDAMPED,
     Scheme.KINETIC_EM: _Record(
-        lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (2.0 * g)),
+        lambda m, M, g, h, eta, ome: (1 / M, 1 / g, m * h / (2 * g)),
         (_Hypothesis("floor", "gamma^2 >= 4M", lambda M, g: (_square(g), 4 * M)), _1_OVER_2_GAMMA),
     ),
     Scheme.SES: _Record(
-        lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (4.0 * g)),
+        lambda m, M, g, h, eta, ome: (1 / M, 1 / g, m * h / (4 * g)),
         (_Hypothesis("floor", "gamma >= 5 sqrt(M)", lambda M, g: (g, 5 * math.sqrt(M))), _1_OVER_2_GAMMA._replace(op="<=")),
     ),
     Scheme.BAO: _BAO,
@@ -220,26 +231,51 @@ _RECORDS = {
 
 
 def _record(scheme: Scheme, m: float, M: float, gamma: float) -> _Record:
-    """The scheme's record, once 0 < m <= M and gamma > 0 hold."""
+    """The scheme's record, once 0 < m <= M < inf and gamma > 0 hold."""
     if not (0.0 < m <= M):
         raise CouplingError(f"need 0 < m <= M, got m={m}, M={M}")
+    if M == math.inf:
+        raise CouplingError(f"need a finite M, got m={m}, M={M}")
     if not gamma > 0.0:  # NaN too
         raise CouplingError(f"need gamma > 0, got gamma={gamma}")
     return _RECORDS[scheme]
 
 
+def _wide_abc(record: _Record, *args: float) -> tuple[float, float, float]:
+    """The record's (a, b, c) at ``args`` evaluated in 40-digit decimals with an
+    exponent range that no product of a record's finite floats leaves, each rounded
+    once to a float: a product beyond the float range stays a number, and only a
+    field that is itself beyond it becomes inf."""
+    import decimal  # here, on this rare path: importing it costs every process ~0.3 MB
+
+    with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+        return tuple(float(f) for f in record.abc(*map(decimal.Decimal, args)))
+
+
 def certified_rate(scheme: Scheme, m: float, M: float, gamma: float, h: float) -> CertifiedRate:
-    """Certified (a, b, c) and admissibility: the scheme's record, then 0 < c <= 1 and b^2 < a."""
+    """Certified (a, b, c) and admissibility: the scheme's record, then 0 < c <= 1 and b^2 < a.
+
+    m, M and h must be finite, gamma may be inf.  The record is evaluated in
+    floats; where a float product in it may have overflowed (an inf or nan
+    field, or c = 0 where 4 gamma overflows, under which c's 2 gamma or 4 gamma
+    may have) it is evaluated again by :func:`_wide_abc`, so no field is nan,
+    and every value where nothing overflows is the float expression's.
+    """
     scheme = Scheme(scheme)
     record = _record(scheme, m, M, gamma)
     if not h > 0.0:  # NaN too
         raise CouplingError(f"need h > 0, got h={h}")
+    if h == math.inf:
+        raise CouplingError(f"need a finite h, got h={h}")
     eta = math.exp(-gamma * h)
     one_minus_eta = -math.expm1(-gamma * h)  # cancellation-free 1 - eta
+    args = m, M, gamma, h, eta, one_minus_eta
     try:
-        a, b, c = record.abc(m, M, gamma, h, eta, one_minus_eta)
+        a, b, c = record.abc(*args)
     except ZeroDivisionError:  # bao's and oab's records divide by 1 - eta, which gamma h can round to 0
         raise IntegratorError(f"{scheme.value}: 1 - exp(-gamma h) is 0 at h={h}, gamma={gamma}") from None
+    if not all(map(math.isfinite, (a, b, c))) or (c == 0.0 and math.isinf(4.0 * gamma) and gamma < math.inf):
+        a, b, c = _wide_abc(record, *args)
     fields = (scheme, a, b, c, record.prefactor, record.shift)
     rate = CertifiedRate(*fields, ())
     failing = [v for hyp in record.hypotheses if (v := hyp.check(M, gamma, h, one_minus_eta)) is not None]
@@ -321,28 +357,45 @@ def _constant(col: tuple[float, ...], shape: tuple[int, int, int]) -> float | np
 
 
 class _Batch:
-    """The points of one scheme in a run: their step constants, noise slots and chain states."""
+    """The points of one scheme in a run: their step constants, noise slots and chain states.
+
+    A pair batch (``slots`` a dict) holds both chains of each point, (B, 2, d),
+    and reads their shared draws from the run's noise buffer.  A difference
+    batch (``slots`` None) holds one state per point, the pair's difference
+    z0 - z0_tilde, (B, 1, d), and steps it with every draw 0.0: on a
+    quadratic target each step is affine in (x, v, xi), so the difference of
+    two chains on common noise follows the noise-free step map.
+    """
 
     def __init__(self, scheme, index, pts, z0, z0_tilde, slots):
         self.scheme = scheme
         self.index = index  # the points' positions in the run
-        d = z0.dim
+        B, d, k = len(pts), z0.dim, noise_requirements(scheme)
         cols = zip(*(_coefficients(scheme, p.params) for p in pts))
-        self.coefs = tuple(_constant(col, (len(pts), 2, d)) for col in cols)
-        k = noise_requirements(scheme)
+        self.coefs = tuple(_constant(col, (B, 1 if slots is None else 2, d)) for col in cols)
+        self.grad = None
+        if slots is None:
+            self.slots, self.zero = None, (0.0,) * k
+            self.x = np.repeat((z0.x - z0_tilde.x)[None, None], B, axis=0)
+            # both chains of an lm pair start at one primer draw, so their v differ by 0
+            vbar = np.zeros(d) if scheme is Scheme.LM else z0.v - z0_tilde.v
+            self.v = np.repeat(vbar[None, None], B, axis=0)
+            return
         # (k, B): the noise buffer row of each point's j-th draw, one per distinct (seed, substream)
         self.slots = np.array([[slots.setdefault((p.seed, j), len(slots)) for p in pts] for j in range(k)])
-        self.x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], len(pts), axis=0)
+        self.x = np.repeat(np.stack([z0.x, z0_tilde.x])[None], B, axis=0)
         if scheme is Scheme.LM:  # both chains' v is the primer, the draw before step 0
             self.v = np.stack([CounterStreams(p.seed).normals(k, 1, d) for p in pts])
         else:
-            self.v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], len(pts), axis=0)
-        self.grad = None
+            self.v = np.repeat(np.stack([z0.v, z0_tilde.v])[None], B, axis=0)
 
-    def step(self, potential, noise, xs, vs):
-        """Step once per row of ``noise``, (slots, n, d), and store the states of
-        step i in xs[i] and vs[i]."""
-        block = noise[self.slots].transpose(2, 0, 1, 3)[..., None, :]  # (n, k, B, 1, d)
+    def step(self, potential, noise, n, xs, vs):
+        """Step n times, the pair batch on rows 0..n-1 of ``noise``, (slots, rows, d),
+        and store the states of step i in xs[i] and vs[i]."""
+        if self.slots is None:
+            block = repeat(self.zero, n)
+        else:
+            block = noise[self.slots, :n].transpose(2, 0, 1, 3)[..., None, :]  # (n, k, B, 1, d)
         B = len(self.index)
         xs, vs = xs[:, :B], vs[:, :B]
         scheme, coefs = self.scheme, self.coefs
@@ -351,8 +404,16 @@ class _Batch:
             x, v, grad = _step_core(scheme, potential, x, v, coefs, xi, grad)
             xs[i] = x
             vs[i] = v
-        # an overdamped v is a view into this block's noise: a copy lets the block go
-        self.x, self.v, self.grad = x, v.copy() if np.may_share_memory(v, block) else v, grad
+        if self.slots is not None and np.may_share_memory(v, block):
+            v = v.copy()  # an overdamped v is a view into this block's noise: a copy lets the block go
+        self.x, self.v, self.grad = x, v, grad
+
+    def gaps(self, xs, vs, col):
+        """The (x, v) gaps of the batch's point ``col`` at each step of ``xs`` and ``vs``."""
+        xb, vb = xs[:, col], vs[:, col]
+        if self.slots is None:
+            return xb[:, 0], vb[:, 0]
+        return xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1]
 
 
 def run_coupling_batch(
@@ -361,21 +422,30 @@ def run_coupling_batch(
     z0_tilde: PhaseState,
     points: list[CouplingPoint],
     n_steps: int,
+    *,
+    pair: bool = False,
 ) -> list[CouplingTrace]:
     """One coupled pair per point, all run together; their traces in order.
 
     Each point runs its rate's scheme, ``point.rate.scheme``.  The points of
-    one scheme form one batch whose chains carry a leading batch axis, (B,
-    2, d), so each step is one call of the step core for the whole batch.
-    Each step constant is a float where every point of the batch shares it
-    bit for bit, otherwise one (B, 2, d) array of the states' shape: a
+    one scheme form one batch whose states carry a leading batch axis, so
+    each step is one call of the step core for the whole batch.  On a
+    :class:`QuadraticPotential` each batch is a difference batch: it holds
+    the pair's difference, (B, 1, d), and steps it at zero noise, which is
+    the pair's difference in real arithmetic (the draws cancel); no noise is
+    drawn, so the trace does not depend on the seed, and its distance is
+    taken of the difference, not of two O(1) states.  On any other target
+    (or with ``pair``) each batch holds both chains, (B, 2, d), on shared
+    draws.  Each step constant is a float where every point of the batch
+    shares it bit for bit, otherwise one array of the states' shape: a
     constant that varies across a batch costs one state-sized array, and no
     step broadcasts it.  Both states must have the potential's shape (d,),
-    checked before any draw.  Every batch's constants are formed before any
-    chain steps, so a broken one raises first.  Each point keeps its own
-    noise streams ``CounterStreams(seed)``, LM primer, divergence step and
-    norm, its rate's :attr:`CertifiedRate.norm`, so its trace equals its run
-    alone.  Admissibility is the caller's.  The run goes in blocks of steps, the
+    and every seed must key ``CounterStreams(seed)``, whether or not it is
+    drawn from, all checked before any draw.  Every batch's constants are
+    formed before any chain steps, so a broken one raises first.  Each point
+    keeps its own noise streams, LM primer, divergence step and norm, its
+    rate's :attr:`CertifiedRate.norm`, so its trace equals its run alone.
+    Admissibility is the caller's.  The run goes in blocks of steps, the
     batches in lockstep: each block draws the rows of each distinct (seed,
     substream) once, for every point that reads that stream, then steps each
     batch and reduces its states to its points' distances.  A point diverges
@@ -390,20 +460,26 @@ def run_coupling_batch(
         raise CouplingError(
             f"both states must have the potential's shape ({d},), got {z0.x.shape} and {z0_tilde.x.shape}"
         )
+    for p in points:  # a difference batch draws nothing, but its seed is checked as a pair's
+        CounterStreams(p.seed)
     if not points:
         return []
+    # ``pair`` keeps glc.rate_collapse_scan on the pair path, whose trace (rounding floor
+    # included, ROADMAP item 5) bench/references.json pins; delete it once glc's references
+    # are re-recorded under item 4's protocol, after item 10
+    width = 2 if pair or not isinstance(potential, QuadraticPotential) else 1
     schemes = [p.rate.scheme for p in points]
-    slots: dict[tuple[int, int], int] = {}
+    slots: dict[tuple[int, int], int] | None = {} if width == 2 else None
     batches = []
     for s in dict.fromkeys(schemes):
         index = [i for i, si in enumerate(schemes) if si is s]
         batches.append(_Batch(s, index, [points[i] for i in index], z0, z0_tilde, slots))
     B = max(len(b.index) for b in batches)
     rows = max(1, min(n_steps, _BLOCK_BYTES // (8 * d * B)))
-    gens = [CounterStreams(seed).generator(j) for seed, j in slots]
-    noise = np.empty((len(slots), rows, d))  # one block of every stream, drawn in place
-    xs = np.empty((rows, B, 2, d))  # the states of one batch's block of steps
-    vs = np.empty((rows, B, 2, d))
+    gens = [CounterStreams(seed).generator(j) for seed, j in slots or ()]
+    noise = np.empty((len(gens), rows, d)) if gens else None  # one block of every stream, drawn in place
+    xs = np.empty((rows, B, width, d))  # the states of one batch's block of steps
+    vs = np.empty((rows, B, width, d))
     norms = [p.rate.norm for p in points]
     distances = np.empty((len(points), n_steps + 1))
     # overflow on forced runs, or from far-apart starts, is an anticipated
@@ -417,13 +493,12 @@ def run_coupling_batch(
                 break
             # steps t + 1 .. t + n, one draw of their noise per stream that a live batch reads
             n = min(rows, n_steps - t)
-            for j in {j for b in live for j in b.slots.flat}:
+            for j in {j for b in live if b.slots is not None for j in b.slots.flat}:
                 gens[j].standard_normal(out=noise[j, :n])
             for b in live:
-                b.step(potential, noise[:, :n], xs, vs)
+                b.step(potential, noise, n, xs, vs)
                 for col, i in enumerate(b.index):
-                    xb, vb = xs[:n, col], vs[:n, col]
-                    block = norms[i].squared(xb[:, 0] - xb[:, 1], vb[:, 0] - vb[:, 1])
+                    block = norms[i].squared(*b.gaps(xs[:n], vs[:n], col))
                     distances[i, t + 1 : t + n + 1] = block
                     if diverged_at[i] is None:
                         bad = np.flatnonzero(~np.isfinite(block))

@@ -159,7 +159,9 @@ def rate_collapse_scan(
     certified threshold at each gamma; below a friction floor (h = 0) the
     row is nan.  Empirical rates come from a synchronously coupled pair per
     (gamma, seed) on the diagonal quadratic target diag(m, M), all of them
-    one :func:`run_coupling_batch`, each point on its seed's own streams.
+    one :func:`run_coupling_batch` on its pair path (both chains on shared
+    draws, not their noise-free difference), each point on its seed's own
+    streams.
     Inadmissible entries are flagged and fitted anyway (forced run) so the
     collapse is visible; each run is measured in its rate's
     :attr:`~langevin_contract.coupling.CertifiedRate.norm`, so a point whose
@@ -195,7 +197,7 @@ def rate_collapse_scan(
             except IntegratorError:
                 continue  # no run: c_empirical stays nan
             batched.append(len(rows) - 1)
-    for i, trace in zip(batched, run_coupling_batch(pot, z0, z1, points, n_steps)):
+    for i, trace in zip(batched, run_coupling_batch(pot, z0, z1, points, n_steps, pair=True)):
         try:
             rows[i] = replace(rows[i], c_empirical=empirical_rate(positive_prefix(trace)))
         except CouplingError:

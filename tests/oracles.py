@@ -13,7 +13,8 @@ halves from its cap, the A/B/C coefficient form of a
 certificate block, the boundary-operator
 amplification bounds behind the coupling records' prefactors, the Gaussian
 2-Wasserstein distance, the Wasserstein decay factor, the list of
-first-order splittings and the whole-array mode chain.
+first-order splittings, the whole-array mode chain and the zero-noise
+difference chain of a coupled pair on a quadratic target.
 """
 
 from dataclasses import dataclass
@@ -29,9 +30,11 @@ from langevin_contract.integrators import (
     IntegratorError,
     Scheme,
     StepParams,
+    _coefficients,
     _Mode,
     _step_core,
     affine_mode_map,
+    noise_requirements,
 )
 from langevin_contract.norms import NormError
 
@@ -343,3 +346,26 @@ def whole_array_mode_chain(scheme, lam, params, x0, v0, noise):
     xs[0] = x0
     xs[1:] = X.reshape(-1)[:n]
     return xs
+
+
+def zero_noise_difference(scheme, potential, z0, z1, params, n_steps, norm):
+    """The distance trace of a coupled pair on a quadratic target from its difference:
+    (x0 - x1, v0 - v1), with v = 0 for lm, whose chains start at one primer draw,
+    stepped by the step core with every draw 0.0 and no gradient carried from one
+    step to the next, the distances reduced once at the end (d_0 from the start
+    states) and cut at the first non-finite one.  Returns (distances, diverged_at)."""
+    coefs, zero = _coefficients(scheme, params), (0.0,) * noise_requirements(scheme)
+    x, v = z0.x - z1.x, z0.v - z1.v
+    xs, vs = [x], [v]
+    if scheme is Scheme.LM:
+        v = np.zeros_like(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x, v, _ = _step_core(scheme, potential, x, v, coefs, zero)
+            xs.append(x)
+            vs.append(np.broadcast_to(v, x.shape))  # an overdamped v is the draw, 0.0
+        d = norm.squared(np.array(xs), np.array(vs))
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        return d[: bad[0] + 1], int(bad[0])
+    return d, None

@@ -26,12 +26,13 @@ from langevin_contract.integrators import (
     Scheme,
     StepParams,
     _coefficients,
+    affine_mode_map,
     noise_requirements,
     step,
 )
 from langevin_contract.norms import WeightedNorm
 from langevin_contract.potentials import PerturbedQuadratic, Potential, QuadraticPotential
-from oracles import FIRST_ORDER_SPLITTINGS, REFERENCE_BOUND_CONSTANTS, mp_eta_root
+from oracles import FIRST_ORDER_SPLITTINGS, REFERENCE_BOUND_CONSTANTS, mp_eta_root, zero_noise_difference
 
 ANISO = QuadraticPotential.anisotropic_gaussian(1.0, 4.0)
 Z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
@@ -77,12 +78,16 @@ def test_coupled_chains_with_equal_starts_stay_equal():
 
 
 def test_quadratic_trace_is_seed_independent():
+    # no draw reaches a quadratic trace: every scheme, admissible and forced to
+    # diverge, gives one trace bit for bit at seeds as far apart as Philox keys go
     gamma = 8.0
     h = 0.8 * certified_stepsize_threshold(Scheme.BAOAB, 1.0, 4.0, gamma)
-    p = StepParams(h, gamma)
-    t1 = run_synchronous_coupling(Scheme.BAOAB, ANISO, Z0, Z1, p, 200, seed=0)
-    t2 = run_synchronous_coupling(Scheme.BAOAB, ANISO, Z0, Z1, p, 200, seed=999)
-    assert np.abs(t1.distances - t2.distances).max() <= 1e-12 * t1.distances[0]
+    for scheme in Scheme:
+        for p in (StepParams(h, gamma), StepParams(1.0, 1.0)):
+            traces = [run_synchronous_coupling(scheme, ANISO, Z0, Z1, p, 300, s, force=True) for s in (0, 999, 2**64 - 1)]
+            for tr in traces[1:]:
+                assert np.array_equal(tr.distances, traces[0].distances, equal_nan=True)
+                assert tr.diverged_at == traces[0].diverged_at
 
 
 def test_kinetic_em_trace_bound_example():
@@ -398,6 +403,70 @@ def test_certified_rate_needs_a_positive_h():
         certified_rate(Scheme.BAO, 1.0, 4.0, 5.0, 0.0)
 
 
+#: each record's (a, b, c) as float expressions with float constants
+_FLOAT_ABC = {
+    Scheme.OVERDAMPED_EM: lambda m, M, g, h, eta, ome: (1.0, 0.0, h * m * (2.0 - h * M)),
+    Scheme.KINETIC_EM: lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (2.0 * g)),
+    Scheme.SES: lambda m, M, g, h, eta, ome: (1.0 / M, 1.0 / g, m * h / (4.0 * g)),
+    Scheme.BAO: lambda m, M, g, h, eta, ome: (1.0 / M, h / ome, h * h * m / (4.0 * ome)),
+    Scheme.OAB: lambda m, M, g, h, eta, ome: (1.0 / M, eta * h / ome, eta * h * h * m / (4.0 * ome)),
+}
+_FLOAT_ABC[Scheme.LM] = _FLOAT_ABC[Scheme.OVERDAMPED_EM]
+_FLOAT_ABC.update(dict.fromkeys((Scheme.ABO, Scheme.BOA), _FLOAT_ABC[Scheme.OAB]))
+_FLOAT_ABC.update(dict.fromkeys((Scheme.OBA, Scheme.AOB, Scheme.BAOAB, Scheme.OBABO), _FLOAT_ABC[Scheme.BAO]))
+
+
+def test_a_rate_where_nothing_overflows_is_the_float_expression(monkeypatch):
+    def no_wide(*args):
+        raise AssertionError("re-evaluated a record where no float product overflows")
+
+    monkeypatch.setattr(coupling, "_wide_abc", no_wide)
+    rng = np.random.default_rng(36)
+    for _ in range(3000):
+        scheme = list(Scheme)[rng.integers(len(Scheme))]
+        m, M = sorted(np.exp(rng.uniform(-7.0, 7.0, 2)).tolist())
+        gamma, h = math.exp(rng.uniform(-7.0, 20.0)), math.exp(rng.uniform(-14.0, 3.0))
+        rate = certified_rate(scheme, m, M, gamma, h)
+        want = _FLOAT_ABC[scheme](m, M, gamma, h, math.exp(-gamma * h), -math.expm1(-gamma * h))
+        assert [f.hex() for f in (rate.a, rate.b, rate.c)] == [float(f).hex() for f in want]
+        assert [type(f) for f in (rate.a, rate.b, rate.c)] == [float] * 3
+
+
+def test_a_rate_whose_float_products_overflow_keeps_its_value():
+    # ses at m = M = 4, gamma = h = 1e308: m h and 4 gamma overflow, and c = inf/inf was nan
+    assert certified_rate(Scheme.SES, 4.0, 4.0, 1e308, 1e308).c == 1.0
+    # kinetic_em at gamma = inf, m h = inf: the limit 0, not inf/inf
+    assert certified_rate(Scheme.KINETIC_EM, 1e300, 1e300, math.inf, 1e10).c == 0.0
+    # a c of 0.0 under a 4 gamma that overflowed: 1e300 / 4e308
+    assert certified_rate(Scheme.SES, 1e300, 1e300, 1e308, 1.0).c == 2.5e-9
+    # h M overflows where h m (2 - h M) does not: -h^2 m M = -1e300, to rounding
+    assert certified_rate(Scheme.OVERDAMPED_EM, 1e-300, 1e200, 1.0, 1e200).c == pytest.approx(-1e300, rel=1e-15)
+    # h^2 overflows where h^2 m / 4 does not; b = h / (1 - eta) = 1e200
+    bao = certified_rate(Scheme.BAO, 1e-300, 1e200, 1.0, 1e200)
+    assert (bao.b, bao.c) == (1e200, 2.5e99)
+    # a field beyond the float range is inf
+    assert certified_rate(Scheme.BAO, 1.0, 4.0, 1.0, 1e300).c == math.inf
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((Scheme.OVERDAMPED_EM, 0.05, math.inf, 1.0, 5e-324), "need a finite M"),
+        ((Scheme.LM, 1.0, math.inf, 1.0, 0.1), "need a finite M"),
+        ((Scheme.BAO, math.inf, math.inf, 1.0, 0.1), "need a finite M"),
+        ((Scheme.OAB, 1.0, 4.0, 1.0, math.inf), "need a finite h"),
+    ],
+)
+def test_a_rate_needs_finite_m_M_and_h(args, match):
+    # each gave a nan field: 0 * inf, or eta h = 0 * inf
+    with pytest.raises(CouplingError, match=match):
+        certified_rate(*args)
+    if args[-1] < math.inf:
+        with pytest.raises(CouplingError, match=match):
+            certified_stepsize_threshold(*args[:-1])
+    assert not math.isnan(certified_rate(args[0], 1.0, 4.0, math.inf, 0.1).c)  # gamma = inf stays allowed
+
+
 def test_inadmissible_requires_force():
     with pytest.raises(InadmissibleParameters):
         run_synchronous_coupling(
@@ -534,18 +603,87 @@ def test_block_streamed_runner_matches_one_draw(scheme):
     z1 = PhaseState(rng.standard_normal(HIGHD), rng.standard_normal(HIGHD))
     perturbed = PerturbedQuadratic(HIGHD_TARGET, 0.5)
     # short runs on both targets, empty runs, and a forced run that
-    # overflows several blocks in
+    # overflows several blocks in; the pair runs on the perturbed target, and
+    # the quadratic target's runs are the difference's, on no draws
     runs = [(pot, 0.005, 30.0, n) for pot in (HIGHD_TARGET, perturbed) for n in (100, 0)]
     runs.append((HIGHD_TARGET, 1.0, 1.0, 400))
     for pot, h, gamma, n in runs:
         params = StepParams(h, gamma)
         rate = certified_rate(scheme, pot.m, pot.M, gamma, h)
         tr = run_synchronous_coupling(scheme, pot, z0, z1, params, n, seed=4, force=True)
-        ref, ref_div = _reference_coupling(scheme, pot, z0, z1, params, n, 4, rate.norm)
+        if pot is HIGHD_TARGET:
+            ref, ref_div = zero_noise_difference(scheme, pot, z0, z1, params, n, rate.norm)
+        else:
+            ref, ref_div = _reference_coupling(scheme, pot, z0, z1, params, n, 4, rate.norm)
         assert np.array_equal(tr.distances, ref, equal_nan=True)
         assert tr.diverged_at == ref_div
         if h == 1.0:
             assert ref_div is not None and ref_div > 2 * rows
+
+
+_rng = np.random.default_rng(5)
+_ROTATION = np.linalg.qr(_rng.standard_normal((6, 6)))[0]
+#: one spectrum, kept as a diagonal and rotated into a dense matrix
+QUADRATIC_TARGETS = {
+    "diagonal": QuadraticPotential.diagonal(np.linspace(1.0, 4.0, 6)),
+    "dense": QuadraticPotential((_ROTATION * np.linspace(1.0, 4.0, 6)) @ _ROTATION.T),
+}
+
+
+@pytest.mark.parametrize("target", QUADRATIC_TARGETS)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_the_difference_follows_the_pair_above_its_rounding_floor(scheme, target):
+    # the pair path stays tested on quadratic targets: its trace and the
+    # difference's agree to ~1e-12 relative while the pair's distance is above
+    # 1e-6 d_0, far above the floor its O(1) states' rounding puts under it
+    pot = QUADRATIC_TARGETS[target]
+    assert (pot._diag is None) == (target == "dense")
+    rng = np.random.default_rng(3)
+    z0 = PhaseState(rng.standard_normal(6), rng.standard_normal(6))
+    z1 = PhaseState(rng.standard_normal(6), rng.standard_normal(6))
+    params = StepParams(0.05, 10.0)
+    point = CouplingPoint(params, 3, certified_rate(scheme, pot.m, pot.M, 10.0, 0.05))
+    diff = run_coupling_batch(pot, z0, z1, [point], 400)[0].distances
+    pair = run_coupling_batch(pot, z0, z1, [point], 400, pair=True)[0].distances
+    assert diff[0] == pair[0]
+    above = pair >= 1e-6 * pair[0]
+    assert above.sum() > 100
+    assert (np.abs(diff[above] - pair[above]) <= 2e-12 * pair[above]).all()
+
+
+def _exact_mode_rate(scheme, lams, params):
+    """1 - max_i rho(P(lam_i))^2: the squared-distance rate at which the difference
+    of a coupled pair decays on the target's modes of curvature lam_i."""
+    rho = max(np.abs(np.linalg.eigvals(affine_mode_map(scheme, lam, params)[0])).max() for lam in lams)
+    return 1.0 - rho**2
+
+
+def test_a_quadratic_rate_fit_finds_the_exact_mode_rate():
+    # fig1's points: m = M = 1, h = 0.25, 600 steps.  Where the exact rate is
+    # at least 1e-3 the fit is within 5e-4 of it (complex eigenvalues make the
+    # trace oscillate about its decay); below, oab at gamma = 100 has a rate of
+    # 1.7e-12, a 1e-9 decay over the run that its fast mode's transient swamps
+    iso = QuadraticPotential.anisotropic_gaussian(1.0, 1.0)
+    checked = 0
+    for scheme in (Scheme.KINETIC_EM, Scheme.BAO, Scheme.OAB, Scheme.BAOAB, Scheme.OBABO, Scheme.SES):
+        for gamma in (1.0, 4.0, 100.0):
+            params = StepParams(0.25, gamma)
+            exact = _exact_mode_rate(scheme, [1.0], params)
+            tr = run_synchronous_coupling(scheme, iso, Z0, Z1, params, 600, seed=0, force=True)
+            if tr.diverged or exact < 1e-3:
+                continue
+            assert abs(empirical_rate(positive_prefix(tr)) - exact) <= 5e-4 * exact, (scheme, gamma)
+            checked += 1
+    assert checked == 16  # all but oab and the diverging kinetic_em at gamma = 100
+    # bao at gamma = 100, where P ~ [[1 - h^2, h], [0, 0]]: the difference follows
+    # the exact rate, ~1 - (1 - h^2)^2, to rounding, where the pair's fit sits on its floor
+    params = StepParams(0.25, 100.0)
+    exact = _exact_mode_rate(Scheme.BAO, [1.0], params)
+    assert exact == pytest.approx(1.0 - (1.0 - 0.25**2) ** 2, rel=1e-10)
+    point = CouplingPoint(params, 0, certified_rate(Scheme.BAO, 1.0, 1.0, 100.0, 0.25))
+    diff, pair = (run_coupling_batch(iso, Z0, Z1, [point], 600, pair=p)[0] for p in (False, True))
+    assert abs(empirical_rate(positive_prefix(diff)) - exact) <= 1e-12 * exact
+    assert abs(empirical_rate(positive_prefix(pair)) - exact) > 1e-3 * exact
 
 
 def test_coupling_memory_does_not_grow_with_run_length(traced_peak):
@@ -685,17 +823,67 @@ def test_a_run_makes_one_generator_per_stream(monkeypatch):
 
     monkeypatch.setattr(CounterStreams, "generator", counting_generator)
     monkeypatch.setattr(CounterStreams, "normals", counting_normals)
-    # one and two draws per step, at seeds 3 (two points) and 8
+    # one and two draws per step, at seeds 3 (two points) and 8, on a perturbed
+    # target: the pair path, the one that draws
+    pot = PerturbedQuadratic(ANISO, 0.25)
     grid = [(StepParams(0.01, 30.0), 3), (StepParams(0.02, 30.0), 3), (StepParams(0.01, 20.0), 8)]
     schemes = (Scheme.KINETIC_EM, Scheme.OBABO, Scheme.SES, Scheme.LM)
-    points = [
-        CouplingPoint(p, seed, certified_rate(s, ANISO.m, ANISO.M, p.gamma, p.h)) for s in schemes for p, seed in grid
-    ]
-    traces = run_coupling_batch(ANISO, Z0, Z1, points, 3 * _BLOCK_BYTES // (8 * ANISO.dim * 3) + 5)
+    points = [CouplingPoint(p, seed, certified_rate(s, pot.m, pot.M, p.gamma, p.h)) for s in schemes for p, seed in grid]
+    traces = run_coupling_batch(pot, Z0, Z1, points, 3 * _BLOCK_BYTES // (8 * pot.dim * 3) + 5)
     assert all(not tr.diverged for tr in traces)
     # lm primes each point from row 0 of substream 1, through normals and its own generator
     assert primed == [(3, 1, 1), (3, 1, 1), (8, 1, 1)]
     assert sorted(made) == sorted([(3, 0), (3, 1), (8, 0), (8, 1)] + [(3, 1), (3, 1), (8, 1)])
+
+
+def test_an_all_quadratic_run_draws_nothing(monkeypatch):
+    # every scheme, lm's primer included: no generator, so no noise buffer to fill
+    made = []
+    generator = CounterStreams.generator
+
+    def counting_generator(self, substream):
+        made.append((self.seed, substream))
+        return generator(self, substream)
+
+    monkeypatch.setattr(CounterStreams, "generator", counting_generator)
+    points = [
+        CouplingPoint(StepParams(0.01, 30.0), seed, certified_rate(s, ANISO.m, ANISO.M, 30.0, 0.01))
+        for s in Scheme
+        for seed in (3, 8)
+    ]
+    traces = run_coupling_batch(ANISO, Z0, Z1, points, 3 * _BLOCK_BYTES // (8 * ANISO.dim * 2) + 5)
+    assert all(not tr.diverged for tr in traces) and made == []
+    run_coupling_batch(PerturbedQuadratic(ANISO, 0.25), Z0, Z1, points[:1], 5)
+    assert made == [(3, 0)]  # the counting reaches the pair path's one stream
+
+
+#: bad arguments of a coupled run: each raises the same error, whatever the target
+BAD_RUNS = {
+    "seed -1": dict(seed=-1),
+    "seed True": dict(seed=True),
+    "seed 2**64": dict(seed=2**64),
+    "seed 1.5": dict(seed=1.5),
+    "n_steps -1": dict(n_steps=-1),
+    "x of another shape": dict(z0=PhaseState(np.zeros(3), np.zeros(3))),
+    "a batch of states": dict(z0_tilde=PhaseState(np.zeros((2, 2)), np.zeros((2, 2)))),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RUNS)
+@pytest.mark.parametrize("scheme", [Scheme.KINETIC_EM, Scheme.LM, Scheme.OBABO], ids=lambda s: s.value)
+def test_a_bad_run_raises_the_same_error_on_both_paths(monkeypatch, scheme, bad):
+    # the difference path draws nothing, but checks each seed as the pair path does
+    def no_draw(*args):
+        raise AssertionError("drew noise before checking the arguments")
+
+    monkeypatch.setattr(CounterStreams, "generator", no_draw)
+    errors = []
+    for pot in (ANISO, PerturbedQuadratic(ANISO, 0.25)):
+        kwargs = dict(z0=Z0, z0_tilde=Z1, params=StepParams(0.05, 10.0), n_steps=10, seed=0) | BAD_RUNS[bad]
+        with pytest.raises(CouplingError) as info:
+            run_synchronous_coupling(scheme, pot, force=True, **kwargs)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
 def test_a_mixed_run_keeps_one_set_of_block_buffers(traced_peak):

@@ -8,11 +8,12 @@ import sympy as sp
 from langevin_contract import glc
 from langevin_contract.coupling import (
     CounterStreams,
+    CouplingPoint,
     certified_rate,
     certified_stepsize_threshold,
     empirical_rate,
     positive_prefix,
-    run_synchronous_coupling,
+    run_coupling_batch,
 )
 from langevin_contract.gaussian import SpectralError, stationary_covariance
 from langevin_contract.glc import (
@@ -261,7 +262,8 @@ def test_rate_collapse_flags_inadmissible():
 
 
 def _scan_point_by_point(scheme, m, M, h, gamma_grid, n_steps, seeds):
-    """rate_collapse_scan's rows from one coupled run per (seed, gamma) point."""
+    """rate_collapse_scan's rows from one coupled run per (seed, gamma) point, on
+    the pair path, as the scan runs them."""
     pot = QuadraticPotential.diagonal([m, M])
     z0 = PhaseState(np.array([-1.0, -1.0]), np.zeros(2))
     z1 = PhaseState(np.array([1.0, 1.0]), np.zeros(2))
@@ -274,9 +276,8 @@ def _scan_point_by_point(scheme, m, M, h, gamma_grid, n_steps, seeds):
                 continue
             rate = certified_rate(scheme, m, M, gamma, h_used)
             try:
-                trace = run_synchronous_coupling(
-                    scheme, pot, z0, z1, StepParams(h_used, gamma), n_steps, seed, force=True
-                )
+                point = CouplingPoint(StepParams(h_used, gamma), seed, rate)
+                trace = run_coupling_batch(pot, z0, z1, [point], n_steps, pair=True)[0]
                 c_hat = empirical_rate(positive_prefix(trace))
             except ValueError:
                 c_hat = math.nan
@@ -294,9 +295,9 @@ def batch_calls(monkeypatch):
     calls = []
     run_coupling_batch = glc.run_coupling_batch
 
-    def counting(potential, z0, z0_tilde, points, n_steps):
+    def counting(potential, z0, z0_tilde, points, n_steps, **kwargs):
         calls.append((points[0].rate.scheme, len(points)))
-        return run_coupling_batch(potential, z0, z0_tilde, points, n_steps)
+        return run_coupling_batch(potential, z0, z0_tilde, points, n_steps, **kwargs)
 
     monkeypatch.setattr(glc, "run_coupling_batch", counting)
     return calls

@@ -169,3 +169,33 @@ def test_searches_spectra_and_the_bao_rate_keep_to_their_domain(scheme, m, M, ga
             else:
                 assert type(result) is kind, name
                 assert kind is tuple or 0.0 <= result < math.inf, (name, result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    m=FLOAT_EDGES,
+    M=FLOAT_EDGES,
+    gamma=FLOAT_EDGES,
+    h=FLOAT_EDGES,
+)
+def test_the_records_keep_to_their_domain(scheme, m, M, gamma, h):
+    # certified_rate returns a rate none of whose fields is nan, and
+    # certified_stepsize_threshold a float that is not nan or negative (inf
+    # where 2/M leaves the float range), or each raises a library error with a
+    # message; neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rate = certified_rate(scheme, m, M, gamma, h)
+        except DOMAIN_ERRORS as exc:
+            assert str(exc)
+        else:
+            fields = (rate.a, rate.b, rate.c)
+            assert all(type(f) is float and not math.isnan(f) for f in fields), rate
+        try:
+            threshold = certified_stepsize_threshold(scheme, m, M, gamma)
+        except DOMAIN_ERRORS as exc:
+            assert str(exc)
+        else:
+            assert type(threshold) is float and threshold >= 0.0, threshold
